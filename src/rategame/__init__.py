@@ -8,9 +8,9 @@ service-rate distribution through a scalar fixed point.
 __version__ = "0.1.0"
 
 from .model import (ModelParams, PolicyFunctions, PopulationDistributions,
-                    PowerFamily, ServerPopulation, log_family,
-                    neg_inverse_family, power_family, sample_population,
-                    staffing_level, staffing_load, uniform_box_population,
+                    ServerPopulation, log_family, neg_inverse_family,
+                    power_family, sample_population, staffing_level,
+                    staffing_load, uniform_box_population,
                     verify_first_order_monotone)
 from .rates import (CdfRateDistribution, DensityRateDistribution,
                     DiscreteRateDistribution, FairnessMeasure,

@@ -333,6 +333,9 @@ def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications:
         raise ConfigError("scales below 2 are rejected: fairness binning needs servers to spare")
     if replications < 1:
         raise ConfigError("replications must be >= 1")
+    if config.alpha != 1.0:
+        raise ConfigError("validate compares against the alpha = 1 weighted-random "
+                          f"profile and fairness law; got alpha={config.alpha!r}")
     _require_decreasing_htilde(config)
     sol = solve_equilibrium(config.population(), config.functions(), config.beta,
                             config.lambda_bar, config.n)
@@ -474,8 +477,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SolverFailure as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
+    except (SolverFailure, ValueError) as exc:
+        print("solver failure: " + " ".join(str(exc).split()), file=sys.stderr)
         return 3
     except (RuntimeError, ZeroDivisionError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)

@@ -22,8 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ._numerics import bisect
 from .model import (PolicyFunctions, PopulationDistributions,
-                    ServerPopulation, _first_order_ratio, staffing_level,
+                    ServerPopulation, _ratio_array, staffing_level,
                     verify_first_order_monotone)
 from .fairness import SolverFailure, fairness_density, solve_L
 from .rates import CdfRateDistribution
@@ -50,16 +51,7 @@ def marginal_rate_of_substitution(mu: float, L: float, funcs: PolicyFunctions) -
     """C(mu, L): the trade-off level at which mu is an interior optimum."""
     if L <= 0:
         raise ValueError("L must be positive")
-    return _first_order_ratio(funcs, mu, L)
-
-
-def _ratio_array(funcs, mu: np.ndarray, L: float) -> np.ndarray:
-    """Vectorized C(mu, L); relies on the family callables accepting arrays."""
-    mu = np.asarray(mu, dtype=float)
-    ht = funcs.htilde(mu)
-    z = 1.0 + L * ht
-    cp = funcs.c_prime(mu)
-    return -L * funcs.f_prime(1.0 / z) * funcs.htilde_prime(mu) / (z * z * cp)
+    return float(_ratio_array(funcs, mu, L))
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,7 @@ class BestResponse:
     utility: float
 
 
-def _utility(funcs, mu: float, a: float, L: float) -> float:
+def _utility(funcs, mu, a, L: float):
     return funcs.f(1.0 / (1.0 + L * funcs.htilde(mu))) - a * funcs.c(mu)
 
 
@@ -88,22 +80,11 @@ def best_response(attrs: tuple[float, float, float], L: float,
         raise ValueError("attributes escape the global support")
     if check_monotone and not verify_first_order_monotone(funcs, L, support):
         raise ValueError("C(mu, L) is not strictly decreasing: configuration unsupported")
-    c_lo = _first_order_ratio(funcs, mu_lo, L)
-    if a >= c_lo:
+    if a >= _ratio_array(funcs, mu_lo, L):
         return BestResponse(mu_lo, "at_min", _utility(funcs, mu_lo, a, L))
-    c_hi = _first_order_ratio(funcs, mu_hi, L)
-    if a <= c_hi:
+    if a <= _ratio_array(funcs, mu_hi, L):
         return BestResponse(mu_hi, "at_max", _utility(funcs, mu_hi, a, L))
-    lo, hi = mu_lo, mu_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _first_order_ratio(funcs, mid, L) > a:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    mu_star = 0.5 * (lo + hi)
+    mu_star, _, _ = bisect(lambda mu: _ratio_array(funcs, mu, L) - a, mu_lo, mu_hi, 200)
     return BestResponse(mu_star, "interior", _utility(funcs, mu_star, a, L))
 
 
@@ -113,23 +94,15 @@ def best_response_rates(population: ServerPopulation, L: float,
     support = (population.mu_min, population.mu_max)
     if not verify_first_order_monotone(funcs, L, support):
         raise ValueError("C(mu, L) is not strictly decreasing: configuration unsupported")
-    a = population.a
-    lo = population.mu_lo.copy()
-    hi = population.mu_hi.copy()
+    a, lo, hi = population.a, population.mu_lo, population.mu_hi
     at_min = a >= _ratio_array(funcs, lo, L)
     at_max = a <= _ratio_array(funcs, hi, L)
     interior = ~(at_min | at_max)
-    rates = np.where(at_min, population.mu_lo, population.mu_hi)
+    rates = np.where(at_min, lo, hi)
     if np.any(interior):
-        blo = lo[interior]
-        bhi = hi[interior]
         target = a[interior]
-        for _ in range(100):
-            mid = 0.5 * (blo + bhi)
-            above = _ratio_array(funcs, mid, L) > target
-            blo = np.where(above, mid, blo)
-            bhi = np.where(above, bhi, mid)
-        rates[interior] = 0.5 * (blo + bhi)
+        rates[interior], _, _ = bisect(lambda mu: _ratio_array(funcs, mu, L) - target,
+                                       lo[interior], hi[interior], 100)
     return rates
 
 
@@ -197,22 +170,12 @@ class ResponseDistribution(CdfRateDistribution):
         d = self._dists
         grid = np.linspace(d.mu_min, d.mu_max, 513)
         vals = self._A(grid) - level
-        out = []
-        for i in range(512):
-            a, b = vals[i], vals[i + 1]
-            if a == 0.0 or a * b >= 0.0:
-                continue
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            flo = a
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = float(self._A(np.array([mid]))[0]) - level
-                if (fm > 0.0) == (flo > 0.0):
-                    lo = mid
-                else:
-                    hi = mid
-            out.append(0.5 * (lo + hi))
-        return out
+        i = np.flatnonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))
+        if i.size == 0:
+            return []
+        sign = np.sign(vals[i])
+        roots, _, _ = bisect(lambda mu: sign * (self._A(mu) - level), grid[i], grid[i + 1], 80)
+        return roots.tolist()
 
     def _A(self, mu: np.ndarray) -> np.ndarray:
         """Effective threshold: C itself when monotone, else C capped at its
@@ -243,15 +206,10 @@ class ResponseDistribution(CdfRateDistribution):
         # down-branch stationary point R(a), tabulated once over a
         a_lo = max(c_end, self._c_peak * 1e-10)
         a_tab = np.geomspace(a_lo, self._c_peak, 1025)
-        lo_b = np.full(a_tab.size, self._mu_peak)
-        hi_b = np.full(a_tab.size, d.mu_max)
-        for _ in range(60):
-            mid = 0.5 * (lo_b + hi_b)
-            above = _ratio_array(funcs, mid, L) > a_tab
-            lo_b = np.where(above, mid, lo_b)
-            hi_b = np.where(above, hi_b, mid)
         self._R_a = a_tab
-        self._R_mu = 0.5 * (lo_b + hi_b)
+        self._R_mu, _, _ = bisect(lambda mu: _ratio_array(funcs, mu, L) - a_tab,
+                                  np.full(a_tab.size, self._mu_peak),
+                                  np.full(a_tab.size, d.mu_max), 60)
 
         def R_of(a):
             a = np.asarray(a, dtype=float)
@@ -259,30 +217,22 @@ class ResponseDistribution(CdfRateDistribution):
             out = np.where(a <= a_lo, d.mu_max, out)
             return np.where(a >= self._c_peak, d.mu_min, out)
 
-        def utility(mu, a):
-            return funcs.f(1.0 / (1.0 + L * funcs.htilde(mu))) - a * funcs.c(mu)
-
         # switch level a_sw(lo, hi): smallest a at which the personal minimum
-        # ties or beats the clipped down-branch candidate (delta increasing
-        # in a by the envelope argument)
+        # ties or beats the clipped down-branch candidate (the candidate's
+        # advantage, min_loses, decreases in a by the envelope argument)
         G = self._ASW_MESH
         axis = np.linspace(d.mu_min, d.mu_max, G)
         LO, HI = np.meshgrid(axis, axis, indexing="ij")
         lo_f, hi_f = LO.ravel(), HI.ravel()
-        a_low = np.full(lo_f.size, 1e-12)
-        a_high = np.full(lo_f.size, self._c_peak)
-        u_lo_cache = None
-        for _ in range(60):
-            mid = 0.5 * (a_low + a_high)
-            m2 = np.clip(R_of(mid), lo_f, hi_f)
-            delta = utility(lo_f, mid) - utility(m2, mid)
-            lo_wins = delta >= 0.0
-            a_high = np.where(lo_wins, mid, a_high)
-            a_low = np.where(lo_wins, a_low, mid)
-        a_sw = 0.5 * (a_low + a_high)
+
+        def min_loses(a):
+            m2 = np.clip(R_of(a), lo_f, hi_f)
+            return _utility(funcs, m2, a, L) - _utility(funcs, lo_f, a, L)
+
+        a_sw, _, _ = bisect(min_loses, np.full(lo_f.size, 1e-12),
+                            np.full(lo_f.size, self._c_peak), 60)
         # where even a -> C_peak never favors the minimum, no switch happens
-        m2_top = np.clip(R_of(np.full(lo_f.size, self._c_peak)), lo_f, hi_f)
-        never = utility(lo_f, self._c_peak) < utility(m2_top, self._c_peak) - 1e-15
+        never = min_loses(np.full(lo_f.size, self._c_peak)) > 1e-15
         psi = np.asarray(d.a_cdf(a_sw), dtype=float)
         psi[never] = 1.0
         self._mesh_axis = axis
@@ -429,22 +379,9 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
                              "phi_ends": (float(scan_phi[0]), float(scan_phi[-1]))})
     lo = float(scan_L[change_idx[0]])
     hi = float(scan_L[change_idx[0] + 1])
-    flo = float(scan_phi[change_idx[0]])
-    iterations = 0
-    L, fmid = lo, flo
-    while iterations < 200:
-        mid = 0.5 * (lo + hi)
-        fmid = phi_at(mid)
-        iterations += 1
-        L = mid
-        if abs(fmid) < PHI_TOLERANCE:
-            break
-        if (fmid > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(hi, 1.0):
-            break
+    sign = 1.0 if scan_phi[change_idx[0]] > 0.0 else -1.0
+    L, fmid, iterations = bisect(lambda L: sign * phi_at(L), lo, hi, 200, PHI_TOLERANCE)
+    fmid *= sign
     if abs(fmid) >= PHI_TOLERANCE:
         raise SolverFailure("Phi bisection stalled above tolerance",
                             {"L": L, "phi": fmid, "iterations": iterations})
@@ -496,8 +433,8 @@ def classify_regime(funcs: PolicyFunctions, alpha: float, g_shape: str,
         raise ValueError("need at least two probe scales")
     slopes = []
     for x in xs:
-        s = scales ** (alpha - 1.0) * np.array(
-            [funcs.f_prime(float(nv ** (alpha - 1.0) * x)) for nv in scales])
+        shrink = scales ** (alpha - 1.0)
+        s = shrink * funcs.f_prime(shrink * x)
         if np.any(~np.isfinite(s)) or np.any(s <= 0):
             return RegimeClass.INDETERMINATE
         ls, ln = np.log(s), np.log(scales)

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._numerics import bisect
 from .model import ModelParams, PolicyFunctions, power_family
 from .rates import FairnessMeasure, RateDistribution
 
@@ -55,7 +56,8 @@ class RoutingWeight:
     """A bare routing weight with the ratio htilde = h/mu and its derivative.
 
     Structurally compatible with PolicyFunctions wherever only the weight
-    matters (solve_L, the simulator's weighted-random policy).
+    matters (solve_L, the simulator's weighted-random policy); the same
+    contract holds: every callable acts elementwise on numpy arrays.
     """
 
     h: Callable
@@ -110,8 +112,7 @@ def special_policy_fairness(policy, F: RateDistribution) -> FairnessMeasure:
 
 def _check_htilde_nonincreasing(funcs, mu_lo: float, mu_hi: float,
                                 grid_size: int = 257) -> None:
-    mus = np.linspace(mu_lo, mu_hi, grid_size)
-    vals = np.array([funcs.htilde(float(m)) for m in mus])
+    vals = funcs.htilde(np.linspace(mu_lo, mu_hi, grid_size))
     if np.any(np.diff(vals) > 1e-12 * np.maximum(np.abs(vals[:-1]), 1.0)):
         raise ValueError("htilde must be nonincreasing on the support")
     if np.any(vals <= 0):
@@ -132,21 +133,13 @@ def solve_L(F: RateDistribution, funcs, beta: float) -> FairnessSolution:
     mu_bar = F.mean
     scale = (1.0 + beta) / mu_bar
 
-    def ht_arr(m):
-        m = np.asarray(m, dtype=float)
-        return np.array([ht(float(x)) for x in m]) if m.ndim else np.float64(ht(float(m)))
-
-    def htp_arr(m):
-        m = np.asarray(m, dtype=float)
-        return np.array([htp(float(x)) for x in m]) if m.ndim else np.float64(htp(float(m)))
-
     def G(L: float) -> float:
         def integrand(m):
-            return m / (1.0 + L * ht_arr(m))
+            return m / (1.0 + L * ht(m))
 
         def integrand_prime(m):
-            z = 1.0 + L * ht_arr(m)
-            return (z - m * L * htp_arr(m)) / (z * z)
+            z = 1.0 + L * ht(m)
+            return (z - m * L * htp(m)) / (z * z)
 
         return scale * F.integrate(integrand, integrand_prime) - beta
 
@@ -158,7 +151,7 @@ def solve_L(F: RateDistribution, funcs, beta: float) -> FairnessSolution:
     if lo == hi or abs(hi - lo) < 1e-15 * hi:
         if abs(glo) < G_TOLERANCE:
             L = lo
-            return _assemble(F, ht_arr, htp_arr, L, glo, lo, hi, 0)
+            return _assemble(F, funcs, L, glo, lo, hi, 0)
         lo, hi = lo / 2.0, hi * 2.0
         glo, ghi = G(lo), G(hi)
     expansions = 0
@@ -174,44 +167,31 @@ def solve_L(F: RateDistribution, funcs, beta: float) -> FairnessSolution:
         raise SolverFailure("no sign change for the fairness equation",
                             {"lo": lo, "hi": hi, "G(lo)": glo, "G(hi)": ghi})
 
-    iterations = 0
-    L, gval = lo, glo
-    while iterations < MAX_BISECTIONS:
-        mid = 0.5 * (lo + hi)
-        gmid = G(mid)
-        iterations += 1
-        if abs(gmid) < G_TOLERANCE:
-            L, gval = mid, gmid
-            break
-        if gmid > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        L, gval = mid, gmid
-        if hi - lo <= 1e-16 * max(hi, 1.0):
-            break
+    L, gval, iterations = bisect(G, lo, hi, MAX_BISECTIONS, G_TOLERANCE)
     if abs(gval) >= G_TOLERANCE:
         raise SolverFailure("bisection stalled above tolerance",
                             {"L": L, "G(L)": gval, "iterations": iterations})
-    return _assemble(F, ht_arr, htp_arr, L, gval, 1.0 / (beta * ht(F.mu_min)),
+    return _assemble(F, funcs, L, gval, 1.0 / (beta * ht(F.mu_min)),
                      1.0 / (beta * ht(F.mu_max)), iterations)
 
 
-def _assemble(F, ht_arr, htp_arr, L, residual, blo, bhi, iterations) -> FairnessSolution:
-    g, gp, moment = _density_parts(F, ht_arr, htp_arr, L)
+def _assemble(F, funcs, L, residual, blo, bhi, iterations) -> FairnessSolution:
+    g, gp, moment = _density_parts(F, funcs, L)
     return FairnessSolution(L=L, g=g, g_prime=gp, moment=moment, residual=residual,
                             bracket_lo=min(blo, bhi), bracket_hi=max(blo, bhi),
                             iterations=iterations,
                             measure=FairnessMeasure.from_density(F, g, gp))
 
 
-def _density_parts(F, ht_arr, htp_arr, L):
+def _density_parts(F, funcs, L):
+    ht, htp = funcs.htilde, funcs.htilde_prime
+
     def raw(m):
-        return 1.0 / (1.0 + L * ht_arr(m))
+        return 1.0 / (1.0 + L * ht(m))
 
     def raw_prime(m):
-        z = 1.0 + L * ht_arr(m)
-        return -L * htp_arr(m) / (z * z)
+        z = 1.0 + L * ht(m)
+        return -L * htp(m) / (z * z)
 
     D = F.integrate(raw, raw_prime)
 
@@ -239,17 +219,7 @@ def fairness_density(F: RateDistribution, funcs, L: float):
     """
     if L <= 0:
         raise ValueError("L must be positive")
-    ht, htp = funcs.htilde, funcs.htilde_prime
-
-    def ht_arr(m):
-        m = np.asarray(m, dtype=float)
-        return np.array([ht(float(x)) for x in m]) if m.ndim else np.float64(ht(float(m)))
-
-    def htp_arr(m):
-        m = np.asarray(m, dtype=float)
-        return np.array([htp(float(x)) for x in m]) if m.ndim else np.float64(htp(float(m)))
-
-    return _density_parts(F, ht_arr, htp_arr, L)
+    return _density_parts(F, funcs, L)
 
 
 @dataclass(frozen=True)

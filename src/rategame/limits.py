@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._numerics import bisect, rk4_step
 from .model import ModelParams
 from .rates import RateDistribution
 
@@ -115,11 +116,7 @@ def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray,
         h = (hi - lo) / substeps
         t = lo
         for _ in range(substeps):
-            k1 = rhs(t, x)
-            k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = rhs(t + h, x + h * k3)
-            x += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            x = rk4_step(rhs, t, x, h)
             t += h
         out[i + 1] = x
     return out
@@ -282,18 +279,13 @@ def allocation_fixed_point(F: RateDistribution, params: ModelParams, mu_bar: flo
             # increasing in Lv from 0 to scale * sum(mu_c F_c) > lambda
             return scale * float(np.sum(Fm * Lv * hv / (1.0 + Lv * hv / mids))) - lam
 
-        lo, hi = 1e-14, 1.0
+        hi = 1.0
         while excess(hi) < 0.0:
             hi *= 2.0
             if hi > 1e18:
                 raise ZeroDivisionError("allocation self-consistency has no root")
-        for _ in range(200):
-            mid = math.sqrt(lo * hi)
-            if excess(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        L = math.sqrt(lo * hi)
+        log_L, _, _ = bisect(lambda u: -excess(math.exp(u)), math.log(1e-14), math.log(hi), 200)
+        L = math.exp(log_L)
     gbar = (lam / mu_bar) * (1.0 + beta) / (1.0 + L * hv / mids)
     return AllocationState(edges=edges, masses=gbar * Fm, F_masses=Fm)
 
@@ -324,7 +316,7 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
     h_max = float(hv.max())
     mu_max = float(mids.max())
 
-    def rhs(m, t):
+    def rhs(t, m):
         hm = float(np.sum(hv * m))
         if hm <= 0.0:
             raise ZeroDivisionError(
@@ -344,12 +336,7 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
         hstep = span / steps
         t = t_grid[i]
         for _ in range(steps):
-            k1 = rhs(m, t)
-            k2 = rhs(m + 0.5 * hstep * k1, t + 0.5 * hstep)
-            k3 = rhs(m + 0.5 * hstep * k2, t + 0.5 * hstep)
-            k4 = rhs(m + hstep * k3, t + hstep)
-            m = m + hstep / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            m = np.maximum(m, 0.0)
+            m = np.maximum(rk4_step(rhs, t, m, hstep), 0.0)
             t += hstep
         out.append(AllocationState(edges=initial.edges, masses=m.copy(),
                                    F_masses=initial.F_masses))

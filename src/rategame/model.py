@@ -26,7 +26,6 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "PolicyFunctions",
-    "PowerFamily",
     "power_family",
     "log_family",
     "neg_inverse_family",
@@ -75,6 +74,9 @@ class ModelParams:
         return self.n * self.lambda_bar
 
 
+ArrayFn = Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class PolicyFunctions:
     """The three function families a server's problem is built from.
@@ -86,16 +88,19 @@ class PolicyFunctions:
     Derivatives are supplied analytically; ``htilde(mu) = h(mu)/mu``.
     ``htilde_pprime`` is only needed by the curvature check
     :meth:`satisfies_curvature_condition` and may be omitted.
+
+    Every callable must accept a float or a numpy array of any shape and
+    act elementwise: the solvers evaluate them on whole grids at once.
     """
 
-    f: Callable[[float], float]
-    f_prime: Callable[[float], float]
-    c: Callable[[float], float]
-    c_prime: Callable[[float], float]
-    h: Callable[[float], float]
-    htilde: Callable[[float], float]
-    htilde_prime: Callable[[float], float]
-    htilde_pprime: Callable[[float], float] | None = None
+    f: ArrayFn
+    f_prime: ArrayFn
+    c: ArrayFn
+    c_prime: ArrayFn
+    h: ArrayFn
+    htilde: ArrayFn
+    htilde_prime: ArrayFn
+    htilde_pprime: ArrayFn | None = None
     name: str = "custom"
 
     def satisfies_curvature_condition(self, mu_lo: float, mu_hi: float,
@@ -109,28 +114,9 @@ class PolicyFunctions:
         if self.htilde_pprime is None:
             raise ValueError("htilde_pprime not supplied")
         mus = np.linspace(mu_lo, mu_hi, grid_size)
-        for mu in mus:
-            lhs = 2.0 * self.htilde_prime(mu) ** 2
-            rhs = self.htilde(mu) * self.htilde_pprime(mu)
-            if lhs > rhs + 1e-9 * max(abs(rhs), 1.0):
-                return False
-        return True
-
-
-@dataclass(frozen=True)
-class PowerFamily:
-    """Exponents of the power family f(x)=x^p, c(mu)=mu^q, h(mu)=mu^r."""
-
-    p: float
-    q: float
-    r: float
-
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValueError("q must be >= 1 for a convex increasing cost")
-
-    def functions(self) -> PolicyFunctions:
-        return power_family(self.p, self.q, self.r)
+        lhs = 2.0 * self.htilde_prime(mus) ** 2
+        rhs = self.htilde(mus) * self.htilde_pprime(mus)
+        return not np.any(lhs > rhs + 1e-9 * np.maximum(np.abs(rhs), 1.0))
 
 
 def power_family(p: float, q: float, r: float) -> PolicyFunctions:
@@ -337,16 +323,17 @@ def sample_population(dists: PopulationDistributions, count: int, seed: int) -> 
                             mu_min=dists.mu_min, mu_max=dists.mu_max)
 
 
-def _first_order_ratio(funcs: PolicyFunctions, mu: float, L: float) -> float:
-    """The marginal idleness-benefit to effort-cost ratio C(mu, L).
+def _ratio_array(funcs: PolicyFunctions, mu, L: float) -> np.ndarray:
+    """The marginal idleness-benefit to effort-cost ratio C(mu, L), elementwise.
 
     C(mu, L) = -L f'((1 + L htilde)^-1) htilde'(mu) / ((1 + L htilde)^2 c'(mu)).
     Nonnegative wherever htilde' <= 0; equal to the trade-off coefficient at
     an interior best response.
     """
+    mu = np.asarray(mu, dtype=float)
     cp = funcs.c_prime(mu)
-    if cp == 0.0:
-        raise ValueError(f"c'({mu}) = 0: cost must be strictly increasing")
+    if np.any(cp == 0.0):
+        raise ValueError("c'(mu) = 0: cost must be strictly increasing")
     z = 1.0 + L * funcs.htilde(mu)
     return -L * funcs.f_prime(1.0 / z) * funcs.htilde_prime(mu) / (z * z * cp)
 
@@ -364,6 +351,5 @@ def verify_first_order_monotone(funcs: PolicyFunctions, L: float,
         raise ValueError("L must be positive")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    mus = np.linspace(support[0], support[1], grid_size)
-    vals = [_first_order_ratio(funcs, float(mu), L) for mu in mus]
-    return all(b < a for a, b in zip(vals, vals[1:]))
+    vals = _ratio_array(funcs, np.linspace(support[0], support[1], grid_size), L)
+    return bool(np.all(np.diff(vals) < 0.0))

@@ -158,6 +158,24 @@ class TestMainEntry:
                    "--replications", "1"])
         assert rc == 2
 
+    def test_validate_rejects_alpha_below_one(self, tmp_path):
+        # the comparison targets are the alpha = 1 profile and fairness law
+        rc = main(["--out", str(tmp_path), "--alpha", "0.7", "validate",
+                   "--n-list", "2", "--replications", "1"])
+        assert rc == 2
+        assert not (tmp_path / "validation.csv").exists()
+
+    def test_library_value_error_is_one_line_solver_failure(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("cdf is decreasing somewhere\n(at 6 points)")
+
+        monkeypatch.setattr("rategame.cli.solve_equilibrium", broken)
+        rc = main(["--out", str(tmp_path), "equilibrium"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("solver failure: cdf is decreasing somewhere")
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
         monkeypatch.setenv("RATEGAME_OUTDIR", str(target))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rategame import (ModelParams, ServerPopulation, log_family,
+from rategame import (ModelParams, PolicyFunctions, ServerPopulation, log_family,
                       neg_inverse_family, power_family, sample_population,
                       staffing_level, staffing_load, uniform_box_population,
                       verify_first_order_monotone)
@@ -149,3 +149,28 @@ class TestMonotoneGuard:
             verify_first_order_monotone(base_funcs, 0.0, (0.01, 0.5))
         with pytest.raises(ValueError):
             verify_first_order_monotone(base_funcs, 1.0, (0.01, 0.5), grid_size=1)
+
+    @pytest.mark.parametrize("r", [-3.0, -2.0, -1.5, -1.0, 0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("L", [1e-4, 0.02, 0.3, 5.0])
+    def test_grid_verdict_matches_a_per_point_loop(self, r, L):
+        # reference: C(mu, L) for f = x, c = mu^2, h = mu^r, one Python float
+        # at a time; the guard's verdict on the same grid must agree
+        funcs = power_family(1.0, 2.0, r)
+        mus = np.linspace(0.01, 0.5, 257)
+
+        def ratio(mu):
+            z = 1.0 + L * mu ** (r - 1.0)
+            return -L * (r - 1.0) * mu ** (r - 2.0) / (z * z * 2.0 * mu)
+
+        vals = [ratio(float(mu)) for mu in mus]
+        expected = all(b < a for a, b in zip(vals, vals[1:]))
+        assert verify_first_order_monotone(funcs, L, (0.01, 0.5), grid_size=257) is expected
+
+    def test_flat_cost_is_rejected(self, base_funcs):
+        flat = PolicyFunctions(
+            f=base_funcs.f, f_prime=base_funcs.f_prime,
+            c=lambda mu: np.zeros_like(np.asarray(mu, dtype=float)),
+            c_prime=lambda mu: np.zeros_like(np.asarray(mu, dtype=float)),
+            h=base_funcs.h, htilde=base_funcs.htilde, htilde_prime=base_funcs.htilde_prime)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            verify_first_order_monotone(flat, 0.3, (0.01, 0.5))
