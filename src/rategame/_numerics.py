@@ -11,7 +11,10 @@ def bisect(f, lo, hi, iters: int, tol: float = 0.0):
 
     ``f(x) > 0`` means the root lies above ``x``. Runs ``iters`` halvings;
     with ``tol > 0`` it stops early once ``|f| < tol`` at every midpoint, or
-    once every bracket is no wider than ``1e-16 max(|hi|, 1)``.
+    once every bracket is no wider than ``1e-16 max(|hi|, 1)``. With
+    ``tol == 0`` it stops once every midpoint equals an end of its bracket:
+    every later halving would give back the same midpoint, so the result is
+    the one the full count returns.
 
     Returns ``(x, f(x), evaluations)`` for the last midpoint evaluated;
     scalar brackets give Python floats back.
@@ -24,6 +27,8 @@ def bisect(f, lo, hi, iters: int, tol: float = 0.0):
         fx = f(x)
         evals += 1
         if tol > 0.0 and np.all(np.abs(fx) < tol):
+            break
+        if tol == 0.0 and np.all((x == lo) | (x == hi)):
             break
         above = fx > 0.0
         lo = np.where(above, x, lo)

@@ -71,6 +71,12 @@ def _require_decreasing_htilde(config: ExperimentConfig) -> None:
         raise ConfigError("htilde must be strictly decreasing (need r < 1)")
 
 
+def _require_window(horizon: float, warmup: float) -> None:
+    if not (math.isfinite(horizon) and math.isfinite(warmup) and 0.0 <= warmup < horizon):
+        raise ConfigError("need finite 0 <= warmup < horizon; "
+                          f"got warmup={warmup!r}, horizon={horizon!r}")
+
+
 # ----------------------------------------------------------------- equilibrium
 
 def cmd_equilibrium(config: ExperimentConfig, outdir: str,
@@ -263,6 +269,7 @@ def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
         raise ConfigError(f"policy must be one of {_POLICIES}")
     if replications < 1:
         raise ConfigError("replications must be >= 1")
+    _require_window(horizon, warmup)
     _require_decreasing_htilde(config)
     sol = solve_equilibrium(config.population(), config.functions(), config.beta,
                             config.lambda_bar, config.n)
@@ -333,6 +340,7 @@ def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications:
         raise ConfigError("scales below 2 are rejected: fairness binning needs servers to spare")
     if replications < 1:
         raise ConfigError("replications must be >= 1")
+    _require_window(horizon, warmup)
     if config.alpha != 1.0:
         raise ConfigError("validate compares against the alpha = 1 weighted-random "
                           f"profile and fairness law; got alpha={config.alpha!r}")

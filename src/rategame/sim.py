@@ -3,9 +3,18 @@
 Poisson arrivals at rate n*lambda_bar, exponential services at heterogeneous
 per-server rates, exponential patience, and a pluggable non-idling routing
 policy. The engine merges two exponential clocks: the arrival stream and a
-potential-completion stream at the constant rate sum(mu_k), thinned to the
-busy servers by an alias-table draw proportional to mu_k (exact, since
-accepted completions occur at rate sum over busy servers of mu_k).
+potential-completion stream at the constant rate sum(mu_k). Each potential
+completion names a server by an inverse-CDF draw, one uniform searched in
+the cumulative rates, so server k is named with probability mu_k / sum(mu);
+the completion is thinned when that server is idle (exact, since accepted
+completions occur at rate sum over busy servers of mu_k).
+
+Idle servers wait in one pool per routing policy, each with ``push(k)`` and
+``pop()``: a deque for longest-idle-first, a heap on the rate for
+fastest- and slowest-first, a list with swap-remove for uniform, and for
+weighted random the composition-rejection sampler of Slepoy, Thompson &
+Plimpton (J. Chem. Phys. 2008): geometric buckets of the weight, a bucket
+picked by a weighted scan, rejection inside the bucket.
 
 Abandonment uses lazy deletion: each queued customer carries a patience
 deadline; a sweep at every event epoch retires deadlines that passed,
@@ -19,15 +28,17 @@ Structural invariants are enforced on every event:
 Randomness is split into named substreams (population/init, arrival,
 service, patience, routing) derived from (master seed, replication), so
 swapping the routing policy leaves the arrival and service processes
-untouched.
+untouched. Each substream is drawn in blocks of ``_BLOCK`` scalars.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,6 +59,7 @@ __all__ = [
 STREAMS = ("population", "arrival", "service", "patience", "routing", "init")
 _BLOCK = 1 << 15
 _H_BUCKETS = 48
+_REBUILD_EVERY = 4096
 
 
 @dataclass(frozen=True)
@@ -89,55 +101,184 @@ def stream_seed(master_seed: int, replication: int, stream: str) -> np.random.Se
     return np.random.SeedSequence((int(master_seed), int(replication), STREAMS.index(stream)))
 
 
-class _Blocks:
-    """Block-drawn scalars from a Generator, consumed one at a time.
+def _stream(draw: Callable[[], np.ndarray]) -> Callable[[], float]:
+    """Endless scalars, ``draw()`` giving the next block of them.
 
-    Consumption pops from the end of each block; the order within a block
-    is immaterial (i.i.d. draws) and fully deterministic."""
+    Returns the ``__next__`` of an iterator over the blocks, so taking one
+    scalar costs no Python-level call; a block is drawn only when the one
+    before it is used up, which keeps interleaved streams on one Generator
+    deterministic. Each block is consumed from its end; the order within a
+    block is immaterial (i.i.d. draws) and fixed."""
+    return chain.from_iterable(iter(lambda: draw()[::-1].tolist(), None)).__next__
 
-    __slots__ = ("rng", "kind", "scale", "buf")
 
-    def __init__(self, rng: np.random.Generator, kind: str, scale: float = 1.0):
-        self.rng = rng
-        self.kind = kind
-        self.scale = scale
-        self.buf: list[float] = []
+class _Pool:
+    """The idle servers under one routing policy: ``push(k)`` when server k
+    falls idle, ``pop()`` removes and returns the server an arriving customer
+    is routed to (only called while a server is idle)."""
 
-    def _refill(self):
-        if self.kind == "exp":
-            self.buf = self.rng.exponential(self.scale, _BLOCK).tolist()
+    __slots__ = ()
+    rejections = 0      # draws refused inside pop(); weighted random only
+
+
+class _FifoPool(_Pool):
+    """Longest-idle-server-first: servers leave in the order they fell idle."""
+
+    __slots__ = ("push", "pop")
+
+    def __init__(self, idle: list[int]):
+        queue = deque(idle)
+        self.push = queue.append
+        self.pop = queue.popleft
+
+
+class _HeapPool(_Pool):
+    """The idle server with the smallest ``keys[k]`` goes first, ties to the
+    lower index: keys -mu give fastest-first, keys mu slowest-first."""
+
+    __slots__ = ("_heap", "_keys")
+
+    def __init__(self, idle: list[int], keys: list[float]):
+        self._keys = keys
+        self._heap = [(keys[k], k) for k in idle]
+        heapq.heapify(self._heap)
+
+    def push(self, k: int) -> None:
+        heapq.heappush(self._heap, (self._keys[k], k))
+
+    def pop(self) -> int:
+        return heapq.heappop(self._heap)[1]
+
+
+class _UniformPool(_Pool):
+    """Every idle server equally likely; the last entry fills the hole."""
+
+    __slots__ = ("_idle", "_u", "push")
+
+    def __init__(self, idle: list[int], next_u: Callable[[], float]):
+        self._idle = idle
+        self._u = next_u
+        self.push = idle.append
+
+    def pop(self) -> int:
+        idle = self._idle
+        m = len(idle)
+        j = int(self._u() * m)
+        if j == m:
+            j -= 1
+        k = idle[j]
+        last = idle.pop()
+        if last != k:
+            idle[j] = last
+        return k
+
+
+class _WeightedPool(_Pool):
+    """Idle server k goes with probability h_k / (sum of h over idle servers).
+
+    Composition-rejection: servers sit in geometric buckets of h / max(h); a
+    scan weighted by each bucket's idle h-sum picks the bucket, and a uniform
+    member of it is accepted with probability h_k / (bucket's largest h).
+    ``rejections`` counts the refused members."""
+
+    __slots__ = ("_h", "_bucket", "_members", "_hsum", "_hmax", "_total", "_u",
+                 "_since_rebuild", "rejections")
+
+    def __init__(self, h: np.ndarray, idle: np.ndarray, next_u: Callable[[], float]):
+        if np.any(h <= 0) or np.any(~np.isfinite(h)):
+            raise ValueError("routing weight must be finite and positive on all rates")
+        z = h / h.max()          # scale-invariant bucket coordinate
+        zmin = float(z.min())
+        if zmin >= 1.0:
+            edges = np.array([0.0, 2.0])
+            bucket = np.zeros(z.size, dtype=np.intp)
         else:
-            self.buf = self.rng.random(_BLOCK).tolist()
+            edges = np.geomspace(zmin, 1.0, _H_BUCKETS + 1)
+            edges[0] = 0.0
+            edges[-1] = 2.0
+            # the edges are geometric, so the log finds the bucket up to
+            # rounding; one comparison each way makes edges[b] <= z < edges[b+1]
+            bucket = np.clip((np.log(z / zmin) * (_H_BUCKETS / -math.log(zmin))).astype(np.intp),
+                             0, _H_BUCKETS - 1)
+            bucket -= z < edges[bucket]
+            bucket += z >= edges[bucket + 1]
+        nb = edges.size - 1
+        hmax = np.zeros(nb)
+        np.maximum.at(hmax, bucket, h)
+        idle_bucket = bucket[idle]
+        order = np.argsort(idle_bucket, kind="stable")
+        cuts = np.cumsum(np.bincount(idle_bucket, minlength=nb))[:-1]
+        self._members = [m.tolist() for m in np.split(idle[order], cuts)]
+        self._hsum = np.bincount(idle_bucket, weights=h[idle], minlength=nb).tolist()
+        self._hmax = hmax.tolist()
+        self._h = h.tolist()
+        self._bucket = bucket.tolist()
+        self._total = sum(self._hsum)
+        self._u = next_u
+        self._since_rebuild = 0
+        self.rejections = 0
 
-    def next(self) -> float:
-        buf = self.buf
-        if not buf:
-            self._refill()
-            buf = self.buf
-        return buf.pop()
+    def push(self, k: int) -> None:
+        b = self._bucket[k]
+        self._members[b].append(k)
+        hk = self._h[k]
+        self._hsum[b] += hk
+        self._total += hk
+
+    def pop(self) -> int:
+        # the idle h-sum is kept incrementally; rebuilding it from the bucket
+        # sums every _REBUILD_EVERY routings caps floating drift
+        # (deterministic: tied to the routing count)
+        self._since_rebuild += 1
+        if self._since_rebuild >= _REBUILD_EVERY:
+            self._since_rebuild = 0
+            self._total = sum(self._hsum)
+        u_next = self._u
+        hs = self._hsum
+        last_b = len(hs) - 1
+        while True:
+            target = u_next() * self._total
+            b = 0
+            acc = hs[0]
+            while acc < target and b < last_b:
+                b += 1
+                acc += hs[b]
+            members = self._members[b]
+            m = len(members)
+            if m == 0:
+                continue  # numerically empty bucket hit by rounding drift
+            hmax = self._hmax[b]
+            hv = self._h
+            while True:
+                j = int(u_next() * m)
+                if j == m:
+                    j -= 1
+                k = members[j]
+                hk = hv[k]
+                if u_next() * hmax < hk:
+                    last = members.pop()
+                    if last != k:
+                        members[j] = last
+                    hs[b] -= hk
+                    self._total -= hk
+                    return k
+                self.rejections += 1
 
 
-def _alias_table(weights: np.ndarray) -> tuple[list, list]:
-    """Vose alias method; O(1) draws proportional to ``weights``."""
-    n = weights.size
-    p = (weights / weights.sum()) * n
-    prob = [0.0] * n
-    alias = [0] * n
-    small = [i for i in range(n) if p[i] < 1.0]
-    large = [i for i in range(n) if p[i] >= 1.0]
-    p = p.tolist()
-    while small and large:
-        s = small.pop()
-        l = large.pop()
-        prob[s] = p[s]
-        alias[s] = l
-        p[l] = (p[l] + p[s]) - 1.0
-        (small if p[l] < 1.0 else large).append(l)
-    for i in large:
-        prob[i] = 1.0
-    for i in small:
-        prob[i] = 1.0
-    return prob, alias
+def _idle_pool(policy: RoutingPolicy, rates: np.ndarray, idle: np.ndarray,
+               next_u: Callable[[], float]) -> _Pool:
+    """The pool of ``policy`` holding the servers ``idle``, in index order;
+    ``next_u`` is the routing stream of uniforms."""
+    kind = policy.kind
+    if kind == "lisf":
+        return _FifoPool(idle.tolist())
+    if kind == "fsf":
+        return _HeapPool(idle.tolist(), (-rates).tolist())
+    if kind == "ssf":
+        return _HeapPool(idle.tolist(), rates.tolist())
+    if kind == "uniform":
+        return _UniformPool(idle.tolist(), next_u)
+    return _WeightedPool(np.asarray(policy.h(rates), dtype=float), idle, next_u)
 
 
 @dataclass(frozen=True)
@@ -166,6 +307,9 @@ class SimulationResult:
     window_abandonments: int
     abandonment_fraction: float
     event_count: int
+    thinned_completions: int        # potential completions that named an idle server
+    routing_rejections: int         # weighted-random in-bucket rejection draws
+    peak_queue: int
     event_log: list | None = None
 
     @property
@@ -203,91 +347,48 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
 
     N = len(population)
     rates_arr = np.asarray(population.rate, dtype=float)
-    rates = rates_arr.tolist()
     n_scale = float(params.n) ** params.alpha
     lam = params.lambda_n
     gamma = params.gamma
-    S_tot = float(rates_arr.sum())
+    cum_rates = np.cumsum(rates_arr)
+    S_tot = float(cum_rates[-1])
+    service_scale = 1.0 / S_tot
+    last_positive = int(np.flatnonzero(rates_arr)[-1])
 
-    init_rng = np.random.default_rng(stream_seed(seed, replication, "init"))
-    arrival_gaps = _Blocks(np.random.default_rng(stream_seed(seed, replication, "arrival")),
-                           "exp", 1.0 / lam)
-    service_rng = np.random.default_rng(stream_seed(seed, replication, "service"))
-    service_gaps = _Blocks(service_rng, "exp", 1.0 / S_tot)
-    service_u = _Blocks(service_rng, "u")
-    patience_gaps = _Blocks(np.random.default_rng(stream_seed(seed, replication, "patience")),
-                            "exp", 1.0 / gamma)
-    route_u = _Blocks(np.random.default_rng(stream_seed(seed, replication, "routing")), "u")
+    def rng(stream: str) -> np.random.Generator:
+        return np.random.default_rng(stream_seed(seed, replication, stream))
 
-    prob, alias = _alias_table(rates_arr)
+    init_rng = rng("init")
+    arrival_rng, service_rng = rng("arrival"), rng("service")
+    patience_rng, route_rng = rng("patience"), rng("routing")
+    next_arrival_gap = _stream(lambda: arrival_rng.exponential(1.0 / lam, _BLOCK))
+    next_service_gap = _stream(lambda: service_rng.exponential(service_scale, _BLOCK))
+    # inverse CDF; side="right" skips zero-rate servers, and the clip keeps
+    # a uniform that rounds up to S_tot on the last server with positive rate
+    next_service_pick = _stream(lambda: np.minimum(
+        np.searchsorted(cum_rates, service_rng.random(_BLOCK) * S_tot, side="right"),
+        last_positive))
+    next_patience = _stream(lambda: patience_rng.exponential(1.0 / gamma, _BLOCK))
+    next_route_u = _stream(lambda: route_rng.random(_BLOCK))
 
     # --- initial state ------------------------------------------------
     if initial_idle_prob is None:
-        busy = [1] * N
+        busy = bytearray(b"\x01") * N
     else:
         p = np.broadcast_to(np.asarray(initial_idle_prob, dtype=float), (N,))
         if np.any(p < 0) or np.any(p > 1):
             raise ValueError("initial idle probabilities must lie in [0, 1]")
-        busy = (init_rng.random(N) >= p).astype(np.int64).tolist()
+        busy = bytearray(init_rng.random(N) >= p)
+    busy_view = np.frombuffer(busy, dtype=np.uint8)   # shares memory with busy
+    initially_idle = np.flatnonzero(busy_view == 0)
     idle_since = [0.0] * N
-    idle_total = [0.0] * N
-    idle_count = busy.count(0)
+    idle_total = array("d", [0.0]) * N     # a C array: snapshot() copies it in one block
+    idle_count = int(initially_idle.size)
     X = N - idle_count
     X0 = X
-
-    kind = policy.kind
-    idle_list: list[int] = []
-    idle_pos: list[int] = []
-    idle_deque: deque[int] = deque()
-    idle_heap: list = []
-    buckets: list[list[int]] = []
-    bucket_pos: list[int] = []
-    bucket_of: list[int] = []
-    bucket_hsum: list[float] = []
-    bucket_hmax: list[float] = []
-    hvals: list[float] = []
-
-    initially_idle = [k for k in range(N) if not busy[k]]
-    if kind == "uniform":
-        idle_pos = [-1] * N
-        for k in initially_idle:
-            idle_pos[k] = len(idle_list)
-            idle_list.append(k)
-    elif kind == "lisf":
-        idle_deque = deque(initially_idle)
-    elif kind in ("fsf", "ssf"):
-        sgn = -1.0 if kind == "fsf" else 1.0
-        idle_heap = [(sgn * rates[k], k) for k in initially_idle]
-        heapq.heapify(idle_heap)
-    elif kind == "hrandom":
-        hv = np.asarray(policy.h(rates_arr), dtype=float)
-        if np.any(hv <= 0) or np.any(~np.isfinite(hv)):
-            raise ValueError("routing weight must be finite and positive on all rates")
-        hvals = hv.tolist()
-        z = hv / hv.max()          # scale-invariant bucket coordinate
-        zmin = float(z.min())
-        if zmin >= 1.0:
-            edges = np.array([0.0, 2.0])
-        else:
-            edges = np.geomspace(zmin, 1.0, _H_BUCKETS + 1)
-            edges[0] = 0.0
-            edges[-1] = 2.0
-        bucket_of = (np.clip(np.searchsorted(edges, z, side="right") - 1,
-                             0, edges.size - 2)).tolist()
-        nb = edges.size - 1
-        buckets = [[] for _ in range(nb)]
-        bucket_pos = [-1] * N
-        bucket_hsum = [0.0] * nb
-        bucket_hmax = [0.0] * nb
-        for k in range(N):
-            b = bucket_of[k]
-            if hvals[k] > bucket_hmax[b]:
-                bucket_hmax[b] = hvals[k]
-        for k in initially_idle:
-            b = bucket_of[k]
-            bucket_pos[k] = len(buckets[b])
-            buckets[b].append(k)
-            bucket_hsum[b] += hvals[k]
+    pool = _idle_pool(policy, rates_arr, initially_idle, next_route_u)
+    push_idle = pool.push
+    pop_idle = pool.pop
 
     # --- queue with patience deadlines ---------------------------------
     fifo: deque = deque()
@@ -296,6 +397,7 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     served: set = set()
     seq = 0
     queue_len = 0
+    peak_queue = 0
 
     # --- statistics ----------------------------------------------------
     arrivals = departures = abandonments = 0
@@ -318,10 +420,11 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     log = [] if collect_event_log else None
 
     def snapshot(at: float) -> np.ndarray:
-        snap = np.array(idle_total, dtype=float)
-        for k in range(N):
-            if not busy[k]:
-                snap[k] += at - idle_since[k]
+        """Per-server idle time on [0, at]."""
+        snap = np.array(idle_total)
+        idle = np.flatnonzero(busy_view == 0)
+        snap[idle] += at - np.fromiter(map(idle_since.__getitem__, idle.tolist()),
+                                       dtype=float, count=idle.size)
         return snap
 
     def integrate_to(t: float):
@@ -357,109 +460,8 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
             if log is not None:
                 log.append((d, "abandon", -1, queue_len))
 
-    idle_hsum = 0.0
-    if kind == "hrandom":
-        for k in initially_idle:
-            idle_hsum += hvals[k]
-    routings_since_rebuild = 0
-
-    def free_server(k: int, t: float,
-                    _push=heapq.heappush):
-        """Busy -> idle transition of server k at time t."""
-        nonlocal idle_count, idle_hsum
-        busy[k] = 0
-        idle_since[k] = t
-        idle_count += 1
-        if kind == "uniform":
-            idle_pos[k] = len(idle_list)
-            idle_list.append(k)
-        elif kind == "lisf":
-            idle_deque.append(k)
-        elif kind == "fsf":
-            _push(idle_heap, (-rates[k], k))
-        elif kind == "ssf":
-            _push(idle_heap, (rates[k], k))
-        else:
-            b = bucket_of[k]
-            bucket_pos[k] = len(buckets[b])
-            buckets[b].append(k)
-            hk = hvals[k]
-            bucket_hsum[b] += hk
-            idle_hsum += hk
-
-    def seize_server(k: int, t: float):
-        """Idle -> busy transition (caller already removed k from its pool)."""
-        nonlocal idle_count
-        busy[k] = 1
-        idle_total[k] += t - idle_since[k]
-        idle_count -= 1
-
-    def pick_idle(_pop_heap=heapq.heappop) -> int:
-        nonlocal idle_hsum, routings_since_rebuild
-        if kind == "uniform":
-            u_next = route_u.next
-            m = len(idle_list)
-            j = int(u_next() * m)
-            if j == m:
-                j -= 1
-            k = idle_list[j]
-            last = idle_list.pop()
-            if last != k:
-                idle_list[j] = last
-                idle_pos[last] = j
-            idle_pos[k] = -1
-            return k
-        if kind == "lisf":
-            return idle_deque.popleft()
-        if kind in ("fsf", "ssf"):
-            return _pop_heap(idle_heap)[1]
-        # hrandom: bucket by exact weighted scan, rejection inside the bucket.
-        # idle_hsum is maintained incrementally; rebuild it periodically to
-        # cap floating drift (deterministic: tied to the routing count).
-        routings_since_rebuild += 1
-        if routings_since_rebuild >= 4096:
-            routings_since_rebuild = 0
-            idle_hsum = 0.0
-            for s in bucket_hsum:
-                idle_hsum += s
-        u_next = route_u.next
-        hs = bucket_hsum
-        last_b = len(hs) - 1
-        while True:
-            target = u_next() * idle_hsum
-            b = 0
-            acc = hs[0]
-            while acc < target and b < last_b:
-                b += 1
-                acc += hs[b]
-            members = buckets[b]
-            m = len(members)
-            if m == 0:
-                continue  # numerically empty bucket hit by rounding drift
-            hmax = bucket_hmax[b]
-            hv = hvals
-            while True:
-                j = int(u_next() * m)
-                if j == m:
-                    j -= 1
-                k = members[j]
-                hk = hv[k]
-                if u_next() * hmax < hk:
-                    last = members.pop()
-                    if last != k:
-                        members[j] = last
-                        bucket_pos[last] = j
-                    bucket_pos[k] = -1
-                    hs[b] -= hk
-                    idle_hsum -= hk
-                    return k
-
-    arr_next = arrival_gaps.next
-    srv_next = service_gaps.next
-    srv_u = service_u.next
-    pat_next = patience_gaps.next
-    next_arr = arr_next()
-    next_srv = srv_next()
+    next_arr = next_arrival_gap()
+    next_srv = next_service_gap()
     mark_idx = 0
     n_marks = len(marks)
     INF = math.inf
@@ -487,27 +489,27 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
             arrivals += 1
             if t_ev >= warmup:
                 window_arrivals += 1
+            X += 1
             if idle_count > 0:
-                k = pick_idle()
-                seize_server(k, t_ev)
-                X += 1
+                k = pop_idle()
+                busy[k] = 1
+                idle_total[k] += t_ev - idle_since[k]
+                idle_count -= 1
                 if log is not None:
                     log.append((t_ev, "arrival", k, queue_len))
             else:
                 seq += 1
-                d = t_ev + pat_next()
+                d = t_ev + next_patience()
                 fifo.append((d, seq))
                 heapq.heappush(dl_heap, (d, seq))
                 queue_len += 1
-                X += 1
+                if queue_len > peak_queue:
+                    peak_queue = queue_len
                 if log is not None:
                     log.append((t_ev, "arrival", -1, queue_len))
-            next_arr = t_ev + arr_next()
+            next_arr = t_ev + next_arrival_gap()
         else:
-            j = int(srv_u() * N)
-            if j == N:
-                j -= 1
-            k = j if srv_u() < prob[j] else alias[j]
+            k = next_service_pick()
             if busy[k]:
                 departures += 1
                 X -= 1
@@ -521,10 +523,13 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
                         break
                     queue_len -= 1
                 else:
-                    free_server(k, t_ev)
+                    busy[k] = 0
+                    idle_since[k] = t_ev
+                    idle_count += 1
+                    push_idle(k)
                 if log is not None:
                     log.append((t_ev, "service", k, queue_len))
-            next_srv = t_ev + srv_next()
+            next_srv = t_ev + next_service_gap()
         # structural invariants of a non-idling system
         if queue_len > 0 and idle_count != 0:
             raise RuntimeError("non-idling violated: queue with idle servers")
@@ -572,6 +577,9 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
         abandonment_fraction=(window_abandonments / window_arrivals
                               if window_arrivals else 0.0),
         event_count=event_count,
+        thinned_completions=event_count - arrivals - departures,
+        routing_rejections=pool.rejections,
+        peak_queue=peak_queue,
         event_log=log,
     )
 

@@ -165,6 +165,14 @@ class TestMainEntry:
         assert rc == 2
         assert not (tmp_path / "validation.csv").exists()
 
+    @pytest.mark.parametrize("command", [["simulate"],
+                                         ["validate", "--n-list", "2", "--replications", "1"]])
+    def test_warmup_past_horizon_is_a_config_error(self, tmp_path, capsys, command):
+        rc = main(["--out", str(tmp_path), command[0], "--horizon", "1", "--warmup", "2",
+                   *command[1:]])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: need finite 0 <= warmup")
+
     def test_library_value_error_is_one_line_solver_failure(self, tmp_path, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise ValueError("cdf is decreasing somewhere\n(at 6 points)")

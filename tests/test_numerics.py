@@ -13,7 +13,7 @@ class TestBisect:
         assert type(x) is float and type(fx) is float
         assert x == pytest.approx(math.sqrt(2.0), abs=1e-15)
         assert fx == pytest.approx(2.0 - x * x, abs=0.0)
-        assert evals == 80
+        assert evals == 54  # the bracket stops moving at adjacent floats
 
     def test_scalar_other_orientation(self):
         # the caller flips the sign when f rises through its root
@@ -31,7 +31,7 @@ class TestBisect:
         x, fx, evals = bisect(lambda x: sign * slope * (x - roots), lo, hi, 60)
         assert x.shape == (3,) and fx.shape == (3,)
         np.testing.assert_allclose(x, roots, atol=1e-15)
-        assert evals == 60
+        assert evals == 57  # every bracket has stopped moving
 
     def test_array_bracket_bounds_are_per_element(self):
         lo = np.array([1.0, 4.0])
@@ -51,6 +51,27 @@ class TestBisect:
         assert evals == len(calls) == 7
         # 0.5 is the first midpoint; f = 0 there sends the bracket down
         assert calls[0] == 0.5 and x < 0.5
+
+    @pytest.mark.parametrize("lo, hi, target", [
+        (0.0, 2.0, 2.0),
+        (np.array([1.0, 4.0, 0.0]), np.array([2.0, 9.0, 1e-3]), np.array([2.0, 30.0, 1e-7])),
+    ])
+    def test_fixed_count_stops_when_the_bracket_stops_moving(self, lo, hi, target):
+        def f(x):
+            return target - x * x
+
+        def unstopped(lo, hi, iters):
+            for _ in range(iters):
+                x = 0.5 * (lo + hi)
+                fx = f(x)
+                lo, hi = np.where(fx > 0.0, x, lo), np.where(fx > 0.0, hi, x)
+            return x, fx
+
+        x, fx, evals = bisect(f, lo, hi, 200)
+        x_ref, fx_ref = unstopped(lo, hi, 200)
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(fx, fx_ref)
+        assert evals < 70
 
     def test_early_stop_at_tolerance_and_its_count(self):
         # root 1/3 on [0, 1]: midpoints 0.5, 0.25, 0.375, 0.3125, 0.34375, ...

@@ -7,6 +7,7 @@ from rategame import (FairnessMeasure, ModelParams, RoutingPolicy,
                       ServerPopulation, empirical_allocation,
                       empirical_conditional_idleness, empirical_fairness,
                       run_simulation, stream_seed)
+from rategame.sim import _idle_pool, _stream
 from _oracles import (birth_death_mean_idle, birth_death_mean_queue,
                       ctmc_idle_fractions)
 
@@ -57,6 +58,8 @@ def test_conservation_is_exact_integers():
     res = run_simulation(params, pop, RoutingPolicy.lisf(), 500.0, 50.0, seed=5)
     assert res.arrivals + pop.rate.size == res.departures + res.abandonments + res.in_system_end
     assert res.abandonments > 0  # overload: patience must bite
+    # every event is an arrival or a potential completion, accepted or thinned
+    assert res.event_count == res.arrivals + res.departures + res.thinned_completions
 
 
 def test_determinism_bitwise():
@@ -258,3 +261,90 @@ def test_event_log_schema():
     assert "abandon" in kinds
     times = [t for t, *_ in res.event_log]
     assert times == sorted(times)
+
+
+def _within_binomial(counts, probs, draws, z=5.0):
+    """Each count within z binomial standard deviations of draws * p."""
+    counts, probs = np.asarray(counts, dtype=float), np.asarray(probs, dtype=float)
+    sd = np.sqrt(draws * probs * (1.0 - probs))
+    return np.all(np.abs(counts - draws * probs) < z * sd), (counts, draws * probs, sd)
+
+
+class TestIdlePools:
+    RATES = np.array([0.5, 2.0, 1.0, 2.0, 0.8])
+
+    def _pool(self, policy, idle, seed=61):
+        u = np.random.default_rng(seed)
+        return _idle_pool(policy, self.RATES, np.asarray(idle),
+                          _stream(lambda: u.random(1024)))
+
+    def test_lisf_pops_in_the_order_servers_fell_idle(self):
+        pool = self._pool(RoutingPolicy.lisf(), [1, 3])
+        pool.push(0)
+        pool.push(4)
+        assert [pool.pop() for _ in range(2)] == [1, 3]
+        pool.push(2)
+        pool.push(1)
+        assert [pool.pop() for _ in range(4)] == [0, 4, 2, 1]
+
+    @pytest.mark.parametrize("kind, order", [("fsf", [1, 3, 2, 4, 0]),
+                                             ("ssf", [0, 4, 2, 1, 3])])
+    def test_rate_ordered_pools(self, kind, order):
+        # rates 0.5, 2.0, 1.0, 2.0, 0.8: equal rates go to the lower index
+        pool = self._pool(RoutingPolicy(kind), [3, 0])
+        for k in (4, 1, 2):
+            pool.push(k)
+        assert [pool.pop() for _ in range(5)] == order
+        assert pool.rejections == 0
+
+    def _frequencies(self, pool, servers, draws):
+        counts = dict.fromkeys(servers, 0)
+        for _ in range(draws):
+            k = pool.pop()
+            counts[k] += 1
+            pool.push(k)
+        return [counts[k] for k in servers]
+
+    def test_uniform_picks_each_idle_server_equally(self):
+        idle = [0, 2, 3, 4]
+        draws = 20_000
+        pool = self._pool(RoutingPolicy.uniform(), idle)
+        ok, detail = _within_binomial(self._frequencies(pool, idle, draws),
+                                      np.full(4, 0.25), draws)
+        assert ok, detail
+
+    def test_hrandom_picks_proportional_to_h(self):
+        # weights 1 / mu; the servers at 1.004 and 1.008 share a geometric
+        # bucket with unequal weights, so in-bucket rejection is exercised
+        rates = np.array([0.5, 2.0, 1.0, 2.0, 0.8, 1.004, 1.008])
+        h = lambda m: 1.0 / np.asarray(m, dtype=float)
+        u = np.random.default_rng(62)
+        idle = [0, 1, 2, 3, 4, 5, 6]
+        pool = _idle_pool(RoutingPolicy.hrandom(h), rates, np.asarray(idle),
+                          _stream(lambda: u.random(1024)))
+        draws = 40_000
+        weights = h(rates)
+        ok, detail = _within_binomial(self._frequencies(pool, idle, draws),
+                                      weights / weights.sum(), draws)
+        assert ok, detail
+        assert pool.rejections > 0
+
+
+def test_completion_picks_are_proportional_to_rates():
+    # arrivals at five times the total rate and negligible patience keep
+    # every server busy once the first customers are in, so (nearly) every
+    # potential completion is accepted and names its server by the rate
+    # alone; the zero-rate server, last in the roster, is never named
+    rates = [0.5, 1.0, 2.5, 0.0]
+    params = _params(20.0, gamma=1e-6)
+    pop = _pop(rates, lo=0.0)
+    res = run_simulation(params, pop, RoutingPolicy.lisf(), 2000.0, 1.0, seed=71,
+                         collect_event_log=True)
+    assert res.thinned_completions <= 3
+    served = [k for _t, kind, k, _q in res.event_log if kind == "service"]
+    counts = np.bincount(served, minlength=4)
+    assert counts[3] == 0
+    probs = np.array(rates[:3]) / sum(rates)
+    ok, detail = _within_binomial(counts[:3], probs, len(served))
+    assert ok, detail
+    assert res.peak_queue > 0 and res.routing_rejections == 0
