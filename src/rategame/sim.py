@@ -4,10 +4,10 @@ Poisson arrivals at rate n*lambda_bar, exponential services at heterogeneous
 per-server rates, exponential patience, and a pluggable non-idling routing
 policy. The engine merges two exponential clocks: the arrival stream and a
 potential-completion stream at the constant rate sum(mu_k). Each potential
-completion names a server by an inverse-CDF draw, one uniform searched in
-the cumulative rates, so server k is named with probability mu_k / sum(mu);
-the completion is thinned when that server is idle (exact, since accepted
-completions occur at rate sum over busy servers of mu_k).
+completion names a server by a Vose alias-table draw (two uniforms, picks
+made a block at a time), so server k is named with probability
+mu_k / sum(mu); the completion is thinned when that server is idle (exact,
+since accepted completions occur at rate sum over busy servers of mu_k).
 
 Idle servers wait in one pool per routing policy, each with ``push(k)`` and
 ``pop()``: a deque for longest-idle-first, a heap on the rate for
@@ -110,6 +110,44 @@ def _stream(draw: Callable[[], np.ndarray]) -> Callable[[], float]:
     deterministic. Each block is consumed from its end; the order within a
     block is immaterial (i.i.d. draws) and fixed."""
     return chain.from_iterable(iter(lambda: draw()[::-1].tolist(), None)).__next__
+
+
+def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose alias method: index j is kept with probability ``prob[j]`` and
+    otherwise replaced by ``alias[j]``, so a uniform j lands on k with
+    probability proportional to ``weights[k]``.
+
+    Runs Vose's two stacks (smalls and larges, each popped from its end) as
+    one chain: the current large absorbs smalls until its residual drops
+    below 1, and then it is the next small. The float steps and their order
+    are those of the two-stack loop. Leftovers of either stack keep prob 1."""
+    n = weights.size
+    p = (weights / weights.sum()) * n
+    is_small = p < 1.0
+    small = np.flatnonzero(is_small).tolist()
+    large = np.flatnonzero(~is_small).tolist()
+    p = p.tolist()
+    prob = array("d", [1.0]) * n
+    alias = array("q", [0]) * n
+    pop_small, pop_large = small.pop, large.pop
+    if small and large:
+        s = pop_small()
+        ps = p[s]
+        while True:
+            l = pop_large()
+            pl = p[l]
+            while True:
+                prob[s] = ps
+                alias[s] = l
+                pl = (pl + ps) - 1.0
+                if pl < 1.0 or not small:
+                    break
+                s = pop_small()
+                ps = p[s]
+            if pl >= 1.0 or not large:
+                break
+            s, ps = l, pl
+    return np.frombuffer(prob), np.frombuffer(alias, dtype=np.int64)
 
 
 class _Pool:
@@ -350,10 +388,9 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     n_scale = float(params.n) ** params.alpha
     lam = params.lambda_n
     gamma = params.gamma
-    cum_rates = np.cumsum(rates_arr)
-    S_tot = float(cum_rates[-1])
+    S_tot = float(rates_arr.sum())
     service_scale = 1.0 / S_tot
-    last_positive = int(np.flatnonzero(rates_arr)[-1])
+    prob, alias = _alias_table(rates_arr)
 
     def rng(stream: str) -> np.random.Generator:
         return np.random.default_rng(stream_seed(seed, replication, stream))
@@ -363,11 +400,15 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     patience_rng, route_rng = rng("patience"), rng("routing")
     next_arrival_gap = _stream(lambda: arrival_rng.exponential(1.0 / lam, _BLOCK))
     next_service_gap = _stream(lambda: service_rng.exponential(service_scale, _BLOCK))
-    # inverse CDF; side="right" skips zero-rate servers, and the clip keeps
-    # a uniform that rounds up to S_tot on the last server with positive rate
-    next_service_pick = _stream(lambda: np.minimum(
-        np.searchsorted(cum_rates, service_rng.random(_BLOCK) * S_tot, side="right"),
-        last_positive))
+
+    def service_picks() -> np.ndarray:
+        # two uniforms per pick; _stream takes picks from the end, and the
+        # pick at i reads u[2i + 1] for the index and u[2i] for the coin
+        u = service_rng.random(_BLOCK)
+        j = np.minimum((u[1::2] * N).astype(np.intp), N - 1)
+        return np.where(u[0::2] < prob[j], j, alias[j])
+
+    next_service_pick = _stream(service_picks)
     next_patience = _stream(lambda: patience_rng.exponential(1.0 / gamma, _BLOCK))
     next_route_u = _stream(lambda: route_rng.random(_BLOCK))
 

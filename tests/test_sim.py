@@ -7,7 +7,7 @@ from rategame import (FairnessMeasure, ModelParams, RoutingPolicy,
                       ServerPopulation, empirical_allocation,
                       empirical_conditional_idleness, empirical_fairness,
                       run_simulation, stream_seed)
-from rategame.sim import _idle_pool, _stream
+from rategame.sim import _alias_table, _idle_pool, _stream
 from _oracles import (birth_death_mean_idle, birth_death_mean_queue,
                       ctmc_idle_fractions)
 
@@ -328,6 +328,38 @@ class TestIdlePools:
                                       weights / weights.sum(), draws)
         assert ok, detail
         assert pool.rejections > 0
+
+
+def _two_stack_vose(weights):
+    p = list((weights / weights.sum()) * weights.size)
+    prob, alias = [1.0] * weights.size, [0] * weights.size
+    small = [i for i in range(weights.size) if p[i] < 1.0]
+    large = [i for i in range(weights.size) if p[i] >= 1.0]
+    while small and large:
+        s, l = small.pop(), large.pop()
+        prob[s], alias[s] = p[s], l
+        p[l] = (p[l] + p[s]) - 1.0
+        (small if p[l] < 1.0 else large).append(l)
+    return prob, alias
+
+
+@pytest.mark.parametrize("weights", [
+    np.random.default_rng(5).uniform(0.2, 3.0, 997),
+    np.random.default_rng(6).uniform(0.0, 1.0, 64) ** 4,
+    np.array([0.5, 1.0, 2.5, 0.0]),
+    np.array([0.0, 3.0, 0.0, 1.0, 1.0]),
+    np.ones(7),
+    np.array([2.0]),
+])
+def test_alias_table_equals_the_two_stack_loop(weights):
+    prob, alias = _alias_table(weights)
+    ref_prob, ref_alias = _two_stack_vose(weights)
+    assert prob.tolist() == ref_prob and alias.tolist() == ref_alias
+    # the table's pick law is the normalized weight
+    n = weights.size
+    law = prob / n
+    np.add.at(law, alias, (1.0 - prob) / n)
+    assert np.allclose(law, weights / weights.sum(), rtol=0, atol=1e-12)
 
 
 def test_completion_picks_are_proportional_to_rates():
