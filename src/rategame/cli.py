@@ -20,7 +20,7 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
 
@@ -85,9 +85,11 @@ def cmd_equilibrium(config: ExperimentConfig, outdir: str,
     sol = solve_equilibrium(config.population(), config.functions(), config.beta,
                             config.lambda_bar, config.n)
     _write_csv(os.path.join(outdir, "equilibrium_report.csv"),
-               ["L_star", "mu_bar", "sigma2", "N", "residual", "bracket_lo", "bracket_hi"],
+               ["L_star", "mu_bar", "sigma2", "N", "residual", "bracket_lo", "bracket_hi",
+                "first_order_monotone", "sign_changes", "iterations"],
                [[sol.L_star, sol.mu_bar, sol.sigma2, sol.N, sol.residual,
-                 sol.bracket_lo, sol.bracket_hi]], config)
+                 sol.bracket_lo, sol.bracket_hi, sol.first_order_monotone,
+                 sol.sign_changes, sol.iterations]], config)
     grid = np.linspace(config.mu_min, config.mu_max, grid_points)
     cdf = sol.response.cdf(grid)
     dens = sol.response.density(grid)
@@ -101,7 +103,8 @@ def cmd_equilibrium(config: ExperimentConfig, outdir: str,
                config)
     print(f"equilibrium: L_star={sol.L_star!r} mu_bar={sol.mu_bar!r} N={sol.N} "
           f"residual={sol.residual!r} sign_changes={sol.sign_changes} "
-          f"bracket=[{sol.bracket_lo!r},{sol.bracket_hi!r}] iterations={sol.iterations}")
+          f"bracket=[{sol.bracket_lo!r},{sol.bracket_hi!r}] iterations={sol.iterations} "
+          f"first_order_monotone={sol.first_order_monotone}")
     return sol
 
 
@@ -356,11 +359,24 @@ def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications:
     tasks = [(cfg_kwargs, sol.L_star, sol.mu_bar, sol.moment, n, rep,
               horizon, warmup, edges.tolist())
              for n in n_list for rep in range(replications)]
+
+    def progress(done: int, outcome: tuple) -> None:
+        print(f"validate: n={outcome[0]} replication={outcome[1]} done "
+              f"({done}/{len(tasks)})", file=sys.stderr, flush=True)
+
+    # outcomes stay in task order: the per-n sums below must not depend on
+    # which worker finishes first
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_validate_worker, tasks))
+            futures = [pool.submit(_validate_worker, t) for t in tasks]
+            for done, future in enumerate(as_completed(futures), 1):
+                progress(done, future.result())
+            outcomes = [future.result() for future in futures]
     else:
-        outcomes = [_validate_worker(t) for t in tasks]
+        outcomes = []
+        for t in tasks:
+            outcomes.append(_validate_worker(t))
+            progress(len(outcomes), outcomes[-1])
 
     rows = []
     for n in n_list:

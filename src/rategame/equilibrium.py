@@ -132,10 +132,18 @@ class ResponseDistribution(CdfRateDistribution):
     a_sw(lo, hi) the trade-off level at which the personal minimum starts
     winning. The correction term vanishes identically when C is monotone.
     ``first_order_monotone`` records which regime applied.
+
+    The expectation is a 16 x 16 tensor-Gauss rule over the triangle
+    lo <= mu <= hi, with F_a(a_sw) interpolated bilinearly on a 96 x 96 mesh
+    of (lo, hi). Every node has lo <= hi, so the interpolation reads only
+    the corners of cells at row <= column + 1 (4,751 of the 9,216 mesh
+    points); a_sw is bisected at those points alone and the others hold
+    NaN, so a read of one would surface as a NaN CDF value.
     """
 
     _ASW_MESH = 96
     _TERM3_NODES = 16
+    _CDF_BLOCK = 512
 
     def __init__(self, L: float, dists: PopulationDistributions,
                  funcs: PolicyFunctions, grid_points: int = 2001):
@@ -219,15 +227,19 @@ class ResponseDistribution(CdfRateDistribution):
 
         # switch level a_sw(lo, hi): smallest a at which the personal minimum
         # ties or beats the clipped down-branch candidate (the candidate's
-        # advantage, min_loses, decreases in a by the envelope argument)
+        # advantage, min_loses, decreases in a by the envelope argument),
+        # built only at the mesh points _true_cdf can read (class docstring)
         G = self._ASW_MESH
         axis = np.linspace(d.mu_min, d.mu_max, G)
-        LO, HI = np.meshgrid(axis, axis, indexing="ij")
-        lo_f, hi_f = LO.ravel(), HI.ravel()
+        rows, cols = np.nonzero(np.triu(np.ones((G, G), dtype=bool), k=-1))
+        lo_f, hi_f = axis[rows], axis[cols]
+        # the personal minimum's utility is f_lo - a c_lo; its parts do not depend on a
+        f_lo = funcs.f(1.0 / (1.0 + L * funcs.htilde(lo_f)))
+        c_lo = funcs.c(lo_f)
 
         def min_loses(a):
             m2 = np.clip(R_of(a), lo_f, hi_f)
-            return _utility(funcs, m2, a, L) - _utility(funcs, lo_f, a, L)
+            return _utility(funcs, m2, a, L) - (f_lo - a * c_lo)
 
         a_sw, _, _ = bisect(min_loses, np.full(lo_f.size, 1e-12),
                             np.full(lo_f.size, self._c_peak), 60)
@@ -236,24 +248,18 @@ class ResponseDistribution(CdfRateDistribution):
         psi = np.asarray(d.a_cdf(a_sw), dtype=float)
         psi[never] = 1.0
         self._mesh_axis = axis
-        self._psi = psi.reshape(G, G)
+        self._psi = np.full((G, G), np.nan)
+        self._psi[rows, cols] = psi
         x, w = np.polynomial.legendre.leggauss(self._TERM3_NODES)
         self._gl_x = 0.5 * (x + 1.0)   # nodes on [0, 1]
         self._gl_w = 0.5 * w
 
-    def _psi_interp(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation of F_a(a_sw) on the regular mesh."""
+    def _mesh_coords(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mesh cell index of each x and its fractional offset in the cell."""
         ax = self._mesh_axis
-        step = ax[1] - ax[0]
-        fi = np.clip((lo - ax[0]) / step, 0.0, ax.size - 1.001)
-        fj = np.clip((hi - ax[0]) / step, 0.0, ax.size - 1.001)
-        i0 = fi.astype(np.int64)
-        j0 = fj.astype(np.int64)
-        di = fi - i0
-        dj = fj - j0
-        p = self._psi
-        return ((1 - di) * (1 - dj) * p[i0, j0] + di * (1 - dj) * p[i0 + 1, j0]
-                + (1 - di) * dj * p[i0, j0 + 1] + di * dj * p[i0 + 1, j0 + 1])
+        f = np.clip((x - ax[0]) / (ax[1] - ax[0]), 0.0, ax.size - 1.001)
+        k0 = f.astype(np.int64)
+        return k0, f - k0
 
     def _true_cdf(self, mu):
         d = self._dists
@@ -261,21 +267,57 @@ class ResponseDistribution(CdfRateDistribution):
         inside = np.clip(mu, d.mu_min, d.mu_max)
         q = np.asarray(d.a_cdf(self._A(inside)), dtype=float)
         base = d.max_marginal_cdf(mu) + d.between_prob(mu) * (1.0 - q)
-        # correction: personal-minimum winners whose interior candidate
-        # exceeds mu; 2D Gauss over [mu_min, mu] x [mu, mu_max]
         width_lo = inside - d.mu_min
         width_hi = d.mu_max - inside
-        corr = np.zeros_like(inside)
-        gx, gw = self._gl_x, self._gl_w
-        for i in range(gx.size):
-            lo_i = d.mu_min + width_lo * gx[i]
-            wi = gw[i]
-            for j in range(gx.size):
-                hi_j = inside + width_hi * gx[j]
-                psi = self._psi_interp(lo_i, hi_j)
-                corr += wi * gw[j] * np.maximum(q - psi, 0.0)
+        # the correction's work arrays are (nodes, points); taking the points
+        # a block at a time keeps them small and in cache
+        corr = np.empty_like(inside)
+        for s in range(0, inside.size, self._CDF_BLOCK):
+            block = slice(s, s + self._CDF_BLOCK)
+            corr[block] = self._gauss_correction(inside[block], width_lo[block],
+                                                 width_hi[block], q[block])
         dens = 2.0 / (d.mu_max - d.mu_min) ** 2
         return np.clip(base + dens * width_lo * width_hi * corr, 0.0, 1.0)
+
+    def _gauss_correction(self, inside, width_lo, width_hi, q) -> np.ndarray:
+        """Personal-minimum winners whose interior candidate exceeds mu:
+        2D Gauss over [mu_min, mu] x [mu, mu_max] of (q - F_a(a_sw))^+, with
+        F_a(a_sw) interpolated bilinearly on the mesh.
+
+        One lo-side node at a time meets all hi-side nodes (rows of the work
+        arrays, updated in place); the terms are summed in (lo, hi) node
+        order, one row at a time.
+        """
+        d = self._dists
+        gx, gw = self._gl_x, self._gl_w
+        G = self._mesh_axis.size
+        p = self._psi.ravel()
+        # corner (i0 + s, j0 + t) of the cell with flat index k is p[k + s G + t]
+        p00, p10, p01, p11 = p, p[G:], p[1:], p[G + 1:]
+        j0, dj = self._mesh_coords(inside + width_hi * gx[:, None])
+        dj1 = 1 - dj
+        k = np.empty_like(j0)
+        psi = np.empty_like(dj)
+        part = np.empty_like(dj)
+        corr = np.zeros_like(inside)
+        for i in range(gx.size):
+            i0, di = self._mesh_coords(d.mu_min + width_lo * gx[i])
+            di1 = 1 - di
+            np.add(i0 * G, j0, out=k)
+            # psi = di1 dj1 p00 + di dj1 p10 + di1 dj p01 + di dj p11
+            np.multiply(di1, dj1, out=psi)
+            psi *= p00.take(k)
+            for a, b, corner in ((di, dj1, p10), (di1, dj, p01), (di, dj, p11)):
+                np.multiply(a, b, out=part)
+                part *= corner.take(k)
+                psi += part
+            # terms w_i w_j max(q - psi, 0)
+            np.subtract(q, psi, out=psi)
+            np.maximum(psi, 0.0, out=psi)
+            psi *= (gw[i] * gw)[:, None]
+            for row in psi:
+                corr += row
+        return corr
 
     def density(self, mu, half_step: float | None = None):
         """Reporting density via central differences of the CDF."""
@@ -366,14 +408,13 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
     scan_phi = np.array([phi_at(float(L)) for L in scan_L])
     signs = np.sign(scan_phi)
     nonzero = signs != 0
-    change_idx = [i for i in range(SCAN_POINTS - 1)
-                  if nonzero[i] and nonzero[i + 1] and signs[i] != signs[i + 1]]
+    change_idx = np.flatnonzero(nonzero[:-1] & nonzero[1:] & (signs[:-1] != signs[1:]))
     exact = np.flatnonzero(signs == 0)
-    if exact.size and not change_idx:
+    if exact.size and not change_idx.size:
         L = float(scan_L[exact[0]])
         return _assemble_equilibrium(L, dists, funcs, beta, lambda_bar, n,
                                      blo, bhi, scan_L, scan_phi, 1, 0)
-    if not change_idx:
+    if not change_idx.size:
         raise SolverFailure("no sign change of Phi on the existence bracket",
                             {"bracket": (blo, bhi),
                              "phi_ends": (float(scan_phi[0]), float(scan_phi[-1]))})
@@ -386,7 +427,7 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
         raise SolverFailure("Phi bisection stalled above tolerance",
                             {"L": L, "phi": fmid, "iterations": iterations})
     return _assemble_equilibrium(L, dists, funcs, beta, lambda_bar, n,
-                                 blo, bhi, scan_L, scan_phi, len(change_idx), iterations)
+                                 blo, bhi, scan_L, scan_phi, change_idx.size, iterations)
 
 
 def _assemble_equilibrium(L, dists, funcs, beta, lambda_bar, n,

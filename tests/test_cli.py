@@ -76,6 +76,16 @@ class TestEquilibriumCommand:
         rc = main(["--out", str(tmp_path), "equilibrium"])
         assert rc == 0
 
+    def test_report_names_the_solver_path(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path), "equilibrium"])
+        assert rc == 0
+        lines = open(os.path.join(str(tmp_path), "equilibrium_report.csv")).read().splitlines()
+        assert lines[1].endswith(",bracket_hi,first_order_monotone,sign_changes,iterations")
+        row = lines[2].split(",")
+        assert row[-3:-1] == ["True", "1"] and int(row[-1]) > 0
+        out = capsys.readouterr().out
+        assert f"iterations={row[-1]} first_order_monotone=True" in out
+
 
 class TestSweepCommand:
     def test_rows_ordered_and_flagged_never_dropped(self, tmp_path):
@@ -152,6 +162,20 @@ class TestValidatePipeline:
         assert a == b
 
 
+    def test_one_progress_line_per_task(self, tmp_path, capsys):
+        from rategame.cli import validate_pipeline
+        cfg = ExperimentConfig(lambda_bar=2.0, seed=11)
+        for workers in (1, 2):
+            validate_pipeline(cfg, [4, 6], replications=2, outdir=str(tmp_path),
+                              horizon=6.0, warmup=1.0, bins=5, workers=workers)
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 4
+            assert [line.split(" done ")[1] for line in err] == \
+                ["(1/4)", "(2/4)", "(3/4)", "(4/4)"]
+            assert sorted(line.split(" done ")[0] for line in err) == \
+                [f"validate: n={n} replication={rep}" for n in (4, 6) for rep in (0, 1)]
+
+
 class TestMainEntry:
     def test_validate_rejects_tiny_scale(self, tmp_path):
         rc = main(["--out", str(tmp_path), "validate", "--n-list", "1",
@@ -183,6 +207,16 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("solver failure: cdf is decreasing somewhere")
+
+    def test_steep_unimodal_cdf_fails_in_one_line(self, tmp_path, capsys):
+        # the unimodal response CDF decreases by a few 1e-6 at small L here
+        # (a known defect of the mesh construction); the solve must fail
+        # cleanly, not with a traceback
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "base_case.cfg")
+        rc = main(["--config", config, "--p", "5", "--r", "-3", "--out", str(tmp_path),
+                   "equilibrium"])
+        assert rc == 3
+        assert capsys.readouterr().err == "solver failure: cdf is decreasing somewhere\n"
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rategame.equilibrium import _ratio_array
+from rategame._numerics import bisect
+from rategame.equilibrium import _ratio_array, _utility
+from rategame.rates import CdfRateDistribution, gauss_legendre_panels
 from rategame import (RegimeClass, best_response, best_response_rates,
                       classify_regime, equilibrium_residual,
                       marginal_rate_of_substitution, power_family,
@@ -227,6 +229,106 @@ class TestUnimodalRatioRegime:
         direct = base_dists.max_marginal_cdf(grid) + base_dists.between_prob(grid) * (
             1.0 - base_dists.a_cdf(_ratio_array(base_funcs, grid, 0.2455)))
         assert np.max(np.abs(F.cdf(grid) - np.clip(direct, 0, 1))) < 1e-14
+
+
+def _full_square_psi(F):
+    """Reference: F_a(a_sw) bisected at every point of the (lo, hi) mesh,
+    lo > hi included."""
+    d, funcs, L = F._dists, F._funcs, F.L
+    a_lo = F._R_a[0]
+
+    def R_of(a):
+        out = np.interp(a, F._R_a, F._R_mu)
+        out = np.where(a <= a_lo, d.mu_max, out)
+        return np.where(a >= F._c_peak, d.mu_min, out)
+
+    G = F._ASW_MESH
+    axis = np.linspace(d.mu_min, d.mu_max, G)
+    LO, HI = np.meshgrid(axis, axis, indexing="ij")
+    lo_f, hi_f = LO.ravel(), HI.ravel()
+
+    def min_loses(a):
+        m2 = np.clip(R_of(a), lo_f, hi_f)
+        return _utility(funcs, m2, a, L) - _utility(funcs, lo_f, a, L)
+
+    a_sw, _, _ = bisect(min_loses, np.full(lo_f.size, 1e-12),
+                        np.full(lo_f.size, F._c_peak), 60)
+    never = min_loses(np.full(lo_f.size, F._c_peak)) > 1e-15
+    psi = np.asarray(d.a_cdf(a_sw), dtype=float)
+    psi[never] = 1.0
+    return axis, psi.reshape(G, G)
+
+
+def _reference_true_cdf(F, axis, psi_mesh):
+    """Reference: the Gauss correction as a double loop over node pairs, one
+    bilinear lookup per pair."""
+    d = F._dists
+
+    def psi_interp(lo, hi):
+        step = axis[1] - axis[0]
+        fi = np.clip((lo - axis[0]) / step, 0.0, axis.size - 1.001)
+        fj = np.clip((hi - axis[0]) / step, 0.0, axis.size - 1.001)
+        i0 = fi.astype(np.int64)
+        j0 = fj.astype(np.int64)
+        di = fi - i0
+        dj = fj - j0
+        p = psi_mesh
+        return ((1 - di) * (1 - dj) * p[i0, j0] + di * (1 - dj) * p[i0 + 1, j0]
+                + (1 - di) * dj * p[i0, j0 + 1] + di * dj * p[i0 + 1, j0 + 1])
+
+    def cdf(mu):
+        mu = np.atleast_1d(np.asarray(mu, dtype=float))
+        inside = np.clip(mu, d.mu_min, d.mu_max)
+        q = np.asarray(d.a_cdf(F._A(inside)), dtype=float)
+        base = d.max_marginal_cdf(mu) + d.between_prob(mu) * (1.0 - q)
+        width_lo = inside - d.mu_min
+        width_hi = d.mu_max - inside
+        corr = np.zeros_like(inside)
+        gx, gw = F._gl_x, F._gl_w
+        for i in range(gx.size):
+            lo_i = d.mu_min + width_lo * gx[i]
+            wi = gw[i]
+            for j in range(gx.size):
+                hi_j = inside + width_hi * gx[j]
+                corr += wi * gw[j] * np.maximum(q - psi_interp(lo_i, hi_j), 0.0)
+        dens = 2.0 / (d.mu_max - d.mu_min) ** 2
+        return np.clip(base + dens * width_lo * width_hi * corr, 0.0, 1.0)
+
+    return cdf
+
+
+class TestUnimodalCdfMatchesReference:
+    """The unimodal CDF builds a_sw only where the Gauss correction reads it
+    and vectorizes the correction over hi-side nodes; every value must equal
+    the full-square double-loop reference bit for bit."""
+
+    @pytest.mark.parametrize("r", [-2.0, -1.5])
+    @pytest.mark.parametrize("scan_index", [8, 32, 63])
+    def test_bitwise_equal_to_reference(self, base_config, base_dists, r, scan_index):
+        funcs = base_config.with_overrides(r=r).functions()
+        beta = base_config.beta
+        scan = np.geomspace(1.0 / (beta * funcs.htilde(base_dists.mu_min)),
+                            1.0 / (beta * funcs.htilde(base_dists.mu_max)), 64)
+        L = float(scan[scan_index])
+        F = response_distribution(L, base_dists, funcs)
+        assert not F.first_order_monotone
+
+        axis, psi_ref = _full_square_psi(F)
+        built = ~np.isnan(F._psi)
+        assert built.sum() == 4751
+        assert np.array_equal(F._psi[built], psi_ref[built])
+
+        ref = CdfRateDistribution(F.mu_min, F.mu_max, _reference_true_cdf(F, axis, psi_ref),
+                                  kinks=F.kinks, grid_points=2001)
+        assert np.array_equal(F._grid, ref._grid)
+        assert np.array_equal(F._grid_cdf, ref._grid_cdf)
+        nodes, _ = gauss_legendre_panels(F.mu_min, F.mu_max, F.kinks)
+        assert np.array_equal(F.cdf(nodes), ref.cdf(nodes))
+        assert equilibrium_residual(L, base_dists, funcs, beta, F=F) == \
+            equilibrium_residual(L, base_dists, funcs, beta, F=ref)
+        # a read of an unbuilt (NaN) mesh point would pass the monotonicity
+        # check of CdfRateDistribution unnoticed
+        assert np.all(np.isfinite(F.cdf(np.linspace(F.mu_min, F.mu_max, 20001))))
 
 
 class TestEquilibrium:
