@@ -106,6 +106,41 @@ def best_response_rates(population: ServerPopulation, L: float,
     return rates
 
 
+def _level_crossings(A, count: int, dists: PopulationDistributions) -> list[list[float]]:
+    """Kinks of ``count`` response CDFs: for each law k, every mu where its
+    effective threshold A(mu, k) crosses a_max, then every mu where it
+    crosses a_min. They are located on a scan grid and refined by one
+    bisection over every bracket of every law; each bracket halves on its
+    own, so each root is the one a bisection of that bracket alone gives.
+
+    ``A(mu, k)`` acts elementwise, broadcasting mu against the law indices k.
+    """
+    grid = np.linspace(dists.mu_min, dists.mu_max, 513)
+    vals = A(np.broadcast_to(grid, (count, grid.size)), np.arange(count)[:, None])
+    laws, cells, levels = [], [], []
+    for level in (dists.a_max, dists.a_min):
+        d = vals - level
+        k, i = np.nonzero((d[:, :-1] != 0.0) & (d[:, :-1] * d[:, 1:] < 0.0))
+        laws.append(k)
+        cells.append(i)
+        levels.append(np.full(k.size, level))
+    k, i, level = (np.concatenate(parts) for parts in (laws, cells, levels))
+    out: list[list[float]] = [[] for _ in range(count)]
+    if k.size:
+        sign = np.sign(vals[k, i] - level)
+        roots, _, _ = bisect(lambda mu: sign * (A(mu, k) - level), grid[i], grid[i + 1], 80)
+        for law, root in zip(k.tolist(), roots.tolist()):
+            out[law].append(root)
+    return out
+
+
+def _monotone_kinks(L: np.ndarray, dists: PopulationDistributions,
+                    funcs: PolicyFunctions) -> list[list[float]]:
+    """Kinks of the monotone-regime response CDF at each L of ``L``, where
+    C(mu, L) = a_max or a_min."""
+    return _level_crossings(lambda mu, k: _ratio_array(funcs, mu, L[k]), L.size, dists)
+
+
 class ResponseDistribution(CdfRateDistribution):
     """Law of the optimal service rate given L, as a closed-form CDF.
 
@@ -144,55 +179,64 @@ class ResponseDistribution(CdfRateDistribution):
     _ASW_MESH = 96
     _TERM3_NODES = 16
     _CDF_BLOCK = 512
+    _MONOTONE_GRID = 257
+    _GRID_POINTS = 2001
 
     def __init__(self, L: float, dists: PopulationDistributions,
-                 funcs: PolicyFunctions, grid_points: int = 2001):
+                 funcs: PolicyFunctions, grid_points: int = _GRID_POINTS):
+        L = float(L)
+        kinks = None
+        if verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max),
+                                       grid_size=self._MONOTONE_GRID):
+            kinks = _monotone_kinks(np.array([L]), dists, funcs)[0]
+        self._build(L, dists, funcs, kinks, grid_points)
+
+    @classmethod
+    def _scan(cls, L: np.ndarray, dists: PopulationDistributions, funcs: PolicyFunctions):
+        """The response law at each L of ``L``, or None where C(., L) is not
+        monotone, one at a time. The monotone check and the kink search run
+        once over the whole array; each law then equals ``cls(L_k, ...)``.
+        """
+        monotone = verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max),
+                                               grid_size=cls._MONOTONE_GRID)
+        kinks = iter(_monotone_kinks(L[monotone], dists, funcs))
+        for Lk, ok in zip(L.tolist(), monotone.tolist()):
+            F = None
+            if ok:
+                F = cls.__new__(cls)
+                F._build(Lk, dists, funcs, next(kinks), cls._GRID_POINTS)
+            yield F
+
+    def _build(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
+               kinks: list[float] | None, grid_points: int):
+        """Set up the law at L; ``kinks`` are the monotone CDF's, or None
+        when C(., L) is not monotone (the true pushforward is built then)."""
         if not dists.independent_a:
             raise ValueError("response distribution needs a independent of the rate bounds")
-        self.L = float(L)
+        self.L = L
         self._dists = dists
         self._funcs = funcs
-        self.first_order_monotone = verify_first_order_monotone(
-            funcs, L, (dists.mu_min, dists.mu_max), grid_size=257)
+        self.first_order_monotone = kinks is not None
         if self.first_order_monotone:
-            kinks = self._crossings(dists.a_max) + self._crossings(dists.a_min)
-
             def cdf(mu):
                 mu = np.asarray(mu, dtype=float)
                 inside = np.clip(mu, dists.mu_min, dists.mu_max)
-                c = _ratio_array(funcs, inside, self.L)
+                c = _ratio_array(funcs, inside, L)
                 val = dists.max_marginal_cdf(mu) + dists.between_prob(mu) * (1.0 - dists.a_cdf(c))
                 return np.clip(val, 0.0, 1.0)
         else:
             self._build_true_pushforward()
-            kinks = [self._mu_peak] + self._crossings(dists.a_max) + self._crossings(dists.a_min)
+            kinks = [self._mu_peak] + _level_crossings(lambda mu, k: self._A(mu), 1, dists)[0]
             cdf = self._true_cdf
         super().__init__(dists.mu_min, dists.mu_max, cdf, kinks=kinks,
                          grid_points=grid_points)
 
-    # -- helpers shared by both regimes ---------------------------------
-
-    def _crossings(self, level: float) -> list[float]:
-        """All mu with A(mu, L) = level, located on a scan grid and refined
-        (A coincides with C in the monotone regime)."""
-        d = self._dists
-        grid = np.linspace(d.mu_min, d.mu_max, 513)
-        vals = self._A(grid) - level
-        i = np.flatnonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))
-        if i.size == 0:
-            return []
-        sign = np.sign(vals[i])
-        roots, _, _ = bisect(lambda mu: sign * (self._A(mu) - level), grid[i], grid[i + 1], 80)
-        return roots.tolist()
-
     def _A(self, mu: np.ndarray) -> np.ndarray:
-        """Effective threshold: C itself when monotone, else C capped at its
-        peak value to the left of the peak (a >= A(mu) iff the down-branch
+        """Effective threshold of the unimodal regime: C capped at its peak
+        value to the left of the peak (a >= A(mu) iff the down-branch
         stationary point sits at or below mu)."""
         mu = np.asarray(mu, dtype=float)
         c = _ratio_array(self._funcs, mu, self.L)
-        if self.first_order_monotone:
-            return c
         return np.where(mu <= self._mu_peak, self._c_peak, c)
 
     # -- true-best-response machinery (unimodal C) -----------------------
@@ -401,11 +445,14 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
     blo = 1.0 / (beta * ht_lo)
     bhi = 1.0 / (beta * ht_hi)
 
-    def phi_at(L: float) -> float:
-        return equilibrium_residual(L, dists, funcs, beta)
+    def phi_at(L: float, F: ResponseDistribution | None = None) -> float:
+        return equilibrium_residual(L, dists, funcs, beta, F=F)
 
     scan_L = np.geomspace(blo, bhi, SCAN_POINTS)
-    scan_phi = np.array([phi_at(float(L)) for L in scan_L])
+    # the monotone scan points share one check and one kink search; the
+    # others build their law inside equilibrium_residual
+    scan_phi = np.array([phi_at(L, F) for L, F in
+                         zip(scan_L.tolist(), ResponseDistribution._scan(scan_L, dists, funcs))])
     signs = np.sign(scan_phi)
     nonzero = signs != 0
     change_idx = np.flatnonzero(nonzero[:-1] & nonzero[1:] & (signs[:-1] != signs[1:]))

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 ALLOCATION_CELLS = 400
+_DIFFUSION_BLOCK = 8192  # states per diffusion buffer: steps per block times paths
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray,
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing with at least two points")
     if substeps < 1:
-        raise ValueError("step size must be positive")
+        raise ValueError("substeps must be at least 1")
 
     out = np.empty(t_grid.size)
     out[0] = x = spec.xi0
@@ -144,6 +145,10 @@ class DiffusionSpec:
     alpha: float = 0.5
 
     def __post_init__(self):
+        if not self.lambda_bar >= 0:
+            raise ValueError("lambda_bar must be nonnegative")
+        if not self.mu_bar > 0:
+            raise ValueError("mu_bar must be positive")
         if self.sigma2_F < 0:
             raise ValueError("variance must be nonnegative")
         if self.zeta1_mode not in ("fixed-zero", "sampled"):
@@ -192,16 +197,41 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
     above = 0
     ensemble_mean = np.empty(steps + 1)
     ensemble_mean[0] = x.mean()
-    for i in range(steps):
-        drift = -(drift0 + zeta1) + spec.moment * np.maximum(-x, 0.0) \
-            - spec.gamma * np.maximum(x, 0.0)
-        x = x + drift * dt
+    # the states of a block of steps go to one buffer, whose normals are drawn
+    # together (the same numbers, in the same order, as one draw per step);
+    # each step is the same float operations as the plain Euler-Maruyama line
+    #   x = x + (-(drift0 + zeta1) + m (-x)^+ - gamma x^+) dt + noise_sd z
+    block = max(1, _DIFFUSION_BLOCK // paths)
+    states = np.empty((block, paths))
+    noise = np.empty((block, paths))
+    pull = np.empty(paths)
+    push = np.empty(paths)
+    base = -(drift0 + zeta1)
+    moment, gamma = spec.moment, spec.gamma
+    for start in range(0, steps, block):
+        n = min(block, steps - start)
+        rows, z = states[:n], noise[:n]
         if noise_sd > 0.0:
-            x += noise_sd * rng.standard_normal(paths)
-        ensemble_mean[i + 1] = x.mean()
-        if i >= half:
-            acc += x
-            above += int(np.count_nonzero(x > level))
+            rng.standard_normal(out=z)
+            z *= noise_sd
+        for row, zj in zip(rows, z):
+            np.negative(x, out=pull)
+            np.maximum(pull, 0.0, out=pull)
+            pull *= moment
+            np.maximum(x, 0.0, out=push)
+            push *= gamma
+            np.add(base, pull, out=pull)
+            pull -= push
+            pull *= dt
+            np.add(x, pull, out=row)
+            if noise_sd > 0.0:
+                row += zj
+            x = row  # a block's first step reads the previous block's last row
+        ensemble_mean[start + 1:start + n + 1] = rows.mean(axis=1)
+        window_rows = rows[max(half - start, 0):]
+        for row in window_rows:
+            acc += row
+        above += int(np.count_nonzero(window_rows > level))
     window = steps - half
     per_path = acc / window
     mean = float(per_path.mean())

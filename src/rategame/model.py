@@ -338,18 +338,23 @@ def _ratio_array(funcs: PolicyFunctions, mu, L: float) -> np.ndarray:
     return -L * funcs.f_prime(1.0 / z) * funcs.htilde_prime(mu) / (z * z * cp)
 
 
-def verify_first_order_monotone(funcs: PolicyFunctions, L: float,
+def verify_first_order_monotone(funcs: PolicyFunctions, L: float | np.ndarray,
                                 support: tuple[float, float],
-                                grid_size: int = 129) -> bool:
+                                grid_size: int = 129) -> bool | np.ndarray:
     """True iff C(mu, L) is strictly decreasing across a grid on ``support``.
 
     Operational stand-in for the sufficient curvature condition, which the
     base-case family (r = -1) violates even though its C is perfectly
     monotone. Guard every interior best-response inversion with this.
+
+    A scalar L gives a bool; an array of L gives one verdict per L, as a
+    boolean array of the same shape.
     """
-    if L <= 0:
+    L = np.asarray(L, dtype=float)
+    if np.any(L <= 0):
         raise ValueError("L must be positive")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    vals = _ratio_array(funcs, np.linspace(support[0], support[1], grid_size), L)
-    return bool(np.all(np.diff(vals) < 0.0))
+    vals = _ratio_array(funcs, np.linspace(support[0], support[1], grid_size), L[..., None])
+    verdict = np.all(np.diff(vals, axis=-1) < 0.0, axis=-1)
+    return bool(verdict) if verdict.ndim == 0 else verdict

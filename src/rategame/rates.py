@@ -241,6 +241,8 @@ class CdfRateDistribution(RateDistribution):
         base = np.linspace(self.mu_min, self.mu_max, grid_points)
         self._grid = np.unique(np.concatenate([base, np.asarray(self.kinks, dtype=float)]))
         vals = np.asarray(cdf(self._grid), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("cdf is not finite on its whole grid")
         repaired = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
         self.repair_magnitude = float(np.max(repaired - np.clip(vals, 0.0, 1.0)))
         if not repair:

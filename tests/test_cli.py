@@ -1,4 +1,5 @@
 import os
+import runpy
 import subprocess
 import sys
 
@@ -224,6 +225,29 @@ class TestMainEntry:
         rc = main(["equilibrium"])
         assert rc == 0
         assert (target / "equilibrium_report.csv").exists()
+
+    @pytest.mark.parametrize("script, subdirs", [
+        ("run_base_case.py", {"base_case"}),
+        ("run_sweeps.py", {"sweeps", "sweeps_alpha07"}),
+        ("run_validation.py", {"validation"}),
+    ])
+    def test_scripts_write_under_env_var_output_dir(self, tmp_path, monkeypatch,
+                                                   script, subdirs):
+        calls = []
+
+        def record(argv):
+            calls.append(argv)
+            return 0
+
+        monkeypatch.setattr("rategame.cli.main", record)
+        monkeypatch.setattr(sys, "argv", [script])
+        monkeypatch.setenv("RATEGAME_OUTDIR", str(tmp_path))
+        path = os.path.join(os.path.dirname(__file__), "..", "scripts", script)
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(path, run_name="__main__")
+        assert done.value.code == 0
+        outs = {argv[argv.index("--out") + 1] for argv in calls}
+        assert outs == {os.path.join(str(tmp_path), sub) for sub in subdirs}
 
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rategame._numerics import bisect
-from rategame.equilibrium import _ratio_array, _utility
+from rategame.equilibrium import ResponseDistribution, _ratio_array, _utility
 from rategame.rates import CdfRateDistribution, gauss_legendre_panels
 from rategame import (RegimeClass, best_response, best_response_rates,
                       classify_regime, equilibrium_residual,
                       marginal_rate_of_substitution, power_family,
                       response_distribution, sample_population,
                       solve_equilibrium, solve_L, uniform_box_population,
-                      neg_inverse_family)
+                      neg_inverse_family, verify_first_order_monotone)
 from _oracles import grid_best_utility
 
 # Frozen from the pre-implementation quad+brentq oracle (1e-15 bracket).
@@ -329,6 +329,58 @@ class TestUnimodalCdfMatchesReference:
         # a read of an unbuilt (NaN) mesh point would pass the monotonicity
         # check of CdfRateDistribution unnoticed
         assert np.all(np.isfinite(F.cdf(np.linspace(F.mu_min, F.mu_max, 20001))))
+
+
+def _reference_kinks(A, dists, extra=()):
+    """Kinks as one law's own search finds them: one bisection per level
+    over that level's brackets on the 513-point scan grid."""
+    grid = np.linspace(dists.mu_min, dists.mu_max, 513)
+    roots = list(extra)
+    for level in (dists.a_max, dists.a_min):
+        vals = A(grid) - level
+        i = np.flatnonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))
+        if i.size:
+            sign = np.sign(vals[i])
+            x, _, _ = bisect(lambda mu: sign * (A(mu) - level), grid[i], grid[i + 1], 80)
+            roots += x.tolist()
+    return tuple(sorted({k for k in roots if dists.mu_min < k < dists.mu_max}))
+
+
+class TestScanMatchesPerPointLaws:
+    """solve_equilibrium checks monotonicity and finds the kinks of all its
+    monotone scan points at once; every scan value must equal the one a
+    separately built law gives, bit for bit."""
+
+    @pytest.mark.parametrize("overrides, monotone_points", [
+        ({}, 64), ({"r": -0.5}, 64), ({"q": 3.0}, 64),
+        ({"r": -1.5}, 8), ({"r": -1.25}, 14),
+    ])
+    def test_scan_bitwise_equal(self, base_config, overrides, monotone_points):
+        cfg = base_config.with_overrides(**overrides)
+        dists, funcs = cfg.population(), cfg.functions()
+        support = (dists.mu_min, dists.mu_max)
+        sol = solve_equilibrium(dists, funcs, cfg.beta, cfg.lambda_bar, cfg.n)
+        scan = list(ResponseDistribution._scan(sol.scan_L, dists, funcs))
+        assert sum(G is not None for G in scan) == monotone_points
+        ref_phi = []
+        for L, G in zip(sol.scan_L.tolist(), scan):
+            F = ResponseDistribution(L, dists, funcs)
+            ref_phi.append(equilibrium_residual(L, dists, funcs, cfg.beta, F=F))
+            if F.first_order_monotone:
+                ref = _reference_kinks(lambda mu: _ratio_array(funcs, mu, L), dists)
+            else:
+                ref = _reference_kinks(F._A, dists, extra=[F._mu_peak])
+            assert F.kinks == ref
+            assert (G is not None) == F.first_order_monotone
+            if G is not None:
+                assert G.first_order_monotone and G.L == F.L
+                assert G.kinks == F.kinks
+                assert np.array_equal(G._grid_cdf, F._grid_cdf)
+        assert np.array_equal(sol.scan_phi, np.array(ref_phi))
+        for grid_size in (129, 257):
+            flags = verify_first_order_monotone(funcs, sol.scan_L, support, grid_size)
+            assert flags.tolist() == [verify_first_order_monotone(funcs, L, support, grid_size)
+                                      for L in sol.scan_L.tolist()]
 
 
 class TestEquilibrium:

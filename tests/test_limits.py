@@ -82,6 +82,11 @@ class TestFluidIntegrate:
         with pytest.raises(ValueError):
             fluid_integrate(spec, np.array([1.0]))
 
+    def test_substeps_below_one_rejected(self):
+        spec = FluidSpec(xi0=0.0, drift=0.3, moment=1.0)
+        with pytest.raises(ValueError, match="substeps must be at least 1"):
+            fluid_integrate(spec, np.array([0.0, 1.0]), substeps=0)
+
 
 class TestDiffusion:
     def test_zero_noise_degenerates_to_fluid(self):
@@ -139,6 +144,81 @@ class TestDiffusion:
                              beta=0.3, gamma=1.0, moment=1.0)
         with pytest.raises(ValueError):
             diffusion_simulate(spec, dt=0.0, T=1.0, paths=1, seed=0)
+
+    @pytest.mark.parametrize("lambda_bar, mu_bar, message", [
+        (-1.0, 1.0, "lambda_bar must be nonnegative"),
+        (float("nan"), 1.0, "lambda_bar must be nonnegative"),
+        (1.0, 0.0, "mu_bar must be positive"),
+        (1.0, -2.0, "mu_bar must be positive"),
+    ])
+    def test_rates_out_of_range_rejected(self, lambda_bar, mu_bar, message):
+        # a negative rate used to run to a NaN ensemble through sqrt
+        with pytest.raises(ValueError, match=message):
+            DiffusionSpec(xi0=0.0, lambda_bar=lambda_bar, mu_bar=mu_bar, sigma2_F=0.0,
+                          beta=0.3, gamma=1.0, moment=1.0)
+
+
+def _reference_diffusion(spec, dt, T, paths, seed, level):
+    """The per-step Euler-Maruyama loop: one normal draw, one ensemble mean
+    and one above-level count per step."""
+    rng = np.random.default_rng(seed)
+    steps = int(round(T / dt))
+    drift0 = spec.beta * np.sqrt(spec.lambda_bar * spec.mu_bar)
+    if spec.zeta1_mode == "sampled":
+        z_sd = np.sqrt(spec.sigma2_F * spec.lambda_bar ** spec.alpha
+                       * spec.mu_bar ** (-spec.alpha))
+        zeta1 = rng.normal(0.0, z_sd, size=paths)
+    else:
+        zeta1 = np.zeros(paths)
+    noise_sd = np.sqrt(2.0 * spec.lambda_bar * dt)
+    x = np.full(paths, spec.xi0, dtype=float)
+    half = steps // 2
+    acc = np.zeros(paths)
+    above = 0
+    ensemble_mean = np.empty(steps + 1)
+    ensemble_mean[0] = x.mean()
+    for i in range(steps):
+        drift = -(drift0 + zeta1) + spec.moment * np.maximum(-x, 0.0) \
+            - spec.gamma * np.maximum(x, 0.0)
+        x = x + drift * dt
+        if noise_sd > 0.0:
+            x += noise_sd * rng.standard_normal(paths)
+        ensemble_mean[i + 1] = x.mean()
+        if i >= half:
+            acc += x
+            above += int(np.count_nonzero(x > level))
+    window = steps - half
+    return acc / window, ensemble_mean, above / (window * paths)
+
+
+class TestDiffusionMatchesStepLoop:
+    """The block-drawn ensemble gives bit-for-bit the per-step loop's output."""
+
+    @pytest.mark.parametrize("mode", ["sampled", "fixed-zero"])
+    @pytest.mark.parametrize("paths, T", [(64, 3.0), (48, 4.01), (1, 10.0)])
+    def test_noisy_paths(self, mode, paths, T):
+        # 64 paths: 300 steps in blocks of 128, the window starting at step 150
+        # inside the second block; 48 paths: 401 steps in blocks of 170; one
+        # path: 1000 steps, fewer than one block
+        spec = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0, sigma2_F=0.5,
+                             beta=0.1, gamma=1.0, moment=1.0, zeta1_mode=mode)
+        self._check(spec, dt=0.01, T=T, paths=paths, seed=17, level=0.1)
+
+    def test_zero_noise_draws_nothing(self):
+        spec = DiffusionSpec(xi0=-1.0, lambda_bar=0.0, mu_bar=1.0, sigma2_F=0.0,
+                             beta=0.3, gamma=2.0, moment=0.9)
+        self._check(spec, dt=1e-3, T=0.7, paths=3, seed=4, level=-0.6)
+
+    @staticmethod
+    def _check(spec, dt, T, paths, seed, level):
+        stats = diffusion_simulate(spec, dt=dt, T=T, paths=paths, seed=seed, level=level)
+        per_path, ensemble_mean, frac_above = _reference_diffusion(spec, dt, T, paths,
+                                                                    seed, level)
+        assert np.array_equal(stats.paths, per_path)
+        assert np.array_equal(stats.ensemble_mean, ensemble_mean)
+        assert stats.frac_above == frac_above
+        # the states cross the level (and zero for noisy runs) inside the window
+        assert 0.0 < frac_above < 1.0
 
 
 class TestStationaryIdleness:

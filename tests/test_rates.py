@@ -53,6 +53,18 @@ def test_cdf_distribution_rejects_bad_cdf():
         CdfRateDistribution(0.1, 1.1, lambda m: 0.5 * np.clip(np.asarray(m) - 0.1, 0, 1))
 
 
+@pytest.mark.parametrize("repair", [False, True])
+def test_cdf_distribution_rejects_a_nan_grid_value(repair):
+    # NaN compares False both in the decrease test and in the 0-to-1 test
+    def cdf(m):
+        vals = np.clip(np.asarray(m, dtype=float) - 0.1, 0.0, 1.0)
+        vals[vals.size // 2] = np.nan
+        return vals
+
+    with pytest.raises(ValueError, match="not finite"):
+        CdfRateDistribution(0.1, 1.1, cdf, repair=repair)
+
+
 def test_sampling_matches_cdf():
     F = uniform_rate_distribution(0.2, 0.5)
     rng = np.random.default_rng(5)
