@@ -9,12 +9,12 @@ import numpy as np
 def bisect(f, lo, hi, iters: int, tol: float = 0.0):
     """Bisect ``f`` on [lo, hi], elementwise over scalars or arrays.
 
-    ``f(x) > 0`` means the root lies above ``x``. Runs ``iters`` halvings;
-    with ``tol > 0`` it stops early once ``|f| < tol`` at every midpoint, or
-    once every bracket is no wider than ``1e-16 max(|hi|, 1)``. With
-    ``tol == 0`` it stops once every midpoint equals an end of its bracket:
+    ``f(x) > 0`` means the root lies above ``x``. Runs at most ``iters``
+    halvings and stops once every midpoint equals an end of its bracket:
     every later halving would give back the same midpoint, so the result is
-    the one the full count returns.
+    the one the full count returns. With ``tol > 0`` it also stops once
+    ``|f| < tol`` at every midpoint. The stop is relative at every scale:
+    a bracket near 1e-9 is refined to adjacent floats, as one near 1 is.
 
     Returns ``(x, f(x), evaluations)`` for the last midpoint evaluated;
     scalar brackets give Python floats back.
@@ -28,13 +28,11 @@ def bisect(f, lo, hi, iters: int, tol: float = 0.0):
         evals += 1
         if tol > 0.0 and np.all(np.abs(fx) < tol):
             break
-        if tol == 0.0 and np.all((x == lo) | (x == hi)):
+        if np.all((x == lo) | (x == hi)):
             break
         above = fx > 0.0
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
-        if tol > 0.0 and np.all(hi - lo <= 1e-16 * np.maximum(np.abs(hi), 1.0)):
-            break
     if scalar:
         return float(x), float(fx), evals
     return x, fx, evals

@@ -25,15 +25,16 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, resolve_config
+from .config import CONFIG_KEYS, ConfigError, ExperimentConfig, resolve_config
 from .equilibrium import EquilibriumSolution, response_distribution, solve_equilibrium
-from .fairness import SolverFailure, solve_L, special_policy_fairness
+from .fairness import (SolverFailure, conditional_idleness_alpha1, solve_L,
+                       special_policy_fairness)
 from .limits import (AllocationState, DiffusionSpec, FluidSpec,
                      allocation_fixed_point, allocation_fluid_integrate,
                      diffusion_simulate, fluid_closed_form, fluid_integrate,
                      stationary_scaled_idleness)
 from .model import ModelParams, ServerPopulation, staffing_level
-from .rates import FairnessMeasure
+from .rates import FairnessMeasure, RateDistribution, bin_index
 from .sim import RoutingPolicy, run_simulation, stream_seed
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _POLICIES = ("hrandom", "lisf", "uniform", "fsf", "ssf")
+_DISTRIBUTION_POINTS = 2001   # rows of distribution.csv
 
 
 def _fmt(v) -> str:
@@ -71,6 +73,13 @@ def _require_decreasing_htilde(config: ExperimentConfig) -> None:
         raise ConfigError("htilde must be strictly decreasing (need r < 1)")
 
 
+def _solve(config: ExperimentConfig) -> EquilibriumSolution:
+    """The equilibrium of ``config``: the one solver call of every command."""
+    _require_decreasing_htilde(config)
+    return solve_equilibrium(config.population(), config.functions(), config.beta,
+                             config.lambda_bar, config.n)
+
+
 def _require_window(horizon: float, warmup: float) -> None:
     if not (math.isfinite(horizon) and math.isfinite(warmup) and 0.0 <= warmup < horizon):
         raise ConfigError("need finite 0 <= warmup < horizon; "
@@ -79,18 +88,15 @@ def _require_window(horizon: float, warmup: float) -> None:
 
 # ----------------------------------------------------------------- equilibrium
 
-def cmd_equilibrium(config: ExperimentConfig, outdir: str,
-                    grid_points: int = 2001) -> EquilibriumSolution:
-    _require_decreasing_htilde(config)
-    sol = solve_equilibrium(config.population(), config.functions(), config.beta,
-                            config.lambda_bar, config.n)
+def cmd_equilibrium(config: ExperimentConfig, outdir: str) -> EquilibriumSolution:
+    sol = _solve(config)
     _write_csv(os.path.join(outdir, "equilibrium_report.csv"),
                ["L_star", "mu_bar", "sigma2", "N", "residual", "bracket_lo", "bracket_hi",
                 "first_order_monotone", "sign_changes", "iterations"],
                [[sol.L_star, sol.mu_bar, sol.sigma2, sol.N, sol.residual,
                  sol.bracket_lo, sol.bracket_hi, sol.first_order_monotone,
                  sol.sign_changes, sol.iterations]], config)
-    grid = np.linspace(config.mu_min, config.mu_max, grid_points)
+    grid = np.linspace(config.mu_min, config.mu_max, _DISTRIBUTION_POINTS)
     cdf = sol.response.cdf(grid)
     dens = sol.response.density(grid)
     _write_csv(os.path.join(outdir, "distribution.csv"),
@@ -118,14 +124,15 @@ def cmd_sweep(config: ExperimentConfig, axis: str, grid: list[float],
         raise ConfigError("sweep grid must be nonempty and sorted ascending")
     if axis == "r" and any(v >= 1.0 for v in grid):
         raise ConfigError("r grid must stay below 1 (htilde must decrease)")
-    if axis == "beta" and any(v <= 0.0 for v in grid):
-        raise ConfigError("beta grid must be positive")
+    if axis == "beta":
+        if any(v <= 0.0 for v in grid):
+            raise ConfigError("beta grid must be positive")
+        _require_decreasing_htilde(config)
     rows = []
     for value in grid:
         cfg_i = config.with_overrides(**{axis: float(value)})
         try:
-            sol = solve_equilibrium(cfg_i.population(), cfg_i.functions(), cfg_i.beta,
-                                    cfg_i.lambda_bar, cfg_i.n)
+            sol = _solve(cfg_i)
             # staffing reported at the configured regime exponent; the
             # equilibrium itself (L, F, mu_bar) does not depend on alpha
             N = staffing_level(cfg_i.params().lambda_n, sol.mu_bar,
@@ -158,9 +165,9 @@ def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str,
                  grid_points: int = 401) -> FairnessMeasure:
     if policy not in _POLICIES:
         raise ConfigError(f"policy must be one of {_POLICIES}")
-    _require_decreasing_htilde(config)
-    sol = solve_equilibrium(config.population(), config.functions(), config.beta,
-                            config.lambda_bar, config.n)
+    if grid_points < 2:
+        raise ConfigError(f"grid_points must be at least 2; got {grid_points}")
+    sol = _solve(config)
     F = sol.response
     if policy == "hrandom":
         fsol = solve_L(F, config.functions(), config.beta)
@@ -186,9 +193,7 @@ def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str,
 def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
                diffusion_T: float = 200.0, diffusion_dt: float = 0.01,
                diffusion_paths: int = 64, allocation_T: float = 160.0) -> dict:
-    _require_decreasing_htilde(config)
-    sol = solve_equilibrium(config.population(), config.functions(), config.beta,
-                            config.lambda_bar, config.n)
+    sol = _solve(config)
     params = config.params()
 
     spec = FluidSpec.from_params(params, sol.mu_bar, sol.moment, xi0=0.0)
@@ -241,19 +246,14 @@ def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
 
 # -------------------------------------------------------------------- simulate
 
-def _profile_init(L: float, config: ExperimentConfig, rates: np.ndarray) -> np.ndarray:
-    ht = config.functions().htilde
-    return 1.0 / (1.0 + L * ht(rates))
-
-
-def _sampled_system(config: ExperimentConfig, sol: EquilibriumSolution, n: int,
-                    rep: int) -> tuple[ModelParams, ServerPopulation]:
-    params = ModelParams(lambda_bar=config.lambda_bar, beta=config.beta,
-                         alpha=config.alpha, gamma=config.gamma, n=n)
-    N = staffing_level(params.lambda_n, sol.mu_bar, config.beta, config.alpha)
+def _sampled_system(config: ExperimentConfig, F: RateDistribution, mu_bar: float,
+                    n: int, rep: int) -> tuple[ModelParams, ServerPopulation]:
+    """The n-th system of replication ``rep``: staffed for mean rate
+    ``mu_bar``, each server's rate drawn from ``F``."""
+    params = config.with_overrides(n=n).params()
+    N = staffing_level(params.lambda_n, mu_bar, config.beta, config.alpha)
     rng = np.random.default_rng(stream_seed(config.seed, rep, "population"))
-    rates = sol.response.sample(rng, N)
-    pop = ServerPopulation.from_rates(rates, config.mu_min, config.mu_max)
+    pop = ServerPopulation.from_rates(F.sample(rng, N), config.mu_min, config.mu_max)
     return params, pop
 
 
@@ -273,13 +273,13 @@ def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
     if replications < 1:
         raise ConfigError("replications must be >= 1")
     _require_window(horizon, warmup)
-    _require_decreasing_htilde(config)
-    sol = solve_equilibrium(config.population(), config.functions(), config.beta,
-                            config.lambda_bar, config.n)
+    sol = _solve(config)
+    funcs = config.functions()
     results = []
     for rep in range(replications):
-        params, pop = _sampled_system(config, sol, config.n, rep)
-        init = _profile_init(sol.L_star, config, pop.rate) if stationary_init else None
+        params, pop = _sampled_system(config, sol.response, sol.mu_bar, config.n, rep)
+        init = (conditional_idleness_alpha1(pop.rate, sol.L_star, funcs)
+                if stationary_init else None)
         res = run_simulation(params, pop, _policy_object(config, policy),
                              horizon, warmup, seed=config.seed, replication=rep,
                              initial_idle_prob=init, collect_event_log=event_log)
@@ -303,32 +303,19 @@ def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
 # -------------------------------------------------------------------- validate
 
 def _validate_worker(task: tuple) -> tuple:
-    (cfg_kwargs, L_star, mu_bar, moment, n, rep, horizon, warmup, edges_list) = task
-    config = ExperimentConfig(**cfg_kwargs)
+    config, L_star, mu_bar, n, rep, horizon, warmup, edges = task
     funcs = config.functions()
     F = response_distribution(L_star, config.population(), funcs)
-    params = ModelParams(lambda_bar=config.lambda_bar, beta=config.beta,
-                         alpha=config.alpha, gamma=config.gamma, n=n)
-    N = staffing_level(params.lambda_n, mu_bar, config.beta, config.alpha)
-    rng = np.random.default_rng(stream_seed(config.seed, rep, "population"))
-    rates = F.sample(rng, N)
-    pop = ServerPopulation.from_rates(rates, config.mu_min, config.mu_max)
-    init = 1.0 / (1.0 + L_star * funcs.htilde(rates))
-    res = run_simulation(params, pop, RoutingPolicy.hrandom(funcs.h),
+    params, pop = _sampled_system(config, F, mu_bar, n, rep)
+    init = conditional_idleness_alpha1(pop.rate, L_star, funcs)
+    res = run_simulation(params, pop, _policy_object(config, "hrandom"),
                          horizon, warmup, seed=config.seed, replication=rep,
                          initial_idle_prob=init)
-    edges = np.asarray(edges_list)
-    idx = np.clip(np.searchsorted(edges, rates, side="right") - 1, 0, edges.size - 2)
-    bins = edges.size - 1
-    emp_sum = np.zeros(bins)
-    thr_sum = np.zeros(bins)
-    cnt = np.zeros(bins)
-    np.add.at(emp_sum, idx, res.idle_fraction)
-    np.add.at(thr_sum, idx, init)
-    np.add.at(cnt, idx, 1.0)
-    fair_mass = np.zeros(bins)
-    np.add.at(fair_mass, idx, res.idle_time)
-    return (n, rep, emp_sum, thr_sum, cnt, fair_mass, res.scaled_idleness_mean)
+    # per rate bin: simulated and theoretical idle fractions, servers, idle time
+    idx = bin_index(edges, pop.rate)
+    sums = [np.bincount(idx, weights=w, minlength=edges.size - 1)
+            for w in (res.idle_fraction, init, np.ones(idx.size), res.idle_time)]
+    return (n, rep, *sums, res.scaled_idleness_mean)
 
 
 def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications: int,
@@ -343,21 +330,17 @@ def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications:
         raise ConfigError("scales below 2 are rejected: fairness binning needs servers to spare")
     if replications < 1:
         raise ConfigError("replications must be >= 1")
+    if bins < 1:
+        raise ConfigError(f"bins must be at least 1; got {bins}")
     _require_window(horizon, warmup)
     if config.alpha != 1.0:
         raise ConfigError("validate compares against the alpha = 1 weighted-random "
                           f"profile and fairness law; got alpha={config.alpha!r}")
-    _require_decreasing_htilde(config)
-    sol = solve_equilibrium(config.population(), config.functions(), config.beta,
-                            config.lambda_bar, config.n)
+    sol = _solve(config)
     edges = np.linspace(config.mu_min, config.mu_max, bins + 1)
     theory_fair = FairnessMeasure.from_density(sol.response, sol.g, sol.g_prime)
     theory_fair_mass = theory_fair.bin_masses(edges)
-    cfg_kwargs = {f: getattr(config, f) for f in (
-        "lambda_bar", "beta", "alpha", "gamma", "n", "p", "q", "r",
-        "mu_min", "mu_max", "a_min", "a_max", "seed")}
-    tasks = [(cfg_kwargs, sol.L_star, sol.mu_bar, sol.moment, n, rep,
-              horizon, warmup, edges.tolist())
+    tasks = [(config, sol.L_star, sol.mu_bar, n, rep, horizon, warmup, edges)
              for n in n_list for rep in range(replications)]
 
     def progress(done: int, outcome: tuple) -> None:
@@ -381,16 +364,12 @@ def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications:
     rows = []
     for n in n_list:
         per_n = [o for o in outcomes if o[0] == n]
-        emp = np.sum([o[2] for o in per_n], axis=0)
-        thr = np.sum([o[3] for o in per_n], axis=0)
-        cnt = np.sum([o[4] for o in per_n], axis=0)
-        fair = np.sum([o[5] for o in per_n], axis=0)
+        emp, thr, cnt, fair = (np.sum([o[k] for o in per_n], axis=0) for k in (2, 3, 4, 5))
         ihat = np.array([o[6] for o in per_n])
         occupied = cnt > 0
         sup_gap = float(np.max(np.abs(emp[occupied] - thr[occupied]) / cnt[occupied]))
-        params_n = ModelParams(lambda_bar=config.lambda_bar, beta=config.beta,
-                               alpha=config.alpha, gamma=config.gamma, n=n)
-        ihat_theory = stationary_scaled_idleness(params_n, sol.mu_bar, sol.moment)
+        ihat_theory = stationary_scaled_idleness(config.with_overrides(n=n).params(),
+                                                 sol.mu_bar, sol.moment)
         ihat_mean = float(ihat.mean())
         ihat_se = float(ihat.std(ddof=1) / math.sqrt(ihat.size)) if ihat.size > 1 else float("nan")
         fair_emp = fair / fair.sum()
@@ -419,11 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", help="flat key=value config file")
     ap.add_argument("--out", help="output directory (default ./out, env RATEGAME_OUTDIR)")
-    for key in ("lambda-bar", "beta", "alpha", "gamma", "p", "q", "r",
-                "mu-min", "mu-max", "a-min", "a-max"):
-        ap.add_argument(f"--{key}", type=float, default=None, dest=key.replace("-", "_"))
-    ap.add_argument("--n", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
+    for key, kind in CONFIG_KEYS.items():
+        ap.add_argument("--" + key.replace("_", "-"), type=kind, default=None, dest=key)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sub.add_parser("equilibrium", help="solve the equilibrium and dump reports")
@@ -458,21 +434,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse_list(text: str, kind: type, flag: str) -> list:
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag} must be a comma-separated list of {kind.__name__} "
+                          f"values; got {text!r}") from None
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:
-        overrides = {k: getattr(args, k) for k in
-                     ("lambda_bar", "beta", "alpha", "gamma", "n", "p", "q", "r",
-                      "mu_min", "mu_max", "a_min", "a_max", "seed")}
-        config = resolve_config(args.config, overrides)
+        config = resolve_config(args.config, {k: getattr(args, k) for k in CONFIG_KEYS})
         outdir = _outdir(args.out)
         if args.command == "equilibrium":
             sol = cmd_equilibrium(config, outdir)
-            return 0 if abs(sol.residual) < 1e-9 else 3
+            if not abs(sol.residual) < 1e-9:
+                raise SolverFailure("residual not below 1e-9", {"residual": sol.residual})
+            return 0
         if args.command == "sweep":
             if args.grid:
-                grid = [float(v) for v in args.grid.split(",")]
+                grid = _parse_list(args.grid, float, "--grid")
             elif args.axis == "r":
                 grid = [-2.0, -1.75, -1.5, -1.25, -1.0, -0.75, -0.5, -0.25]
             else:
@@ -486,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
                               event_log=args.event_log)
             return 0
         if args.command == "validate":
-            n_list = [int(v) for v in args.n_list.split(",")]
+            n_list = _parse_list(args.n_list, int, "--n-list")
             validate_pipeline(config, n_list, args.replications, outdir,
                               horizon=args.horizon, warmup=args.warmup,
                               bins=args.bins, workers=args.workers)

@@ -71,8 +71,8 @@ class ExperimentConfig:
         return replace(self, **kw)
 
 
-CONFIG_KEYS = {f.name: f.type for f in fields(ExperimentConfig)}
-_INT_KEYS = {"n", "seed"}
+# key -> value type (int or float), in field order; the CLI flags follow it
+CONFIG_KEYS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path: str) -> dict:
@@ -99,7 +99,7 @@ def parse_config_file(path: str) -> dict:
 
 def _coerce(key: str, value) -> float | int:
     try:
-        return int(value) if key in _INT_KEYS else float(value)
+        return CONFIG_KEYS[key](value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 

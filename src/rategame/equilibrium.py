@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +44,10 @@ __all__ = [
 
 PHI_TOLERANCE = 1e-10
 SCAN_POINTS = 64
+# classify_regime's probe: scales n, points x, and the log-log slope that counts as flat
+PROBE_SCALES = (1e2, 1e4, 1e6, 1e8, 1e10, 1e12)
+PROBE_XS = (0.25, 0.5, 1.0)
+SLOPE_TOL = 5e-3
 
 
 def marginal_rate_of_substitution(mu: float, L: float, funcs: PolicyFunctions) -> float:
@@ -65,6 +68,25 @@ def _utility(funcs, mu, a, L: float):
     return funcs.f(1.0 / (1.0 + L * funcs.htilde(mu))) - a * funcs.c(mu)
 
 
+def _best_rates(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, L: float,
+                funcs: PolicyFunctions, support: tuple[float, float] | None):
+    """Best responses of servers (a, lo, hi) at L, C(., L) decreasing across
+    ``support`` (checked unless it is None): the personal minimum where
+    a >= C(lo, L), else the maximum where a <= C(hi, L), else the root of
+    C(., L) = a between them. Returns the rates and the two end masks."""
+    if support is not None and not verify_first_order_monotone(funcs, L, support):
+        raise ValueError("C(mu, L) is not strictly decreasing: configuration unsupported")
+    at_min = a >= _ratio_array(funcs, lo, L)
+    at_max = a <= _ratio_array(funcs, hi, L)
+    interior = ~(at_min | at_max)
+    rates = np.where(at_min, lo, hi)
+    if np.any(interior):
+        target = a[interior]
+        rates[interior], _, _ = bisect(lambda mu: _ratio_array(funcs, mu, L) - target,
+                                       lo[interior], hi[interior], 200)
+    return rates, at_min, at_max
+
+
 def best_response(attrs: tuple[float, float, float], L: float,
                   funcs: PolicyFunctions, support: tuple[float, float],
                   check_monotone: bool = True) -> BestResponse:
@@ -78,32 +100,18 @@ def best_response(attrs: tuple[float, float, float], L: float,
     a, mu_lo, mu_hi = attrs
     if not (support[0] - 1e-12 <= mu_lo <= mu_hi <= support[1] + 1e-12):
         raise ValueError("attributes escape the global support")
-    if check_monotone and not verify_first_order_monotone(funcs, L, support):
-        raise ValueError("C(mu, L) is not strictly decreasing: configuration unsupported")
-    if a >= _ratio_array(funcs, mu_lo, L):
-        return BestResponse(mu_lo, "at_min", _utility(funcs, mu_lo, a, L))
-    if a <= _ratio_array(funcs, mu_hi, L):
-        return BestResponse(mu_hi, "at_max", _utility(funcs, mu_hi, a, L))
-    mu_star, _, _ = bisect(lambda mu: _ratio_array(funcs, mu, L) - a, mu_lo, mu_hi, 200)
-    return BestResponse(mu_star, "interior", _utility(funcs, mu_star, a, L))
+    rates, at_min, at_max = _best_rates(np.array([a]), np.array([mu_lo]), np.array([mu_hi]),
+                                        L, funcs, support if check_monotone else None)
+    mu_star = float(rates[0])
+    regime = "at_min" if at_min[0] else "at_max" if at_max[0] else "interior"
+    return BestResponse(mu_star, regime, _utility(funcs, mu_star, a, L))
 
 
 def best_response_rates(population: ServerPopulation, L: float,
                         funcs: PolicyFunctions) -> np.ndarray:
-    """Vectorized best responses for a whole roster (bisection on arrays)."""
-    support = (population.mu_min, population.mu_max)
-    if not verify_first_order_monotone(funcs, L, support):
-        raise ValueError("C(mu, L) is not strictly decreasing: configuration unsupported")
-    a, lo, hi = population.a, population.mu_lo, population.mu_hi
-    at_min = a >= _ratio_array(funcs, lo, L)
-    at_max = a <= _ratio_array(funcs, hi, L)
-    interior = ~(at_min | at_max)
-    rates = np.where(at_min, lo, hi)
-    if np.any(interior):
-        target = a[interior]
-        rates[interior], _, _ = bisect(lambda mu: _ratio_array(funcs, mu, L) - target,
-                                       lo[interior], hi[interior], 100)
-    return rates
+    """Best responses for a whole roster, as an array of rates."""
+    return _best_rates(population.a, population.mu_lo, population.mu_hi, L, funcs,
+                       (population.mu_min, population.mu_max))[0]
 
 
 def _level_crossings(A, count: int, dists: PopulationDistributions) -> list[list[float]]:
@@ -183,13 +191,13 @@ class ResponseDistribution(CdfRateDistribution):
     _GRID_POINTS = 2001
 
     def __init__(self, L: float, dists: PopulationDistributions,
-                 funcs: PolicyFunctions, grid_points: int = _GRID_POINTS):
+                 funcs: PolicyFunctions):
         L = float(L)
         kinks = None
         if verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max),
                                        grid_size=self._MONOTONE_GRID):
             kinks = _monotone_kinks(np.array([L]), dists, funcs)[0]
-        self._build(L, dists, funcs, kinks, grid_points)
+        self._build(L, dists, funcs, kinks)
 
     @classmethod
     def _scan(cls, L: np.ndarray, dists: PopulationDistributions, funcs: PolicyFunctions):
@@ -204,11 +212,11 @@ class ResponseDistribution(CdfRateDistribution):
             F = None
             if ok:
                 F = cls.__new__(cls)
-                F._build(Lk, dists, funcs, next(kinks), cls._GRID_POINTS)
+                F._build(Lk, dists, funcs, next(kinks))
             yield F
 
     def _build(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
-               kinks: list[float] | None, grid_points: int):
+               kinks: list[float] | None):
         """Set up the law at L; ``kinks`` are the monotone CDF's, or None
         when C(., L) is not monotone (the true pushforward is built then)."""
         if not dists.independent_a:
@@ -229,7 +237,7 @@ class ResponseDistribution(CdfRateDistribution):
             kinks = [self._mu_peak] + _level_crossings(lambda mu, k: self._A(mu), 1, dists)[0]
             cdf = self._true_cdf
         super().__init__(dists.mu_min, dists.mu_max, cdf, kinks=kinks,
-                         grid_points=grid_points)
+                         grid_points=self._GRID_POINTS)
 
     def _A(self, mu: np.ndarray) -> np.ndarray:
         """Effective threshold of the unimodal regime: C capped at its peak
@@ -498,14 +506,12 @@ class RegimeClass(enum.Enum):
     INDETERMINATE = "indeterminate"
 
 
-def classify_regime(funcs: PolicyFunctions, alpha: float, g_shape: str,
-                    probe_scales: Sequence[float] = (1e2, 1e4, 1e6, 1e8, 1e10, 1e12),
-                    xs: Sequence[float] = (0.25, 0.5, 1.0),
-                    slope_tol: float = 5e-3) -> RegimeClass:
+def classify_regime(funcs: PolicyFunctions, alpha: float, g_shape: str) -> RegimeClass:
     """Numerical probe of the asymptotic best-response regime.
 
-    Evaluates s(n, x) = n^(alpha-1) f'(n^(alpha-1) x) on a geometric ladder
-    of scales and classifies by the fitted log-log slope. A negative slope
+    Evaluates s(n, x) = n^(alpha-1) f'(n^(alpha-1) x) on the geometric
+    ladder of scales ``PROBE_SCALES`` at the points ``PROBE_XS`` and
+    classifies by the fitted log-log slope. A negative slope
     (s vanishing, or a decreasing fairness density) pins everyone to the
     personal minimum; a positive slope with an increasing concave density
     pins everyone to the personal maximum. Anything else is Indeterminate,
@@ -516,11 +522,9 @@ def classify_regime(funcs: PolicyFunctions, alpha: float, g_shape: str,
         raise ValueError("g_shape must be decreasing | increasing-concave | other")
     if g_shape == "decreasing":
         return RegimeClass.ALL_AT_MIN
-    scales = np.asarray(sorted(probe_scales), dtype=float)
-    if scales.size < 2:
-        raise ValueError("need at least two probe scales")
+    scales = np.asarray(PROBE_SCALES, dtype=float)
     slopes = []
-    for x in xs:
+    for x in PROBE_XS:
         shrink = scales ** (alpha - 1.0)
         s = shrink * funcs.f_prime(shrink * x)
         if np.any(~np.isfinite(s)) or np.any(s <= 0):
@@ -528,10 +532,8 @@ def classify_regime(funcs: PolicyFunctions, alpha: float, g_shape: str,
         ls, ln = np.log(s), np.log(scales)
         slopes.append(float(np.polyfit(ln, ls, 1)[0]))
     slopes = np.asarray(slopes)
-    if np.all(slopes < -slope_tol):
+    if np.all(slopes < -SLOPE_TOL):
         return RegimeClass.ALL_AT_MIN
-    if np.all(slopes > slope_tol):
-        if g_shape == "increasing-concave":
-            return RegimeClass.ALL_AT_MAX
-        return RegimeClass.INDETERMINATE
+    if np.all(slopes > SLOPE_TOL) and g_shape == "increasing-concave":
+        return RegimeClass.ALL_AT_MAX
     return RegimeClass.INDETERMINATE

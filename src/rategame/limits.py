@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 ALLOCATION_CELLS = 400
+ALLOCATION_SUBSTEPS = 4  # least RK4 steps per grid interval of the allocation fluid
 _DIFFUSION_BLOCK = 8192  # states per diffusion buffer: steps per block times paths
 
 
@@ -322,8 +323,7 @@ def allocation_fixed_point(F: RateDistribution, params: ModelParams, mu_bar: flo
 
 def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
                                mu_bar: float, h: Callable,
-                               t_grid: np.ndarray, substeps: int = 4,
-                               ) -> list[AllocationState]:
+                               t_grid: np.ndarray) -> list[AllocationState]:
     """RK4 trajectory of the cellwise allocation fluid equation
     (idle regime, xi <= 0 throughout):
 
@@ -362,7 +362,7 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
             raise ZeroDivisionError(
                 f"weighted idle mass vanished at t={t_grid[i]!r}: routing fraction undefined")
         stiff = mu_max + lam * h_max / hm_now
-        steps = max(substeps, int(math.ceil(span * stiff)))
+        steps = max(ALLOCATION_SUBSTEPS, int(math.ceil(span * stiff)))
         hstep = span / steps
         t = t_grid[i]
         for _ in range(steps):

@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "gauss_legendre_panels",
+    "bin_index",
     "RateDistribution",
     "DensityRateDistribution",
     "DiscreteRateDistribution",
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 _NODES_PER_PANEL = 64
+_CDF_POINTS_PER_PIECE = 512   # tabulated CDF points per kink-free piece of a density law
 
 
 @lru_cache(maxsize=8)
@@ -43,8 +45,7 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_legendre_panels(a: float, b: float, kinks: Sequence[float] = (),
-                          nodes_per_panel: int = _NODES_PER_PANEL,
-                          min_panels: int = 1) -> tuple[np.ndarray, np.ndarray]:
+                          nodes_per_panel: int = _NODES_PER_PANEL) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [a, b], split at ``kinks``.
 
     Kinks outside (a, b) are ignored. Accuracy is spectral on each panel,
@@ -56,8 +57,6 @@ def gauss_legendre_panels(a: float, b: float, kinks: Sequence[float] = (),
     if b == a:
         return np.array([]), np.array([])
     edges = [a] + sorted({float(k) for k in kinks if a < k < b}) + [b]
-    if len(edges) - 1 < min_panels:
-        edges = list(np.linspace(a, b, min_panels + 1))
     x0, w0 = _leggauss(nodes_per_panel)
     xs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -65,6 +64,13 @@ def gauss_legendre_panels(a: float, b: float, kinks: Sequence[float] = (),
         xs.append(half * x0 + 0.5 * (hi + lo))
         ws.append(half * w0)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def bin_index(edges: np.ndarray, x) -> np.ndarray:
+    """Bin of each ``x`` on ascending ``edges``: bin i is [edges[i],
+    edges[i+1]), values below the first edge fall in the first bin, and
+    values at or above the last edge in the last."""
+    return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
 
 
 class RateDistribution:
@@ -87,10 +93,6 @@ class RateDistribution:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights such that sum(w * g(x)) ~ integral g dF."""
-        raise NotImplementedError
-
     @property
     def mean(self) -> float:
         try:
@@ -108,9 +110,9 @@ class RateDistribution:
             self._variance = max(second - self.mean ** 2, 0.0)
             return self._variance
 
-    def _validate(self, tol: float = 1e-8) -> None:
+    def _validate(self) -> None:
         total = self.integrate(lambda m: np.ones_like(m), lambda m: np.zeros_like(m))
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > 1e-8:
             raise ValueError(f"distribution mass {total!r} != 1")
         if not self.mu_min - 1e-12 <= self.mean <= self.mu_max + 1e-12:
             raise ValueError("mean escapes the support")
@@ -118,32 +120,26 @@ class RateDistribution:
 
 class DensityRateDistribution(RateDistribution):
     def __init__(self, mu_min: float, mu_max: float, density: Callable,
-                 kinks: Sequence[float] = (), normalize: bool = False):
+                 kinks: Sequence[float] = ()):
         if not 0 < mu_min < mu_max:
             raise ValueError("need 0 < mu_min < mu_max")
         self.mu_min = float(mu_min)
         self.mu_max = float(mu_max)
         self.kinks = tuple(sorted({float(k) for k in kinks if mu_min < k < mu_max}))
         self._density = density
-        self._norm = 1.0
-        if normalize:
-            x, w = gauss_legendre_panels(mu_min, mu_max, self.kinks)
-            self._norm = float(np.sum(w * np.asarray(density(x), dtype=float)))
-            if self._norm <= 0:
-                raise ValueError("density integrates to a nonpositive value")
         self._grid, self._grid_cdf = self._build_cdf_grid()
         self._validate()
 
     def density(self, mu):
-        return np.asarray(self._density(np.asarray(mu, dtype=float)), dtype=float) / self._norm
+        return np.asarray(self._density(np.asarray(mu, dtype=float)), dtype=float)
 
-    def _build_cdf_grid(self, points_per_piece: int = 512):
+    def _build_cdf_grid(self):
         edges = [self.mu_min, *self.kinks, self.mu_max]
         grid = [np.array([self.mu_min])]
         cdfv = [np.array([0.0])]
         acc = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
-            xs = np.linspace(lo, hi, points_per_piece + 1)[1:]
+            xs = np.linspace(lo, hi, _CDF_POINTS_PER_PIECE + 1)[1:]
             piece = np.empty(xs.size)
             prev = lo
             for i, x in enumerate(xs):
@@ -173,10 +169,6 @@ class DensityRateDistribution(RateDistribution):
     def sample(self, rng, size):
         u = rng.uniform(0.0, 1.0, size=size)
         return np.interp(u, self._grid_cdf, self._grid)
-
-    def quadrature(self):
-        x, w = gauss_legendre_panels(self.mu_min, self.mu_max, self.kinks)
-        return x, w * self.density(x)
 
 
 class DiscreteRateDistribution(RateDistribution):
@@ -212,9 +204,6 @@ class DiscreteRateDistribution(RateDistribution):
     def sample(self, rng, size):
         return rng.choice(self.atoms, size=size, p=self.weights)
 
-    def quadrature(self):
-        return self.atoms, self.weights
-
 
 class CdfRateDistribution(RateDistribution):
     """Law specified by its CDF; integrals are done by parts.
@@ -230,8 +219,7 @@ class CdfRateDistribution(RateDistribution):
     """
 
     def __init__(self, mu_min: float, mu_max: float, cdf: Callable,
-                 kinks: Sequence[float] = (), grid_points: int = 4097,
-                 repair: bool = False, repair_limit: float = 1e-2):
+                 kinks: Sequence[float] = (), grid_points: int = 4097):
         if not 0 < mu_min < mu_max:
             raise ValueError("need 0 < mu_min < mu_max")
         self.mu_min = float(mu_min)
@@ -243,27 +231,16 @@ class CdfRateDistribution(RateDistribution):
         vals = np.asarray(cdf(self._grid), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError("cdf is not finite on its whole grid")
-        repaired = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
-        self.repair_magnitude = float(np.max(repaired - np.clip(vals, 0.0, 1.0)))
-        if not repair:
-            if np.any(np.diff(vals) < -1e-10):
-                raise ValueError("cdf is decreasing somewhere")
-            self.repaired = False
-        else:
-            if self.repair_magnitude > repair_limit:
-                raise ValueError(
-                    f"cdf needs repair {self.repair_magnitude!r}, beyond the allowed {repair_limit!r}")
-            self.repaired = self.repair_magnitude > 0.0
-        if abs(repaired[-1] - 1.0) > 1e-8 or repaired[0] > 1e-8:
+        if np.any(np.diff(vals) < -1e-10):
+            raise ValueError("cdf is decreasing somewhere")
+        # the sampling table: clipped into [0, 1] and made nondecreasing
+        grid_cdf = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
+        if abs(grid_cdf[-1] - 1.0) > 1e-8 or grid_cdf[0] > 1e-8:
             raise ValueError("cdf must run from 0 to 1 across the support")
-        self._grid_cdf = repaired
+        self._grid_cdf = grid_cdf
 
     def cdf(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        if self.repaired:
-            # the repaired piecewise-linear grid IS the law once repair kicks in
-            return np.interp(mu, self._grid, self._grid_cdf, left=0.0, right=1.0)
-        return np.clip(np.asarray(self._cdf(mu), dtype=float), 0.0, 1.0)
+        return np.clip(np.asarray(self._cdf(np.asarray(mu, dtype=float)), dtype=float), 0.0, 1.0)
 
     def integrate_between(self, g, dg, a, b):
         a = max(a, self.mu_min)
@@ -292,10 +269,6 @@ class CdfRateDistribution(RateDistribution):
     def sample(self, rng, size):
         u = rng.uniform(0.0, 1.0, size=size)
         return np.interp(u, self._grid_cdf, self._grid)
-
-    def quadrature(self):
-        mid = 0.5 * (self._grid[1:] + self._grid[:-1])
-        return mid, np.diff(self._grid_cdf)
 
 
 def uniform_rate_distribution(lo: float, hi: float) -> DensityRateDistribution:
@@ -371,10 +344,8 @@ class FairnessMeasure:
         """Mass per bin (edges ascending; first bin closed on the left)."""
         edges = np.asarray(edges, dtype=float)
         if self.support is not None:
-            idx = np.clip(np.searchsorted(edges, self.support, side="right") - 1,
-                          0, edges.size - 2)
             out = np.zeros(edges.size - 1)
-            np.add.at(out, idx, self.weights)
+            np.add.at(out, bin_index(edges, self.support), self.weights)
             return out
         out = np.empty(edges.size - 1)
         for i in range(edges.size - 1):

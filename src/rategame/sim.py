@@ -19,7 +19,9 @@ picked by a weighted scan, rejection inside the bucket.
 Abandonment uses lazy deletion: each queued customer carries a patience
 deadline; a sweep at every event epoch retires deadlines that passed,
 crediting the abandonment at its true time so the queue-length integral and
-the in-system count stay exact between events.
+the in-system count stay exact between events. A customer sits both in the
+FIFO line and in the deadline heap and leaves the queue once, by service or
+by abandonment; one set of tombstones lets the other side skip it.
 
 Structural invariants are enforced on every event:
   * non-idling: a nonempty queue forces zero idle servers;
@@ -44,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import ModelParams, ServerPopulation
-from .rates import FairnessMeasure
+from .rates import FairnessMeasure, bin_index
 
 __all__ = [
     "RoutingPolicy",
@@ -60,6 +62,7 @@ STREAMS = ("population", "arrival", "service", "patience", "routing", "init")
 _BLOCK = 1 << 15
 _H_BUCKETS = 48
 _REBUILD_EVERY = 4096
+_BATCHES = 20           # batch means over the measurement window
 
 
 @dataclass(frozen=True)
@@ -366,7 +369,7 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
                    policy: RoutingPolicy, horizon: float, warmup: float,
                    seed: int, *, epsilons: Sequence[float] = (0.0,),
                    initial_idle_prob: np.ndarray | None = None,
-                   n_batches: int = 20, replication: int = 0,
+                   replication: int = 0,
                    collect_event_log: bool = False) -> SimulationResult:
     """Simulate one trajectory; deterministic given (seed, replication).
 
@@ -380,8 +383,6 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
         raise ValueError("population is empty")
     if not 0.0 <= warmup < horizon:
         raise ValueError("need 0 <= warmup < horizon")
-    if n_batches < 2:
-        raise ValueError("need at least two batches")
 
     N = len(population)
     rates_arr = np.asarray(population.rate, dtype=float)
@@ -434,8 +435,7 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     # --- queue with patience deadlines ---------------------------------
     fifo: deque = deque()
     dl_heap: list = []
-    gone: set = set()
-    served: set = set()
+    left: set = set()        # customers gone from one of fifo and dl_heap only
     seq = 0
     queue_len = 0
     peak_queue = 0
@@ -452,10 +452,7 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     eps_target = eps_pending[0] * n_scale if eps_pending else math.inf
     shift_snap: dict = {}
     tau_shift: dict = {}
-    warm_snap = None
-    warm_I = warm_Q = 0.0
-    batch_edges = np.linspace(warmup, horizon, n_batches + 1).tolist()
-    marks = sorted(set([warmup] + batch_edges + [horizon]))
+    marks = np.linspace(warmup, horizon, _BATCHES + 1).tolist()   # the batch edges
     mark_I: list[float] = []
     mark_Q: list[float] = []
     log = [] if collect_event_log else None
@@ -488,11 +485,11 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
         nonlocal X, queue_len, abandonments, window_abandonments
         while dl_heap and dl_heap[0][0] <= t:
             d, sq = heapq.heappop(dl_heap)
-            if sq in served:
-                served.discard(sq)
+            if sq in left:
+                left.discard(sq)
                 continue
             integrate_to(d)
-            gone.add(sq)
+            left.add(sq)
             queue_len -= 1
             X -= 1
             abandonments += 1
@@ -505,21 +502,19 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     next_srv = next_service_gap()
     mark_idx = 0
     n_marks = len(marks)
-    INF = math.inf
 
     while True:
-        t_mark = marks[mark_idx] if mark_idx < n_marks else INF
+        t_mark = marks[mark_idx]
         t_ev = next_arr if next_arr <= next_srv else next_srv
         if t_mark <= t_ev:
             sweep(t_mark)
             integrate_to(t_mark)
-            if warm_snap is None and t_mark >= warmup:
+            if mark_idx == 0:
                 warm_snap = snapshot(t_mark)
-                warm_I, warm_Q = I_int, Q_int
             mark_I.append(I_int)
             mark_Q.append(Q_int)
             mark_idx += 1
-            if t_mark >= horizon:
+            if mark_idx == n_marks:
                 break
             continue
         if dl_heap:
@@ -557,10 +552,10 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
                 if queue_len > 0:
                     while True:
                         d, sq = fifo.popleft()
-                        if sq in gone:
-                            gone.discard(sq)
+                        if sq in left:
+                            left.discard(sq)
                             continue
-                        served.add(sq)
+                        left.add(sq)
                         break
                     queue_len -= 1
                 else:
@@ -580,9 +575,6 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     for eps in eps_pending:
         tau_shift[eps] = math.inf
     end_snap = snapshot(horizon)
-    if warm_snap is None:
-        warm_snap = end_snap
-        warm_I, warm_Q = I_int, Q_int
     window = horizon - warmup
     idle_time = end_snap - warm_snap
     idle_after = {}
@@ -591,11 +583,9 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
             idle_after[eps] = end_snap - shift_snap[eps]
         else:
             idle_after[eps] = np.zeros(N)
-    edge_I = np.array(mark_I[-(len(batch_edges)):])
-    edge_Q = np.array(mark_Q[-(len(batch_edges)):])
-    bw = window / n_batches
-    idle_batches = np.diff(edge_I) / bw / n_scale
-    queue_batches = np.diff(edge_Q) / bw / n_scale
+    bw = window / _BATCHES
+    idle_batches = np.diff(mark_I) / bw / n_scale
+    queue_batches = np.diff(mark_Q) / bw / n_scale
 
     if arrivals + X0 != departures + abandonments + X:
         raise RuntimeError("conservation violated: arrivals != departures + abandonments + in-system")
@@ -607,8 +597,8 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
         idle_fraction=idle_time / window,
         idle_after_shift=idle_after,
         tau_shift=tau_shift,
-        scaled_idleness_mean=float((I_int - warm_I) / window / n_scale),
-        scaled_queue_plus_mean=float((Q_int - warm_Q) / window / n_scale),
+        scaled_idleness_mean=float((I_int - mark_I[0]) / window / n_scale),
+        scaled_queue_plus_mean=float((Q_int - mark_Q[0]) / window / n_scale),
         idle_batch_means=idle_batches,
         queue_batch_means=queue_batches,
         arrivals=arrivals, departures=departures, abandonments=abandonments,
@@ -658,7 +648,7 @@ def empirical_conditional_idleness(result: SimulationResult,
         se = float(frac.std(ddof=1) / math.sqrt(frac.size)) if frac.size > 1 else 0.0
         return [(lo, float(frac.mean()), se)]
     edges = np.linspace(lo, hi, bins + 1)
-    idx = np.clip(np.searchsorted(edges, rates, side="right") - 1, 0, bins - 1)
+    idx = bin_index(edges, rates)
     out = []
     for b in range(bins):
         mask = idx == b
@@ -678,8 +668,6 @@ def empirical_allocation(result: SimulationResult, population: ServerPopulation,
     edges = np.asarray(rate_grid, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("rate_grid must be an increasing array of edges")
-    idx = np.clip(np.searchsorted(edges, population.rate, side="right") - 1,
-                  0, edges.size - 2)
     sums = np.zeros(edges.size - 1)
-    np.add.at(sums, idx, result.idle_time)
+    np.add.at(sums, bin_index(edges, population.rate), result.idle_time)
     return edges, sums / result.window / result.n

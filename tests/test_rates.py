@@ -53,8 +53,7 @@ def test_cdf_distribution_rejects_bad_cdf():
         CdfRateDistribution(0.1, 1.1, lambda m: 0.5 * np.clip(np.asarray(m) - 0.1, 0, 1))
 
 
-@pytest.mark.parametrize("repair", [False, True])
-def test_cdf_distribution_rejects_a_nan_grid_value(repair):
+def test_cdf_distribution_rejects_a_nan_grid_value():
     # NaN compares False both in the decrease test and in the 0-to-1 test
     def cdf(m):
         vals = np.clip(np.asarray(m, dtype=float) - 0.1, 0.0, 1.0)
@@ -62,7 +61,7 @@ def test_cdf_distribution_rejects_a_nan_grid_value(repair):
         return vals
 
     with pytest.raises(ValueError, match="not finite"):
-        CdfRateDistribution(0.1, 1.1, cdf, repair=repair)
+        CdfRateDistribution(0.1, 1.1, cdf)
 
 
 def test_sampling_matches_cdf():
