@@ -1,5 +1,6 @@
-"""The two numerical kernels the solvers share: bracketed bisection and one
-classical Runge-Kutta step."""
+"""The numerical kernels the solvers share: bracketed bisection over
+scalars or arrays, the ITP method for scalar roots, and one classical
+Runge-Kutta step."""
 
 from __future__ import annotations
 
@@ -36,6 +37,52 @@ def bisect(f, lo, hi, iters: int, tol: float = 0.0):
     if scalar:
         return float(x), float(fx), evals
     return x, fx, evals
+
+
+def itp(f, lo: float, hi: float, flo: float, fhi: float, iters: int, tol: float):
+    """Root of the scalar ``f`` on [lo, hi] by the ITP method (Oliveira &
+    Takahashi, ACM TOMS 47(1), 2020), from the end values ``flo`` and
+    ``fhi`` the caller already holds; they have opposite signs.
+
+    Each step evaluates f once: at the regula falsi point, moved toward the
+    midpoint by 0.2 (hi - lo)^2 / (hi0 - lo0) and then projected to within
+    a radius of the midpoint that halves every step (n0 = 1). So after k
+    evaluations the bracket is no wider than bisection's after k - 1, and
+    on a smooth f the steps converge superlinearly. Stops once |f| < tol at
+    an end or f is exactly zero there, or when the midpoint equals an end
+    (adjacent floats), or after ``iters`` evaluations.
+
+    Returns ``(x, f(x), evaluations)`` as Python floats, for the end with
+    the smaller |f|: an end value below ``tol`` returns at once.
+    """
+    lo, hi, flo, fhi = float(lo), float(hi), float(flo), float(fhi)
+    kappa1 = 0.2 / (hi - lo)
+    radius = hi - lo
+    evals = 0
+    while evals < iters and min(abs(flo), abs(fhi)) >= tol and flo != 0.0 != fhi:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        width = hi - lo
+        x = (fhi * lo - flo * hi) / (fhi - flo)
+        sigma = 1.0 if mid >= x else -1.0
+        delta = kappa1 * width * width
+        x = x + sigma * delta if delta <= abs(mid - x) else mid
+        r = max(radius - 0.5 * width, 0.0)
+        if abs(x - mid) > r:
+            x = mid - sigma * r
+        if not lo < x < hi:
+            x = mid
+        fx = float(f(x))
+        evals += 1
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+        radius *= 0.5
+    if abs(flo) <= abs(fhi):
+        return lo, flo, evals
+    return hi, fhi, evals
 
 
 def rk4_step(rhs, t: float, y, h: float):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import bisect
+from ._numerics import bisect, itp
 from .model import (PolicyFunctions, PopulationDistributions,
                     ServerPopulation, _ratio_array, staffing_level,
                     verify_first_order_monotone)
@@ -192,7 +192,20 @@ class ResponseDistribution(CdfRateDistribution):
 
     def __init__(self, L: float, dists: PopulationDistributions,
                  funcs: PolicyFunctions):
-        L = float(L)
+        self._setup(float(L), dists, funcs)
+        self._tabulate()
+
+    @classmethod
+    def _untabulated(cls, L: float, dists: PopulationDistributions, funcs: PolicyFunctions):
+        """The law at L as the solver reads it for one Phi value: a monotone
+        law builds no sampling table, so its CDF is checked at the Gauss
+        nodes Phi reads; a unimodal law is tabulated, hence checked on its
+        whole grid, as ever. No caller outside the solver sees it."""
+        F = cls.__new__(cls)
+        F._setup(float(L), dists, funcs)
+        return F
+
+    def _setup(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions):
         kinks = None
         if verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max),
                                        grid_size=self._MONOTONE_GRID):
@@ -201,9 +214,10 @@ class ResponseDistribution(CdfRateDistribution):
 
     @classmethod
     def _scan(cls, L: np.ndarray, dists: PopulationDistributions, funcs: PolicyFunctions):
-        """The response law at each L of ``L``, or None where C(., L) is not
-        monotone, one at a time. The monotone check and the kink search run
-        once over the whole array; each law then equals ``cls(L_k, ...)``.
+        """The untabulated response law at each L of ``L``, or None where
+        C(., L) is not monotone, one at a time. The monotone check and the
+        kink search run once over the whole array; each law then equals
+        ``cls._untabulated(L_k, ...)``.
         """
         monotone = verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max),
                                                grid_size=cls._MONOTONE_GRID)
@@ -218,7 +232,8 @@ class ResponseDistribution(CdfRateDistribution):
     def _build(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
                kinks: list[float] | None):
         """Set up the law at L; ``kinks`` are the monotone CDF's, or None
-        when C(., L) is not monotone (the true pushforward is built then)."""
+        when C(., L) is not monotone (the true pushforward is built and
+        tabulated then)."""
         if not dists.independent_a:
             raise ValueError("response distribution needs a independent of the rate bounds")
         self.L = L
@@ -236,8 +251,10 @@ class ResponseDistribution(CdfRateDistribution):
             self._build_true_pushforward()
             kinks = [self._mu_peak] + _level_crossings(lambda mu, k: self._A(mu), 1, dists)[0]
             cdf = self._true_cdf
-        super().__init__(dists.mu_min, dists.mu_max, cdf, kinks=kinks,
-                         grid_points=self._GRID_POINTS)
+        self._define(dists.mu_min, dists.mu_max, cdf, kinks, self._GRID_POINTS)
+        if not self.first_order_monotone:
+            # numerical, and it can decrease: checked on its whole grid at once
+            self._tabulate()
 
     def _A(self, mu: np.ndarray) -> np.ndarray:
         """Effective threshold of the unimodal regime: C capped at its peak
@@ -406,10 +423,15 @@ def _phi_integrand(funcs, beta: float, L: float):
 def equilibrium_residual(L: float, dists: PopulationDistributions,
                          funcs: PolicyFunctions, beta: float,
                          F: ResponseDistribution | None = None) -> float:
-    """Phi(L); zero exactly when solve_L on F(.|L) returns L back."""
+    """Phi(L); zero exactly when solve_L on F(.|L) returns L back.
+
+    Without ``F`` the law at L is built for this one integral and dropped:
+    a monotone one is checked at the Gauss nodes the integral reads, not
+    tabulated (``ResponseDistribution._untabulated``).
+    """
     if L <= 0:
         raise ValueError("L must be positive")
-    F = response_distribution(L, dists, funcs) if F is None else F
+    F = ResponseDistribution._untabulated(L, dists, funcs) if F is None else F
     phi, phi_prime = _phi_integrand(funcs, beta, L)
     return F.integrate(phi, phi_prime)
 
@@ -437,7 +459,8 @@ class EquilibriumSolution:
 
 def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
                       beta: float, lambda_bar: float, n: int = 1) -> EquilibriumSolution:
-    """Scan Phi for sign changes on the existence bracket, bisect the first.
+    """Scan Phi for sign changes on the existence bracket, refine the first
+    by ITP from the two scan values that bracket it.
 
     Multiple sign changes are reported (``sign_changes``), the smallest root
     is returned. Fails loudly with the scan attached when no sign change is
@@ -445,7 +468,6 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
     """
     if beta <= 0 or lambda_bar <= 0:
         raise ValueError("beta and lambda_bar must be positive")
-    support = (dists.mu_min, dists.mu_max)
     ht_lo = funcs.htilde(dists.mu_min)
     ht_hi = funcs.htilde(dists.mu_max)
     if not ht_lo > ht_hi > 0.0:
@@ -473,14 +495,12 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
         raise SolverFailure("no sign change of Phi on the existence bracket",
                             {"bracket": (blo, bhi),
                              "phi_ends": (float(scan_phi[0]), float(scan_phi[-1]))})
-    lo = float(scan_L[change_idx[0]])
-    hi = float(scan_L[change_idx[0] + 1])
-    sign = 1.0 if scan_phi[change_idx[0]] > 0.0 else -1.0
-    L, fmid, iterations = bisect(lambda L: sign * phi_at(L), lo, hi, 200, PHI_TOLERANCE)
-    fmid *= sign
-    if abs(fmid) >= PHI_TOLERANCE:
-        raise SolverFailure("Phi bisection stalled above tolerance",
-                            {"L": L, "phi": fmid, "iterations": iterations})
+    i = change_idx[0]
+    L, phi_L, iterations = itp(phi_at, scan_L[i], scan_L[i + 1], scan_phi[i], scan_phi[i + 1],
+                               200, PHI_TOLERANCE)
+    if abs(phi_L) >= PHI_TOLERANCE:
+        raise SolverFailure("Phi root search stalled above tolerance",
+                            {"L": L, "phi": phi_L, "iterations": iterations})
     return _assemble_equilibrium(L, dists, funcs, beta, lambda_bar, n,
                                  blo, bhi, scan_L, scan_phi, change_idx.size, iterations)
 

@@ -6,7 +6,7 @@ family at alpha = 1 via the scalar equation
 
 G is strictly decreasing in L, G(0) = 1 and G(inf) = -beta, so the root is
 unique; the solver brackets it with the htilde extremes and verifies endpoint
-signs before bisecting, expanding geometrically if either sign check fails.
+signs before refining it, expanding geometrically if either sign check fails.
 
 The attainability inverse runs the other way: given a feasible target density
 g with respect to F, it constructs the routing weight whose stationary
@@ -15,14 +15,15 @@ fairness is exactly g (and whose solved L equals lambda_bar).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._numerics import bisect
+from ._numerics import itp
 from .model import ModelParams, PolicyFunctions, power_family
-from .rates import FairnessMeasure, RateDistribution
+from .rates import CdfRateDistribution, FairnessMeasure, RateDistribution
 
 __all__ = [
     "FairnessSolution",
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 G_TOLERANCE = 1e-10
-MAX_BISECTIONS = 200
+MAX_ITERATIONS = 200
 MAX_EXPANSIONS = 60
 
 
@@ -120,14 +121,17 @@ def _check_htilde_nonincreasing(funcs, mu_lo: float, mu_hi: float,
 
 
 def solve_L(F: RateDistribution, funcs, beta: float) -> FairnessSolution:
-    """Solve G(L) = 0 by bisection with verified endpoint signs.
+    """Solve G(L) = 0 by ITP on log L with verified endpoint signs.
 
     ``funcs`` needs attributes ``htilde`` and ``htilde_prime`` (a
     PolicyFunctions or a RoutingWeight). htilde must be nonincreasing;
-    a constant htilde collapses the bracket onto the exact root.
+    a constant htilde collapses the bracket onto the exact root. A law
+    given by its CDF is checked on its whole grid first.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
+    if isinstance(F, CdfRateDistribution):
+        F._tabulate()
     _check_htilde_nonincreasing(funcs, F.mu_min, F.mu_max)
     ht, htp = funcs.htilde, funcs.htilde_prime
     mu_bar = F.mean
@@ -167,9 +171,15 @@ def solve_L(F: RateDistribution, funcs, beta: float) -> FairnessSolution:
         raise SolverFailure("no sign change for the fairness equation",
                             {"lo": lo, "hi": hi, "G(lo)": glo, "G(hi)": ghi})
 
-    L, gval, iterations = bisect(G, lo, hi, MAX_BISECTIONS, G_TOLERANCE)
+    # the bracket spans orders of magnitude (h~ at the two ends of the
+    # support), and G is far closer to linear in log L than in L
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    u, gval, iterations = itp(lambda u: G(math.exp(u)), u_lo, u_hi, glo, ghi,
+                              MAX_ITERATIONS, G_TOLERANCE)
+    # an end returned without a step keeps the L its G value was taken at
+    L = lo if u == u_lo else hi if u == u_hi else math.exp(u)
     if abs(gval) >= G_TOLERANCE:
-        raise SolverFailure("bisection stalled above tolerance",
+        raise SolverFailure("fairness root search stalled above tolerance",
                             {"L": L, "G(L)": gval, "iterations": iterations})
     return _assemble(F, funcs, L, gval, 1.0 / (beta * ht(F.mu_min)),
                      1.0 / (beta * ht(F.mu_max)), iterations)

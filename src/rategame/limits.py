@@ -199,16 +199,20 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
     ensemble_mean = np.empty(steps + 1)
     ensemble_mean[0] = x.mean()
     # the states of a block of steps go to one buffer, whose normals are drawn
-    # together (the same numbers, in the same order, as one draw per step);
-    # each step is the same float operations as the plain Euler-Maruyama line
+    # together (the same numbers, in the same order, as one draw per step).
+    # Each step computes the plain Euler-Maruyama line
     #   x = x + (-(drift0 + zeta1) + m (-x)^+ - gamma x^+) dt + noise_sd z
+    # as x + (base - slope x) dt + noise_sd z, with slope m where x < 0 and
+    # gamma elsewhere: m (-x) is exactly -(m x), and the dropped zero terms
+    # change no float, so the states are the same bit for bit
     block = max(1, _DIFFUSION_BLOCK // paths)
     states = np.empty((block, paths))
     noise = np.empty((block, paths))
     pull = np.empty(paths)
-    push = np.empty(paths)
+    below = np.empty(paths, dtype=bool)
+    slope = np.empty(paths)
+    slopes = np.array([spec.gamma, spec.moment], dtype=float)
     base = -(drift0 + zeta1)
-    moment, gamma = spec.moment, spec.gamma
     for start in range(0, steps, block):
         n = min(block, steps - start)
         rows, z = states[:n], noise[:n]
@@ -216,13 +220,10 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
             rng.standard_normal(out=z)
             z *= noise_sd
         for row, zj in zip(rows, z):
-            np.negative(x, out=pull)
-            np.maximum(pull, 0.0, out=pull)
-            pull *= moment
-            np.maximum(x, 0.0, out=push)
-            push *= gamma
-            np.add(base, pull, out=pull)
-            pull -= push
+            np.less(x, 0.0, out=below)
+            slopes.take(below, out=slope)
+            np.multiply(slope, x, out=pull)
+            np.subtract(base, pull, out=pull)
             pull *= dt
             np.add(x, pull, out=row)
             if noise_sd > 0.0:
@@ -346,18 +347,28 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
     h_max = float(hv.max())
     mu_max = float(mids.max())
 
+    lam_hv = lam * hv
+    weighted = np.empty_like(hv)
+
     def rhs(t, m):
-        hm = float(np.sum(hv * m))
+        # inflow - mids m - lam hv m / hm, with the same float steps
+        np.multiply(hv, m, out=weighted)
+        hm = float(np.add.reduce(weighted))
         if hm <= 0.0:
             raise ZeroDivisionError(
                 f"weighted idle mass vanished at t={t!r}: routing fraction undefined")
-        return inflow - mids * m - lam * hv * m / hm
+        np.multiply(lam_hv, m, out=weighted)
+        np.divide(weighted, hm, out=weighted)
+        out = mids * m
+        np.subtract(inflow, out, out=out)
+        out -= weighted
+        return out
 
     out = [initial]
     m = initial.masses.copy()
     for i in range(t_grid.size - 1):
         span = t_grid[i + 1] - t_grid[i]
-        hm_now = float(np.sum(hv * m))
+        hm_now = float(np.add.reduce(hv * m))
         if hm_now <= 0.0:
             raise ZeroDivisionError(
                 f"weighted idle mass vanished at t={t_grid[i]!r}: routing fraction undefined")

@@ -205,6 +205,15 @@ class DiscreteRateDistribution(RateDistribution):
         return rng.choice(self.atoms, size=size, p=self.weights)
 
 
+def _check_cdf_values(vals: np.ndarray, where: str) -> None:
+    """CDF values at ascending points must be finite and must not decrease
+    by more than 1e-10 from one point to the next."""
+    if not np.isfinite(vals).all():
+        raise ValueError(f"cdf is not finite {where}")
+    if (np.diff(vals) < -1e-10).any():
+        raise ValueError("cdf is decreasing somewhere")
+
+
 class CdfRateDistribution(RateDistribution):
     """Law specified by its CDF; integrals are done by parts.
 
@@ -216,28 +225,53 @@ class CdfRateDistribution(RateDistribution):
     on panels split at the CDF's kinks. Without a derivative a fine
     midpoint Stieltjes rule is used instead (adequate for reporting,
     not for solver-grade tolerances).
+
+    The constructor tabulates the CDF on ``grid_points`` points plus the
+    kinks and checks it there: finite, nondecreasing (to 1e-10) and running
+    from 0 to 1. The table serves sampling and the Stieltjes rule. A
+    subclass may leave it unbuilt (``_define`` without ``_tabulate``); the
+    first read of ``_grid`` or ``_grid_cdf`` builds and checks it then, and
+    until that happens every integral by parts checks the CDF values at
+    its own Gauss nodes instead.
     """
 
     def __init__(self, mu_min: float, mu_max: float, cdf: Callable,
                  kinks: Sequence[float] = (), grid_points: int = 4097):
+        self._define(mu_min, mu_max, cdf, kinks, grid_points)
+        self._tabulate()
+
+    def _define(self, mu_min: float, mu_max: float, cdf: Callable,
+                kinks: Sequence[float], grid_points: int) -> None:
         if not 0 < mu_min < mu_max:
             raise ValueError("need 0 < mu_min < mu_max")
         self.mu_min = float(mu_min)
         self.mu_max = float(mu_max)
         self.kinks = tuple(sorted({float(k) for k in kinks if mu_min < k < mu_max}))
         self._cdf = cdf
-        base = np.linspace(self.mu_min, self.mu_max, grid_points)
-        self._grid = np.unique(np.concatenate([base, np.asarray(self.kinks, dtype=float)]))
-        vals = np.asarray(cdf(self._grid), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("cdf is not finite on its whole grid")
-        if np.any(np.diff(vals) < -1e-10):
-            raise ValueError("cdf is decreasing somewhere")
-        # the sampling table: clipped into [0, 1] and made nondecreasing
-        grid_cdf = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
-        if abs(grid_cdf[-1] - 1.0) > 1e-8 or grid_cdf[0] > 1e-8:
-            raise ValueError("cdf must run from 0 to 1 across the support")
-        self._grid_cdf = grid_cdf
+        self._grid_points = grid_points
+        self._table = None
+
+    def _tabulate(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sampling table (grid, CDF on it), built and checked once."""
+        if self._table is None:
+            base = np.linspace(self.mu_min, self.mu_max, self._grid_points)
+            grid = np.unique(np.concatenate([base, np.asarray(self.kinks, dtype=float)]))
+            vals = np.asarray(self._cdf(grid), dtype=float)
+            _check_cdf_values(vals, "on its whole grid")
+            # the sampling table: clipped into [0, 1] and made nondecreasing
+            grid_cdf = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
+            if abs(grid_cdf[-1] - 1.0) > 1e-8 or grid_cdf[0] > 1e-8:
+                raise ValueError("cdf must run from 0 to 1 across the support")
+            self._table = grid, grid_cdf
+        return self._table
+
+    @property
+    def _grid(self) -> np.ndarray:
+        return self._tabulate()[0]
+
+    @property
+    def _grid_cdf(self) -> np.ndarray:
+        return self._tabulate()[1]
 
     def cdf(self, mu):
         return np.clip(np.asarray(self._cdf(np.asarray(mu, dtype=float)), dtype=float), 0.0, 1.0)
@@ -254,12 +288,15 @@ class CdfRateDistribution(RateDistribution):
         Fa = float(self.cdf(np.array([a]))[0]) if a > self.mu_min else 0.0
         Fb = float(self.cdf(np.array([b]))[0]) if b < self.mu_max else 1.0
         x, w = gauss_legendre_panels(a, b, self.kinks)
-        inner = float(np.sum(w * np.asarray(dg(x), dtype=float) * self.cdf(x)))
+        vals = np.asarray(self._cdf(x), dtype=float)
+        if self._table is None:
+            _check_cdf_values(vals, "at its quadrature nodes")
+        inner = float(np.sum(w * np.asarray(dg(x), dtype=float) * np.clip(vals, 0.0, 1.0)))
         return gb * Fb - ga * Fa - inner
 
     def _stieltjes(self, g, a, b):
-        mask = (self._grid >= a) & (self._grid <= b)
-        xs = self._grid[mask]
+        grid = self._grid
+        xs = grid[(grid >= a) & (grid <= b)]
         if xs.size < 2:
             xs = np.array([a, b])
         Fv = self.cdf(xs)
@@ -268,7 +305,8 @@ class CdfRateDistribution(RateDistribution):
 
     def sample(self, rng, size):
         u = rng.uniform(0.0, 1.0, size=size)
-        return np.interp(u, self._grid_cdf, self._grid)
+        grid, grid_cdf = self._tabulate()
+        return np.interp(u, grid_cdf, grid)
 
 
 def uniform_rate_distribution(lo: float, hi: float) -> DensityRateDistribution:

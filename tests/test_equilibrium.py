@@ -382,6 +382,98 @@ class TestScanMatchesPerPointLaws:
                                       for L in sol.scan_L.tolist()]
 
 
+def _dip(cdf, at: float, halfwidth: float, depth: float):
+    """``cdf`` lowered by ``depth`` on (at - halfwidth, at + halfwidth)."""
+    def dipped(mu):
+        mu = np.asarray(mu, dtype=float)
+        return np.asarray(cdf(mu), dtype=float) - depth * (np.abs(mu - at) < halfwidth)
+    return dipped
+
+
+def _dipped_laws(monkeypatch, at: float, halfwidth: float, depth: float):
+    """Every response law built from here on has the dip in its CDF."""
+    define = CdfRateDistribution._define
+
+    def dipped_define(self, mu_min, mu_max, cdf, kinks, grid_points):
+        define(self, mu_min, mu_max, _dip(cdf, at, halfwidth, depth), kinks, grid_points)
+
+    monkeypatch.setattr(ResponseDistribution, "_define", dipped_define)
+
+
+class TestWhereTheCdfIsChecked:
+    """The solver's monotone laws are checked at the Gauss nodes Phi reads;
+    every law a caller sees is tabulated and checked on its whole grid."""
+
+    L = 0.2455
+
+    def _nodes_and_grid(self, dists, funcs):
+        F = response_distribution(self.L, dists, funcs)
+        nodes, _ = gauss_legendre_panels(F.mu_min, F.mu_max, F.kinks)
+        return nodes, F._grid
+
+    def test_a_decrease_between_gauss_nodes_fails_phi(self, monkeypatch, base_config,
+                                                      base_dists, base_funcs):
+        nodes, _ = self._nodes_and_grid(base_dists, base_funcs)
+        k = nodes.size // 2
+        _dipped_laws(monkeypatch, nodes[k], 0.25 * (nodes[k + 1] - nodes[k]), 0.5)
+        with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
+            equilibrium_residual(self.L, base_dists, base_funcs, base_config.beta)
+        with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
+            solve_equilibrium(base_dists, base_funcs, base_config.beta,
+                              base_config.lambda_bar, base_config.n)
+
+    def test_a_decrease_off_the_nodes_still_fails_every_law_a_caller_sees(
+            self, monkeypatch, base_config, base_dists, base_funcs):
+        nodes, grid = self._nodes_and_grid(base_dists, base_funcs)
+        # the grid point farthest from every node, dipped on a window that
+        # holds no node and no other grid point
+        gap = np.abs(grid[:, None] - nodes[None, :]).min(axis=1)
+        at = grid[int(np.argmax(gap))]
+        halfwidth = 0.5 * min(gap.max(), grid[1] - grid[0])
+        phi = equilibrium_residual(self.L, base_dists, base_funcs, base_config.beta)
+        _dipped_laws(monkeypatch, at, halfwidth, 0.01)
+        # the solver's untabulated law reads only the nodes: Phi is unchanged
+        assert equilibrium_residual(self.L, base_dists, base_funcs, base_config.beta) == phi
+        with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
+            response_distribution(self.L, base_dists, base_funcs)
+        with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
+            ResponseDistribution(self.L, base_dists, base_funcs)
+        F = ResponseDistribution._untabulated(self.L, base_dists, base_funcs)
+        with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
+            F.sample(np.random.default_rng(0), 10)
+        with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
+            solve_L(ResponseDistribution._untabulated(self.L, base_dists, base_funcs),
+                    base_funcs, base_config.beta)
+
+    def test_a_monotone_solve_tabulates_only_the_law_it_returns(
+            self, monkeypatch, base_config, base_dists, base_funcs):
+        built = []
+        tabulate = CdfRateDistribution._tabulate
+
+        def counting(self):
+            if self._table is None:
+                built.append(self.L)
+            return tabulate(self)
+
+        monkeypatch.setattr(ResponseDistribution, "_tabulate", counting)
+        sol = solve_equilibrium(base_dists, base_funcs, base_config.beta,
+                                base_config.lambda_bar, base_config.n)
+        assert built == [sol.L_star]
+        assert all(F._table is None for F in
+                   ResponseDistribution._scan(sol.scan_L, base_dists, base_funcs))
+
+    def test_the_solution_samples_without_rebuilding(self, monkeypatch, base_equilibrium):
+        F = base_equilibrium.response
+        draws = F.sample(np.random.default_rng(3), 1000)
+
+        def no_cdf(mu):
+            raise AssertionError("sampling evaluated the CDF")
+
+        monkeypatch.setattr(F, "_cdf", no_cdf)
+        again = F.sample(np.random.default_rng(3), 1000)
+        assert np.array_equal(draws, again)
+
+
 class TestEquilibrium:
     def test_base_case_golden(self, base_equilibrium):
         sol = base_equilibrium
@@ -394,6 +486,20 @@ class TestEquilibrium:
         assert sol.bracket_lo == pytest.approx(1.0 / 3000.0)
         assert sol.bracket_hi == pytest.approx(5.0 / 6.0)
         assert sol.bracket_lo <= sol.L_star <= sol.bracket_hi
+
+    @pytest.mark.parametrize("r, L_bisected", [
+        (-2.0, 0.08275178660717616), (-1.5, 0.14125305984382674),
+        (-1.0, 0.24552331636006425), (-0.5, 0.4383683135470777),
+    ])
+    def test_itp_steps_and_root(self, base_config, r, L_bisected):
+        # L_bisected: the root the scan bracket gave under bisection, which
+        # took 24, 21, 24 and 24 steps
+        cfg = base_config.with_overrides(r=r)
+        sol = solve_equilibrium(cfg.population(), cfg.functions(), cfg.beta,
+                                cfg.lambda_bar, cfg.n)
+        assert sol.iterations <= 8
+        assert abs(sol.residual) < 1e-10
+        assert sol.L_star == pytest.approx(L_bisected, rel=1e-8)
 
     def test_unique_sign_change_on_scan(self, base_equilibrium):
         assert base_equilibrium.sign_changes == 1

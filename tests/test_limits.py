@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from rategame._numerics import rk4_step
+from rategame.limits import ALLOCATION_SUBSTEPS
 from rategame import (AllocationState, DiffusionSpec, FluidSpec, ModelParams,
                       allocation_fixed_point, allocation_fluid_integrate,
                       diffusion_simulate, fluid_closed_form, fluid_integrate,
@@ -246,7 +250,43 @@ def base_alloc(base_equilibrium, base_config):
     return params, h, fixed_cont, fixed_grid
 
 
+def _reference_allocation(initial, params, mu_bar, h, t_grid):
+    """The allocation fluid with its right-hand side written out as the
+    formula reads: one expression, no reused products or buffers."""
+    mids = initial.mids
+    hv = np.asarray(h(mids), dtype=float)
+    lam, beta = params.lambda_bar, params.beta
+    inflow = (lam / mu_bar) * (1.0 + beta) * mids * initial.F_masses
+
+    def rhs(t, m):
+        return inflow - mids * m - lam * hv * m / float(np.sum(hv * m))
+
+    m = initial.masses.copy()
+    out = [m.copy()]
+    for lo, hi in zip(t_grid[:-1], t_grid[1:]):
+        stiff = float(mids.max()) + lam * float(hv.max()) / float(np.sum(hv * m))
+        steps = max(ALLOCATION_SUBSTEPS, int(math.ceil((hi - lo) * stiff)))
+        hstep = (hi - lo) / steps
+        t = lo
+        for _ in range(steps):
+            m = np.maximum(rk4_step(rhs, t, m, hstep), 0.0)
+            t += hstep
+        out.append(m.copy())
+    return out
+
+
 class TestAllocationFluid:
+    @pytest.mark.parametrize("scale, r", [(0.3, -1.0), (1.7, 0.0), (1.0, 0.5)])
+    def test_bitwise_equal_to_the_plain_formula(self, base_alloc, base_equilibrium, scale, r):
+        params, _h, cont, _grid = base_alloc
+        h = lambda m: np.asarray(m, dtype=float) ** (1.0 + r)
+        start = AllocationState(edges=cont.edges, masses=scale * cont.masses[::-1].copy(),
+                                F_masses=cont.F_masses)
+        ts = np.linspace(0.0, 3.0, 7)
+        traj = allocation_fluid_integrate(start, params, base_equilibrium.mu_bar, h, ts)
+        ref = _reference_allocation(start, params, base_equilibrium.mu_bar, h, ts)
+        assert all(np.array_equal(s.masses, m) for s, m in zip(traj, ref))
+
     def test_fixed_point_is_stationary(self, base_alloc, base_equilibrium):
         params, h, _cont, grid = base_alloc
         traj = allocation_fluid_integrate(grid, params, base_equilibrium.mu_bar, h,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rategame._numerics import bisect, rk4_step
+from rategame._numerics import bisect, itp, rk4_step
 
 
 class TestBisect:
@@ -102,6 +102,65 @@ class TestBisect:
         assert abs(fx) < 1e-12
         assert x == pytest.approx(1.8216e-9, rel=1e-11)
         assert evals < 200
+
+
+class TestItp:
+    def test_smooth_root_in_a_few_evaluations(self):
+        def f(x):
+            return math.exp(-x) - 0.5
+
+        x, fx, evals = itp(f, 0.0, 5.0, f(0.0), f(5.0), 200, 1e-12)
+        assert abs(fx) < 1e-12 and fx == f(x)
+        assert x == pytest.approx(math.log(2.0), abs=1e-11)
+        assert evals <= 10
+        assert bisect(f, 0.0, 5.0, 200, 1e-12)[2] == 40
+
+    def test_returns_python_floats(self):
+        x, fx, evals = itp(lambda x: 2.0 - x * x, np.float64(0.0), np.float64(2.0),
+                           np.float64(2.0), np.float64(-2.0), 200, 1e-12)
+        assert type(x) is float and type(fx) is float and type(evals) is int
+
+    @pytest.mark.parametrize("root", [0.3, 1.0 / 3.0, 2.718281828, 4.99, 1e-9])
+    @pytest.mark.parametrize("below", [-1.0, -1e-3, -1e8])
+    def test_a_step_costs_at_most_one_evaluation_more_than_bisection(self, root, below):
+        # a jump, not a root: no float meets the tolerance, and the skewed
+        # end values pull the regula falsi point away from the jump
+        def step(x):
+            return 1.0 if x < root else below
+
+        x, fx, evals = itp(step, 0.0, 5.0, 1.0, below, 200, 1e-10)
+        _, _, bisect_evals = bisect(step, 0.0, 5.0, 200, 1e-10)
+        assert evals <= bisect_evals + 1
+        # a stall returns the end with the smaller |f|, at the jump
+        assert abs(fx) >= 1e-10 and abs(fx) == min(1.0, abs(below))
+        assert x == pytest.approx(root, rel=1e-15)
+
+    def test_an_exact_zero_stops_at_once(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 0.5 - x
+
+        # at an end: no evaluation at all
+        assert itp(f, 0.0, 0.5, 0.5, 0.0, 200, 1e-12) == (0.5, 0.0, 0)
+        assert itp(f, 0.0, 0.5, 0.5, 0.0, 200, 0.0) == (0.5, 0.0, 0)
+        assert calls == []
+        # at the first point: equal end values make it the midpoint
+        assert itp(f, 0.0, 1.0, 0.5, -0.5, 200, 0.0) == (0.5, 0.0, 1)
+
+    def test_either_orientation(self):
+        x, fx, _ = itp(lambda x: x - 0.3, 0.0, 1.0, -0.3, 0.7, 200, 1e-14)
+        assert abs(fx) < 1e-14 and x == pytest.approx(0.3, abs=1e-14)
+
+    def test_tolerance_is_reached_on_a_bracket_far_below_one(self):
+        def f(x):
+            return 1.0 - x / 1.8216e-9
+
+        x, fx, evals = itp(f, 0.0, 1e-8, f(0.0), f(1e-8), 200, 1e-12)
+        assert abs(fx) < 1e-12
+        assert x == pytest.approx(1.8216e-9, rel=1e-11)
+        assert evals < 10
 
 
 class TestRk4Step:

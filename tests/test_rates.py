@@ -64,6 +64,49 @@ def test_cdf_distribution_rejects_a_nan_grid_value():
         CdfRateDistribution(0.1, 1.1, cdf)
 
 
+def _uniform_cdf_dipped_at(at, halfwidth, depth):
+    def cdf(m):
+        m = np.asarray(m, dtype=float)
+        return np.clip(m - 0.1, 0.0, 1.0) - depth * (np.abs(m - at) < halfwidth)
+    return cdf
+
+
+def _untabulated(cdf):
+    F = CdfRateDistribution.__new__(CdfRateDistribution)
+    F._define(0.1, 1.1, cdf, (), 4097)
+    return F
+
+
+def test_a_dip_between_grid_points_fails_the_table_not_the_nodes():
+    nodes, _ = gauss_legendre_panels(0.1, 1.1)
+    grid = np.linspace(0.1, 1.1, 4097)
+    gap = np.abs(grid[:, None] - nodes[None, :]).min(axis=1)
+    cdf = _uniform_cdf_dipped_at(grid[int(np.argmax(gap))], 0.5 * (grid[1] - grid[0]), 0.01)
+    with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
+        CdfRateDistribution(0.1, 1.1, cdf)
+    # without its table the law checks only the nodes its integrals read
+    F = _untabulated(cdf)
+    assert F.integrate(lambda m: m, lambda m: np.ones_like(m)) == pytest.approx(0.6, abs=1e-14)
+    # the table is built, and checked, on first need
+    with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
+        F.sample(np.random.default_rng(0), 10)
+
+
+def test_an_untabulated_law_checks_its_gauss_nodes():
+    nodes, _ = gauss_legendre_panels(0.1, 1.1)
+    F = _untabulated(_uniform_cdf_dipped_at(nodes[10], 1e-9, 0.1))
+    with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
+        F.integrate(lambda m: m, lambda m: np.ones_like(m))
+
+    def nan_cdf(m):
+        vals = np.clip(np.asarray(m, dtype=float) - 0.1, 0.0, 1.0)
+        vals[vals.size // 2] = np.nan
+        return vals
+
+    with pytest.raises(ValueError, match="not finite"):
+        _untabulated(nan_cdf).integrate(lambda m: m, lambda m: np.ones_like(m))
+
+
 def test_sampling_matches_cdf():
     F = uniform_rate_distribution(0.2, 0.5)
     rng = np.random.default_rng(5)
