@@ -7,11 +7,13 @@ write the comparison to BENCH_<pr>.json.
 PARENT and CHANGE are checkouts in which ``perfbench/run.py --trace 0`` has
 run; their ``.perfbench-runs/*-trace0.json`` files are paired by workload
 and seed. For each workload and each end-to-end metric of the change's
-BENCHMARK.json the file holds both sides' median and quartiles and the
+BENCHMARK.json the file holds both sides' median and quartiles, the
 number of pairs in which the change was better, in the metric's ``better``
-direction. The environment fields of the run records go with each side.
-The file is written to the current directory; an existing one is never
-overwritten.
+direction, and ``worse_beyond_bound``: whether the change's median is worse
+than the parent's by more than the metric's ``bound``, relative to the
+parent's median. Each such metric is also named on stderr. The environment
+fields of the run records go with each side. The file is written to the
+current directory; an existing one is never overwritten.
 """
 
 from __future__ import annotations
@@ -68,11 +70,15 @@ def compare(parent: dict, change: dict, metrics: list[dict]) -> dict:
             values = [(p["result"]["metrics"][name]["value"], c["result"]["metrics"][name]["value"])
                       for p, c in pairs]
             won = sum((c < p) if lower else (c > p) for p, c in values)
+            parent_side = summary([p for p, _ in values])
+            change_side = summary([c for _, c in values])
+            worse = change_side["median"] - parent_side["median"]
             entry["metrics"][name] = {
                 "unit": metric["unit"], "better": metric["better"],
-                "parent": summary([p for p, _ in values]),
-                "change": summary([c for _, c in values]),
+                "parent": parent_side, "change": change_side,
                 "pairs": len(values), "change_better": won,
+                "worse_beyond_bound": (worse if lower else -worse)
+                > metric["bound"] * abs(parent_side["median"]),
             }
         entry["environment"] = {"parent": environment([p for p, _ in pairs]),
                                 "change": environment([c for _, c in pairs])}
@@ -93,6 +99,12 @@ def main(argv: list[str] | None = None) -> int:
     if not workloads:
         print("bench_pairs: no workload and seed has a run on both sides", file=sys.stderr)
         return 2
+    for workload, entry in workloads.items():
+        for name, m in entry["metrics"].items():
+            if m["worse_beyond_bound"]:
+                print(f"bench_pairs: {workload} {name} median {m['change']['median']!r} is worse "
+                      f"than the parent's {m['parent']['median']!r} beyond its bound",
+                      file=sys.stderr)
     path = f"BENCH_{args.pr}.json"
     try:
         with open(path, "x", encoding="utf-8") as fh:

@@ -44,12 +44,13 @@ __all__ = [
 
 _POLICIES = ("hrandom", "lisf", "uniform", "fsf", "ssf")
 _DISTRIBUTION_POINTS = 2001   # rows of distribution.csv
+_REFINEMENT = ("refinement_phi", "refinement_L", "refinement_mu_bar")
 
 
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def _write_csv(path: str, header: list[str], rows: list, config: ExperimentConfig) -> None:
@@ -90,10 +91,11 @@ def _require_window(horizon: float, warmup: float) -> None:
 
 def cmd_equilibrium(config: ExperimentConfig, outdir: str) -> EquilibriumSolution:
     sol = _solve(config)
+    refinement = [getattr(sol, name) for name in _REFINEMENT]
     _write_csv(os.path.join(outdir, "equilibrium_report.csv"),
-               ["L_star", "mu_bar", "sigma2", "N", "residual", "bracket_lo", "bracket_hi",
-                "first_order_monotone", "sign_changes", "iterations"],
-               [[sol.L_star, sol.mu_bar, sol.sigma2, sol.N, sol.residual,
+               [*_REFINEMENT, "L_star", "mu_bar", "sigma2", "N", "residual", "bracket_lo",
+                "bracket_hi", "first_order_monotone", "sign_changes", "iterations"],
+               [[*refinement, sol.L_star, sol.mu_bar, sol.sigma2, sol.N, sol.residual,
                  sol.bracket_lo, sol.bracket_hi, sol.first_order_monotone,
                  sol.sign_changes, sol.iterations]], config)
     grid = np.linspace(config.mu_min, config.mu_max, _DISTRIBUTION_POINTS)
@@ -110,7 +112,8 @@ def cmd_equilibrium(config: ExperimentConfig, outdir: str) -> EquilibriumSolutio
     print(f"equilibrium: L_star={sol.L_star!r} mu_bar={sol.mu_bar!r} N={sol.N} "
           f"residual={sol.residual!r} sign_changes={sol.sign_changes} "
           f"bracket=[{sol.bracket_lo!r},{sol.bracket_hi!r}] iterations={sol.iterations} "
-          f"first_order_monotone={sol.first_order_monotone}")
+          f"first_order_monotone={sol.first_order_monotone} "
+          + " ".join(f"{name}={_fmt(v)}" for name, v in zip(_REFINEMENT, refinement)))
     return sol
 
 

@@ -64,8 +64,12 @@ class BestResponse:
     utility: float
 
 
+def _idle_value(funcs, mu, L: float):
+    return funcs.f(1.0 / (1.0 + L * funcs.htilde(mu)))
+
+
 def _utility(funcs, mu, a, L: float):
-    return funcs.f(1.0 / (1.0 + L * funcs.htilde(mu))) - a * funcs.c(mu)
+    return _idle_value(funcs, mu, L) - a * funcs.c(mu)
 
 
 def _best_rates(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, L: float,
@@ -149,6 +153,19 @@ def _monotone_kinks(L: np.ndarray, dists: PopulationDistributions,
     return _level_crossings(lambda mu, k: _ratio_array(funcs, mu, L[k]), L.size, dists)
 
 
+def _edge_sums(q: np.ndarray, i: np.ndarray, j: np.ndarray, psi: np.ndarray,
+               w: np.ndarray) -> np.ndarray:
+    """At each edge k of q's grid, the sum of w min(q_k, psi) over the terms
+    with i < k <= j, q nonincreasing. A term is psi on its edges before s,
+    the first with q_k < psi, and q_k from s on: two difference arrays."""
+    s = np.clip(np.searchsorted(-q, -psi, side="right"), i + 1, j + 1)
+    size = q.size + 1
+    on_psi = w * psi
+    level = np.bincount(i + 1, on_psi, size) - np.bincount(s, on_psi, size)
+    weight = np.bincount(s, w, size) - np.bincount(j + 1, w, size)
+    return np.cumsum(level)[:-1] + q * np.cumsum(weight)[:-1]
+
+
 class ResponseDistribution(CdfRateDistribution):
     """Law of the optimal service rate given L, as a closed-form CDF.
 
@@ -165,28 +182,32 @@ class ResponseDistribution(CdfRateDistribution):
     peak inside the support), the displayed formula stops being a CDF and
     the three-branch split stops maximizing utility. The exact pushforward
     of the true best response is used then: the optimum is either the
-    personal minimum or the down-branch stationary point clipped into the
-    personal interval, whichever utility wins (tie to the smaller rate), so
+    personal minimum or the down-branch stationary point R(a) clipped into
+    the personal interval, whichever utility wins (tie to the smaller
+    rate). It does not increase in a (increasing differences in (mu, -a)),
+    and sits at or below m in [lo, hi) exactly when a >= min(A(m), a_sw),
+    so with q = F_a(A) and psi = F_a(a_sw)
 
-        F1(mu) = F_maxmarg(mu) + P_between(mu) (1 - F_a(A(mu)))
-                 + E[ 1(lo <= mu < hi) (F_a(A(mu)) - F_a(a_sw(lo, hi)))^+ ],
+        F1(m) = P(lo <= m) - E[ 1(lo <= m < hi) min(q(m), psi(lo, hi)) ].
 
-    with A the running-max-adjusted ratio (A = C_peak left of the peak) and
-    a_sw(lo, hi) the trade-off level at which the personal minimum starts
-    winning. The correction term vanishes identically when C is monotone.
-    ``first_order_monotone`` records which regime applied.
+    A is C capped at C_peak left of the peak. The switch level a_sw(lo, hi),
+    at which the personal minimum starts winning, is one-dimensional: a1(lo),
+    where the unclipped R(a) ties lo, if hi >= R(a1(lo)), else the secant
+    (V(hi) - V(lo)) / (c(hi) - c(lo)), V(mu) = f(1 / (1 + L htilde(mu))).
 
-    The expectation is a 16 x 16 tensor-Gauss rule over the triangle
-    lo <= mu <= hi, with F_a(a_sw) interpolated bilinearly on a 96 x 96 mesh
-    of (lo, hi). Every node has lo <= hi, so the interpolation reads only
-    the corners of cells at row <= column + 1 (4,751 of the 9,216 mesh
-    points); a_sw is bisected at those points alone and the others hold
-    NaN, so a read of one would surface as a NaN CDF value.
+    F1 is one table on the edges m_k of a uniform cell grid, read by linear
+    interpolation; the expectation is a Gauss rule over (lo, hi) with the
+    uniform-pair density 2 / (mu_max - mu_min)^2. Its nodes sit inside the
+    cells, so every indicator is exact at the edges, and each node pair's
+    term 1(hi <= m) + 1(lo <= m < hi) (1 - min(q(m), psi)) does not
+    decrease in m, as q does not: with positive weights the table cannot
+    decrease at any resolution. ``first_order_monotone`` records which
+    regime applied.
     """
 
-    _ASW_MESH = 96
-    _TERM3_NODES = 16
-    _CDF_BLOCK = 512
+    _CELLS = 256        # cells of the unimodal table
+    _CELL_NODES = 2     # Gauss nodes per cell on each of the lo and hi axes
+    _PAIR_BLOCK = 1 << 14   # node pairs summed at once, which bounds their arrays
     _MONOTONE_GRID = 257
     _GRID_POINTS = 2001
 
@@ -196,12 +217,13 @@ class ResponseDistribution(CdfRateDistribution):
         self._tabulate()
 
     @classmethod
-    def _untabulated(cls, L: float, dists: PopulationDistributions, funcs: PolicyFunctions):
-        """The law at L as the solver reads it for one Phi value: a monotone
-        law builds no sampling table, so its CDF is checked at the Gauss
-        nodes Phi reads; a unimodal law is tabulated, hence checked on its
-        whole grid, as ever. No caller outside the solver sees it."""
+    def _untabulated(cls, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
+                     refine: int = 1):
+        """The law at L as the solver reads it for one Phi value: it builds
+        no sampling table, so its CDF is checked at the Gauss nodes Phi
+        reads. A unimodal table gets ``refine`` times the cells and nodes."""
         F = cls.__new__(cls)
+        F._CELLS, F._CELL_NODES = refine * cls._CELLS, refine * cls._CELL_NODES
         F._setup(float(L), dists, funcs)
         return F
 
@@ -232,8 +254,8 @@ class ResponseDistribution(CdfRateDistribution):
     def _build(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
                kinks: list[float] | None):
         """Set up the law at L; ``kinks`` are the monotone CDF's, or None
-        when C(., L) is not monotone (the true pushforward is built and
-        tabulated then)."""
+        when C(., L) is not monotone (the true pushforward's table is built
+        then)."""
         if not dists.independent_a:
             raise ValueError("response distribution needs a independent of the rate bounds")
         self.L = L
@@ -247,14 +269,15 @@ class ResponseDistribution(CdfRateDistribution):
                 c = _ratio_array(funcs, inside, L)
                 val = dists.max_marginal_cdf(mu) + dists.between_prob(mu) * (1.0 - dists.a_cdf(c))
                 return np.clip(val, 0.0, 1.0)
+            grid_points = self._GRID_POINTS
         else:
-            self._build_true_pushforward()
+            edges, table = self._build_true_pushforward()
             kinks = [self._mu_peak] + _level_crossings(lambda mu, k: self._A(mu), 1, dists)[0]
-            cdf = self._true_cdf
-        self._define(dists.mu_min, dists.mu_max, cdf, kinks, self._GRID_POINTS)
-        if not self.first_order_monotone:
-            # numerical, and it can decrease: checked on its whole grid at once
-            self._tabulate()
+
+            def cdf(mu):
+                return np.interp(mu, edges, table)
+            grid_points = edges.size   # the sampling table is this one
+        self._define(dists.mu_min, dists.mu_max, cdf, kinks, grid_points)
 
     def _A(self, mu: np.ndarray) -> np.ndarray:
         """Effective threshold of the unimodal regime: C capped at its peak
@@ -266,7 +289,8 @@ class ResponseDistribution(CdfRateDistribution):
 
     # -- true-best-response machinery (unimodal C) -----------------------
 
-    def _build_true_pushforward(self):
+    def _build_true_pushforward(self) -> tuple[np.ndarray, np.ndarray]:
+        """The unimodal CDF's table: the cell edges and F1 on them."""
         d, funcs, L = self._dists, self._funcs, self.L
         grid = np.linspace(d.mu_min, d.mu_max, 4097)
         cg = _ratio_array(funcs, grid, L)
@@ -278,115 +302,73 @@ class ResponseDistribution(CdfRateDistribution):
             raise ValueError("routing weight gives a multi-modal first-order ratio: unsupported")
         self._mu_peak = float(grid[ipk])
         self._c_peak = float(cg[ipk])
-        c_end = float(cg[-1])
 
         # down-branch stationary point R(a), tabulated once over a
-        a_lo = max(c_end, self._c_peak * 1e-10)
-        a_tab = np.geomspace(a_lo, self._c_peak, 1025)
+        a_tab = np.geomspace(max(float(cg[-1]), self._c_peak * 1e-10), self._c_peak, 1025)
         self._R_a = a_tab
         self._R_mu, _, _ = bisect(lambda mu: _ratio_array(funcs, mu, L) - a_tab,
                                   np.full(a_tab.size, self._mu_peak),
                                   np.full(a_tab.size, d.mu_max), 60)
 
-        def R_of(a):
-            a = np.asarray(a, dtype=float)
-            out = np.interp(a, self._R_a, self._R_mu)
-            out = np.where(a <= a_lo, d.mu_max, out)
-            return np.where(a >= self._c_peak, d.mu_min, out)
+        # Gauss nodes inside the cells. A pair (lo, hi) in cells i < j adds
+        # w_lo w_hi min(q_k, psi) to the edges k = i+1..j, where lo <= m_k < hi.
+        K, n = self._CELLS, self._CELL_NODES
+        edges = np.linspace(d.mu_min, d.mu_max, K + 1)
+        x, w = np.polynomial.legendre.leggauss(n)
+        half = 0.5 * (edges[1] - edges[0])
+        nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
+        weights = np.tile(half * w, K)
+        cell = np.repeat(np.arange(K), n)
+        # q does not increase; minimum.accumulate takes out rounding
+        q = np.minimum.accumulate(np.asarray(d.a_cdf(self._A(edges)), dtype=float))
 
-        # switch level a_sw(lo, hi): smallest a at which the personal minimum
-        # ties or beats the clipped down-branch candidate (the candidate's
-        # advantage, min_loses, decreases in a by the envelope argument),
-        # built only at the mesh points _true_cdf can read (class docstring)
-        G = self._ASW_MESH
-        axis = np.linspace(d.mu_min, d.mu_max, G)
-        rows, cols = np.nonzero(np.triu(np.ones((G, G), dtype=bool), k=-1))
-        lo_f, hi_f = axis[rows], axis[cols]
-        # the personal minimum's utility is f_lo - a c_lo; its parts do not depend on a
-        f_lo = funcs.f(1.0 / (1.0 + L * funcs.htilde(lo_f)))
-        c_lo = funcs.c(lo_f)
+        # psi = psi1(lo) for every hi at or above R(a1(lo)): summed over all hi
+        # of the cells above edge k, whose weight is mu_max - m_k
+        a1 = self._a1(nodes)
+        psi1 = np.asarray(d.a_cdf(a1), dtype=float)
+        pairs = (d.mu_max - edges) * _edge_sums(q, cell, np.full(cell.size, K), psi1, weights)
+        # the hi below R(a1(lo)) take the secant level instead: swap their
+        # terms, for groups of lo nodes of about _PAIR_BLOCK pairs at a time
+        first = n * (cell + 1)
+        count = np.maximum(np.searchsorted(nodes, self._R(a1)) - first, 0)
+        ends = np.cumsum(count)
+        cuts = np.searchsorted(ends, np.arange(self._PAIR_BLOCK, ends[-1], self._PAIR_BLOCK))
+        for group in np.split(np.arange(cell.size), cuts):
+            c = count[group]
+            lo = np.repeat(group, c)
+            hi = np.arange(lo.size) + np.repeat(first[group] - (np.cumsum(c) - c), c)
+            i, j, ww = cell[lo], cell[hi], weights[lo] * weights[hi]
+            pairs += (_edge_sums(q, i, j, self._psi(nodes[lo], nodes[hi], a1[lo]), ww)
+                      - _edge_sums(q, i, j, psi1[lo], ww))
+        below = d.max_marginal_cdf(edges) + d.between_prob(edges)   # P(lo <= m)
+        return edges, below - 2.0 / (d.mu_max - d.mu_min) ** 2 * pairs
+
+    def _R(self, a) -> np.ndarray:
+        """Down-branch stationary point R(a): mu_max below its table, mu_min from C_peak on."""
+        a = np.asarray(a, dtype=float)
+        out = np.interp(a, self._R_a, self._R_mu)
+        out = np.where(a <= self._R_a[0], self._dists.mu_max, out)
+        return np.where(a >= self._c_peak, self._dists.mu_min, out)
+
+    def _a1(self, lo: np.ndarray) -> np.ndarray:
+        """a1(lo), the smallest a at which lo ties or beats R(a) unclipped above,
+        bisected: R(a)'s advantage decreases in a (envelope argument)."""
+        funcs, L = self._funcs, self.L
 
         def min_loses(a):
-            m2 = np.clip(R_of(a), lo_f, hi_f)
-            return _utility(funcs, m2, a, L) - (f_lo - a * c_lo)
+            return _utility(funcs, np.maximum(self._R(a), lo), a, L) - _utility(funcs, lo, a, L)
 
-        a_sw, _, _ = bisect(min_loses, np.full(lo_f.size, 1e-12),
-                            np.full(lo_f.size, self._c_peak), 60)
-        # where even a -> C_peak never favors the minimum, no switch happens
-        never = min_loses(np.full(lo_f.size, self._c_peak)) > 1e-15
-        psi = np.asarray(d.a_cdf(a_sw), dtype=float)
-        psi[never] = 1.0
-        self._mesh_axis = axis
-        self._psi = np.full((G, G), np.nan)
-        self._psi[rows, cols] = psi
-        x, w = np.polynomial.legendre.leggauss(self._TERM3_NODES)
-        self._gl_x = 0.5 * (x + 1.0)   # nodes on [0, 1]
-        self._gl_w = 0.5 * w
+        a1, _, _ = bisect(min_loses, np.full(lo.shape, 1e-12), np.full(lo.shape, self._c_peak), 60)
+        return a1
 
-    def _mesh_coords(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mesh cell index of each x and its fractional offset in the cell."""
-        ax = self._mesh_axis
-        f = np.clip((x - ax[0]) / (ax[1] - ax[0]), 0.0, ax.size - 1.001)
-        k0 = f.astype(np.int64)
-        return k0, f - k0
-
-    def _true_cdf(self, mu):
-        d = self._dists
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        inside = np.clip(mu, d.mu_min, d.mu_max)
-        q = np.asarray(d.a_cdf(self._A(inside)), dtype=float)
-        base = d.max_marginal_cdf(mu) + d.between_prob(mu) * (1.0 - q)
-        width_lo = inside - d.mu_min
-        width_hi = d.mu_max - inside
-        # the correction's work arrays are (nodes, points); taking the points
-        # a block at a time keeps them small and in cache
-        corr = np.empty_like(inside)
-        for s in range(0, inside.size, self._CDF_BLOCK):
-            block = slice(s, s + self._CDF_BLOCK)
-            corr[block] = self._gauss_correction(inside[block], width_lo[block],
-                                                 width_hi[block], q[block])
-        dens = 2.0 / (d.mu_max - d.mu_min) ** 2
-        return np.clip(base + dens * width_lo * width_hi * corr, 0.0, 1.0)
-
-    def _gauss_correction(self, inside, width_lo, width_hi, q) -> np.ndarray:
-        """Personal-minimum winners whose interior candidate exceeds mu:
-        2D Gauss over [mu_min, mu] x [mu, mu_max] of (q - F_a(a_sw))^+, with
-        F_a(a_sw) interpolated bilinearly on the mesh.
-
-        One lo-side node at a time meets all hi-side nodes (rows of the work
-        arrays, updated in place); the terms are summed in (lo, hi) node
-        order, one row at a time.
-        """
-        d = self._dists
-        gx, gw = self._gl_x, self._gl_w
-        G = self._mesh_axis.size
-        p = self._psi.ravel()
-        # corner (i0 + s, j0 + t) of the cell with flat index k is p[k + s G + t]
-        p00, p10, p01, p11 = p, p[G:], p[1:], p[G + 1:]
-        j0, dj = self._mesh_coords(inside + width_hi * gx[:, None])
-        dj1 = 1 - dj
-        k = np.empty_like(j0)
-        psi = np.empty_like(dj)
-        part = np.empty_like(dj)
-        corr = np.zeros_like(inside)
-        for i in range(gx.size):
-            i0, di = self._mesh_coords(d.mu_min + width_lo * gx[i])
-            di1 = 1 - di
-            np.add(i0 * G, j0, out=k)
-            # psi = di1 dj1 p00 + di dj1 p10 + di1 dj p01 + di dj p11
-            np.multiply(di1, dj1, out=psi)
-            psi *= p00.take(k)
-            for a, b, corner in ((di, dj1, p10), (di1, dj, p01), (di, dj, p11)):
-                np.multiply(a, b, out=part)
-                part *= corner.take(k)
-                psi += part
-            # terms w_i w_j max(q - psi, 0)
-            np.subtract(q, psi, out=psi)
-            np.maximum(psi, 0.0, out=psi)
-            psi *= (gw[i] * gw)[:, None]
-            for row in psi:
-                corr += row
-        return corr
+    def _psi(self, lo: np.ndarray, hi: np.ndarray, a1: np.ndarray) -> np.ndarray:
+        """psi = F_a(a_sw(lo, hi)) for lo < hi, given a1(lo): a1 where hi >= R(a1),
+        else the secant level at which hi itself ties lo."""
+        funcs, L = self._funcs, self.L
+        secant = ((_idle_value(funcs, hi, L) - _idle_value(funcs, lo, L))
+                  / (funcs.c(hi) - funcs.c(lo)))
+        a_sw = np.where(hi >= self._R(a1), a1, secant)
+        return np.asarray(self._dists.a_cdf(a_sw), dtype=float)
 
     def density(self, mu, half_step: float | None = None):
         """Reporting density via central differences of the CDF."""
@@ -455,6 +437,10 @@ class EquilibriumSolution:
     iterations: int
     L_selfcheck: float
     first_order_monotone: bool = True
+    # a unimodal table's measured error, None if monotone (see _assemble_equilibrium)
+    refinement_phi: float | None = None
+    refinement_L: float | None = None
+    refinement_mu_bar: float | None = None
 
 
 def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
@@ -512,12 +498,22 @@ def _assemble_equilibrium(L, dists, funcs, beta, lambda_bar, n,
     selfcheck = solve_L(F, funcs, beta).L
     residual = equilibrium_residual(L, dists, funcs, beta, F=F)
     N = staffing_level(n * lambda_bar, F.mean, beta, 1.0)
+    refinement = {}
+    if not F.first_order_monotone:
+        # the moves of Phi, L* and mu_bar under a rebuild on twice the cells and
+        # nodes; Phi integrated here, as equilibrium_residual's calls are the solver's
+        fine = ResponseDistribution._untabulated(L, dists, funcs, refine=2)
+        d_phi = fine.integrate(*_phi_integrand(funcs, beta, L)) - residual
+        i = max(int(np.searchsorted(scan_L, L)) - 1, 0)
+        slope = (scan_phi[i + 1] - scan_phi[i]) / (scan_L[i + 1] - scan_L[i])
+        refinement = {"refinement_phi": d_phi, "refinement_L": float(-d_phi / slope),
+                      "refinement_mu_bar": fine.mean - F.mean}
     return EquilibriumSolution(
         L_star=L, response=F, mu_bar=F.mean, sigma2=F.variance, N=N,
         g=g, g_prime=gp, moment=moment, residual=residual,
         bracket_lo=blo, bracket_hi=bhi, scan_L=scan_L, scan_phi=scan_phi,
         sign_changes=sign_changes, iterations=iterations, L_selfcheck=selfcheck,
-        first_order_monotone=F.first_order_monotone)
+        first_order_monotone=F.first_order_monotone, **refinement)
 
 
 class RegimeClass(enum.Enum):

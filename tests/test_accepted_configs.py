@@ -57,6 +57,7 @@ def test_accepted_config_solves_or_fails_in_one_line(values):
 
     assert rc in EXIT_CODES
     assert not any("stalled" in line for line in lines)
+    assert not any("cdf is decreasing" in line for line in lines)
     if rc != 0:
         assert len(lines) == 1
         return

@@ -85,3 +85,25 @@ def test_no_common_runs_is_an_error(checkouts, tmp_path, monkeypatch):
     empty.mkdir()
     assert run_in(out, monkeypatch, empty, change, "--pr", "9") == 2
     assert not any(out.iterdir())
+
+
+def test_flags_a_median_worse_beyond_its_bound(checkouts, monkeypatch, capsys):
+    parent, change, out = checkouts
+    # sim events_per_ref: parent median 102.5, change 78.75 after these runs,
+    # 23 % worse in the higher-is-better direction
+    for seed in (1, 2, 3, 4):
+        write_run(change, "solve", seed, 1.0, 1.0, commit="c")
+        write_run(parent, "solve", seed, 1.0, 1.0, commit="p")
+    for seed, events in zip((1, 2, 3, 4), (70.0, 75.0, 82.5, 90.0)):
+        write_run(change, "sim", seed, 9.0, events, commit="c")
+    bounds = [dict(m, bound=0.2) for m in METRICS]
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": bounds}))
+    assert run_in(out, monkeypatch, parent, change, "--pr", "9") == 0
+    data = json.loads((out / "BENCH_9.json").read_text())["workloads"]
+    sim = data["sim"]["metrics"]
+    assert sim["events_per_ref"]["change"]["median"] == 78.75
+    assert sim["events_per_ref"]["worse_beyond_bound"] is True
+    assert sim["wall_ref"]["worse_beyond_bound"] is False      # 9.0 against 10.5: better
+    assert not any(m["worse_beyond_bound"] for m in data["solve"]["metrics"].values())
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bench_pairs: sim events_per_ref median 78.75")

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rategame import ConfigError, ExperimentConfig, resolve_config
+from rategame import ConfigError, ExperimentConfig, cli, resolve_config
 from rategame.cli import cmd_equilibrium, cmd_fairness, cmd_sweep, main, simulate_pipeline
 from rategame.config import parse_config_file
 
@@ -87,6 +87,26 @@ class TestEquilibriumCommand:
         assert row[-3:-1] == ["True", "1"] and int(row[-1]) > 0
         out = capsys.readouterr().out
         assert f"iterations={row[-1]} first_order_monotone=True" in out
+
+    def test_report_carries_the_unimodal_error_figures(self, tmp_path, capsys):
+        def report(*flags):
+            out = str(tmp_path / "-".join(flags or ("base",)))
+            assert main(["--out", out, *flags, "equilibrium"]) == 0
+            lines = open(os.path.join(out, "equilibrium_report.csv")).read().splitlines()
+            row = dict(zip(lines[1].split(","), lines[2].split(",")))
+            printed = dict(field.split("=", 1) for field in
+                           capsys.readouterr().out.split(": ", 1)[1].split())
+            return row, printed
+
+        names = ("refinement_phi", "refinement_L", "refinement_mu_bar")
+        row, printed = report("--r", "-2")
+        for name in names:
+            assert np.isfinite(float(row[name])) and printed[name] == row[name]
+        # the table's error against the reference L* of the r = -2 law
+        error = abs(float(row["L_star"]) - 0.08275386)
+        assert 0.5 * error <= abs(float(row["refinement_L"])) <= 2.0 * error
+        row, printed = report()
+        assert all(row[name] == printed[name] == "" for name in names)
 
 
 class TestSweepCommand:
@@ -220,15 +240,24 @@ class TestMainEntry:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("solver failure: residual not below 1e-9")
 
-    def test_steep_unimodal_cdf_fails_in_one_line(self, tmp_path, capsys):
-        # the unimodal response CDF decreases by a few 1e-6 at small L here
-        # (a known defect of the mesh construction); the solve must fail
-        # cleanly, not with a traceback
+    def test_steep_unimodal_config_solves(self, tmp_path, monkeypatch):
+        solutions = []
+        solve = cli.solve_equilibrium
+
+        def recorded(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(cli, "solve_equilibrium", recorded)
         config = os.path.join(os.path.dirname(__file__), "..", "configs", "base_case.cfg")
         rc = main(["--config", config, "--p", "5", "--r", "-3", "--out", str(tmp_path),
                    "equilibrium"])
-        assert rc == 3
-        assert capsys.readouterr().err == "solver failure: cdf is decreasing somewhere\n"
+        assert rc == 0
+        sol, = solutions
+        assert not sol.first_order_monotone
+        assert abs(sol.residual) < 1e-9
+        assert sol.L_selfcheck == pytest.approx(sol.L_star, rel=1e-6)
+        assert sol.L_star == pytest.approx(0.02185414, rel=2.5e-5)
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--bins", "0"],

@@ -19,6 +19,10 @@ GOLDEN_BASE_MU_BAR = 0.19007201642631155
 GOLDEN_BASE_SIGMA2 = 0.01462433397205068
 GOLDEN_BASE_MOMENT = 0.2978138259370214
 GOLDEN_BASE_N = 684          # n = 1, alpha = 1
+# r -> (reference L*, relative tolerance) of the unimodal laws: the exact switch
+# level under a 64 x 64 Gauss rule, and Richardson extrapolation of the cell
+# table at 512 and 1024 cells, agree on these to 1.2e-7
+UNIMODAL_REFERENCE_L = {-2.0: (0.08275386, 2.5e-5), -1.5: (0.14125538, 1.6e-5)}
 
 
 class TestMarginalRatio:
@@ -230,104 +234,112 @@ class TestUnimodalRatioRegime:
         assert np.max(np.abs(F.cdf(grid) - np.clip(direct, 0, 1))) < 1e-14
 
 
-def _full_square_psi(F):
-    """Reference: F_a(a_sw) bisected at every point of the (lo, hi) mesh,
-    lo > hi included."""
+# steep laws, each at one point of its solver scan: (overrides, scan index)
+UNIMODAL_LAWS = [({"r": -2.0}, 8), ({"r": -2.0}, 32), ({"r": -2.0}, 56),
+                 ({"r": -1.5}, 40), ({"p": 5.0, "r": -3.0}, 20)]
+
+
+def _scan_Ls(cfg):
+    funcs, dists = cfg.functions(), cfg.population()
+    return np.geomspace(1.0 / (cfg.beta * funcs.htilde(dists.mu_min)),
+                        1.0 / (cfg.beta * funcs.htilde(dists.mu_max)), 64)
+
+
+def _scan_law(base_config, overrides, scan_index):
+    cfg = base_config.with_overrides(**overrides)
+    return response_distribution(float(_scan_Ls(cfg)[scan_index]), cfg.population(),
+                                 cfg.functions())
+
+
+def _random_pairs(F, seed):
+    """400 (lo, hi) pairs of the uniform-pair law."""
+    u = np.random.default_rng(seed).uniform(F.mu_min, F.mu_max, size=(400, 2))
+    return u.min(axis=1), u.max(axis=1)
+
+
+def _bisected_psi(F, lo, hi):
+    """Reference: F_a(a_sw(lo, hi)) bisected for each pair on its own, the
+    down-branch candidate R(a) clipped into [lo, hi]."""
     d, funcs, L = F._dists, F._funcs, F.L
-    a_lo = F._R_a[0]
 
     def R_of(a):
         out = np.interp(a, F._R_a, F._R_mu)
-        out = np.where(a <= a_lo, d.mu_max, out)
+        out = np.where(a <= F._R_a[0], d.mu_max, out)
         return np.where(a >= F._c_peak, d.mu_min, out)
 
-    G = F._ASW_MESH
-    axis = np.linspace(d.mu_min, d.mu_max, G)
-    LO, HI = np.meshgrid(axis, axis, indexing="ij")
-    lo_f, hi_f = LO.ravel(), HI.ravel()
-
     def min_loses(a):
-        m2 = np.clip(R_of(a), lo_f, hi_f)
-        return _utility(funcs, m2, a, L) - _utility(funcs, lo_f, a, L)
+        return _utility(funcs, np.clip(R_of(a), lo, hi), a, L) - _utility(funcs, lo, a, L)
 
-    a_sw, _, _ = bisect(min_loses, np.full(lo_f.size, 1e-12),
-                        np.full(lo_f.size, F._c_peak), 60)
-    never = min_loses(np.full(lo_f.size, F._c_peak)) > 1e-15
-    psi = np.asarray(d.a_cdf(a_sw), dtype=float)
-    psi[never] = 1.0
-    return axis, psi.reshape(G, G)
+    a_sw, _, _ = bisect(min_loses, np.full(lo.size, 1e-12), np.full(lo.size, F._c_peak), 60)
+    return np.asarray(d.a_cdf(a_sw), dtype=float)
 
 
-def _reference_true_cdf(F, axis, psi_mesh):
-    """Reference: the Gauss correction as a double loop over node pairs, one
-    bilinear lookup per pair."""
-    d = F._dists
-
-    def psi_interp(lo, hi):
-        step = axis[1] - axis[0]
-        fi = np.clip((lo - axis[0]) / step, 0.0, axis.size - 1.001)
-        fj = np.clip((hi - axis[0]) / step, 0.0, axis.size - 1.001)
-        i0 = fi.astype(np.int64)
-        j0 = fj.astype(np.int64)
-        di = fi - i0
-        dj = fj - j0
-        p = psi_mesh
-        return ((1 - di) * (1 - dj) * p[i0, j0] + di * (1 - dj) * p[i0 + 1, j0]
-                + (1 - di) * dj * p[i0, j0 + 1] + di * dj * p[i0 + 1, j0 + 1])
-
-    def cdf(mu):
-        mu = np.atleast_1d(np.asarray(mu, dtype=float))
-        inside = np.clip(mu, d.mu_min, d.mu_max)
-        q = np.asarray(d.a_cdf(F._A(inside)), dtype=float)
-        base = d.max_marginal_cdf(mu) + d.between_prob(mu) * (1.0 - q)
-        width_lo = inside - d.mu_min
-        width_hi = d.mu_max - inside
-        corr = np.zeros_like(inside)
-        gx, gw = F._gl_x, F._gl_w
-        for i in range(gx.size):
-            lo_i = d.mu_min + width_lo * gx[i]
-            wi = gw[i]
-            for j in range(gx.size):
-                hi_j = inside + width_hi * gx[j]
-                corr += wi * gw[j] * np.maximum(q - psi_interp(lo_i, hi_j), 0.0)
-        dens = 2.0 / (d.mu_max - d.mu_min) ** 2
-        return np.clip(base + dens * width_lo * width_hi * corr, 0.0, 1.0)
-
-    return cdf
+def _pair_sum_table(F):
+    """Reference: the unimodal table as the direct sum over every Gauss node
+    pair (lo, hi) in cells i < j, one edge at a time."""
+    d, K, n = F._dists, F._CELLS, F._CELL_NODES
+    edges = np.linspace(d.mu_min, d.mu_max, K + 1)
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    weights = np.tile(half * w, K)
+    cell = np.repeat(np.arange(K), n)
+    lo, hi = np.nonzero(cell[:, None] < cell[None, :])
+    psi = F._psi(nodes[lo], nodes[hi], F._a1(nodes)[lo])
+    ww = weights[lo] * weights[hi]
+    q = np.asarray(d.a_cdf(F._A(edges)), dtype=float)
+    pairs = np.array([np.sum(ww * ((nodes[lo] <= m) & (m < nodes[hi])) * np.minimum(qk, psi))
+                      for m, qk in zip(edges, q)])
+    below = d.max_marginal_cdf(edges) + d.between_prob(edges)
+    return edges, below - 2.0 / (d.mu_max - d.mu_min) ** 2 * pairs
 
 
-class TestUnimodalCdfMatchesReference:
-    """The unimodal CDF builds a_sw only where the Gauss correction reads it
-    and vectorizes the correction over hi-side nodes; every value must equal
-    the full-square double-loop reference bit for bit."""
+class TestUnimodalSwitchLevel:
+    """The unimodal law's switch level comes from one bisection along lo
+    (a1) and a closed-form secant; its table of F1 is summed from the node
+    pairs with difference arrays and cannot decrease."""
 
-    @pytest.mark.parametrize("r", [-2.0, -1.5])
-    @pytest.mark.parametrize("scan_index", [8, 32, 63])
-    def test_bitwise_equal_to_reference(self, base_config, base_dists, r, scan_index):
-        funcs = base_config.with_overrides(r=r).functions()
-        beta = base_config.beta
-        scan = np.geomspace(1.0 / (beta * funcs.htilde(base_dists.mu_min)),
-                            1.0 / (beta * funcs.htilde(base_dists.mu_max)), 64)
-        L = float(scan[scan_index])
-        F = response_distribution(L, base_dists, funcs)
+    @pytest.mark.parametrize("overrides, scan_index", UNIMODAL_LAWS)
+    def test_psi_equals_per_pair_bisection(self, base_config, overrides, scan_index):
+        F = _scan_law(base_config, overrides, scan_index)
         assert not F.first_order_monotone
+        lo, hi = _random_pairs(F, scan_index)
+        a1 = F._a1(lo)
+        assert (hi >= F._R(a1)).any()
+        assert np.max(np.abs(F._psi(lo, hi, a1) - _bisected_psi(F, lo, hi))) <= 1e-12
 
-        axis, psi_ref = _full_square_psi(F)
-        built = ~np.isnan(F._psi)
-        assert built.sum() == 4751
-        assert np.array_equal(F._psi[built], psi_ref[built])
+    def test_both_branches_are_checked(self, base_config):
+        # the secant branch is rare at small L: counted over all five laws
+        secant = 0
+        for overrides, scan_index in UNIMODAL_LAWS:
+            F = _scan_law(base_config, overrides, scan_index)
+            lo, hi = _random_pairs(F, scan_index)
+            secant += int(np.sum(hi < F._R(F._a1(lo))))
+        assert secant > 0
 
-        ref = CdfRateDistribution(F.mu_min, F.mu_max, _reference_true_cdf(F, axis, psi_ref),
-                                  kinks=F.kinks, grid_points=2001)
-        assert np.array_equal(F._grid, ref._grid)
-        assert np.array_equal(F._grid_cdf, ref._grid_cdf)
-        nodes, _ = gauss_legendre_panels(F.mu_min, F.mu_max, F.kinks)
-        assert np.array_equal(F.cdf(nodes), ref.cdf(nodes))
-        assert equilibrium_residual(L, base_dists, funcs, beta, F=F) == \
-            equilibrium_residual(L, base_dists, funcs, beta, F=ref)
-        # a read of an unbuilt (NaN) mesh point would pass the monotonicity
-        # check of CdfRateDistribution unnoticed
-        assert np.all(np.isfinite(F.cdf(np.linspace(F.mu_min, F.mu_max, 20001))))
+    @pytest.mark.parametrize("overrides, scan_index", UNIMODAL_LAWS[::2])
+    def test_table_equals_the_direct_pair_sum(self, base_config, overrides, scan_index):
+        F = _scan_law(base_config, overrides, scan_index)
+        edges, ref = _pair_sum_table(F)
+        assert np.max(np.abs(F.cdf(edges) - ref)) < 1e-14
+        # sampling reads the same table: its grid holds every edge
+        assert np.isin(edges, F._grid).all()
+        assert np.array_equal(F._grid_cdf[np.isin(F._grid, edges)], F.cdf(edges))
+
+    @pytest.mark.parametrize("overrides", [{"r": -2.0}, {"p": 5.0, "r": -3.0},
+                                           {"p": 6.0, "r": -4.0}])
+    def test_table_never_decreases_on_the_scan(self, base_config, overrides):
+        cfg = base_config.with_overrides(**overrides)
+        dists, funcs = cfg.population(), cfg.functions()
+        unimodal = 0
+        for L in _scan_Ls(cfg).tolist():
+            F = ResponseDistribution._untabulated(L, dists, funcs)
+            if not F.first_order_monotone:
+                unimodal += 1
+                edges = np.linspace(F.mu_min, F.mu_max, F._CELLS + 1)
+                steps = np.diff(F._cdf(edges))
+                assert steps.min() > 0.0
+        assert unimodal > 0
 
 
 def _reference_kinks(A, dists, extra=()):
@@ -488,18 +500,25 @@ class TestEquilibrium:
         assert sol.bracket_lo <= sol.L_star <= sol.bracket_hi
 
     @pytest.mark.parametrize("r, L_bisected", [
-        (-2.0, 0.08275178660717616), (-1.5, 0.14125305984382674),
+        (-2.0, 0.08275498077504348), (-1.5, 0.1412571800517366),
         (-1.0, 0.24552331636006425), (-0.5, 0.4383683135470777),
     ])
     def test_itp_steps_and_root(self, base_config, r, L_bisected):
-        # L_bisected: the root the scan bracket gave under bisection, which
-        # took 24, 21, 24 and 24 steps
+        # L_bisected: the root of the scan bracket at r = -1 and -0.5 under
+        # bisection, which took 24 steps at each; at r = -2 and -1.5 the root
+        # of the unimodal cell table
         cfg = base_config.with_overrides(r=r)
         sol = solve_equilibrium(cfg.population(), cfg.functions(), cfg.beta,
                                 cfg.lambda_bar, cfg.n)
         assert sol.iterations <= 8
         assert abs(sol.residual) < 1e-10
         assert sol.L_star == pytest.approx(L_bisected, rel=1e-8)
+        if r in UNIMODAL_REFERENCE_L:
+            L_ref, rel = UNIMODAL_REFERENCE_L[r]
+            assert sol.L_star == pytest.approx(L_ref, rel=rel)
+            # the refinement delta measures the table's error within a factor 2
+            error = abs(sol.L_star - L_ref)
+            assert 0.5 * error <= abs(sol.refinement_L) <= 2.0 * error
 
     def test_unique_sign_change_on_scan(self, base_equilibrium):
         assert base_equilibrium.sign_changes == 1
