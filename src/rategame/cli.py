@@ -20,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
 _POLICIES = ("hrandom", "lisf", "uniform", "fsf", "ssf")
 _DISTRIBUTION_POINTS = 2001   # rows of distribution.csv
 _REFINEMENT = ("refinement_phi", "refinement_L", "refinement_mu_bar")
+_COUNTERS = ("event_count", "thinned_completions", "routing_rejections", "peak_queue")
 
 
 def _fmt(v) -> str:
@@ -210,7 +212,7 @@ def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
 
     dspec = DiffusionSpec(xi0=0.0, lambda_bar=config.lambda_bar, mu_bar=sol.mu_bar,
                           sigma2_F=sol.sigma2, beta=config.beta, gamma=config.gamma,
-                          moment=sol.moment)
+                          moment=sol.moment, alpha=config.alpha)
     dstats = diffusion_simulate(dspec, diffusion_dt, diffusion_T, diffusion_paths,
                                 seed=config.seed)
     _write_csv(os.path.join(outdir, "diffusion_mean.csv"), ["t", "value"],
@@ -241,8 +243,14 @@ def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
         "allocation_terminal_tv": terminal_tv,
         "stationary_scaled_idleness": stationary_scaled_idleness(params, sol.mu_bar, sol.moment),
     }
-    _write_csv(os.path.join(outdir, "limits_summary.csv"), ["metric", "value"],
-               [[k, float(v)] for k, v in summary.items()], config)
+    # the diffusion is the QED (alpha = 0.5) equation whatever alpha is
+    # configured; the fluid and allocation rows take the configured alpha
+    fluid = f"alpha={config.alpha!r}"
+    diffusion = "alpha=0.5" + ("" if config.alpha == 0.5 else
+                               f" (not the configured alpha={config.alpha!r})")
+    _write_csv(os.path.join(outdir, "limits_summary.csv"), ["metric", "value", "regime"],
+               [[k, float(v), diffusion if k.startswith("diffusion") else fluid]
+                for k, v in summary.items()], config)
     print("limits:", " ".join(f"{k}={v!r}" for k, v in summary.items()))
     return summary
 
@@ -283,9 +291,14 @@ def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
         params, pop = _sampled_system(config, sol.response, sol.mu_bar, config.n, rep)
         init = (conditional_idleness_alpha1(pop.rate, sol.L_star, funcs)
                 if stationary_init else None)
+        start = time.perf_counter()
         res = run_simulation(params, pop, _policy_object(config, policy),
                              horizon, warmup, seed=config.seed, replication=rep,
                              initial_idle_prob=init, collect_event_log=event_log)
+        # the rate goes to stdout only: the CSVs are identical on reruns
+        print(f"simulate: policy={policy} replication={rep} "
+              + " ".join(f"{name}={getattr(res, name)}" for name in _COUNTERS)
+              + f" events_per_s={res.event_count / (time.perf_counter() - start):.0f}")
         rows = [[k, float(pop.a[k]), float(pop.mu_lo[k]), float(pop.mu_hi[k]),
                  float(pop.rate[k]), float(res.idle_fraction[k])]
                 for k in range(len(pop))]
@@ -300,6 +313,10 @@ def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
                        [[t, kind, srv, q] for t, kind, srv, q in res.event_log],
                        config)
         results.append(res)
+    _write_csv(os.path.join(outdir, f"simulate_summary_{policy}.csv"),
+               ["replication", *_COUNTERS],
+               [[rep, *(getattr(res, name) for name in _COUNTERS)]
+                for rep, res in enumerate(results)], config)
     return results
 
 

@@ -10,7 +10,7 @@ mu_k / sum(mu); the completion is thinned when that server is idle (exact,
 since accepted completions occur at rate sum over busy servers of mu_k).
 
 Idle servers wait in one pool per routing policy, each with ``push(k)`` and
-``pop()``: a deque for longest-idle-first, a heap on the rate for
+``pop()``: a deque for longest-idle-first, a heap of rate ranks for
 fastest- and slowest-first, a list with swap-remove for uniform, and for
 weighted random the composition-rejection sampler of Slepoy, Thompson &
 Plimpton (J. Chem. Phys. 2008): geometric buckets of the weight, a bucket
@@ -120,37 +120,79 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     otherwise replaced by ``alias[j]``, so a uniform j lands on k with
     probability proportional to ``weights[k]``.
 
-    Runs Vose's two stacks (smalls and larges, each popped from its end) as
-    one chain: the current large absorbs smalls until its residual drops
-    below 1, and then it is the next small. The float steps and their order
-    are those of the two-stack loop. Leftovers of either stack keep prob 1."""
+    The table is the one of Vose's two stacks (smalls and larges, each popped
+    from its end), bit for bit. Those stacks run as one chain: the current
+    large absorbs smalls, ``r = (r + p[s]) - 1``, until its residual r drops
+    below 1; it is then absorbed by the next large, ``(p[l'] + r) - 1``, which
+    is ``(r + p[l']) - 1`` since IEEE addition commutes. So every residual is
+    one left-to-right running sum over ``p[L0], p[S0], -1, x1, -1, x2, ...``,
+    where each x is the next small's p, or the next large's when the residual
+    before it is below 1, and ``np.cumsum`` (strictly sequential) gives that
+    sum exactly once the choices are known.
+
+    The choices are planned ``_BLOCK`` steps at a time: after m more smalls
+    and k more larges the residual is about ``r + sum(p - 1)`` over them, so
+    the chain is a merge of the two prefix sums (``np.searchsorted``). The
+    running sum of the plan is then checked choice by choice, and the plan is
+    cut at its first wrong choice; the next plan starts from the exact state
+    there. A plan's first choice reads the exact residual, so each commits at
+    least one step. A plan is at most twice as long as the steps the one
+    before it committed, so a run of near-ties does not cost ``_BLOCK`` per
+    step. Leftovers of either stack keep prob 1."""
     n = weights.size
     p = (weights / weights.sum()) * n
     is_small = p < 1.0
-    small = np.flatnonzero(is_small).tolist()
-    large = np.flatnonzero(~is_small).tolist()
-    p = p.tolist()
-    prob = array("d", [1.0]) * n
-    alias = array("q", [0]) * n
-    pop_small, pop_large = small.pop, large.pop
-    if small and large:
-        s = pop_small()
-        ps = p[s]
-        while True:
-            l = pop_large()
-            pl = p[l]
-            while True:
-                prob[s] = ps
-                alias[s] = l
-                pl = (pl + ps) - 1.0
-                if pl < 1.0 or not small:
-                    break
-                s = pop_small()
-                ps = p[s]
-            if pl >= 1.0 or not large:
-                break
-            s, ps = l, pl
-    return np.frombuffer(prob), np.frombuffer(alias, dtype=np.int64)
+    small = np.flatnonzero(is_small)[::-1]      # in popping order
+    large = np.flatnonzero(~is_small)[::-1]
+    ps, pl = p[small], p[large]
+    deficit, excess = 1.0 - ps, pl - 1.0
+    prob = np.ones(n)
+    alias = np.zeros(n, dtype=np.int64)
+    if not (small.size and large.size):
+        return prob, alias
+    i, j = 0, 1                 # smalls and larges taken; large[j - 1] is current
+    r = float(pl[0])            # its residual
+    window = _BLOCK
+    while (j < large.size) if r < 1.0 else (i < small.size):
+        ns, nl = min(window, small.size - i), min(window, large.size - j)
+        # m smalls and k larges on: residual - 1 ~ v[k] - u[m], and the chain
+        # takes a small iff u[m] <= v[k]; u[ns] and v[nl] stand for running out
+        u = np.zeros(ns + 1)
+        np.cumsum(deficit[i:i + ns], out=u[1:])
+        v = np.zeros(nl + 1)
+        np.cumsum(excess[j:j + nl], out=v[1:])
+        v += r - 1.0
+        smalls_before = np.searchsorted(u, v, side="right")   # of each large step
+        at_large = smalls_before + np.arange(nl + 1)
+        steps = min(window, int(at_large[-1]), ns + int(np.searchsorted(v, u[-1])))
+        planned = int(np.searchsorted(at_large, steps))      # large steps
+        takes_large = np.zeros(steps, dtype=bool)
+        takes_large[at_large[:planned]] = True
+        # the exact residuals of the plan, and the first choice they refute
+        terms = np.full(2 * steps + 1, -1.0)
+        terms[0] = r
+        x = terms[1::2]
+        x[~takes_large] = ps[i:i + steps - planned]
+        x[takes_large] = pl[j:j + planned]
+        before = np.cumsum(terms)[0::2]         # before[t]: residual before step t
+        wrong = np.flatnonzero(takes_large != (before[:-1] < 1.0))
+        done = int(wrong[0]) if wrong.size else steps
+        # commit: the smalls go to the large current when each is taken, and
+        # each large taken turns the one before it small
+        n_large = int(np.searchsorted(at_large, done))
+        n_small = done - n_large
+        absorbed = small[i:i + n_small]
+        prob[absorbed] = ps[i:i + n_small]
+        alias[absorbed] = np.repeat(large[j - 1:j + n_large],
+                                    np.diff(smalls_before[:n_large], prepend=0, append=n_small))
+        turned = large[j - 1:j - 1 + n_large]
+        prob[turned] = before[at_large[:n_large]]
+        alias[turned] = large[j:j + n_large]
+        i += n_small
+        j += n_large
+        r = float(before[done])
+        window = min(_BLOCK, 2 * done)
+    return prob, alias
 
 
 class _Pool:
@@ -175,20 +217,29 @@ class _FifoPool(_Pool):
 
 class _HeapPool(_Pool):
     """The idle server with the smallest ``keys[k]`` goes first, ties to the
-    lower index: keys -mu give fastest-first, keys mu slowest-first."""
+    lower index: keys -mu give fastest-first, keys mu slowest-first.
 
-    __slots__ = ("_heap", "_keys")
+    The heap holds integer ranks from a stable argsort of the keys, so it pops
+    in the order of the ``(keys[k], k)`` pairs."""
 
-    def __init__(self, idle: list[int], keys: list[float]):
-        self._keys = keys
-        self._heap = [(keys[k], k) for k in idle]
-        heapq.heapify(self._heap)
+    __slots__ = ("push", "pop")
 
-    def push(self, k: int) -> None:
-        heapq.heappush(self._heap, (self._keys[k], k))
+    def __init__(self, idle: np.ndarray, keys: np.ndarray):
+        order = np.argsort(keys, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        heap = rank[idle].tolist()
+        heapq.heapify(heap)
+        rank, server = memoryview(rank), memoryview(order)
+        heappush, heappop = heapq.heappush, heapq.heappop
 
-    def pop(self) -> int:
-        return heapq.heappop(self._heap)[1]
+        def push(k: int) -> None:
+            heappush(heap, rank[k])
+
+        def pop() -> int:
+            return server[heappop(heap)]
+
+        self.push, self.pop = push, pop
 
 
 class _UniformPool(_Pool):
@@ -222,8 +273,7 @@ class _WeightedPool(_Pool):
     member of it is accepted with probability h_k / (bucket's largest h).
     ``rejections`` counts the refused members."""
 
-    __slots__ = ("_h", "_bucket", "_members", "_hsum", "_hmax", "_total", "_u",
-                 "_since_rebuild", "rejections")
+    __slots__ = ("push", "pop", "_state")
 
     def __init__(self, h: np.ndarray, idle: np.ndarray, next_u: Callable[[], float]):
         if np.any(h <= 0) or np.any(~np.isfinite(h)):
@@ -249,61 +299,64 @@ class _WeightedPool(_Pool):
         idle_bucket = bucket[idle]
         order = np.argsort(idle_bucket, kind="stable")
         cuts = np.cumsum(np.bincount(idle_bucket, minlength=nb))[:-1]
-        self._members = [m.tolist() for m in np.split(idle[order], cuts)]
-        self._hsum = np.bincount(idle_bucket, weights=h[idle], minlength=nb).tolist()
-        self._hmax = hmax.tolist()
-        self._h = h.tolist()
-        self._bucket = bucket.tolist()
-        self._total = sum(self._hsum)
-        self._u = next_u
-        self._since_rebuild = 0
-        self.rejections = 0
+        members = [m.tolist() for m in np.split(idle[order], cuts)]
+        hsum = np.bincount(idle_bucket, weights=h[idle], minlength=nb).tolist()
+        # per-server lookups read the arrays through memoryviews: no N-entry lists
+        hmax, hv, bucket = hmax.tolist(), memoryview(np.ascontiguousarray(h)), memoryview(bucket)
+        last_b = nb - 1
+        # the idle h-sum, routings since it was last rebuilt, rejections
+        state = [sum(hsum), 0, 0]
+        self._state = state
 
-    def push(self, k: int) -> None:
-        b = self._bucket[k]
-        self._members[b].append(k)
-        hk = self._h[k]
-        self._hsum[b] += hk
-        self._total += hk
+        def push(k: int) -> None:
+            b = bucket[k]
+            members[b].append(k)
+            hk = hv[k]
+            hsum[b] += hk
+            state[0] += hk
 
-    def pop(self) -> int:
-        # the idle h-sum is kept incrementally; rebuilding it from the bucket
-        # sums every _REBUILD_EVERY routings caps floating drift
-        # (deterministic: tied to the routing count)
-        self._since_rebuild += 1
-        if self._since_rebuild >= _REBUILD_EVERY:
-            self._since_rebuild = 0
-            self._total = sum(self._hsum)
-        u_next = self._u
-        hs = self._hsum
-        last_b = len(hs) - 1
-        while True:
-            target = u_next() * self._total
-            b = 0
-            acc = hs[0]
-            while acc < target and b < last_b:
-                b += 1
-                acc += hs[b]
-            members = self._members[b]
-            m = len(members)
-            if m == 0:
-                continue  # numerically empty bucket hit by rounding drift
-            hmax = self._hmax[b]
-            hv = self._h
+        def pop() -> int:
+            # the idle h-sum is kept incrementally; rebuilding it from the
+            # bucket sums every _REBUILD_EVERY routings caps floating drift
+            # (deterministic: tied to the routing count)
+            since = state[1] + 1
+            if since >= _REBUILD_EVERY:
+                since = 0
+                state[0] = sum(hsum)
+            state[1] = since
+            total = state[0]
             while True:
-                j = int(u_next() * m)
-                if j == m:
-                    j -= 1
-                k = members[j]
-                hk = hv[k]
-                if u_next() * hmax < hk:
-                    last = members.pop()
-                    if last != k:
-                        members[j] = last
-                    hs[b] -= hk
-                    self._total -= hk
-                    return k
-                self.rejections += 1
+                target = next_u() * total
+                b = 0
+                acc = hsum[0]
+                while acc < target and b < last_b:
+                    b += 1
+                    acc += hsum[b]
+                group = members[b]
+                m = len(group)
+                if m == 0:
+                    continue  # numerically empty bucket hit by rounding drift
+                top = hmax[b]
+                while True:
+                    j = int(next_u() * m)
+                    if j == m:
+                        j -= 1
+                    k = group[j]
+                    hk = hv[k]
+                    if next_u() * top < hk:
+                        last = group.pop()
+                        if last != k:
+                            group[j] = last
+                        hsum[b] -= hk
+                        state[0] = total - hk
+                        return k
+                    state[2] += 1
+
+        self.push, self.pop = push, pop
+
+    @property
+    def rejections(self) -> int:
+        return self._state[2]
 
 
 def _idle_pool(policy: RoutingPolicy, rates: np.ndarray, idle: np.ndarray,
@@ -314,9 +367,9 @@ def _idle_pool(policy: RoutingPolicy, rates: np.ndarray, idle: np.ndarray,
     if kind == "lisf":
         return _FifoPool(idle.tolist())
     if kind == "fsf":
-        return _HeapPool(idle.tolist(), (-rates).tolist())
+        return _HeapPool(idle, -rates)
     if kind == "ssf":
-        return _HeapPool(idle.tolist(), rates.tolist())
+        return _HeapPool(idle, rates)
     if kind == "uniform":
         return _UniformPool(idle.tolist(), next_u)
     return _WeightedPool(np.asarray(policy.h(rates), dtype=float), idle, next_u)
@@ -423,8 +476,10 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
         busy = bytearray(init_rng.random(N) >= p)
     busy_view = np.frombuffer(busy, dtype=np.uint8)   # shares memory with busy
     initially_idle = np.flatnonzero(busy_view == 0)
-    idle_since = [0.0] * N
-    idle_total = array("d", [0.0]) * N     # a C array: snapshot() copies it in one block
+    # C arrays, which snapshot() reads in one block each
+    idle_since = array("d", [0.0]) * N
+    since_view = np.frombuffer(idle_since)
+    idle_total = array("d", [0.0]) * N
     idle_count = int(initially_idle.size)
     X = N - idle_count
     X0 = X
@@ -461,8 +516,7 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
         """Per-server idle time on [0, at]."""
         snap = np.array(idle_total)
         idle = np.flatnonzero(busy_view == 0)
-        snap[idle] += at - np.fromiter(map(idle_since.__getitem__, idle.tolist()),
-                                       dtype=float, count=idle.size)
+        snap[idle] += at - since_view[idle]
         return snap
 
     def integrate_to(t: float):
@@ -502,9 +556,9 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     next_srv = next_service_gap()
     mark_idx = 0
     n_marks = len(marks)
+    t_mark = marks[0]
 
     while True:
-        t_mark = marks[mark_idx]
         t_ev = next_arr if next_arr <= next_srv else next_srv
         if t_mark <= t_ev:
             sweep(t_mark)
@@ -516,8 +570,9 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
             mark_idx += 1
             if mark_idx == n_marks:
                 break
+            t_mark = marks[mark_idx]
             continue
-        if dl_heap:
+        if dl_heap and dl_heap[0][0] <= t_ev:
             sweep(t_ev)
         integrate_to(t_ev)
         event_count += 1

@@ -7,7 +7,7 @@ import io
 import tempfile
 from unittest import mock
 
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from rategame import cli
 
@@ -37,6 +37,10 @@ def accepted_configs(draw) -> dict:
 
 
 @given(values=accepted_configs())
+# steep discomfort, where a unimodal law that is not monotone by construction
+# fails with `cdf is decreasing somewhere`; no derandomized draw reaches it
+@example(values={"p": 5.0, "q": 2.0, "r": -3.0, "beta": 0.3, "lambda-bar": 100.0,
+                 "mu-min": 0.01, "mu-max": 0.5, "a-min": 0.01, "a-max": 25.0})
 @settings(max_examples=25, derandomize=True, deadline=None)
 def test_accepted_config_solves_or_fails_in_one_line(values):
     solutions = []

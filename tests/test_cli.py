@@ -144,6 +144,29 @@ class TestSimulateAndFairness:
         events = open(os.path.join(str(tmp_path), "events_uniform_rep0.csv")).read()
         assert events.split("\n")[1] == "time,kind,server,queue_len"
 
+    def test_simulate_summary_holds_the_counters_per_replication(self, tmp_path, capsys):
+        cfg = ExperimentConfig(lambda_bar=2.0, seed=5)
+        results = simulate_pipeline(cfg, "hrandom", str(tmp_path), horizon=30.0,
+                                    warmup=5.0, replications=2)
+        path = os.path.join(str(tmp_path), "simulate_summary_hrandom.csv")
+        text = open(path).read()
+        lines = text.strip().split("\n")
+        assert lines[1] == ("replication,event_count,thinned_completions,"
+                            "routing_rejections,peak_queue")
+        assert lines[2:] == [f"{rep},{r.event_count},{r.thinned_completions},"
+                             f"{r.routing_rejections},{r.peak_queue}"
+                             for rep, r in enumerate(results)]
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(" events_per_s=")[0] for line in out] == [
+            f"simulate: policy=hrandom replication={rep} event_count={r.event_count} "
+            f"thinned_completions={r.thinned_completions} "
+            f"routing_rejections={r.routing_rejections} peak_queue={r.peak_queue}"
+            for rep, r in enumerate(results)]
+        # the rate is on stdout only, so a rerun writes the same bytes
+        simulate_pipeline(cfg, "hrandom", str(tmp_path), horizon=30.0, warmup=5.0,
+                          replications=2)
+        assert open(path).read() == text
+
     def test_fairness_special_policy_file(self, tmp_path):
         cfg = ExperimentConfig(lambda_bar=2.0)
         measure = cmd_fairness(cfg, "fsf", str(tmp_path))
@@ -168,6 +191,22 @@ class TestSimulateAndFairness:
             assert os.path.exists(os.path.join(str(tmp_path), name))
         assert summary["fluid_max_dev"] < 1e-8
         assert summary["allocation_terminal_tv"] < 1e-3  # short horizon smoke run
+
+    @pytest.mark.parametrize("alpha, diffusion", [
+        (1.0, "alpha=0.5 (not the configured alpha=1.0)"),
+        (0.5, "alpha=0.5"),
+    ])
+    def test_limits_summary_names_each_rows_regime(self, tmp_path, alpha, diffusion):
+        from rategame.cli import cmd_limits
+        cmd_limits(ExperimentConfig(alpha=alpha), str(tmp_path), fluid_T=5.0,
+                   diffusion_T=5.0, diffusion_paths=4, allocation_T=10.0)
+        lines = open(os.path.join(str(tmp_path), "limits_summary.csv")).read().split("\n")
+        assert lines[1] == "metric,value,regime"
+        regime = {row.split(",")[0]: row.split(",")[2] for row in lines[2:] if row}
+        assert regime == {"fluid_max_dev": f"alpha={alpha!r}",
+                          "diffusion_mean": diffusion, "diffusion_stderr": diffusion,
+                          "allocation_terminal_tv": f"alpha={alpha!r}",
+                          "stationary_scaled_idleness": f"alpha={alpha!r}"}
 
 
 class TestValidatePipeline:

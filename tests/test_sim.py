@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from rategame import (FairnessMeasure, ModelParams, RoutingPolicy,
                       ServerPopulation, empirical_allocation,
                       empirical_conditional_idleness, empirical_fairness,
                       run_simulation, stream_seed)
+from rategame import sim
 from rategame.sim import _alias_table, _idle_pool, _stream
 from _oracles import (birth_death_mean_idle, birth_death_mean_queue,
                       ctmc_idle_fractions)
@@ -297,6 +299,16 @@ class TestIdlePools:
         assert [pool.pop() for _ in range(5)] == order
         assert pool.rejections == 0
 
+    @pytest.mark.parametrize("kind, sign", [("fsf", -1.0), ("ssf", 1.0)])
+    def test_rate_ordered_pools_break_many_ties_by_index(self, kind, sign):
+        # enough tied rates that an unstable sort would reorder them
+        rates = np.random.default_rng(63).integers(1, 4, 200) / 2.0
+        pool = _idle_pool(RoutingPolicy(kind), rates, np.arange(0, 200, 2), None)
+        for k in range(1, 200, 2):
+            pool.push(k)
+        order = sorted(range(200), key=lambda k: (sign * rates[k], k))
+        assert [pool.pop() for _ in range(200)] == order
+
     def _frequencies(self, pool, servers, draws):
         counts = dict.fromkeys(servers, 0)
         for _ in range(draws):
@@ -350,11 +362,21 @@ def _two_stack_vose(weights):
     np.array([0.0, 3.0, 0.0, 1.0, 1.0]),
     np.ones(7),
     np.array([2.0]),
+    # ties: residuals land on 1 up to rounding, where a plan from prefix
+    # sums and the exact running sum can disagree
+    np.random.default_rng(7).integers(0, 4, 200).astype(float),
+    np.arange(1, 101) / 3.0,                 # its plan is cut once at the default size
+    np.array([0.5, 1.5] * 50),
+    np.array([0.0, 0.0, 1.0, 2.0, 0.5, 3.0]),
+    np.random.default_rng(9).uniform(0.0, 1.0, 70_000),     # more than one plan
 ])
-def test_alias_table_equals_the_two_stack_loop(weights):
-    prob, alias = _alias_table(weights)
+def test_alias_table_equals_the_two_stack_loop(weights, monkeypatch):
     ref_prob, ref_alias = _two_stack_vose(weights)
-    assert prob.tolist() == ref_prob and alias.tolist() == ref_alias
+    # plans of 1 and 7 steps make every vector replan from the exact state
+    for block in (sim._BLOCK, 1, 7):
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        prob, alias = _alias_table(weights)
+        assert prob.tolist() == ref_prob and alias.tolist() == ref_alias, block
     # the table's pick law is the normalized weight
     n = weights.size
     law = prob / n
@@ -380,3 +402,32 @@ def test_completion_picks_are_proportional_to_rates():
     ok, detail = _within_binomial(counts[:3], probs, len(served))
     assert ok, detail
     assert res.peak_queue > 0 and res.routing_rejections == 0
+
+
+def _fingerprint(res):
+    """The integer counters of a run and a hash of its (kind, server) events."""
+    events = repr([(kind, k) for _t, kind, k, _q in res.event_log]).encode()
+    return (res.event_count, res.thinned_completions, res.routing_rejections,
+            res.peak_queue, hashlib.sha256(events).hexdigest()[:16])
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("lisf", (22865, 783, 0, 28, "c376d1abe2d2caaa")),
+    ("fsf", (22865, 752, 0, 24, "7b56fd123d372199")),
+    ("ssf", (22865, 820, 0, 31, "b4b9eadd42292c47")),
+    ("uniform", (22865, 802, 0, 28, "9a9253321836e3ec")),
+    ("hrandom", (22865, 791, 12, 27, "e6a8729509cac687")),
+])
+def test_trajectory_fingerprint(kind, expected):
+    # a change to the draws (the alias table, the pools, the stream layout)
+    # changes these; integers only, so last-digit float differences between
+    # numpy builds do not
+    rates = np.random.default_rng(2024).uniform(0.5, 1.5, 40)
+    params = _params(38.0, gamma=0.5)
+    h = lambda m: 1.0 / np.asarray(m, dtype=float)
+    policy = RoutingPolicy.hrandom(h) if kind == "hrandom" else RoutingPolicy(kind)
+    res = run_simulation(params, _pop(rates), policy, 300.0, 30.0, seed=11,
+                         epsilons=(0.0, 0.5), initial_idle_prob=0.3,
+                         collect_event_log=True)
+    assert res.peak_queue > 0 and res.tau_shift[0.5] < math.inf
+    assert _fingerprint(res) == expected
