@@ -11,9 +11,12 @@ BENCHMARK.json the file holds both sides' median and quartiles, the
 number of pairs in which the change was better, in the metric's ``better``
 direction, and ``worse_beyond_bound``: whether the change's median is worse
 than the parent's by more than the metric's ``bound``, relative to the
-parent's median. Each such metric is also named on stderr. The environment
-fields of the run records go with each side. The file is written to the
-current directory; an existing one is never overwritten.
+parent's median. Each such metric is also named on stderr. ``gain_shown``
+says whether the pairs show a gain: at least ten pairs, the change better
+in at least nine tenths of them (ties count for neither), and its median
+better than the parent's by more than the parent's interquartile range.
+The environment fields of the run records go with each side. The file is
+written to the current directory; an existing one is never overwritten.
 """
 
 from __future__ import annotations
@@ -72,13 +75,17 @@ def compare(parent: dict, change: dict, metrics: list[dict]) -> dict:
             won = sum((c < p) if lower else (c > p) for p, c in values)
             parent_side = summary([p for p, _ in values])
             change_side = summary([c for _, c in values])
+            # how far the change's median is worse, in the metric's direction
             worse = change_side["median"] - parent_side["median"]
+            worse = worse if lower else -worse
+            spread = parent_side["q3"] - parent_side["q1"]
             entry["metrics"][name] = {
                 "unit": metric["unit"], "better": metric["better"],
                 "parent": parent_side, "change": change_side,
                 "pairs": len(values), "change_better": won,
-                "worse_beyond_bound": (worse if lower else -worse)
-                > metric["bound"] * abs(parent_side["median"]),
+                "gain_shown": len(values) >= 10 and 10 * won >= 9 * len(values)
+                and -worse > spread,
+                "worse_beyond_bound": worse > metric["bound"] * abs(parent_side["median"]),
             }
         entry["environment"] = {"parent": environment([p for p, _ in pairs]),
                                 "change": environment([c for _, c in pairs])}

@@ -143,16 +143,21 @@ def cmd_sweep(config: ExperimentConfig, axis: str, grid: list[float],
             N = staffing_level(cfg_i.params().lambda_n, sol.mu_bar,
                                cfg_i.beta, cfg_i.alpha)
             rows.append({"value": float(value), "L_star": sol.L_star,
-                         "mu_bar": sol.mu_bar, "N": N,
-                         "residual": sol.residual, "flag": ""})
+                         "mu_bar": sol.mu_bar, "N": N, "residual": sol.residual,
+                         "first_order_monotone": sol.first_order_monotone,
+                         **{name: getattr(sol, name) for name in _REFINEMENT},
+                         "flag": ""})
         except (SolverFailure, ValueError) as exc:
             rows.append({"value": float(value), "L_star": float("nan"),
-                         "mu_bar": float("nan"), "N": -1,
-                         "residual": float("nan"), "flag": f"failed: {exc}"})
-    _write_csv(os.path.join(outdir, f"sweep_{axis}.csv"),
-               [axis, "L_star", "mu_bar", "N", "residual", "flag"],
-               [[r["value"], r["L_star"], r["mu_bar"], r["N"], r["residual"],
-                 r["flag"].replace(",", ";")] for r in rows], config)
+                         "mu_bar": float("nan"), "N": -1, "residual": float("nan"),
+                         "first_order_monotone": None,
+                         **{name: None for name in _REFINEMENT},
+                         "flag": f"failed: {exc}"})
+    # flag stays the last column: readers take it as the row's last field
+    columns = ["L_star", "mu_bar", "N", "residual", "first_order_monotone", *_REFINEMENT]
+    _write_csv(os.path.join(outdir, f"sweep_{axis}.csv"), [axis, *columns, "flag"],
+               [[r["value"], *(r[c] for c in columns), r["flag"].replace(",", ";")]
+                for r in rows], config)
     long_rows = []
     for r in rows:
         for metric in ("L_star", "mu_bar", "N"):
@@ -200,33 +205,40 @@ def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
                diffusion_paths: int = 64, allocation_T: float = 160.0) -> dict:
     sol = _solve(config)
     params = config.params()
-
-    spec = FluidSpec.from_params(params, sol.mu_bar, sol.moment, xi0=0.0)
-    t_grid = np.linspace(0.0, fluid_T, 401)
-    closed = fluid_closed_form(spec, t_grid)
-    rk4 = fluid_integrate(spec, t_grid)
-    fluid_dev = float(np.max(np.abs(closed - rk4)))
-    _write_csv(os.path.join(outdir, "fluid_compare.csv"), ["t", "closed_form", "rk4"],
-               [[float(t), float(c), float(v)] for t, c, v in zip(t_grid, closed, rk4)],
-               config)
-
     dspec = DiffusionSpec(xi0=0.0, lambda_bar=config.lambda_bar, mu_bar=sol.mu_bar,
                           sigma2_F=sol.sigma2, beta=config.beta, gamma=config.gamma,
                           moment=sol.moment, alpha=config.alpha)
-    dstats = diffusion_simulate(dspec, diffusion_dt, diffusion_T, diffusion_paths,
-                                seed=config.seed)
-    _write_csv(os.path.join(outdir, "diffusion_mean.csv"), ["t", "value"],
-               [[float(t), float(v)] for t, v in
-                zip(dstats.t_grid[::25], dstats.ensemble_mean[::25])], config)
+    # The diffusion ensemble reads nothing the fluid and allocation
+    # integrators compute: one worker process runs it while this process
+    # runs them. Its result is taken in the finally around the allocation,
+    # so that a failure is the one the serial order gives (fluid, then
+    # diffusion, then allocation), and its CSV is written there, before the
+    # allocation's.
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        diffusion = pool.submit(diffusion_simulate, dspec, diffusion_dt, diffusion_T,
+                                diffusion_paths, seed=config.seed)
+        spec = FluidSpec.from_params(params, sol.mu_bar, sol.moment, xi0=0.0)
+        t_grid = np.linspace(0.0, fluid_T, 401)
+        closed = fluid_closed_form(spec, t_grid)
+        rk4 = fluid_integrate(spec, t_grid)
+        fluid_dev = float(np.max(np.abs(closed - rk4)))
+        _write_csv(os.path.join(outdir, "fluid_compare.csv"), ["t", "closed_form", "rk4"],
+                   [[float(t), float(c), float(v)] for t, c, v in zip(t_grid, closed, rk4)],
+                   config)
 
-    F = sol.response
-    h = config.functions().h
-    fixed = allocation_fixed_point(F, params, sol.mu_bar, h, L=sol.L_star)
-    start = AllocationState(edges=fixed.edges,
-                            masses=np.full_like(fixed.masses, fixed.total / fixed.masses.size),
-                            F_masses=fixed.F_masses)
-    times = np.linspace(0.0, allocation_T, 81)
-    traj = allocation_fluid_integrate(start, params, sol.mu_bar, h, times)
+        h = config.functions().h
+        times = np.linspace(0.0, allocation_T, 81)
+        try:
+            fixed = allocation_fixed_point(sol.response, params, sol.mu_bar, h, L=sol.L_star)
+            start = AllocationState(
+                edges=fixed.edges, F_masses=fixed.F_masses,
+                masses=np.full_like(fixed.masses, fixed.total / fixed.masses.size))
+            traj = allocation_fluid_integrate(start, params, sol.mu_bar, h, times)
+        finally:
+            dstats = diffusion.result()
+            _write_csv(os.path.join(outdir, "diffusion_mean.csv"), ["t", "value"],
+                       [[float(t), float(v)] for t, v in
+                        zip(dstats.t_grid[::25], dstats.ensemble_mean[::25])], config)
     alloc_rows = []
     for ti in (0, len(traj) // 2, len(traj) - 1):
         state = traj[ti]
@@ -335,7 +347,8 @@ def _validate_worker(task: tuple) -> tuple:
     idx = bin_index(edges, pop.rate)
     sums = [np.bincount(idx, weights=w, minlength=edges.size - 1)
             for w in (res.idle_fraction, init, np.ones(idx.size), res.idle_time)]
-    return (n, rep, *sums, res.scaled_idleness_mean)
+    return (n, rep, *sums, res.scaled_idleness_mean,
+            {name: getattr(res, name) for name in _COUNTERS})
 
 
 def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications: int,
@@ -394,16 +407,19 @@ def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications:
         ihat_se = float(ihat.std(ddof=1) / math.sqrt(ihat.size)) if ihat.size > 1 else float("nan")
         fair_emp = fair / fair.sum()
         fairness_tv = 0.5 * float(np.abs(fair_emp - theory_fair_mass).sum())
+        # simulator counters: totals over the replications, the largest peak
+        counters = [o[7] for o in per_n]
+        totals = {name: sum(c[name] for c in counters)
+                  for name in _COUNTERS if name != "peak_queue"}
         rows.append({"n": n, "sup_gap": sup_gap, "ihat_mean": ihat_mean,
                      "ihat_theory": ihat_theory, "ihat_gap": abs(ihat_mean - ihat_theory),
                      "ihat_se": ihat_se, "fairness_tv": fairness_tv,
-                     "replications": len(per_n)})
-    _write_csv(os.path.join(outdir, "validation.csv"),
-               ["n", "sup_gap", "ihat_mean", "ihat_theory", "ihat_gap", "ihat_se",
-                "fairness_tv", "replications"],
-               [[r["n"], r["sup_gap"], r["ihat_mean"], r["ihat_theory"], r["ihat_gap"],
-                 r["ihat_se"], r["fairness_tv"], r["replications"]] for r in rows],
-               config)
+                     "replications": len(per_n), **totals,
+                     "peak_queue": max(c["peak_queue"] for c in counters)})
+    columns = ["n", "sup_gap", "ihat_mean", "ihat_theory", "ihat_gap", "ihat_se",
+               "fairness_tv", "replications", *_COUNTERS]
+    _write_csv(os.path.join(outdir, "validation.csv"), columns,
+               [[r[c] for c in columns] for r in rows], config)
     for r in rows:
         print(f"validate n={r['n']}: sup_gap={r['sup_gap']:.5f} "
               f"ihat_gap={r['ihat_gap']:.4f} (se {r['ihat_se']:.4f}) "

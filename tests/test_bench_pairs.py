@@ -107,3 +107,41 @@ def test_flags_a_median_worse_beyond_its_bound(checkouts, monkeypatch, capsys):
     assert not any(m["worse_beyond_bound"] for m in data["solve"]["metrics"].values())
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("bench_pairs: sim events_per_ref median 78.75")
+
+
+
+# parent runs of seeds 0-9: wall 9.5, 10.0, ..., 14.0 (quartiles 10.375 and
+# 13.125), events 100.0, 100.5, ..., 104.5 (quartiles 100.875 and 103.625)
+PARENT_WALLS = [9.5 + 0.5 * seed for seed in range(10)]
+PARENT_EVENTS = [100.0 + 0.5 * seed for seed in range(10)]
+
+
+def gains(tmp_path, monkeypatch, walls, events) -> dict:
+    parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "bench"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    for seed, (wall, event) in enumerate(zip(walls, events)):
+        write_run(parent, "sim", seed, PARENT_WALLS[seed], PARENT_EVENTS[seed], commit="p")
+        write_run(change, "sim", seed, wall, event, commit="c")
+    assert run_in(out, monkeypatch, parent, change, "--pr", "10") == 0
+    metrics = json.loads((out / "BENCH_10.json").read_text())["workloads"]["sim"]["metrics"]
+    return {name: metrics[name]["gain_shown"] for name in ("wall_ref", "events_per_ref")}
+
+
+@pytest.mark.parametrize("walls, events, shown", [
+    # 9 of 10 pairs better, medians apart by more than the parent's quartiles
+    ([20.0] + [7.0] * 9, [130.0] * 9 + [90.0], True),
+    # 8 of 10 pairs better
+    ([20.0] * 2 + [7.0] * 8, [130.0] * 8 + [90.0] * 2, False),
+    # every pair better, by less than the parent's interquartile range
+    ([w - 0.1 for w in PARENT_WALLS], [e + 0.1 for e in PARENT_EVENTS], False),
+])
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_the_parents_spread(
+        tmp_path, monkeypatch, walls, events, shown):
+    assert gains(tmp_path, monkeypatch, walls, events) == {"wall_ref": shown,
+                                                          "events_per_ref": shown}
+
+
+def test_no_gain_shown_on_fewer_than_ten_pairs(tmp_path, monkeypatch):
+    assert gains(tmp_path, monkeypatch, [1.0] * 9, [1e6] * 9) == {"wall_ref": False,
+                                                                 "events_per_ref": False}

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import runpy
 import subprocess
@@ -119,6 +120,37 @@ class TestSweepCommand:
         long = open(os.path.join(str(tmp_path), "plot_r.csv")).read()
         assert long.count("\n") == 2 + 9
 
+    def test_rows_name_the_solver_path_and_error_figures(self, tmp_path):
+        assert main(["--out", str(tmp_path), "sweep", "--axis", "r", "--grid=-2,-0.5"]) == 0
+        lines = open(os.path.join(str(tmp_path), "sweep_r.csv")).read().splitlines()
+        header = lines[1].split(",")
+        assert header == ["r", "L_star", "mu_bar", "N", "residual", "first_order_monotone",
+                          "refinement_phi", "refinement_L", "refinement_mu_bar", "flag"]
+        unimodal, monotone = (dict(zip(header, line.split(","))) for line in lines[2:])
+        names = ("refinement_phi", "refinement_L", "refinement_mu_bar")
+        assert unimodal["r"] == "-2.0" and unimodal["first_order_monotone"] == "False"
+        assert all(np.isfinite(float(unimodal[name])) for name in names)
+        assert monotone["r"] == "-0.5" and monotone["first_order_monotone"] == "True"
+        assert all(monotone[name] == "" for name in names)
+        assert unimodal["flag"] == monotone["flag"] == ""
+        plot = open(os.path.join(str(tmp_path), "plot_r.csv")).read().splitlines()
+        assert plot[1] == "r,metric,value" and len(plot) == 2 + 6
+
+    def test_failed_point_leaves_the_new_columns_empty(self, tmp_path, monkeypatch):
+        solve = cli.solve_equilibrium
+
+        def failing_at_low_beta(dists, funcs, beta, *args):
+            if beta < 0.2:
+                raise ValueError("broken, on purpose")
+            return solve(dists, funcs, beta, *args)
+
+        monkeypatch.setattr(cli, "solve_equilibrium", failing_at_low_beta)
+        rows = cmd_sweep(ExperimentConfig(), "beta", [0.1, 0.3], str(tmp_path))
+        assert rows[0]["first_order_monotone"] is None and rows[1]["first_order_monotone"]
+        lines = open(os.path.join(str(tmp_path), "sweep_beta.csv")).read().splitlines()
+        assert lines[2].split(",")[5:] == ["", "", "", "", "failed: broken; on purpose"]
+        assert lines[3].split(",")[5:] == ["True", "", "", "", ""]
+
     def test_grid_validation(self, tmp_path):
         cfg = ExperimentConfig()
         with pytest.raises(ConfigError):
@@ -209,6 +241,115 @@ class TestSimulateAndFairness:
                           "stationary_scaled_idleness": f"alpha={alpha!r}"}
 
 
+def _serial_limits(config, outdir, fluid_T, diffusion_T, diffusion_dt, diffusion_paths,
+                   allocation_T):
+    """The limit objects of ``cmd_limits``, computed one after the other in
+    this process and written to ``outdir`` the same way."""
+    from rategame.limits import (AllocationState, DiffusionSpec, FluidSpec,
+                                 allocation_fixed_point, allocation_fluid_integrate,
+                                 diffusion_simulate, fluid_closed_form, fluid_integrate,
+                                 stationary_scaled_idleness)
+    sol = cli._solve(config)
+    params = config.params()
+    spec = FluidSpec.from_params(params, sol.mu_bar, sol.moment, xi0=0.0)
+    t_grid = np.linspace(0.0, fluid_T, 401)
+    closed, rk4 = fluid_closed_form(spec, t_grid), fluid_integrate(spec, t_grid)
+    cli._write_csv(os.path.join(outdir, "fluid_compare.csv"), ["t", "closed_form", "rk4"],
+                   [[float(t), float(c), float(v)] for t, c, v in zip(t_grid, closed, rk4)],
+                   config)
+    dspec = DiffusionSpec(xi0=0.0, lambda_bar=config.lambda_bar, mu_bar=sol.mu_bar,
+                          sigma2_F=sol.sigma2, beta=config.beta, gamma=config.gamma,
+                          moment=sol.moment, alpha=config.alpha)
+    dstats = diffusion_simulate(dspec, diffusion_dt, diffusion_T, diffusion_paths,
+                                seed=config.seed)
+    cli._write_csv(os.path.join(outdir, "diffusion_mean.csv"), ["t", "value"],
+                   [[float(t), float(v)] for t, v in
+                    zip(dstats.t_grid[::25], dstats.ensemble_mean[::25])], config)
+    h = config.functions().h
+    fixed = allocation_fixed_point(sol.response, params, sol.mu_bar, h, L=sol.L_star)
+    start = AllocationState(edges=fixed.edges, F_masses=fixed.F_masses,
+                            masses=np.full_like(fixed.masses, fixed.total / fixed.masses.size))
+    times = np.linspace(0.0, allocation_T, 81)
+    traj = allocation_fluid_integrate(start, params, sol.mu_bar, h, times)
+    cli._write_csv(os.path.join(outdir, "allocation_trace.csv"), ["t", "cell_mid", "mass"],
+                   [[float(times[ti]), float(mid), float(mass)]
+                    for ti in (0, len(traj) // 2, len(traj) - 1)
+                    for mid, mass in zip(traj[ti].mids, traj[ti].masses)], config)
+    return {"fluid_max_dev": float(np.max(np.abs(closed - rk4))),
+            "diffusion_mean": dstats.mean, "diffusion_stderr": dstats.stderr,
+            "allocation_terminal_tv": traj[-1].tv_against(fixed.masses),
+            "stationary_scaled_idleness":
+                stationary_scaled_idleness(params, sol.mu_bar, sol.moment)}
+
+
+class TestLimitsWorker:
+    """``cmd_limits`` runs the diffusion ensemble in a worker process."""
+
+    SHORT = {"fluid_T": 5.0, "diffusion_T": 20.0, "diffusion_dt": 0.01,
+             "diffusion_paths": 8, "allocation_T": 60.0}
+
+    @pytest.mark.parametrize("config", [ExperimentConfig(),
+                                        ExperimentConfig(alpha=0.5, seed=7)],
+                             ids=["base", "alpha0.5-seed7"])
+    def test_files_and_summary_equal_the_serial_calls_bit_for_bit(self, tmp_path, config):
+        from rategame.cli import cmd_limits
+        summary = cmd_limits(config, str(tmp_path / "worker"), **self.SHORT)
+        expected = _serial_limits(config, str(tmp_path / "serial"), **self.SHORT)
+        assert [(k, repr(v)) for k, v in summary.items()] == \
+            [(k, repr(v)) for k, v in expected.items()]
+        for name in ("fluid_compare.csv", "diffusion_mean.csv", "allocation_trace.csv"):
+            assert (tmp_path / "worker" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes(), name
+        rows = (tmp_path / "worker" / "limits_summary.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[:2] for row in rows] == \
+            [[k, repr(float(v))] for k, v in expected.items()]
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_error_comes_back_and_leaves_no_process(self, tmp_path):
+        from rategame.cli import cmd_limits
+        with pytest.raises(ValueError, match=r"^need 0 < dt < T$"):
+            cmd_limits(ExperimentConfig(), str(tmp_path), **dict(self.SHORT, diffusion_dt=0.0))
+        assert multiprocessing.active_children() == []
+        # as in the serial order: the fluid ran first, the allocation never wrote
+        assert sorted(os.listdir(tmp_path)) == ["fluid_compare.csv"]
+
+    def test_the_diffusion_error_wins_over_the_allocations(self, tmp_path, monkeypatch):
+        from rategame.cli import cmd_limits
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("allocation broke")
+
+        # only this process's names can be patched: a patched diffusion
+        # function could not be pickled to the worker
+        monkeypatch.setattr(cli, "allocation_fluid_integrate", broken)
+        with pytest.raises(ValueError, match="need 0 < dt < T"):
+            cmd_limits(ExperimentConfig(), str(tmp_path), **dict(self.SHORT, diffusion_dt=0.0))
+        with pytest.raises(ZeroDivisionError, match="allocation broke"):
+            cmd_limits(ExperimentConfig(), str(tmp_path / "alone"), **self.SHORT)
+        assert sorted(os.listdir(tmp_path / "alone")) == ["diffusion_mean.csv",
+                                                          "fluid_compare.csv"]
+        assert multiprocessing.active_children() == []
+
+    def test_the_fluid_error_wins_over_the_diffusions(self, tmp_path, monkeypatch):
+        from rategame.cli import cmd_limits
+
+        def broken(*args, **kwargs):
+            raise ValueError("fluid broke")
+
+        monkeypatch.setattr(cli, "fluid_integrate", broken)
+        with pytest.raises(ValueError, match="fluid broke"):
+            cmd_limits(ExperimentConfig(), str(tmp_path), **dict(self.SHORT, diffusion_dt=0.0))
+        assert multiprocessing.active_children() == []
+        assert not any(tmp_path.iterdir())
+
+    def test_main_reports_a_failure_in_one_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "allocation_fluid_integrate", lambda *a, **k: 1 / 0)
+        assert main(["--out", str(tmp_path), "limits"]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["simulation error: division by zero"]
+        assert multiprocessing.active_children() == []
+
+
 class TestValidatePipeline:
     def test_worker_count_does_not_change_results(self, tmp_path):
         from rategame.cli import validate_pipeline
@@ -222,6 +363,29 @@ class TestValidatePipeline:
         b = open(os.path.join(str(tmp_path / "b"), "validation.csv"), "rb").read()
         assert a == b
 
+
+    def test_rows_carry_the_simulator_counters(self, tmp_path):
+        from rategame.cli import _validate_worker, validate_pipeline
+        # staffed thinly, so that every replication queues and the largest
+        # peak is not the sum of the peaks
+        cfg = ExperimentConfig(lambda_bar=2.0, seed=11, beta=0.05)
+        rows = validate_pipeline(cfg, [4, 6], replications=2, outdir=str(tmp_path),
+                                 horizon=6.0, warmup=1.0, bins=5)
+        sol = cli._solve(cfg)
+        edges = np.linspace(cfg.mu_min, cfg.mu_max, 6)
+        lines = open(os.path.join(str(tmp_path), "validation.csv")).read().splitlines()
+        assert lines[1].endswith(",replications,event_count,thinned_completions,"
+                                 "routing_rejections,peak_queue")
+        for row, line in zip(rows, lines[2:]):
+            counters = [_validate_worker((cfg, sol.L_star, sol.mu_bar, row["n"], rep,
+                                          6.0, 1.0, edges))[-1] for rep in (0, 1)]
+            expected = [sum(c[name] for c in counters) for name in
+                        ("event_count", "thinned_completions", "routing_rejections")]
+            expected.append(max(c["peak_queue"] for c in counters))
+            assert min(c["peak_queue"] for c in counters) > 0
+            assert [row[name] for name in cli._COUNTERS] == expected
+            assert line.split(",")[-4:] == [str(v) for v in expected]
+            assert row["event_count"] > 0
 
     def test_one_progress_line_per_task(self, tmp_path, capsys):
         from rategame.cli import validate_pipeline
