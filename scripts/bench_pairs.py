@@ -13,8 +13,10 @@ direction, and ``worse_beyond_bound``: whether the change's median is worse
 than the parent's by more than the metric's ``bound``, relative to the
 parent's median. Each such metric is also named on stderr. ``gain_shown``
 says whether the pairs show a gain: at least ten pairs, the change better
-in at least nine tenths of them (ties count for neither), and its median
-better than the parent's by more than the parent's interquartile range.
+in at least nine tenths of them (ties count for neither), its median better
+than the parent's by more than the parent's interquartile range, and no
+more failed checks in the change's runs than in the parent's. A workload
+whose change failed more checks is named on stderr.
 The environment fields of the run records go with each side. The file is
 written to the current directory; an existing one is never overwritten.
 """
@@ -64,10 +66,10 @@ def compare(parent: dict, change: dict, metrics: list[dict]) -> dict:
     for workload in sorted({w for w, _ in parent.keys() & change.keys()}):
         seeds = sorted(s for w, s in parent.keys() & change.keys() if w == workload)
         pairs = [(parent[(workload, s)], change[(workload, s)]) for s in seeds]
-        entry = {"seeds": seeds,
-                 "checks_failed": {"parent": sum(p["result"]["failed"] for p, _ in pairs),
-                                   "change": sum(c["result"]["failed"] for _, c in pairs)},
-                 "metrics": {}}
+        failed = {"parent": sum(p["result"]["failed"] for p, _ in pairs),
+                  "change": sum(c["result"]["failed"] for _, c in pairs)}
+        no_new_failures = failed["change"] <= failed["parent"]
+        entry = {"seeds": seeds, "checks_failed": failed, "metrics": {}}
         for metric in metrics:
             name, lower = metric["name"], metric["better"] == "lower"
             values = [(p["result"]["metrics"][name]["value"], c["result"]["metrics"][name]["value"])
@@ -83,8 +85,8 @@ def compare(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 "unit": metric["unit"], "better": metric["better"],
                 "parent": parent_side, "change": change_side,
                 "pairs": len(values), "change_better": won,
-                "gain_shown": len(values) >= 10 and 10 * won >= 9 * len(values)
-                and -worse > spread,
+                "gain_shown": no_new_failures and len(values) >= 10
+                and 10 * won >= 9 * len(values) and -worse > spread,
                 "worse_beyond_bound": worse > metric["bound"] * abs(parent_side["median"]),
             }
         entry["environment"] = {"parent": environment([p for p, _ in pairs]),
@@ -107,6 +109,10 @@ def main(argv: list[str] | None = None) -> int:
         print("bench_pairs: no workload and seed has a run on both sides", file=sys.stderr)
         return 2
     for workload, entry in workloads.items():
+        failed = entry["checks_failed"]
+        if failed["change"] > failed["parent"]:
+            print(f"bench_pairs: {workload} change failed {failed['change']} checks against "
+                  f"the parent's {failed['parent']}; no gain is shown", file=sys.stderr)
         for name, m in entry["metrics"].items():
             if m["worse_beyond_bound"]:
                 print(f"bench_pairs: {workload} {name} median {m['change']['median']!r} is worse "

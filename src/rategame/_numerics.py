@@ -10,7 +10,9 @@ import numpy as np
 def bisect(f, lo, hi, iters: int, tol: float = 0.0):
     """Bisect ``f`` on [lo, hi], elementwise over scalars or arrays.
 
-    ``f(x) > 0`` means the root lies above ``x``. Runs at most ``iters``
+    ``f(x) > 0`` means the root lies above ``x``; ``f(x) = 0`` moves ``hi``,
+    so the result is the edge of {f > 0}, also where f is 0 on a whole
+    interval. Runs at most ``iters``
     halvings and stops once every midpoint equals an end of its bracket:
     every later halving would give back the same midpoint, so the result is
     the one the full count returns. With ``tol > 0`` it also stops once

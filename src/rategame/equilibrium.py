@@ -191,9 +191,20 @@ class ResponseDistribution(CdfRateDistribution):
         F1(m) = P(lo <= m) - E[ 1(lo <= m < hi) min(q(m), psi(lo, hi)) ].
 
     A is C capped at C_peak left of the peak. The switch level a_sw(lo, hi),
-    at which the personal minimum starts winning, is one-dimensional: a1(lo),
-    where the unclipped R(a) ties lo, if hi >= R(a1(lo)), else the secant
-    (V(hi) - V(lo)) / (c(hi) - c(lo)), V(mu) = f(1 / (1 + L htilde(mu))).
+    at which the personal minimum starts winning, is one-dimensional. With
+    V(mu) = f(1 / (1 + L htilde(mu))), so that C = V' / c', let mu*(lo) be
+    the down-branch rate that ties lo. Then a_sw = a1(lo) = C(mu*, L) if
+    hi >= mu*, else the secant (V(hi) - V(lo)) / (c(hi) - c(lo)). Two
+    identities give mu*:
+
+    - on the falling branch, lo >= mu_peak, mu* = lo and a1 = C(lo, L):
+      R(C(lo)) = lo, and for a < C(lo) the stationary point R(a) > lo
+      strictly beats lo;
+    - below the peak, mu* is the root on [mu_peak, mu_max] of
+      T(mu) = V(mu) - V(lo) - C(mu) (c(mu) - c(lo)), the tie of lo with the
+      stationary point mu at a = C(mu). T(mu_peak) <= 0 and
+      T' = -C'(mu) (c(mu) - c(lo)) > 0 on the down-branch. Where
+      T(mu_max) < 0, mu* = mu_max and a1 is the secant to mu_max.
 
     F1 is one table on the edges m_k of a uniform cell grid, read by linear
     interpolation; the expectation is a Gauss rule over (lo, hi) with the
@@ -303,13 +314,6 @@ class ResponseDistribution(CdfRateDistribution):
         self._mu_peak = float(grid[ipk])
         self._c_peak = float(cg[ipk])
 
-        # down-branch stationary point R(a), tabulated once over a
-        a_tab = np.geomspace(max(float(cg[-1]), self._c_peak * 1e-10), self._c_peak, 1025)
-        self._R_a = a_tab
-        self._R_mu, _, _ = bisect(lambda mu: _ratio_array(funcs, mu, L) - a_tab,
-                                  np.full(a_tab.size, self._mu_peak),
-                                  np.full(a_tab.size, d.mu_max), 60)
-
         # Gauss nodes inside the cells. A pair (lo, hi) in cells i < j adds
         # w_lo w_hi min(q_k, psi) to the edges k = i+1..j, where lo <= m_k < hi.
         K, n = self._CELLS, self._CELL_NODES
@@ -322,15 +326,15 @@ class ResponseDistribution(CdfRateDistribution):
         # q does not increase; minimum.accumulate takes out rounding
         q = np.minimum.accumulate(np.asarray(d.a_cdf(self._A(edges)), dtype=float))
 
-        # psi = psi1(lo) for every hi at or above R(a1(lo)): summed over all hi
+        # psi = psi1(lo) for every hi at or above mu*(lo): summed over all hi
         # of the cells above edge k, whose weight is mu_max - m_k
-        a1 = self._a1(nodes)
+        a1, mu_star = self._switch_level(nodes)
         psi1 = np.asarray(d.a_cdf(a1), dtype=float)
         pairs = (d.mu_max - edges) * _edge_sums(q, cell, np.full(cell.size, K), psi1, weights)
-        # the hi below R(a1(lo)) take the secant level instead: swap their
+        # the hi below mu*(lo) take the secant level instead: swap their
         # terms, for groups of lo nodes of about _PAIR_BLOCK pairs at a time
         first = n * (cell + 1)
-        count = np.maximum(np.searchsorted(nodes, self._R(a1)) - first, 0)
+        count = np.maximum(np.searchsorted(nodes, mu_star) - first, 0)
         ends = np.cumsum(count)
         cuts = np.searchsorted(ends, np.arange(self._PAIR_BLOCK, ends[-1], self._PAIR_BLOCK))
         for group in np.split(np.arange(cell.size), cuts):
@@ -338,37 +342,39 @@ class ResponseDistribution(CdfRateDistribution):
             lo = np.repeat(group, c)
             hi = np.arange(lo.size) + np.repeat(first[group] - (np.cumsum(c) - c), c)
             i, j, ww = cell[lo], cell[hi], weights[lo] * weights[hi]
-            pairs += (_edge_sums(q, i, j, self._psi(nodes[lo], nodes[hi], a1[lo]), ww)
-                      - _edge_sums(q, i, j, psi1[lo], ww))
+            psi = np.asarray(d.a_cdf(self._secant(nodes[lo], nodes[hi])), dtype=float)
+            pairs += _edge_sums(q, i, j, psi, ww) - _edge_sums(q, i, j, psi1[lo], ww)
         below = d.max_marginal_cdf(edges) + d.between_prob(edges)   # P(lo <= m)
         return edges, below - 2.0 / (d.mu_max - d.mu_min) ** 2 * pairs
 
-    def _R(self, a) -> np.ndarray:
-        """Down-branch stationary point R(a): mu_max below its table, mu_min from C_peak on."""
-        a = np.asarray(a, dtype=float)
-        out = np.interp(a, self._R_a, self._R_mu)
-        out = np.where(a <= self._R_a[0], self._dists.mu_max, out)
-        return np.where(a >= self._c_peak, self._dists.mu_min, out)
-
-    def _a1(self, lo: np.ndarray) -> np.ndarray:
-        """a1(lo), the smallest a at which lo ties or beats R(a) unclipped above,
-        bisected: R(a)'s advantage decreases in a (envelope argument)."""
+    def _secant(self, lo, hi) -> np.ndarray:
+        """(V(hi) - V(lo)) / (c(hi) - c(lo)): the level of a at which hi ties lo."""
         funcs, L = self._funcs, self.L
+        return ((_idle_value(funcs, hi, L) - _idle_value(funcs, lo, L))
+                / (funcs.c(hi) - funcs.c(lo)))
 
-        def min_loses(a):
-            return _utility(funcs, np.maximum(self._R(a), lo), a, L) - _utility(funcs, lo, a, L)
+    def _switch_level(self, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """a1(lo) and mu*(lo) by the class docstring's two identities: C(lo)
+        and lo on the falling branch, one bisection of T below the peak."""
+        funcs, L, top = self._funcs, self.L, self._dists.mu_max
+        mu_star = np.array(lo, dtype=float)
+        a1 = _ratio_array(funcs, mu_star, L)
+        below = np.flatnonzero(mu_star < self._mu_peak)
+        if below.size:
+            b = mu_star[below]
+            v_lo, c_lo = _idle_value(funcs, b, L), funcs.c(b)
 
-        a1, _, _ = bisect(min_loses, np.full(lo.shape, 1e-12), np.full(lo.shape, self._c_peak), 60)
-        return a1
+            def T(mu):
+                return (_idle_value(funcs, mu, L) - v_lo
+                        - _ratio_array(funcs, mu, L) * (funcs.c(mu) - c_lo))
 
-    def _psi(self, lo: np.ndarray, hi: np.ndarray, a1: np.ndarray) -> np.ndarray:
-        """psi = F_a(a_sw(lo, hi)) for lo < hi, given a1(lo): a1 where hi >= R(a1),
-        else the secant level at which hi itself ties lo."""
-        funcs, L = self._funcs, self.L
-        secant = ((_idle_value(funcs, hi, L) - _idle_value(funcs, lo, L))
-                  / (funcs.c(hi) - funcs.c(lo)))
-        a_sw = np.where(hi >= self._R(a1), a1, secant)
-        return np.asarray(self._dists.a_cdf(a_sw), dtype=float)
+            # T = 0 moves hi, so a flat zero at the peak gives the peak
+            root, _, _ = bisect(lambda mu: -T(mu), np.full(b.size, self._mu_peak),
+                                np.full(b.size, top), 200)
+            short = T(np.full(b.size, top)) < 0.0
+            mu_star[below] = np.where(short, top, root)
+            a1[below] = np.where(short, self._secant(b, top), _ratio_array(funcs, root, L))
+        return a1, mu_star
 
     def density(self, mu, half_step: float | None = None):
         """Reporting density via central differences of the CDF."""

@@ -116,13 +116,16 @@ PARENT_WALLS = [9.5 + 0.5 * seed for seed in range(10)]
 PARENT_EVENTS = [100.0 + 0.5 * seed for seed in range(10)]
 
 
-def gains(tmp_path, monkeypatch, walls, events) -> dict:
+def gains(tmp_path, monkeypatch, walls, events, parent_failed=(), change_failed=()) -> dict:
+    """gain_shown per metric; the seeds listed in ``*_failed`` fail one check."""
     parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "bench"
     change.mkdir()
     (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
     for seed, (wall, event) in enumerate(zip(walls, events)):
-        write_run(parent, "sim", seed, PARENT_WALLS[seed], PARENT_EVENTS[seed], commit="p")
-        write_run(change, "sim", seed, wall, event, commit="c")
+        write_run(parent, "sim", seed, PARENT_WALLS[seed], PARENT_EVENTS[seed],
+                  failed=int(seed in parent_failed), commit="p")
+        write_run(change, "sim", seed, wall, event, failed=int(seed in change_failed),
+                  commit="c")
     assert run_in(out, monkeypatch, parent, change, "--pr", "10") == 0
     metrics = json.loads((out / "BENCH_10.json").read_text())["workloads"]["sim"]["metrics"]
     return {name: metrics[name]["gain_shown"] for name in ("wall_ref", "events_per_ref")}
@@ -145,3 +148,22 @@ def test_gain_shown_needs_nine_tenths_of_the_pairs_and_the_parents_spread(
 def test_no_gain_shown_on_fewer_than_ten_pairs(tmp_path, monkeypatch):
     assert gains(tmp_path, monkeypatch, [1.0] * 9, [1e6] * 9) == {"wall_ref": False,
                                                                  "events_per_ref": False}
+
+
+@pytest.mark.parametrize("parent_failed, change_failed, shown", [
+    ((), (3,), False),          # the change failed a check the parent passed
+    ((5,), (3,), True),         # as many failed checks on each side
+    ((5, 6), (3, 4, 8), False),
+])
+def test_no_gain_shown_when_the_change_fails_more_checks(tmp_path, monkeypatch, capsys,
+                                                          parent_failed, change_failed, shown):
+    # the walls and events of the first case above, which show a gain
+    walls, events = [20.0] + [7.0] * 9, [130.0] * 9 + [90.0]
+    assert gains(tmp_path, monkeypatch, walls, events, parent_failed,
+                 change_failed) == {"wall_ref": shown, "events_per_ref": shown}
+    err = capsys.readouterr().err
+    if shown:
+        assert err == ""
+    else:
+        assert err.startswith(f"bench_pairs: sim change failed {len(change_failed)} checks "
+                              f"against the parent's {len(parent_failed)}")

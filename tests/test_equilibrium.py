@@ -234,9 +234,10 @@ class TestUnimodalRatioRegime:
         assert np.max(np.abs(F.cdf(grid) - np.clip(direct, 0, 1))) < 1e-14
 
 
-# steep laws, each at one point of its solver scan: (overrides, scan index)
+# steep laws, each at one point of its solver scan: (overrides, scan index);
+# at r = -2, point 62, no down-branch rate ties the lo nodes below 0.386
 UNIMODAL_LAWS = [({"r": -2.0}, 8), ({"r": -2.0}, 32), ({"r": -2.0}, 56),
-                 ({"r": -1.5}, 40), ({"p": 5.0, "r": -3.0}, 20)]
+                 ({"r": -1.5}, 40), ({"p": 5.0, "r": -3.0}, 20), ({"r": -2.0}, 62)]
 
 
 def _scan_Ls(cfg):
@@ -257,20 +258,28 @@ def _random_pairs(F, seed):
     return u.min(axis=1), u.max(axis=1)
 
 
+def _switch_psi(F, lo, hi, a1, mu_star):
+    """psi = F_a(a_sw(lo, hi)) for lo < hi, given a1(lo) and mu*(lo): a1
+    where hi >= mu*, else the secant level at which hi itself ties lo."""
+    a_sw = np.where(hi >= mu_star, a1, F._secant(lo, hi))
+    return np.asarray(F._dists.a_cdf(a_sw), dtype=float)
+
+
 def _bisected_psi(F, lo, hi):
-    """Reference: F_a(a_sw(lo, hi)) bisected for each pair on its own, the
-    down-branch candidate R(a) clipped into [lo, hi]."""
+    """Reference: F_a(a_sw(lo, hi)) bisected in a for each pair on its own,
+    with the down-branch stationary point R(a), itself bisected from
+    C(mu, L) = a on [mu_peak, mu_max], clipped into [lo, hi]."""
     d, funcs, L = F._dists, F._funcs, F.L
 
     def R_of(a):
-        out = np.interp(a, F._R_a, F._R_mu)
-        out = np.where(a <= F._R_a[0], d.mu_max, out)
-        return np.where(a >= F._c_peak, d.mu_min, out)
+        mu, _, _ = bisect(lambda mu: _ratio_array(funcs, mu, L) - a,
+                          np.full(a.size, F._mu_peak), np.full(a.size, d.mu_max), 200)
+        return mu
 
     def min_loses(a):
         return _utility(funcs, np.clip(R_of(a), lo, hi), a, L) - _utility(funcs, lo, a, L)
 
-    a_sw, _, _ = bisect(min_loses, np.full(lo.size, 1e-12), np.full(lo.size, F._c_peak), 60)
+    a_sw, _, _ = bisect(min_loses, np.full(lo.size, 1e-12), np.full(lo.size, F._c_peak), 200)
     return np.asarray(d.a_cdf(a_sw), dtype=float)
 
 
@@ -285,7 +294,8 @@ def _pair_sum_table(F):
     weights = np.tile(half * w, K)
     cell = np.repeat(np.arange(K), n)
     lo, hi = np.nonzero(cell[:, None] < cell[None, :])
-    psi = F._psi(nodes[lo], nodes[hi], F._a1(nodes)[lo])
+    a1, mu_star = F._switch_level(nodes)
+    psi = _switch_psi(F, nodes[lo], nodes[hi], a1[lo], mu_star[lo])
     ww = weights[lo] * weights[hi]
     q = np.asarray(d.a_cdf(F._A(edges)), dtype=float)
     pairs = np.array([np.sum(ww * ((nodes[lo] <= m) & (m < nodes[hi])) * np.minimum(qk, psi))
@@ -295,29 +305,47 @@ def _pair_sum_table(F):
 
 
 class TestUnimodalSwitchLevel:
-    """The unimodal law's switch level comes from one bisection along lo
-    (a1) and a closed-form secant; its table of F1 is summed from the node
-    pairs with difference arrays and cannot decrease."""
+    """The unimodal law's switch level is C(lo) on the falling branch and
+    comes from one root of T along the lo below the peak; its table of F1
+    is summed from the node pairs with difference arrays and cannot
+    decrease."""
 
     @pytest.mark.parametrize("overrides, scan_index", UNIMODAL_LAWS)
     def test_psi_equals_per_pair_bisection(self, base_config, overrides, scan_index):
         F = _scan_law(base_config, overrides, scan_index)
         assert not F.first_order_monotone
         lo, hi = _random_pairs(F, scan_index)
-        a1 = F._a1(lo)
-        assert (hi >= F._R(a1)).any()
-        assert np.max(np.abs(F._psi(lo, hi, a1) - _bisected_psi(F, lo, hi))) <= 1e-12
+        lo, hi = lo[lo < F._mu_peak], hi[lo < F._mu_peak]
+        # and each lo with hi = mu_max, which reads a1 also where mu* = mu_max
+        lo, hi = np.concatenate([lo, lo]), np.concatenate([hi, np.full(lo.size, F.mu_max)])
+        a1, mu_star = F._switch_level(lo)
+        assert (hi >= mu_star).any()
+        psi = _switch_psi(F, lo, hi, a1, mu_star)
+        assert np.max(np.abs(psi - _bisected_psi(F, lo, hi))) <= 1e-12
+
+    @pytest.mark.parametrize("overrides, scan_index", UNIMODAL_LAWS[:5])
+    def test_falling_branch_is_closed_form(self, base_config, overrides, scan_index):
+        # lo itself is the stationary point at a = C(lo); a per-pair bisection
+        # meets a tangent zero there and is good to about 1e-7 only
+        F = _scan_law(base_config, overrides, scan_index)
+        lo, _hi = _random_pairs(F, scan_index)
+        lo = lo[lo > F._mu_peak]
+        a1, mu_star = F._switch_level(lo)
+        assert np.array_equal(mu_star, lo)
+        assert np.array_equal(a1, _ratio_array(F._funcs, lo, F.L))
+        psi1 = np.asarray(F._dists.a_cdf(a1), dtype=float)
+        assert np.array_equal(psi1, np.asarray(F._dists.a_cdf(F._A(lo)), dtype=float))
 
     def test_both_branches_are_checked(self, base_config):
-        # the secant branch is rare at small L: counted over all five laws
+        # the secant branch is rare at small L: counted over all six laws
         secant = 0
         for overrides, scan_index in UNIMODAL_LAWS:
             F = _scan_law(base_config, overrides, scan_index)
             lo, hi = _random_pairs(F, scan_index)
-            secant += int(np.sum(hi < F._R(F._a1(lo))))
+            secant += int(np.sum(hi < F._switch_level(lo)[1]))
         assert secant > 0
 
-    @pytest.mark.parametrize("overrides, scan_index", UNIMODAL_LAWS[::2])
+    @pytest.mark.parametrize("overrides, scan_index", UNIMODAL_LAWS[::2] + UNIMODAL_LAWS[5:])
     def test_table_equals_the_direct_pair_sum(self, base_config, overrides, scan_index):
         F = _scan_law(base_config, overrides, scan_index)
         edges, ref = _pair_sum_table(F)

@@ -73,6 +73,20 @@ class TestBisect:
         np.testing.assert_array_equal(fx, fx_ref)
         assert evals < 70
 
+    def test_a_zero_moves_hi_even_on_a_whole_interval(self):
+        # f > 0 below the edge, f = 0 from the edge to 0.6, f < 0 above: the
+        # result is the edge of {f > 0}, not a point inside the zeros; the
+        # second element is zero from its lower end on, so it gives that end
+        edge = np.array([0.3, 0.1])
+
+        def f(x):
+            return np.where(x < edge, 1.0, np.where(x <= 0.6, 0.0, -1.0))
+
+        x, fx, evals = bisect(f, np.array([0.0, 0.1]), np.ones(2), 200)
+        assert np.all(np.abs(x - edge) <= np.spacing(edge))
+        assert fx[1] == 0.0
+        assert evals < 60
+
     def test_early_stop_at_tolerance_and_its_count(self):
         # root 1/3 on [0, 1]: midpoints 0.5, 0.25, 0.375, 0.3125, 0.34375, ...
         # |f| = |x - 1/3| first drops below 0.02 at the fifth midpoint
