@@ -28,8 +28,8 @@ from .equilibrium import (BestResponse, EquilibriumSolution, RegimeClass,
                           response_distribution, solve_equilibrium)
 from .limits import (AllocationState, DiffusionSpec, DiffusionStats, FluidSpec,
                      allocation_fixed_point, allocation_fluid_integrate,
-                     diffusion_simulate, fluid_closed_form, fluid_integrate,
-                     stationary_scaled_idleness)
+                     diffusion_simulate, diffusion_stationary, fluid_closed_form,
+                     fluid_integrate, stationary_scaled_idleness)
 from .sim import (RoutingPolicy, SimulationResult, empirical_allocation,
                   empirical_conditional_idleness, empirical_fairness,
                   run_simulation, stream_seed)

@@ -32,8 +32,8 @@ from .fairness import (SolverFailure, conditional_idleness_alpha1, solve_L,
                        special_policy_fairness)
 from .limits import (AllocationState, DiffusionSpec, FluidSpec,
                      allocation_fixed_point, allocation_fluid_integrate,
-                     diffusion_simulate, fluid_closed_form, fluid_integrate,
-                     stationary_scaled_idleness)
+                     diffusion_simulate, diffusion_stationary, fluid_closed_form,
+                     fluid_integrate, stationary_scaled_idleness)
 from .model import ModelParams, ServerPopulation, staffing_level
 from .rates import FairnessMeasure, RateDistribution, bin_index
 from .sim import RoutingPolicy, run_simulation, stream_seed
@@ -201,44 +201,35 @@ def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str,
 # ---------------------------------------------------------------------- limits
 
 def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
-               diffusion_T: float = 200.0, diffusion_dt: float = 0.01,
-               diffusion_paths: int = 64, allocation_T: float = 160.0) -> dict:
+               diffusion_T: float = 60.0, diffusion_dt: float = 0.05,
+               diffusion_paths: int = 256, allocation_T: float = 160.0) -> dict:
     sol = _solve(config)
     params = config.params()
-    dspec = DiffusionSpec(xi0=0.0, lambda_bar=config.lambda_bar, mu_bar=sol.mu_bar,
-                          sigma2_F=sol.sigma2, beta=config.beta, gamma=config.gamma,
-                          moment=sol.moment, alpha=config.alpha)
-    # The diffusion ensemble reads nothing the fluid and allocation
-    # integrators compute: one worker process runs it while this process
-    # runs them. Its result is taken in the finally around the allocation,
-    # so that a failure is the one the serial order gives (fluid, then
-    # diffusion, then allocation), and its CSV is written there, before the
-    # allocation's.
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        diffusion = pool.submit(diffusion_simulate, dspec, diffusion_dt, diffusion_T,
-                                diffusion_paths, seed=config.seed)
-        spec = FluidSpec.from_params(params, sol.mu_bar, sol.moment, xi0=0.0)
-        t_grid = np.linspace(0.0, fluid_T, 401)
-        closed = fluid_closed_form(spec, t_grid)
-        rk4 = fluid_integrate(spec, t_grid)
-        fluid_dev = float(np.max(np.abs(closed - rk4)))
-        _write_csv(os.path.join(outdir, "fluid_compare.csv"), ["t", "closed_form", "rk4"],
-                   [[float(t), float(c), float(v)] for t, c, v in zip(t_grid, closed, rk4)],
-                   config)
+    spec = FluidSpec.from_params(params, sol.mu_bar, sol.moment, xi0=0.0)
+    t_grid = np.linspace(0.0, fluid_T, 401)
+    closed = fluid_closed_form(spec, t_grid)
+    rk4 = fluid_integrate(spec, t_grid)
+    fluid_dev = float(np.max(np.abs(closed - rk4)))
+    _write_csv(os.path.join(outdir, "fluid_compare.csv"), ["t", "closed_form", "rk4"],
+               [[float(t), float(c), float(v)] for t, c, v in zip(t_grid, closed, rk4)],
+               config)
 
-        h = config.functions().h
-        times = np.linspace(0.0, allocation_T, 81)
-        try:
-            fixed = allocation_fixed_point(sol.response, params, sol.mu_bar, h, L=sol.L_star)
-            start = AllocationState(
-                edges=fixed.edges, F_masses=fixed.F_masses,
-                masses=np.full_like(fixed.masses, fixed.total / fixed.masses.size))
-            traj = allocation_fluid_integrate(start, params, sol.mu_bar, h, times)
-        finally:
-            dstats = diffusion.result()
-            _write_csv(os.path.join(outdir, "diffusion_mean.csv"), ["t", "value"],
-                       [[float(t), float(v)] for t, v in
-                        zip(dstats.t_grid[::25], dstats.ensemble_mean[::25])], config)
+    # the Euler-Maruyama ensemble checks the exact stationary mean
+    dspec = DiffusionSpec(xi0=0.0, lambda_bar=config.lambda_bar, mu_bar=sol.mu_bar,
+                          beta=config.beta, gamma=config.gamma, moment=sol.moment)
+    dstats = diffusion_simulate(dspec, diffusion_dt, diffusion_T, diffusion_paths,
+                                seed=config.seed)
+    exact_mean, _ = diffusion_stationary(dspec)
+    _write_csv(os.path.join(outdir, "diffusion_mean.csv"), ["t", "value"],
+               [[float(t), float(v)] for t, v in
+                zip(dstats.t_grid[::25], dstats.ensemble_mean[::25])], config)
+
+    h = config.functions().h
+    times = np.linspace(0.0, allocation_T, 81)
+    fixed = allocation_fixed_point(sol.response, params, sol.mu_bar, h, L=sol.L_star)
+    start = AllocationState(edges=fixed.edges, F_masses=fixed.F_masses,
+                            masses=np.full_like(fixed.masses, fixed.total / fixed.masses.size))
+    traj = allocation_fluid_integrate(start, params, sol.mu_bar, h, times)
     alloc_rows = []
     for ti in (0, len(traj) // 2, len(traj) - 1):
         state = traj[ti]
@@ -252,6 +243,8 @@ def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
         "fluid_max_dev": fluid_dev,
         "diffusion_mean": dstats.mean,
         "diffusion_stderr": dstats.stderr,
+        "diffusion_exact_mean": exact_mean,
+        "diffusion_z": (dstats.mean - exact_mean) / dstats.stderr,
         "allocation_terminal_tv": terminal_tv,
         "stationary_scaled_idleness": stationary_scaled_idleness(params, sol.mu_bar, sol.moment),
     }

@@ -6,8 +6,8 @@ integrate, its stationary value is -K with
     K = beta lambda_bar^alpha mu_bar^(1-alpha) / <iota, eta>,
 
 and the stationary scaled idleness is (xi)^- = K. The diffusion adds
-sqrt(2 lambda_bar) noise, an optional population-mean shift zeta_1, and an
-abandonment pull -gamma (xi)^+ above zero.
+sqrt(2 lambda_bar) noise and an abandonment pull -gamma (xi)^+ above zero; its
+stationary law is two Gaussian pieces joined at zero (``diffusion_stationary``).
 
 The allocation fluid equation tracks the measure of idle servers per rate
 cell; its unique fixed point has density
@@ -36,6 +36,7 @@ __all__ = [
     "fluid_closed_form",
     "fluid_integrate",
     "diffusion_simulate",
+    "diffusion_stationary",
     "DiffusionStats",
     "stationary_scaled_idleness",
     "allocation_fluid_integrate",
@@ -44,7 +45,9 @@ __all__ = [
 
 ALLOCATION_CELLS = 400
 ALLOCATION_SUBSTEPS = 4  # least RK4 steps per grid interval of the allocation fluid
-_DIFFUSION_BLOCK = 8192  # states per diffusion buffer: steps per block times paths
+_SQRT2 = math.sqrt(2.0)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -126,34 +129,25 @@ def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray,
 
 @dataclass(frozen=True)
 class DiffusionSpec:
-    """Ingredients of the critically-scaled stochastic equation.
+    """Ingredients of the critically-scaled (alpha = 1/2) stochastic equation
 
-    d xi = [-(beta sqrt(lambda mu) + zeta1) + m (xi)^- - gamma (xi)^+] dt
-           + sqrt(2 lambda) dW,
+    d xi = [-beta sqrt(lambda mu) + m (xi)^- - gamma (xi)^+] dt + sqrt(2 lambda) dW,
 
-    zeta1 fixed to zero (its mean) or sampled Normal(0, sigma2 lambda^a mu^-a)
-    once per path, per ``zeta1_mode``.
+    with m the fairness first moment.
     """
 
     xi0: float
     lambda_bar: float
     mu_bar: float
-    sigma2_F: float
     beta: float
     gamma: float
     moment: float
-    zeta1_mode: str = "fixed-zero"
-    alpha: float = 0.5
 
     def __post_init__(self):
         if not self.lambda_bar >= 0:
             raise ValueError("lambda_bar must be nonnegative")
         if not self.mu_bar > 0:
             raise ValueError("mu_bar must be positive")
-        if self.sigma2_F < 0:
-            raise ValueError("variance must be nonnegative")
-        if self.zeta1_mode not in ("fixed-zero", "sampled"):
-            raise ValueError("zeta1_mode must be 'fixed-zero' or 'sampled'")
 
 
 @dataclass(frozen=True)
@@ -185,12 +179,6 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
     steps = int(round(T / dt))
     t_grid = np.linspace(0.0, steps * dt, steps + 1)
     drift0 = spec.beta * np.sqrt(spec.lambda_bar * spec.mu_bar)
-    if spec.zeta1_mode == "sampled":
-        z_sd = np.sqrt(spec.sigma2_F * spec.lambda_bar ** spec.alpha
-                       * spec.mu_bar ** (-spec.alpha))
-        zeta1 = rng.normal(0.0, z_sd, size=paths)
-    else:
-        zeta1 = np.zeros(paths)
     noise_sd = np.sqrt(2.0 * spec.lambda_bar * dt)
     x = np.full(paths, spec.xi0, dtype=float)
     half = steps // 2
@@ -198,42 +186,15 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
     above = 0
     ensemble_mean = np.empty(steps + 1)
     ensemble_mean[0] = x.mean()
-    # the states of a block of steps go to one buffer, whose normals are drawn
-    # together (the same numbers, in the same order, as one draw per step).
-    # Each step computes the plain Euler-Maruyama line
-    #   x = x + (-(drift0 + zeta1) + m (-x)^+ - gamma x^+) dt + noise_sd z
-    # as x + (base - slope x) dt + noise_sd z, with slope m where x < 0 and
-    # gamma elsewhere: m (-x) is exactly -(m x), and the dropped zero terms
-    # change no float, so the states are the same bit for bit
-    block = max(1, _DIFFUSION_BLOCK // paths)
-    states = np.empty((block, paths))
-    noise = np.empty((block, paths))
-    pull = np.empty(paths)
-    below = np.empty(paths, dtype=bool)
-    slope = np.empty(paths)
-    slopes = np.array([spec.gamma, spec.moment], dtype=float)
-    base = -(drift0 + zeta1)
-    for start in range(0, steps, block):
-        n = min(block, steps - start)
-        rows, z = states[:n], noise[:n]
+    for i in range(steps):
+        x = x + (-drift0 + spec.moment * np.maximum(-x, 0.0)
+                 - spec.gamma * np.maximum(x, 0.0)) * dt
         if noise_sd > 0.0:
-            rng.standard_normal(out=z)
-            z *= noise_sd
-        for row, zj in zip(rows, z):
-            np.less(x, 0.0, out=below)
-            slopes.take(below, out=slope)
-            np.multiply(slope, x, out=pull)
-            np.subtract(base, pull, out=pull)
-            pull *= dt
-            np.add(x, pull, out=row)
-            if noise_sd > 0.0:
-                row += zj
-            x = row  # a block's first step reads the previous block's last row
-        ensemble_mean[start + 1:start + n + 1] = rows.mean(axis=1)
-        window_rows = rows[max(half - start, 0):]
-        for row in window_rows:
-            acc += row
-        above += int(np.count_nonzero(window_rows > level))
+            x += noise_sd * rng.standard_normal(paths)
+        ensemble_mean[i + 1] = x.mean()
+        if i >= half:
+            acc += x
+            above += int(np.count_nonzero(x > level))
     window = steps - half
     per_path = acc / window
     mean = float(per_path.mean())
@@ -242,6 +203,80 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
     return DiffusionStats(mean=mean, variance=var, stderr=stderr,
                           paths=per_path, t_grid=t_grid, ensemble_mean=ensemble_mean,
                           frac_above=above / (window * paths), level=level)
+
+
+def _hazard_excess(a: float) -> float:
+    """h(a) - a for a >= 0, h(a) = phi(a) / Phi(-a) the standard normal hazard.
+
+    Below a = 3 it comes from ``math.erfc``. From a = 3 on, where that
+    subtraction loses digits and erfc underflows past a = 38, it comes from
+    Laplace's continued fraction h(a) - a = 1/(a + 2/(a + 3/(a + ...))),
+    which cancels nothing and is exact to rounding at 60 terms there.
+    """
+    if a < 3.0:
+        return math.exp(-0.5 * a * a) / (_SQRT_HALF_PI * math.erfc(a / _SQRT2)) - a
+    tail = 0.0
+    for k in range(60, 1, -1):
+        tail = k / (a + tail)
+    return 1.0 / (a + tail)
+
+
+def _logistic(t: float) -> float:
+    """1 / (1 + exp(-t)) without overflow."""
+    e = math.exp(-abs(t))
+    return 1.0 / (1.0 + e) if t >= 0.0 else e / (1.0 + e)
+
+
+def diffusion_stationary(spec: DiffusionSpec, level: float = 0.1) -> tuple[float, float]:
+    """The exact stationary mean of the diffusion, and P(xi > level).
+
+    With d = beta sqrt(lambda mu_bar), the drift is -d - k x, k = m (the
+    moment) below zero and gamma above, and the noise is sqrt(2 lambda). The
+    stationary density is proportional to exp(B(x) / lambda), B the drift's
+    integral (Browne & Whitt, "Piecewise-linear diffusion processes", 1995):
+    a Normal(-d/k, lambda/k) piece on each side of zero. With s_k =
+    sqrt(lambda/k) and a_k = d / (k s_k), zero's distance from a piece's
+    centre in its own units, and h the normal hazard rate:
+
+    - the pieces weigh s_m Phi(a_m) / phi(a_m) and s_gamma / h(a_gamma);
+    - their means are -s_m (a_m + phi(a_m) / Phi(a_m)) and
+      s_gamma (h(a_gamma) - a_gamma).
+
+    The weights are compared in log space, where the first grows like
+    a_m^2 / 2, so that no positive m or gamma overflows.
+    """
+    lam, m, g = spec.lambda_bar, spec.moment, spec.gamma
+    if not (lam > 0 and m > 0 and g > 0 and spec.beta >= 0):
+        raise ValueError("the stationary law needs positive lambda_bar, moment and gamma "
+                         "and a nonnegative beta")
+    d = spec.beta * math.sqrt(lam * spec.mu_bar)
+    s_m, s_g = math.sqrt(lam / m), math.sqrt(lam / g)
+    a_m, a_g = d / (m * s_m), d / (g * s_g)
+    Phi_m = 0.5 * math.erfc(-a_m / _SQRT2)
+    excess_g = _hazard_excess(a_g)
+    h_g = a_g + excess_g
+    log_weights = (math.log(s_m * Phi_m) + 0.5 * a_m * a_m + _LOG_SQRT_2PI
+                   - math.log(s_g / h_g))
+    p_m, p_g = _logistic(log_weights), _logistic(-log_weights)
+    mean_m = -s_m * (a_m + math.exp(-0.5 * a_m * a_m - _LOG_SQRT_2PI) / Phi_m)
+    mean = p_m * mean_m + p_g * s_g * excess_g
+
+    if level >= 0.0:
+        # Phi(-b) / Phi(-a_gamma), b = a_gamma + u, each Phi(-x) written phi(x) / h(x)
+        u = level / s_g
+        b = a_g + u
+        return mean, p_g * math.exp(-0.5 * u * (2.0 * a_g + u) + math.log(h_g)
+                                    - math.log(b + _hazard_excess(b)))
+    v = -level / s_m
+    c = a_m - v
+    if c < 0.0:
+        between = 0.5 * (math.erf(a_m / _SQRT2) - math.erf(c / _SQRT2))
+    else:
+        # Phi(-c) - Phi(-a_m), as Phi(-c) (1 - Phi(-a_m) / Phi(-c))
+        h_c = c + _hazard_excess(c)
+        between = math.exp(-0.5 * c * c - _LOG_SQRT_2PI - math.log(h_c)) * -math.expm1(
+            -0.5 * v * (2.0 * a_m - v) + math.log(h_c) - math.log(a_m + _hazard_excess(a_m)))
+    return mean, p_g + p_m * between / Phi_m
 
 
 def stationary_scaled_idleness(params: ModelParams, mu_bar: float,

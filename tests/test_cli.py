@@ -237,100 +237,19 @@ class TestSimulateAndFairness:
         regime = {row.split(",")[0]: row.split(",")[2] for row in lines[2:] if row}
         assert regime == {"fluid_max_dev": f"alpha={alpha!r}",
                           "diffusion_mean": diffusion, "diffusion_stderr": diffusion,
+                          "diffusion_exact_mean": diffusion, "diffusion_z": diffusion,
                           "allocation_terminal_tv": f"alpha={alpha!r}",
                           "stationary_scaled_idleness": f"alpha={alpha!r}"}
 
 
-def _serial_limits(config, outdir, fluid_T, diffusion_T, diffusion_dt, diffusion_paths,
-                   allocation_T):
-    """The limit objects of ``cmd_limits``, computed one after the other in
-    this process and written to ``outdir`` the same way."""
-    from rategame.limits import (AllocationState, DiffusionSpec, FluidSpec,
-                                 allocation_fixed_point, allocation_fluid_integrate,
-                                 diffusion_simulate, fluid_closed_form, fluid_integrate,
-                                 stationary_scaled_idleness)
-    sol = cli._solve(config)
-    params = config.params()
-    spec = FluidSpec.from_params(params, sol.mu_bar, sol.moment, xi0=0.0)
-    t_grid = np.linspace(0.0, fluid_T, 401)
-    closed, rk4 = fluid_closed_form(spec, t_grid), fluid_integrate(spec, t_grid)
-    cli._write_csv(os.path.join(outdir, "fluid_compare.csv"), ["t", "closed_form", "rk4"],
-                   [[float(t), float(c), float(v)] for t, c, v in zip(t_grid, closed, rk4)],
-                   config)
-    dspec = DiffusionSpec(xi0=0.0, lambda_bar=config.lambda_bar, mu_bar=sol.mu_bar,
-                          sigma2_F=sol.sigma2, beta=config.beta, gamma=config.gamma,
-                          moment=sol.moment, alpha=config.alpha)
-    dstats = diffusion_simulate(dspec, diffusion_dt, diffusion_T, diffusion_paths,
-                                seed=config.seed)
-    cli._write_csv(os.path.join(outdir, "diffusion_mean.csv"), ["t", "value"],
-                   [[float(t), float(v)] for t, v in
-                    zip(dstats.t_grid[::25], dstats.ensemble_mean[::25])], config)
-    h = config.functions().h
-    fixed = allocation_fixed_point(sol.response, params, sol.mu_bar, h, L=sol.L_star)
-    start = AllocationState(edges=fixed.edges, F_masses=fixed.F_masses,
-                            masses=np.full_like(fixed.masses, fixed.total / fixed.masses.size))
-    times = np.linspace(0.0, allocation_T, 81)
-    traj = allocation_fluid_integrate(start, params, sol.mu_bar, h, times)
-    cli._write_csv(os.path.join(outdir, "allocation_trace.csv"), ["t", "cell_mid", "mass"],
-                   [[float(times[ti]), float(mid), float(mass)]
-                    for ti in (0, len(traj) // 2, len(traj) - 1)
-                    for mid, mass in zip(traj[ti].mids, traj[ti].masses)], config)
-    return {"fluid_max_dev": float(np.max(np.abs(closed - rk4))),
-            "diffusion_mean": dstats.mean, "diffusion_stderr": dstats.stderr,
-            "allocation_terminal_tv": traj[-1].tv_against(fixed.masses),
-            "stationary_scaled_idleness":
-                stationary_scaled_idleness(params, sol.mu_bar, sol.moment)}
-
-
-class TestLimitsWorker:
-    """``cmd_limits`` runs the diffusion ensemble in a worker process."""
+class TestLimitsSerialOrder:
+    """``cmd_limits`` runs the fluid, the diffusion and the allocation one
+    after another in the calling process, each writing its file when done."""
 
     SHORT = {"fluid_T": 5.0, "diffusion_T": 20.0, "diffusion_dt": 0.01,
              "diffusion_paths": 8, "allocation_T": 60.0}
 
-    @pytest.mark.parametrize("config", [ExperimentConfig(),
-                                        ExperimentConfig(alpha=0.5, seed=7)],
-                             ids=["base", "alpha0.5-seed7"])
-    def test_files_and_summary_equal_the_serial_calls_bit_for_bit(self, tmp_path, config):
-        from rategame.cli import cmd_limits
-        summary = cmd_limits(config, str(tmp_path / "worker"), **self.SHORT)
-        expected = _serial_limits(config, str(tmp_path / "serial"), **self.SHORT)
-        assert [(k, repr(v)) for k, v in summary.items()] == \
-            [(k, repr(v)) for k, v in expected.items()]
-        for name in ("fluid_compare.csv", "diffusion_mean.csv", "allocation_trace.csv"):
-            assert (tmp_path / "worker" / name).read_bytes() == \
-                (tmp_path / "serial" / name).read_bytes(), name
-        rows = (tmp_path / "worker" / "limits_summary.csv").read_text().splitlines()[2:]
-        assert [row.split(",")[:2] for row in rows] == \
-            [[k, repr(float(v))] for k, v in expected.items()]
-        assert multiprocessing.active_children() == []
-
-    def test_a_worker_error_comes_back_and_leaves_no_process(self, tmp_path):
-        from rategame.cli import cmd_limits
-        with pytest.raises(ValueError, match=r"^need 0 < dt < T$"):
-            cmd_limits(ExperimentConfig(), str(tmp_path), **dict(self.SHORT, diffusion_dt=0.0))
-        assert multiprocessing.active_children() == []
-        # as in the serial order: the fluid ran first, the allocation never wrote
-        assert sorted(os.listdir(tmp_path)) == ["fluid_compare.csv"]
-
-    def test_the_diffusion_error_wins_over_the_allocations(self, tmp_path, monkeypatch):
-        from rategame.cli import cmd_limits
-
-        def broken(*args, **kwargs):
-            raise ZeroDivisionError("allocation broke")
-
-        # only this process's names can be patched: a patched diffusion
-        # function could not be pickled to the worker
-        monkeypatch.setattr(cli, "allocation_fluid_integrate", broken)
-        with pytest.raises(ValueError, match="need 0 < dt < T"):
-            cmd_limits(ExperimentConfig(), str(tmp_path), **dict(self.SHORT, diffusion_dt=0.0))
-        with pytest.raises(ZeroDivisionError, match="allocation broke"):
-            cmd_limits(ExperimentConfig(), str(tmp_path / "alone"), **self.SHORT)
-        assert sorted(os.listdir(tmp_path / "alone")) == ["diffusion_mean.csv",
-                                                          "fluid_compare.csv"]
-        assert multiprocessing.active_children() == []
-
-    def test_the_fluid_error_wins_over_the_diffusions(self, tmp_path, monkeypatch):
+    def test_a_fluid_error_leaves_no_file(self, tmp_path, monkeypatch):
         from rategame.cli import cmd_limits
 
         def broken(*args, **kwargs):
@@ -339,15 +258,63 @@ class TestLimitsWorker:
         monkeypatch.setattr(cli, "fluid_integrate", broken)
         with pytest.raises(ValueError, match="fluid broke"):
             cmd_limits(ExperimentConfig(), str(tmp_path), **dict(self.SHORT, diffusion_dt=0.0))
-        assert multiprocessing.active_children() == []
         assert not any(tmp_path.iterdir())
+
+    def test_a_diffusion_error_leaves_only_the_fluid_file(self, tmp_path):
+        from rategame.cli import cmd_limits
+        with pytest.raises(ValueError, match=r"^need 0 < dt < T$"):
+            cmd_limits(ExperimentConfig(), str(tmp_path), **dict(self.SHORT, diffusion_dt=0.0))
+        assert sorted(os.listdir(tmp_path)) == ["fluid_compare.csv"]
+
+    def test_an_allocation_error_leaves_the_fluid_and_diffusion_files(self, tmp_path,
+                                                                      monkeypatch):
+        from rategame.cli import cmd_limits
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("allocation broke")
+
+        monkeypatch.setattr(cli, "allocation_fluid_integrate", broken)
+        with pytest.raises(ZeroDivisionError, match="allocation broke"):
+            cmd_limits(ExperimentConfig(), str(tmp_path), **self.SHORT)
+        assert sorted(os.listdir(tmp_path)) == ["diffusion_mean.csv", "fluid_compare.csv"]
+
+    def test_starts_no_child_process(self, tmp_path, monkeypatch):
+        from rategame.cli import cmd_limits
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("limits started a process")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        cmd_limits(ExperimentConfig(), str(tmp_path), **self.SHORT)
+        assert multiprocessing.active_children() == []
 
     def test_main_reports_a_failure_in_one_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "allocation_fluid_integrate", lambda *a, **k: 1 / 0)
         assert main(["--out", str(tmp_path), "limits"]) == 4
         err = capsys.readouterr().err.splitlines()
         assert err == ["simulation error: division by zero"]
-        assert multiprocessing.active_children() == []
+
+
+class TestLimitsDiffusionCheck:
+    """``diffusion_z`` is the Euler-Maruyama ensemble's distance from the exact
+    stationary mean, in standard errors, at the default ensemble size."""
+
+    @pytest.mark.parametrize("overrides, inside", [
+        ({}, True),
+        ({"alpha": 0.5}, True),
+        ({"gamma": 0.2, "beta": 0.6}, True),
+        ({"gamma": 1000.0}, False),  # gamma dt = 50: the Euler step overshoots
+    ], ids=["base", "alpha0.5", "gamma0.2-beta0.6", "gamma1000"])
+    def test_z_flags_only_the_euler_failure(self, tmp_path, overrides, inside):
+        from rategame.cli import cmd_limits
+        summary = cmd_limits(ExperimentConfig(**overrides), str(tmp_path))
+        assert (abs(summary["diffusion_z"]) < 3.0) is inside
+        rows = (tmp_path / "limits_summary.csv").read_text().splitlines()[2:]
+        values = {row.split(",")[0]: float(row.split(",")[1]) for row in rows}
+        assert values["diffusion_exact_mean"] == summary["diffusion_exact_mean"]
+        assert values["diffusion_z"] == summary["diffusion_z"]
+        assert (tmp_path / "diffusion_mean.csv").read_text().count("\n") == 2 + 1 + 1200 // 25
 
 
 class TestValidatePipeline:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import integrate, special
 
 from rategame._numerics import rk4_step
 from rategame.limits import ALLOCATION_SUBSTEPS
 from rategame import (AllocationState, DiffusionSpec, FluidSpec, ModelParams,
                       allocation_fixed_point, allocation_fluid_integrate,
-                      diffusion_simulate, fluid_closed_form, fluid_integrate,
-                      stationary_scaled_idleness, uniform_rate_distribution)
+                      diffusion_simulate, diffusion_stationary, fluid_closed_form,
+                      fluid_integrate, stationary_scaled_idleness, uniform_rate_distribution)
 
 
 class TestFluidClosedForm:
@@ -96,7 +98,7 @@ class TestDiffusion:
     def test_zero_noise_degenerates_to_fluid(self):
         # lambda_bar = 0 kills both the Brownian term and the constant drift,
         # leaving xi' = moment (xi)^- : exponential decay toward zero
-        spec = DiffusionSpec(xi0=-1.0, lambda_bar=0.0, mu_bar=1.0, sigma2_F=0.0,
+        spec = DiffusionSpec(xi0=-1.0, lambda_bar=0.0, mu_bar=1.0,
                              beta=0.3, gamma=2.0, moment=0.9)
         stats = diffusion_simulate(spec, dt=1e-4, T=2.0, paths=3, seed=4)
         exact = -np.exp(-0.9 * stats.t_grid)
@@ -107,14 +109,15 @@ class TestDiffusion:
         # gamma == moment == theta makes the drift exactly linear:
         # an OU process with mean -beta sqrt(lambda mu)/theta, var lambda/theta
         theta, lam, mu, beta = 0.8, 1.5, 1.0, 0.4
-        spec = DiffusionSpec(xi0=0.0, lambda_bar=lam, mu_bar=mu, sigma2_F=0.2,
+        spec = DiffusionSpec(xi0=0.0, lambda_bar=lam, mu_bar=mu,
                              beta=beta, gamma=theta, moment=theta)
         stats = diffusion_simulate(spec, dt=0.005, T=400.0, paths=48, seed=11)
         target = -beta * np.sqrt(lam * mu) / theta
         assert abs(stats.mean - target) < 3.0 * stats.stderr
+        assert diffusion_stationary(spec)[0] == pytest.approx(target, rel=1e-14)
 
     def test_step_halving_stable(self):
-        spec = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0, sigma2_F=0.1,
+        spec = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0,
                              beta=0.3, gamma=1.0, moment=1.0)
         a = diffusion_simulate(spec, dt=0.02, T=300.0, paths=32, seed=9)
         b = diffusion_simulate(spec, dt=0.01, T=300.0, paths=32, seed=10)
@@ -124,27 +127,15 @@ class TestDiffusion:
     def test_abandonment_pins_positive_part(self):
         fracs = []
         for gamma in (1.0, 10.0, 100.0):
-            spec = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0, sigma2_F=0.0,
+            spec = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0,
                                  beta=0.2, gamma=gamma, moment=1.0)
             stats = diffusion_simulate(spec, dt=0.005, T=200.0, paths=16, seed=21,
                                        level=0.25)
             fracs.append(stats.frac_above)
         assert fracs[0] > fracs[1] > fracs[2] or fracs[2] < 1e-4
 
-    def test_sampled_population_shift_widens_ensemble(self):
-        spec0 = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0, sigma2_F=0.5,
-                              beta=0.3, gamma=1.0, moment=1.0, zeta1_mode="fixed-zero")
-        spec1 = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0, sigma2_F=0.5,
-                              beta=0.3, gamma=1.0, moment=1.0, zeta1_mode="sampled")
-        a = diffusion_simulate(spec0, dt=0.01, T=200.0, paths=64, seed=5)
-        b = diffusion_simulate(spec1, dt=0.01, T=200.0, paths=64, seed=5)
-        assert b.variance > a.variance
-
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0, sigma2_F=-0.1,
-                          beta=0.3, gamma=1.0, moment=1.0)
-        spec = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0, sigma2_F=0.0,
+        spec = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0,
                              beta=0.3, gamma=1.0, moment=1.0)
         with pytest.raises(ValueError):
             diffusion_simulate(spec, dt=0.0, T=1.0, paths=1, seed=0)
@@ -158,71 +149,64 @@ class TestDiffusion:
     def test_rates_out_of_range_rejected(self, lambda_bar, mu_bar, message):
         # a negative rate used to run to a NaN ensemble through sqrt
         with pytest.raises(ValueError, match=message):
-            DiffusionSpec(xi0=0.0, lambda_bar=lambda_bar, mu_bar=mu_bar, sigma2_F=0.0,
+            DiffusionSpec(xi0=0.0, lambda_bar=lambda_bar, mu_bar=mu_bar,
                           beta=0.3, gamma=1.0, moment=1.0)
 
 
-def _reference_diffusion(spec, dt, T, paths, seed, level):
-    """The per-step Euler-Maruyama loop: one normal draw, one ensemble mean
-    and one above-level count per step."""
-    rng = np.random.default_rng(seed)
-    steps = int(round(T / dt))
-    drift0 = spec.beta * np.sqrt(spec.lambda_bar * spec.mu_bar)
-    if spec.zeta1_mode == "sampled":
-        z_sd = np.sqrt(spec.sigma2_F * spec.lambda_bar ** spec.alpha
-                       * spec.mu_bar ** (-spec.alpha))
-        zeta1 = rng.normal(0.0, z_sd, size=paths)
+def _quadrature_stationary(spec, level):
+    """Mean, P(xi > level) and E|xi| of the density proportional to
+    exp(B(x) / lambda), B the drift's integral, by quadrature on each side of
+    zero. Below zero the density is divided by its peak exp(top) and cut 40
+    standard deviations below the peak; above zero it is cut where B / lambda
+    reaches -800."""
+    lam, m, g = spec.lambda_bar, spec.moment, spec.gamma
+    d = spec.beta * math.sqrt(lam * spec.mu_bar)
+    top, peak = d * d / (2.0 * m * lam), -d / m
+    lo, hi = peak - 40.0 * math.sqrt(lam / m), (math.sqrt(d * d + 1600.0 * g * lam) - d) / g
+
+    def quad(k, shift, a, b, power=0):
+        def f(x):
+            return x ** power * math.exp(-(d * x + 0.5 * k * x * x) / lam - shift)
+        return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    z_m = quad(m, top, lo, peak) + quad(m, top, peak, 0.0)
+    z_g = quad(g, 0.0, 0.0, hi)
+    mean_m = (quad(m, top, lo, peak, 1) + quad(m, top, peak, 0.0, 1)) / z_m
+    mean_g = quad(g, 0.0, 0.0, hi, 1) / z_g
+    log_weights = top + math.log(z_m / z_g)
+    p_m, p_g = special.expit(log_weights), special.expit(-log_weights)
+    if level >= 0.0:
+        tail = p_g * quad(g, 0.0, level, max(hi, level)) / z_g
     else:
-        zeta1 = np.zeros(paths)
-    noise_sd = np.sqrt(2.0 * spec.lambda_bar * dt)
-    x = np.full(paths, spec.xi0, dtype=float)
-    half = steps // 2
-    acc = np.zeros(paths)
-    above = 0
-    ensemble_mean = np.empty(steps + 1)
-    ensemble_mean[0] = x.mean()
-    for i in range(steps):
-        drift = -(drift0 + zeta1) + spec.moment * np.maximum(-x, 0.0) \
-            - spec.gamma * np.maximum(x, 0.0)
-        x = x + drift * dt
-        if noise_sd > 0.0:
-            x += noise_sd * rng.standard_normal(paths)
-        ensemble_mean[i + 1] = x.mean()
-        if i >= half:
-            acc += x
-            above += int(np.count_nonzero(x > level))
-    window = steps - half
-    return acc / window, ensemble_mean, above / (window * paths)
+        tail = p_g + p_m * quad(m, top, max(level, lo), 0.0) / z_m
+    return p_m * mean_m + p_g * mean_g, tail, p_g * mean_g - p_m * mean_m
 
 
-class TestDiffusionMatchesStepLoop:
-    """The block-drawn ensemble gives bit-for-bit the per-step loop's output."""
+class TestDiffusionStationary:
+    @given(lam=st.floats(0.0, 4.0).map(lambda e: 10.0 ** e), beta=st.floats(0.05, 3.2),
+           gamma=st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e),
+           moment=st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e),
+           mu_bar=st.floats(0.01, 1.0), t=st.floats(0.05, 4.0), below=st.booleans())
+    # gamma = 1e-6 overflows exp(d^2 / (2 gamma lambda)) in the naive form
+    @example(lam=100.0, beta=0.3, gamma=1e-6, moment=0.3, mu_bar=0.2, t=1.0, below=False)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quadrature_of_the_density(self, lam, beta, gamma, moment, mu_bar, t, below):
+        spec = DiffusionSpec(xi0=0.0, lambda_bar=lam, mu_bar=mu_bar, beta=beta,
+                             gamma=gamma, moment=moment)
+        abs_mean = _quadrature_stationary(spec, 0.0)[2]
+        level = -t * abs_mean if below else t * abs_mean
+        ref_mean, ref_tail, _ = _quadrature_stationary(spec, level)
+        mean, tail = diffusion_stationary(spec, level)
+        # the two sides' means can cancel: the error is relative to E|xi|
+        assert mean == pytest.approx(ref_mean, rel=1e-9, abs=1e-9 * abs_mean)
+        assert tail == pytest.approx(ref_tail, rel=1e-9, abs=1e-300)
 
-    @pytest.mark.parametrize("mode", ["sampled", "fixed-zero"])
-    @pytest.mark.parametrize("paths, T", [(64, 3.0), (48, 4.01), (1, 10.0)])
-    def test_noisy_paths(self, mode, paths, T):
-        # 64 paths: 300 steps in blocks of 128, the window starting at step 150
-        # inside the second block; 48 paths: 401 steps in blocks of 170; one
-        # path: 1000 steps, fewer than one block
-        spec = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0, sigma2_F=0.5,
-                             beta=0.1, gamma=1.0, moment=1.0, zeta1_mode=mode)
-        self._check(spec, dt=0.01, T=T, paths=paths, seed=17, level=0.1)
-
-    def test_zero_noise_draws_nothing(self):
-        spec = DiffusionSpec(xi0=-1.0, lambda_bar=0.0, mu_bar=1.0, sigma2_F=0.0,
-                             beta=0.3, gamma=2.0, moment=0.9)
-        self._check(spec, dt=1e-3, T=0.7, paths=3, seed=4, level=-0.6)
-
-    @staticmethod
-    def _check(spec, dt, T, paths, seed, level):
-        stats = diffusion_simulate(spec, dt=dt, T=T, paths=paths, seed=seed, level=level)
-        per_path, ensemble_mean, frac_above = _reference_diffusion(spec, dt, T, paths,
-                                                                    seed, level)
-        assert np.array_equal(stats.paths, per_path)
-        assert np.array_equal(stats.ensemble_mean, ensemble_mean)
-        assert stats.frac_above == frac_above
-        # the states cross the level (and zero for noisy runs) inside the window
-        assert 0.0 < frac_above < 1.0
+    @pytest.mark.parametrize("field, value", [("lambda_bar", 0.0), ("moment", 0.0),
+                                              ("gamma", 0.0), ("beta", -0.1)])
+    def test_needs_a_recurrent_noisy_diffusion(self, field, value):
+        spec = dict(xi0=0.0, lambda_bar=1.0, mu_bar=1.0, beta=0.3, gamma=1.0, moment=1.0)
+        with pytest.raises(ValueError, match="stationary law needs"):
+            diffusion_stationary(DiffusionSpec(**dict(spec, **{field: value})))
 
 
 class TestStationaryIdleness:
