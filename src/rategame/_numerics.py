@@ -7,17 +7,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def bisect(f, lo, hi, iters: int, tol: float = 0.0):
+def bisect(f, lo, hi, iters: int):
     """Bisect ``f`` on [lo, hi], elementwise over scalars or arrays.
 
     ``f(x) > 0`` means the root lies above ``x``; ``f(x) = 0`` moves ``hi``,
     so the result is the edge of {f > 0}, also where f is 0 on a whole
-    interval. Runs at most ``iters``
-    halvings and stops once every midpoint equals an end of its bracket:
-    every later halving would give back the same midpoint, so the result is
-    the one the full count returns. With ``tol > 0`` it also stops once
-    ``|f| < tol`` at every midpoint. The stop is relative at every scale:
-    a bracket near 1e-9 is refined to adjacent floats, as one near 1 is.
+    interval. Runs at most ``iters`` halvings and stops once every midpoint
+    equals an end of its bracket: every later halving would give back the
+    same midpoint, so the result is the one the full count returns. The
+    stop is relative at every scale: a bracket near 1e-9 is refined to
+    adjacent floats, as one near 1 is.
 
     Returns ``(x, f(x), evaluations)`` for the last midpoint evaluated;
     scalar brackets give Python floats back.
@@ -29,8 +28,6 @@ def bisect(f, lo, hi, iters: int, tol: float = 0.0):
         x = 0.5 * (lo + hi)
         fx = f(x)
         evals += 1
-        if tol > 0.0 and np.all(np.abs(fx) < tol):
-            break
         if np.all((x == lo) | (x == hi)):
             break
         above = fx > 0.0

@@ -118,17 +118,15 @@ def best_response_rates(population: ServerPopulation, L: float,
                        (population.mu_min, population.mu_max))[0]
 
 
-def _level_crossings(A, count: int, dists: PopulationDistributions) -> list[list[float]]:
-    """Kinks of ``count`` response CDFs: for each law k, every mu where its
-    effective threshold A(mu, k) crosses a_max, then every mu where it
-    crosses a_min. They are located on a scan grid and refined by one
-    bisection over every bracket of every law; each bracket halves on its
-    own, so each root is the one a bisection of that bracket alone gives.
-
-    ``A(mu, k)`` acts elementwise, broadcasting mu against the law indices k.
-    """
+def _monotone_kinks(L: np.ndarray, dists: PopulationDistributions,
+                    funcs: PolicyFunctions) -> list[list[float]]:
+    """Kinks of the monotone-regime response CDF at each L of ``L``: every
+    mu where C(mu, L) crosses a_max, then every mu where it crosses a_min.
+    They are located on a scan grid and refined by one bisection over every
+    bracket of every law; each bracket halves on its own, so each root is
+    the one a bisection of that bracket alone gives."""
     grid = np.linspace(dists.mu_min, dists.mu_max, 513)
-    vals = A(np.broadcast_to(grid, (count, grid.size)), np.arange(count)[:, None])
+    vals = _ratio_array(funcs, np.broadcast_to(grid, (L.size, grid.size)), L[:, None])
     laws, cells, levels = [], [], []
     for level in (dists.a_max, dists.a_min):
         d = vals - level
@@ -137,20 +135,14 @@ def _level_crossings(A, count: int, dists: PopulationDistributions) -> list[list
         cells.append(i)
         levels.append(np.full(k.size, level))
     k, i, level = (np.concatenate(parts) for parts in (laws, cells, levels))
-    out: list[list[float]] = [[] for _ in range(count)]
+    out: list[list[float]] = [[] for _ in range(L.size)]
     if k.size:
         sign = np.sign(vals[k, i] - level)
-        roots, _, _ = bisect(lambda mu: sign * (A(mu, k) - level), grid[i], grid[i + 1], 80)
+        roots, _, _ = bisect(lambda mu: sign * (_ratio_array(funcs, mu, L[k]) - level),
+                             grid[i], grid[i + 1], 80)
         for law, root in zip(k.tolist(), roots.tolist()):
             out[law].append(root)
     return out
-
-
-def _monotone_kinks(L: np.ndarray, dists: PopulationDistributions,
-                    funcs: PolicyFunctions) -> list[list[float]]:
-    """Kinks of the monotone-regime response CDF at each L of ``L``, where
-    C(mu, L) = a_max or a_min."""
-    return _level_crossings(lambda mu, k: _ratio_array(funcs, mu, L[k]), L.size, dists)
 
 
 def _edge_sums(q: np.ndarray, i: np.ndarray, j: np.ndarray, psi: np.ndarray,
@@ -212,12 +204,15 @@ class ResponseDistribution(CdfRateDistribution):
     cells, so every indicator is exact at the edges, and each node pair's
     term 1(hi <= m) + 1(lo <= m < hi) (1 - min(q(m), psi)) does not
     decrease in m, as q does not: with positive weights the table cannot
-    decrease at any resolution. ``first_order_monotone`` records which
-    regime applied.
+    decrease at any resolution. The table's interior edges are its kinks,
+    and an integral by parts reads each cell with a few Gauss nodes: F1 is
+    linear there, so Phi is the table's own integral to rounding.
+    ``first_order_monotone`` records which regime applied.
     """
 
     _CELLS = 256        # cells of the unimodal table
     _CELL_NODES = 2     # Gauss nodes per cell on each of the lo and hi axes
+    _TABLE_PANEL_NODES = 4  # Gauss nodes per cell of an integral by parts over the table
     _PAIR_BLOCK = 1 << 14   # node pairs summed at once, which bounds their arrays
     _MONOTONE_GRID = 257
     _GRID_POINTS = 2001
@@ -283,7 +278,8 @@ class ResponseDistribution(CdfRateDistribution):
             grid_points = self._GRID_POINTS
         else:
             edges, table = self._build_true_pushforward()
-            kinks = [self._mu_peak] + _level_crossings(lambda mu, k: self._A(mu), 1, dists)[0]
+            kinks = edges[1:-1]   # the table is linear between its edges, kinked at each
+            self._panel_nodes = self._TABLE_PANEL_NODES
 
             def cdf(mu):
                 return np.interp(mu, edges, table)

@@ -5,8 +5,9 @@ family at alpha = 1 via the scalar equation
     G(L) = int mu (1+beta) / (mu_bar_F (1 + L htilde(mu))) dF(mu) - beta = 0.
 
 G is strictly decreasing in L, G(0) = 1 and G(inf) = -beta, so the root is
-unique; the solver brackets it with the htilde extremes and verifies endpoint
-signs before refining it, expanding geometrically if either sign check fails.
+unique. The htilde extremes bracket it: at L = 1/(beta htilde(mu_min)),
+L htilde <= 1/beta on the support, so G >= 0, and at 1/(beta htilde(mu_max))
+G <= 0 the same way. The solver checks both signs before refining.
 
 The attainability inverse runs the other way: given a feasible target density
 g with respect to F, it constructs the routing weight whose stationary
@@ -41,7 +42,6 @@ __all__ = [
 
 G_TOLERANCE = 1e-10
 MAX_ITERATIONS = 200
-MAX_EXPANSIONS = 60
 
 
 class SolverFailure(RuntimeError):
@@ -152,21 +152,8 @@ def solve_L(F: RateDistribution, funcs, beta: float) -> FairnessSolution:
     if lo > hi:
         lo, hi = hi, lo
     glo, ghi = G(lo), G(hi)
-    if lo == hi or abs(hi - lo) < 1e-15 * hi:
-        if abs(glo) < G_TOLERANCE:
-            L = lo
-            return _assemble(F, funcs, L, glo, lo, hi, 0)
-        lo, hi = lo / 2.0, hi * 2.0
-        glo, ghi = G(lo), G(hi)
-    expansions = 0
-    while glo < 0.0 and expansions < MAX_EXPANSIONS:
-        lo /= 2.0
-        glo = G(lo)
-        expansions += 1
-    while ghi > 0.0 and expansions < MAX_EXPANSIONS:
-        hi *= 2.0
-        ghi = G(hi)
-        expansions += 1
+    if (lo == hi or abs(hi - lo) < 1e-15 * hi) and abs(glo) < G_TOLERANCE:
+        return _assemble(F, funcs, lo, glo, lo, hi, 0)
     if glo < 0.0 or ghi > 0.0:
         raise SolverFailure("no sign change for the fairness equation",
                             {"lo": lo, "hi": hi, "G(lo)": glo, "G(hi)": ghi})

@@ -48,22 +48,21 @@ def gauss_legendre_panels(a: float, b: float, kinks: Sequence[float] = (),
                           nodes_per_panel: int = _NODES_PER_PANEL) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes/weights on [a, b], split at ``kinks``.
 
-    Kinks outside (a, b) are ignored. Accuracy is spectral on each panel,
-    so placing every non-smooth point of the integrand in ``kinks`` keeps
-    the composite rule at near machine precision.
+    Kinks outside (a, b) are ignored, and a repeated kink splits once.
+    Accuracy is spectral on each panel, so placing every non-smooth point of
+    the integrand in ``kinks`` keeps the composite rule at near machine
+    precision; where the integrand is a low-degree polynomial on every
+    panel, a few nodes per panel are exact.
     """
     if b < a:
         raise ValueError("empty interval")
     if b == a:
         return np.array([]), np.array([])
-    edges = [a] + sorted({float(k) for k in kinks if a < k < b}) + [b]
+    edges = np.array([a, *sorted({float(k) for k in kinks if a < k < b}), b])
     x0, w0 = _leggauss(nodes_per_panel)
-    xs, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        xs.append(half * x0 + 0.5 * (hi + lo))
-        ws.append(half * w0)
-    return np.concatenate(xs), np.concatenate(ws)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (hi - lo)
+    return (half * x0 + 0.5 * (hi + lo)).ravel(), (half * w0).ravel()
 
 
 def bin_index(edges: np.ndarray, x) -> np.ndarray:
@@ -134,19 +133,19 @@ class DensityRateDistribution(RateDistribution):
         return np.asarray(self._density(np.asarray(mu, dtype=float)), dtype=float)
 
     def _build_cdf_grid(self):
+        """The CDF on _CDF_POINTS_PER_PIECE points of each kink-free piece:
+        one 16-node Gauss panel between neighbouring points, summed on in
+        order."""
         edges = [self.mu_min, *self.kinks, self.mu_max]
         grid = [np.array([self.mu_min])]
         cdfv = [np.array([0.0])]
         acc = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             xs = np.linspace(lo, hi, _CDF_POINTS_PER_PIECE + 1)[1:]
-            piece = np.empty(xs.size)
-            prev = lo
-            for i, x in enumerate(xs):
-                nx, nw = gauss_legendre_panels(prev, float(x), nodes_per_panel=16)
-                acc += float(np.sum(nw * self.density(nx)))
-                piece[i] = acc
-                prev = float(x)
+            nx, nw = gauss_legendre_panels(lo, hi, xs[:-1], nodes_per_panel=16)
+            panels = (nw * self.density(nx)).reshape(xs.size, 16).sum(axis=1)
+            piece = np.cumsum(np.concatenate(([acc], panels)))[1:]
+            acc = float(piece[-1])
             grid.append(xs)
             cdfv.append(piece)
         g = np.concatenate(grid)
@@ -222,9 +221,11 @@ class CdfRateDistribution(RateDistribution):
         int g dF = g(b) F(b) - g(a) F(a) - int g'(mu) F(mu) dmu,
 
     which needs nothing but CDF evaluations and is spectrally accurate
-    on panels split at the CDF's kinks. Without a derivative a fine
-    midpoint Stieltjes rule is used instead (adequate for reporting,
-    not for solver-grade tolerances).
+    on panels split at the CDF's kinks, with ``_panel_nodes`` Gauss nodes
+    each (a subclass whose CDF is a piecewise-linear table, split at every
+    edge, needs only a few). Without a derivative a fine midpoint
+    Stieltjes rule is used instead (adequate for reporting, not for
+    solver-grade tolerances).
 
     The constructor tabulates the CDF on ``grid_points`` points plus the
     kinks and checks it there: finite, nondecreasing (to 1e-10) and running
@@ -234,6 +235,8 @@ class CdfRateDistribution(RateDistribution):
     until that happens every integral by parts checks the CDF values at
     its own Gauss nodes instead.
     """
+
+    _panel_nodes = _NODES_PER_PANEL
 
     def __init__(self, mu_min: float, mu_max: float, cdf: Callable,
                  kinks: Sequence[float] = (), grid_points: int = 4097):
@@ -287,7 +290,7 @@ class CdfRateDistribution(RateDistribution):
         gb = float(np.asarray(g(np.array([b]))).reshape(()))
         Fa = float(self.cdf(np.array([a]))[0]) if a > self.mu_min else 0.0
         Fb = float(self.cdf(np.array([b]))[0]) if b < self.mu_max else 1.0
-        x, w = gauss_legendre_panels(a, b, self.kinks)
+        x, w = gauss_legendre_panels(a, b, self.kinks, self._panel_nodes)
         vals = np.asarray(self._cdf(x), dtype=float)
         if self._table is None:
             _check_cdf_values(vals, "at its quadrature nodes")

@@ -370,11 +370,32 @@ class TestUnimodalSwitchLevel:
         assert unimodal > 0
 
 
-def _reference_kinks(A, dists, extra=()):
+class TestPhiReadsTheTable:
+    """The unimodal CDF is linear on each cell of its table, so the integral
+    of g against it is the sum over cells of the cell's mass times the mean
+    of g on the cell. Phi must be that integral."""
+
+    @pytest.mark.parametrize("L", [0.0827550489779967, 0.05])   # L* at r = -2, and below it
+    def test_phi_is_the_exact_integral_of_the_table(self, base_config, L):
+        cfg = base_config.with_overrides(r=-2.0)
+        dists, funcs = cfg.population(), cfg.functions()
+        F = ResponseDistribution._untabulated(L, dists, funcs)
+        assert not F.first_order_monotone
+        edges = np.linspace(F.mu_min, F.mu_max, F._CELLS + 1)
+        x, w = np.polynomial.legendre.leggauss(16)
+        nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * x
+        z = 1.0 + L * funcs.htilde(nodes)
+        cell_means = 0.5 * np.sum(w * nodes * (1.0 - cfg.beta * L * funcs.htilde(nodes)) / z,
+                                  axis=1)
+        exact = float(np.sum(np.diff(F._cdf(edges)) * cell_means))
+        assert equilibrium_residual(L, dists, funcs, cfg.beta) == pytest.approx(exact, abs=1e-15)
+
+
+def _reference_kinks(A, dists):
     """Kinks as one law's own search finds them: one bisection per level
     over that level's brackets on the 513-point scan grid."""
     grid = np.linspace(dists.mu_min, dists.mu_max, 513)
-    roots = list(extra)
+    roots = []
     for level in (dists.a_max, dists.a_min):
         vals = A(grid) - level
         i = np.flatnonzero((vals[:-1] != 0.0) & (vals[:-1] * vals[1:] < 0.0))
@@ -408,7 +429,8 @@ class TestScanMatchesPerPointLaws:
             if F.first_order_monotone:
                 ref = _reference_kinks(lambda mu: _ratio_array(funcs, mu, L), dists)
             else:
-                ref = _reference_kinks(F._A, dists, extra=[F._mu_peak])
+                # a unimodal law is a linear table: its kinks are its interior edges
+                ref = tuple(np.linspace(F.mu_min, F.mu_max, F._CELLS + 1)[1:-1].tolist())
             assert F.kinks == ref
             assert (G is not None) == F.first_order_monotone
             if G is not None:
@@ -528,7 +550,7 @@ class TestEquilibrium:
         assert sol.bracket_lo <= sol.L_star <= sol.bracket_hi
 
     @pytest.mark.parametrize("r, L_bisected", [
-        (-2.0, 0.08275498077504348), (-1.5, 0.1412571800517366),
+        (-2.0, 0.0827550489779967), (-1.5, 0.14125723631766557),
         (-1.0, 0.24552331636006425), (-0.5, 0.4383683135470777),
     ])
     def test_itp_steps_and_root(self, base_config, r, L_bisected):

@@ -105,34 +105,43 @@ class TestDiffusion:
         assert np.max(np.abs(stats.ensemble_mean - exact)) < 2e-3
         assert stats.variance == pytest.approx(0.0, abs=1e-20)
 
+    # With gamma == moment == theta the drift is linear, -d - theta x: an OU
+    # process, whose Euler-Maruyama chain has the stationary mean -d / theta
+    # exactly at every step size (only its variance carries a step error).
+    # So a coarse step is held to the exact law as tightly as a fine one.
+
     def test_matches_ou_when_rates_agree(self):
-        # gamma == moment == theta makes the drift exactly linear:
-        # an OU process with mean -beta sqrt(lambda mu)/theta, var lambda/theta
+        # mean -beta sqrt(lambda mu)/theta, var lambda/theta
         theta, lam, mu, beta = 0.8, 1.5, 1.0, 0.4
         spec = DiffusionSpec(xi0=0.0, lambda_bar=lam, mu_bar=mu,
                              beta=beta, gamma=theta, moment=theta)
-        stats = diffusion_simulate(spec, dt=0.005, T=400.0, paths=48, seed=11)
+        stats = diffusion_simulate(spec, dt=0.05, T=400.0, paths=48, seed=11)
         target = -beta * np.sqrt(lam * mu) / theta
-        assert abs(stats.mean - target) < 3.0 * stats.stderr
         assert diffusion_stationary(spec)[0] == pytest.approx(target, rel=1e-14)
+        assert abs(stats.mean - diffusion_stationary(spec)[0]) < 3.0 * stats.stderr
 
     def test_step_halving_stable(self):
         spec = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0,
                              beta=0.3, gamma=1.0, moment=1.0)
-        a = diffusion_simulate(spec, dt=0.02, T=300.0, paths=32, seed=9)
-        b = diffusion_simulate(spec, dt=0.01, T=300.0, paths=32, seed=10)
+        a = diffusion_simulate(spec, dt=0.1, T=300.0, paths=32, seed=9)
+        b = diffusion_simulate(spec, dt=0.05, T=300.0, paths=32, seed=10)
         tol = 3.0 * np.hypot(a.stderr, b.stderr)
         assert abs(a.mean - b.mean) < tol
+        exact = diffusion_stationary(spec)[0]
+        for stats in (a, b):
+            assert abs(stats.mean - exact) < 3.0 * stats.stderr
 
     def test_abandonment_pins_positive_part(self):
-        fracs = []
+        fracs, exact = [], []
         for gamma in (1.0, 10.0, 100.0):
             spec = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0,
                                  beta=0.2, gamma=gamma, moment=1.0)
-            stats = diffusion_simulate(spec, dt=0.005, T=200.0, paths=16, seed=21,
+            stats = diffusion_simulate(spec, dt=0.005, T=50.0, paths=16, seed=21,
                                        level=0.25)
             fracs.append(stats.frac_above)
+            exact.append(diffusion_stationary(spec, 0.25)[1])
         assert fracs[0] > fracs[1] > fracs[2] or fracs[2] < 1e-4
+        assert exact[0] > exact[1] > exact[2] > 0.0
 
     def test_parameter_validation(self):
         spec = DiffusionSpec(xi0=0.0, lambda_bar=1.0, mu_bar=1.0,

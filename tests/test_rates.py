@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from rategame import (CdfRateDistribution, DensityRateDistribution,
                       DiscreteRateDistribution, FairnessMeasure,
                       point_mass_rate_distribution, uniform_rate_distribution)
-from rategame.rates import gauss_legendre_panels
+from rategame.rates import _CDF_POINTS_PER_PIECE, gauss_legendre_panels
 
 
 def test_panel_rule_exact_on_polynomials():
@@ -14,11 +14,51 @@ def test_panel_rule_exact_on_polynomials():
     assert np.sum(w * x ** 7) == pytest.approx(2.0 ** 8 / 8, rel=1e-13)
 
 
+@pytest.mark.parametrize("kinks", [
+    (), [0.7], [1.4, 0.3], np.linspace(0.0, 2.0, 257)[1:-1],
+    [-1.0, 0.0, 0.5, 2.0, 3.0],          # all but one outside (a, b)
+    [0.7, 1.2, 0.7, 0.7],                # duplicated
+])
+@pytest.mark.parametrize("nodes_per_panel", [4, 64])
+def test_panels_equal_a_per_panel_loop(kinks, nodes_per_panel):
+    a, b = 0.0, 2.0
+    edges = [a] + sorted({float(k) for k in kinks if a < k < b}) + [b]
+    x0, w0 = np.polynomial.legendre.leggauss(nodes_per_panel)
+    xs, ws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (hi - lo)
+        xs.append(half * x0 + 0.5 * (hi + lo))
+        ws.append(half * w0)
+    x, w = gauss_legendre_panels(a, b, kinks, nodes_per_panel)
+    assert np.array_equal(x, np.concatenate(xs)) and np.array_equal(w, np.concatenate(ws))
+
+
 def test_uniform_quadrature_sanity():
     F = uniform_rate_distribution(0.2, 0.5)
     assert F.integrate(lambda m: np.ones_like(m), lambda m: np.zeros_like(m)) == pytest.approx(1.0, abs=1e-8)
     assert F.mean == pytest.approx(0.35, abs=1e-8)
     assert F.variance == pytest.approx(0.3 ** 2 / 12, abs=1e-10)
+
+
+def test_density_cdf_grid_equals_a_per_panel_loop():
+    # F(x) = (x - 0.1)^2 on [0.1, 1.1], split at two kinks: one 16-node panel
+    # per grid step, summed on in order
+    def density(m):
+        return 2.0 * (np.asarray(m, dtype=float) - 0.1)
+
+    F = DensityRateDistribution(0.1, 1.1, density, kinks=(0.7, 0.3))
+    grid, cdf, acc = [0.1], [0.0], 0.0
+    for lo, hi in [(0.1, 0.3), (0.3, 0.7), (0.7, 1.1)]:
+        prev = lo
+        for x in np.linspace(lo, hi, _CDF_POINTS_PER_PIECE + 1)[1:].tolist():
+            nx, nw = gauss_legendre_panels(prev, x, nodes_per_panel=16)
+            acc += float(np.sum(nw * density(nx)))
+            grid.append(x)
+            cdf.append(acc)
+            prev = x
+    assert np.array_equal(F._grid, grid)
+    cdf = np.maximum.accumulate(np.minimum.accumulate(np.array(cdf)[::-1])[::-1])
+    assert np.array_equal(F._grid_cdf, np.clip(cdf, 0.0, 1.0))
 
 
 def test_discrete_distribution():
