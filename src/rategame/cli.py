@@ -246,6 +246,7 @@ def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
         "diffusion_exact_mean": exact_mean,
         "diffusion_z": (dstats.mean - exact_mean) / dstats.stderr,
         "allocation_terminal_tv": terminal_tv,
+        "allocation_step_error": traj[-1].step_error,
         "stationary_scaled_idleness": stationary_scaled_idleness(params, sol.mu_bar, sol.moment),
     }
     # the diffusion is the QED (alpha = 0.5) equation whatever alpha is

@@ -44,7 +44,8 @@ __all__ = [
 ]
 
 ALLOCATION_CELLS = 400
-ALLOCATION_SUBSTEPS = 4  # least RK4 steps per grid interval of the allocation fluid
+ALLOCATION_TOLERANCE = 1e-8  # allocation fluid: local error per step / largest cell mass
+_ALLOCATION_FIRST_STEP = 1e-3
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -68,9 +69,6 @@ class FluidSpec:
             raise ValueError("xi0 must be nonpositive")
         if self.drift <= 0:
             raise ValueError("drift must be positive")
-
-    def moment_at(self, t: float) -> float:
-        return self.moment(t) if callable(self.moment) else self.moment
 
     @staticmethod
     def from_params(params: ModelParams, mu_bar: float,
@@ -97,10 +95,12 @@ def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray,
     """Classical RK4 trajectory of the fluid equation on ``t_grid``.
 
     The grid should include any discontinuity of a time-varying moment.
-    Coefficient evaluations are clamped into the interior of the current
-    grid interval, so a moment with a jump exactly at a grid point is read
-    from the correct side by every stage (each interval owns its interior;
-    the nudge is far below the scheme's accuracy for smooth moments).
+    Its evaluations are clamped into the interior of the current grid
+    interval, so a moment with a jump exactly at a grid point is read from
+    the correct side by every stage (each interval owns its interior; the
+    nudge is far below the scheme's accuracy for smooth moments). A
+    constant moment is read as it is, with one right-hand side for the
+    whole run.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
@@ -108,15 +108,21 @@ def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray,
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
 
+    drift, moment = spec.drift, spec.moment
+
+    def rhs(t, y):
+        return -drift + moment * max(-y, 0.0)
+
     out = np.empty(t_grid.size)
     out[0] = x = spec.xi0
     for i in range(t_grid.size - 1):
         lo, hi = t_grid[i], t_grid[i + 1]
-        theta = 1e-9 * (hi - lo)
+        if callable(moment):
+            theta = 1e-9 * (hi - lo)
 
-        def rhs(t, y):
-            tm = min(max(t, lo + theta), hi - theta)
-            return -spec.drift + spec.moment_at(tm) * max(-y, 0.0)
+            def rhs(t, y):
+                tm = min(max(t, lo + theta), hi - theta)
+                return -drift + moment(tm) * max(-y, 0.0)
 
         h = (hi - lo) / substeps
         t = lo
@@ -297,6 +303,7 @@ class AllocationState:
     edges: np.ndarray       # cell edges, len C+1
     masses: np.ndarray      # idle mass per cell, len C
     F_masses: np.ndarray    # F mass per cell, len C
+    step_error: float = 0.0  # summed local error estimates of the steps that reached it
 
     def __post_init__(self):
         if np.any(self.masses < -1e-12):
@@ -360,15 +367,27 @@ def allocation_fixed_point(F: RateDistribution, params: ModelParams, mu_bar: flo
 def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
                                mu_bar: float, h: Callable,
                                t_grid: np.ndarray) -> list[AllocationState]:
-    """RK4 trajectory of the cellwise allocation fluid equation
-    (idle regime, xi <= 0 throughout):
+    """Trajectory of the cellwise allocation fluid equation (idle regime,
+    xi <= 0 throughout) on ``t_grid``:
 
-        dm_c/dt = (lam/mu_bar)(1+beta) mu_c F_c - mu_c m_c
-                  - lam h_c m_c / sum(h m).
+        dm_c/dt = A_c - k_c m_c,  A_c = (lam/mu_bar)(1+beta) mu_c F_c,
+        k_c = mu_c + lam h_c / S,  S = sum(h m).
 
-    The drain rate of a cell is mu_c + lam h_c / sum(h m), which can be
-    stiff when the weighted idle mass is small; each grid interval is
-    subdivided to keep the step well inside the RK4 stability region.
+    Given S each cell is linear, so a step of tau with S frozen is exact:
+    m_c <- q_c + (m_c - q_c) exp(-k_c tau), q_c = A_c / k_c. That is a
+    convex combination of m_c and q_c, so it keeps every mass nonnegative
+    and the grid's fixed point fixed, and no drain rate bounds tau (an
+    exponential integrator; Hochbruck & Ostermann, Acta Numerica 2010). S
+    is frozen at its value half way through the step, which a half step
+    with S frozen at the start predicts (exponential midpoint, second
+    order). Each step is taken whole and as two halves, and a third of
+    their largest cell difference estimates the halves' local error
+    (Richardson). The step is kept, extrapolated to third order, when the
+    estimate is within ``ALLOCATION_TOLERANCE`` times the largest cell
+    mass, and the estimate sizes the next step. The steps land on every
+    point of ``t_grid``, and each state's ``step_error`` sums the estimates
+    of the steps that reached it, in mass units.
+
     Raises on a vanishing weighted idle mass (the routing fraction is then
     undefined); the time is reported in the error.
     """
@@ -379,41 +398,42 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
     hv = np.asarray(h(mids), dtype=float)
     lam, beta = params.lambda_bar, params.beta
     inflow = (lam / mu_bar) * (1.0 + beta) * mids * initial.F_masses
-    h_max = float(hv.max())
-    mu_max = float(mids.max())
-
     lam_hv = lam * hv
-    weighted = np.empty_like(hv)
 
-    def rhs(t, m):
-        # inflow - mids m - lam hv m / hm, with the same float steps
-        np.multiply(hv, m, out=weighted)
-        hm = float(np.add.reduce(weighted))
-        if hm <= 0.0:
-            raise ZeroDivisionError(
-                f"weighted idle mass vanished at t={t!r}: routing fraction undefined")
-        np.multiply(lam_hv, m, out=weighted)
-        np.divide(weighted, hm, out=weighted)
-        out = mids * m
-        np.subtract(inflow, out, out=out)
-        out -= weighted
-        return out
+    def relax(m, t, tau):
+        """One exponential-midpoint step of tau from (t, m)."""
+        masses = m
+        for frozen_at, length in ((t, 0.5 * tau), (t + 0.5 * tau, tau)):
+            S = float(hv @ masses)
+            if S <= 0.0:
+                raise ZeroDivisionError(f"weighted idle mass vanished at t={frozen_at!r}: "
+                                        "routing fraction undefined")
+            k = mids + lam_hv / S
+            q = inflow / k
+            masses = q + (m - q) * np.exp(-k * length)
+        return masses
 
     out = [initial]
     m = initial.masses.copy()
-    for i in range(t_grid.size - 1):
-        span = t_grid[i + 1] - t_grid[i]
-        hm_now = float(np.add.reduce(hv * m))
-        if hm_now <= 0.0:
-            raise ZeroDivisionError(
-                f"weighted idle mass vanished at t={t_grid[i]!r}: routing fraction undefined")
-        stiff = mu_max + lam * h_max / hm_now
-        steps = max(ALLOCATION_SUBSTEPS, int(math.ceil(span * stiff)))
-        hstep = span / steps
-        t = t_grid[i]
-        for _ in range(steps):
-            m = np.maximum(rk4_step(rhs, t, m, hstep), 0.0)
-            t += hstep
+    t, tau, error = float(t_grid[0]), _ALLOCATION_FIRST_STEP, 0.0
+    for end in t_grid[1:].tolist():
+        while t < end:
+            # spread what is left of the interval over equal steps of at most tau
+            span = (end - t) / math.ceil((end - t) / tau)
+            whole = relax(m, t, span)
+            halves = relax(relax(m, t, 0.5 * span), t + 0.5 * span, 0.5 * span)
+            # Richardson: the two halves' local error is a third of their distance
+            estimate = float(np.max(np.abs(halves - whole))) / 3.0
+            allowed = ALLOCATION_TOLERANCE * float(halves.max())
+            if estimate <= allowed:
+                # the extrapolation to third order can dip below zero by at most
+                # the estimate, in a cell whose mass is about that small
+                m = np.maximum(halves + (halves - whole) / 3.0, 0.0)
+                error += estimate
+                t = end if span >= end - t else t + span
+            # the local error of a second-order step grows as tau^3
+            grow = 5.0 if estimate == 0.0 else min(5.0, 0.9 * (allowed / estimate) ** (1.0 / 3.0))
+            tau = span * max(0.2, grow)
         out.append(AllocationState(edges=initial.edges, masses=m.copy(),
-                                   F_masses=initial.F_masses))
+                                   F_masses=initial.F_masses, step_error=error))
     return out

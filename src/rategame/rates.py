@@ -223,7 +223,8 @@ class CdfRateDistribution(RateDistribution):
     which needs nothing but CDF evaluations and is spectrally accurate
     on panels split at the CDF's kinks, with ``_panel_nodes`` Gauss nodes
     each (a subclass whose CDF is a piecewise-linear table, split at every
-    edge, needs only a few). Without a derivative a fine midpoint
+    edge, needs only a few). The CDF is read at the whole support's nodes
+    once per law. Without a derivative a fine midpoint
     Stieltjes rule is used instead (adequate for reporting, not for
     solver-grade tolerances).
 
@@ -253,6 +254,7 @@ class CdfRateDistribution(RateDistribution):
         self._cdf = cdf
         self._grid_points = grid_points
         self._table = None
+        self._support_nodes = None
 
     def _tabulate(self) -> tuple[np.ndarray, np.ndarray]:
         """The sampling table (grid, CDF on it), built and checked once."""
@@ -290,12 +292,27 @@ class CdfRateDistribution(RateDistribution):
         gb = float(np.asarray(g(np.array([b]))).reshape(()))
         Fa = float(self.cdf(np.array([a]))[0]) if a > self.mu_min else 0.0
         Fb = float(self.cdf(np.array([b]))[0]) if b < self.mu_max else 1.0
+        x, w, cdf = self._nodes(a, b)
+        inner = float(np.sum(w * np.asarray(dg(x), dtype=float) * cdf))
+        return gb * Fb - ga * Fa - inner
+
+    def _nodes(self, a, b):
+        """The Gauss nodes and weights of an integral by parts on [a, b] and
+        the clipped CDF values there. Those of the whole support are read
+        once and kept, read-only, for every later integral over it."""
+        whole = a == self.mu_min and b == self.mu_max
+        if whole and self._support_nodes is not None:
+            return self._support_nodes
         x, w = gauss_legendre_panels(a, b, self.kinks, self._panel_nodes)
         vals = np.asarray(self._cdf(x), dtype=float)
         if self._table is None:
             _check_cdf_values(vals, "at its quadrature nodes")
-        inner = float(np.sum(w * np.asarray(dg(x), dtype=float) * np.clip(vals, 0.0, 1.0)))
-        return gb * Fb - ga * Fa - inner
+        nodes = x, w, np.clip(vals, 0.0, 1.0)
+        if whole:
+            for array in nodes:
+                array.flags.writeable = False
+            self._support_nodes = nodes
+        return nodes
 
     def _stieltjes(self, g, a, b):
         grid = self._grid

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import runpy
@@ -239,7 +240,19 @@ class TestSimulateAndFairness:
                           "diffusion_mean": diffusion, "diffusion_stderr": diffusion,
                           "diffusion_exact_mean": diffusion, "diffusion_z": diffusion,
                           "allocation_terminal_tv": f"alpha={alpha!r}",
+                          "allocation_step_error": f"alpha={alpha!r}",
                           "stationary_scaled_idleness": f"alpha={alpha!r}"}
+
+
+def test_limits_exits_0_at_a_unimodal_configuration(tmp_path, monkeypatch):
+    # the allocation fluid's drain rate lam h_max / sum(h m) reaches about 735
+    # at r = -2, and its step is not bound by it; short runs keep this cheap
+    short = functools.partial(cli.cmd_limits, fluid_T=5.0, diffusion_T=5.0,
+                              diffusion_paths=4, allocation_T=40.0)
+    summaries = []
+    monkeypatch.setattr(cli, "cmd_limits", lambda *args: summaries.append(short(*args)))
+    assert main(["--out", str(tmp_path), "--r", "-2", "limits"]) == 0
+    assert summaries[0]["allocation_terminal_tv"] < 2e-6
 
 
 class TestLimitsSerialOrder:

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rategame._numerics import bisect
-from rategame.equilibrium import ResponseDistribution, _ratio_array, _utility
-from rategame.rates import CdfRateDistribution, gauss_legendre_panels
+from rategame.equilibrium import (ResponseDistribution, _assemble_equilibrium, _ratio_array,
+                                  _utility)
+from rategame.rates import CdfRateDistribution, _check_cdf_values, gauss_legendre_panels
 from rategame import (RegimeClass, best_response, best_response_rates,
                       classify_regime, equilibrium_residual,
                       marginal_rate_of_substitution, power_family,
@@ -534,6 +537,70 @@ class TestWhereTheCdfIsChecked:
         monkeypatch.setattr(F, "_cdf", no_cdf)
         again = F.sample(np.random.default_rng(3), 1000)
         assert np.array_equal(draws, again)
+
+
+def _reread_integral(self, g, dg, a, b):
+    """``CdfRateDistribution.integrate_between`` reading the CDF at its
+    Gauss nodes on every call."""
+    a = max(a, self.mu_min)
+    b = min(b, self.mu_max)
+    if b <= a:
+        return 0.0
+    if dg is None:
+        return self._stieltjes(g, a, b)
+    ga = float(np.asarray(g(np.array([a]))).reshape(())) if callable(g) else g
+    gb = float(np.asarray(g(np.array([b]))).reshape(()))
+    Fa = float(self.cdf(np.array([a]))[0]) if a > self.mu_min else 0.0
+    Fb = float(self.cdf(np.array([b]))[0]) if b < self.mu_max else 1.0
+    x, w = gauss_legendre_panels(a, b, self.kinks, self._panel_nodes)
+    vals = np.asarray(self._cdf(x), dtype=float)
+    if self._table is None:
+        _check_cdf_values(vals, "at its quadrature nodes")
+    inner = float(np.sum(w * np.asarray(dg(x), dtype=float) * np.clip(vals, 0.0, 1.0)))
+    return gb * Fb - ga * Fa - inner
+
+
+class TestOneCdfReadPerNodeSet:
+    def _assemble(self, sol, config, dists, funcs, monkeypatch):
+        """The assembled solution at the base case's L*, and every array at
+        which its law's CDF was read."""
+        reads = []
+        define = CdfRateDistribution._define
+
+        def recording_define(self, mu_min, mu_max, cdf, kinks, grid_points):
+            def read(mu):
+                reads.append(np.array(mu, dtype=float))
+                return cdf(mu)
+            define(self, mu_min, mu_max, read, kinks, grid_points)
+
+        monkeypatch.setattr(CdfRateDistribution, "_define", recording_define)
+        got = _assemble_equilibrium(sol.L_star, dists, funcs, config.beta, config.lambda_bar,
+                                    config.n, sol.bracket_lo, sol.bracket_hi, sol.scan_L,
+                                    sol.scan_phi, sol.sign_changes, sol.iterations)
+        monkeypatch.undo()
+        return got, reads
+
+    def test_the_support_nodes_are_read_once_bit_for_bit(self, monkeypatch, base_config,
+                                                         base_dists, base_funcs,
+                                                         base_equilibrium):
+        args = (base_equilibrium, base_config, base_dists, base_funcs, monkeypatch)
+        got, reads = self._assemble(*args)
+        F = got.response
+        nodes, _ = gauss_legendre_panels(F.mu_min, F.mu_max, F.kinks)
+        assert nodes.size == 64
+        assert sum(np.array_equal(mu, nodes) for mu in reads) == 1
+
+        monkeypatch.setattr(CdfRateDistribution, "integrate_between", _reread_integral)
+        ref, ref_reads = self._assemble(*args)
+        assert sum(np.array_equal(mu, nodes) for mu in ref_reads) > 1
+        mus = np.linspace(F.mu_min, F.mu_max, 101)
+        for field in dataclasses.fields(got):
+            a, b = getattr(got, field.name), getattr(ref, field.name)
+            if field.name == "response":
+                a, b = a.cdf(mus), b.cdf(mus)
+            elif callable(a):
+                a, b = a(mus), b(mus)
+            assert np.array_equal(a, b), field.name
 
 
 class TestEquilibrium:
