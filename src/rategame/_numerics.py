@@ -1,6 +1,9 @@
-"""The numerical kernels the solvers share: bracketed bisection over
-scalars or arrays, the ITP method for scalar roots, and one classical
-Runge-Kutta step."""
+"""The numerical kernels the solvers share: bracketed bisection and the
+ITP method, each elementwise over scalars or arrays, and one classical
+Runge-Kutta step. ITP finds the roots where a tolerance on |f| ends the
+search (Phi, G, and the unimodal law's tie rates); bisection serves the
+callers that need its exact-halving convention, in which a zero of f
+moves the upper end."""
 
 from __future__ import annotations
 
@@ -38,50 +41,76 @@ def bisect(f, lo, hi, iters: int):
     return x, fx, evals
 
 
-def itp(f, lo: float, hi: float, flo: float, fhi: float, iters: int, tol: float):
-    """Root of the scalar ``f`` on [lo, hi] by the ITP method (Oliveira &
-    Takahashi, ACM TOMS 47(1), 2020), from the end values ``flo`` and
-    ``fhi`` the caller already holds; they have opposite signs.
+def itp(f, lo, hi, flo, fhi, iters: int, tol):
+    """Roots of ``f`` on [lo, hi] by the ITP method (Oliveira & Takahashi,
+    ACM TOMS 47(1), 2020), elementwise over scalars or arrays, from the end
+    values ``flo`` and ``fhi`` the caller already holds; the two end values
+    of each element have opposite signs.
 
-    Each step evaluates f once: at the regula falsi point, moved toward the
-    midpoint by 0.2 (hi - lo)^2 / (hi0 - lo0) and then projected to within
-    a radius of the midpoint that halves every step (n0 = 1). So after k
-    evaluations the bracket is no wider than bisection's after k - 1, and
-    on a smooth f the steps converge superlinearly. Stops once |f| < tol at
-    an end or f is exactly zero there, or when the midpoint equals an end
-    (adjacent floats), or after ``iters`` evaluations.
+    Each step evaluates f once per unfinished element: at the regula falsi
+    point, moved toward the midpoint by 0.2 (hi - lo)^2 / (hi0 - lo0) and
+    then projected to within a radius of the midpoint that halves every
+    step (n0 = 1). So after k evaluations an element's bracket is no wider
+    than bisection's after k - 1, and on a smooth f the steps converge
+    superlinearly. An element stops once |f| < tol at an end (``tol`` may
+    be a scalar or one per element) or f is exactly zero there, or when
+    its midpoint equals an end (adjacent floats, or a bracket of zero
+    width), or after ``iters`` evaluations. Each element moves by its own
+    bracket, end values and count alone, so its result does not depend on
+    the others in the call.
 
-    Returns ``(x, f(x), evaluations)`` as Python floats, for the end with
-    the smaller |f|: an end value below ``tol`` returns at once.
+    A scalar bracket calls ``f(x)`` with a float and returns
+    ``(x, f(x), evaluations)`` as Python floats and an int. Array brackets
+    call ``f(x, index)`` with the points of the unfinished elements and
+    their indices into the arrays, and return arrays. Each result is the
+    element's end with the smaller |f|: an end value below ``tol`` returns
+    at once.
     """
-    lo, hi, flo, fhi = float(lo), float(hi), float(flo), float(fhi)
-    kappa1 = 0.2 / (hi - lo)
-    radius = hi - lo
-    evals = 0
-    while evals < iters and min(abs(flo), abs(fhi)) >= tol and flo != 0.0 != fhi:
+    scalar = all(np.ndim(v) == 0 for v in (lo, hi, flo, fhi))
+    lo, hi, flo, fhi = (np.array(v, dtype=float, ndmin=1)
+                        for v in np.broadcast_arrays(lo, hi, flo, fhi))
+    tol = np.array(np.broadcast_to(np.asarray(tol, dtype=float), lo.shape))
+    evals = np.zeros(lo.shape, dtype=int)
+    width = hi - lo
+    # a bracket of zero width stops before its kappa1 is read
+    kappa1 = np.divide(0.2, width, out=np.zeros_like(width), where=width != 0.0)
+    radius = width
+    index = np.arange(lo.size)
+    out_x, out_f = lo.copy(), flo.copy()
+    count = 0
+    while index.size:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
+        going = ((np.minimum(np.abs(flo), np.abs(fhi)) >= tol) & (flo != 0.0) & (fhi != 0.0)
+                 & (mid != lo) & (mid != hi))
+        done = ~going if count < iters else np.ones_like(going)
+        if done.any():
+            i = index[done]
+            take_lo = np.abs(flo[done]) <= np.abs(fhi[done])
+            out_x[i] = np.where(take_lo, lo[done], hi[done])
+            out_f[i] = np.where(take_lo, flo[done], fhi[done])
+            evals[i] = count
+            keep = ~done
+            index, lo, hi, flo, fhi, mid, kappa1, radius, tol = (
+                a[keep] for a in (index, lo, hi, flo, fhi, mid, kappa1, radius, tol))
+            if not index.size:
+                break
         width = hi - lo
         x = (fhi * lo - flo * hi) / (fhi - flo)
-        sigma = 1.0 if mid >= x else -1.0
+        sigma = np.where(mid >= x, 1.0, -1.0)
         delta = kappa1 * width * width
-        x = x + sigma * delta if delta <= abs(mid - x) else mid
-        r = max(radius - 0.5 * width, 0.0)
-        if abs(x - mid) > r:
-            x = mid - sigma * r
-        if not lo < x < hi:
-            x = mid
-        fx = float(f(x))
-        evals += 1
-        if (fx > 0.0) == (flo > 0.0):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-        radius *= 0.5
-    if abs(flo) <= abs(fhi):
-        return lo, flo, evals
-    return hi, fhi, evals
+        x = np.where(delta <= np.abs(mid - x), x + sigma * delta, mid)
+        r = np.maximum(radius - 0.5 * width, 0.0)
+        x = np.where(np.abs(x - mid) > r, mid - sigma * r, x)
+        x = np.where((lo < x) & (x < hi), x, mid)
+        fx = np.asarray([f(float(x[0]))] if scalar else f(x, index), dtype=float)
+        count += 1
+        same = (fx > 0.0) == (flo > 0.0)
+        lo, flo = np.where(same, x, lo), np.where(same, fx, flo)
+        hi, fhi = np.where(same, hi, x), np.where(same, fhi, fx)
+        radius = radius * 0.5
+    if scalar:
+        return float(out_x[0]), float(out_f[0]), int(evals[0])
+    return out_x, out_f, evals
 
 
 def rk4_step(rhs, t: float, y, h: float):

@@ -196,7 +196,15 @@ class ResponseDistribution(CdfRateDistribution):
       T(mu) = V(mu) - V(lo) - C(mu) (c(mu) - c(lo)), the tie of lo with the
       stationary point mu at a = C(mu). T(mu_peak) <= 0 and
       T' = -C'(mu) (c(mu) - c(lo)) > 0 on the down-branch. Where
-      T(mu_max) < 0, mu* = mu_max and a1 is the secant to mu_max.
+      T(mu_max) < 0, mu* = mu_max and a1 is the secant to mu_max; where
+      T(mu_peak) >= 0 in rounding, mu* = mu_peak.
+
+    T has a tangent zero at mu_peak (C'(mu_peak) = 0), so for lo just
+    below the peak the root sits near the vertex of a parabola, and near
+    the root T is a difference of O(1) terms cancelled to rounding noise.
+    So every root is first bracketed on one grid, geometric toward the
+    peak and shared by all lo, and then refined by elementwise ITP until
+    |T| is below a few eps times its largest term on that grid row.
 
     F1 is one table on the edges m_k of a uniform cell grid, read by linear
     interpolation; the expectation is a Gauss rule over (lo, hi) with the
@@ -214,6 +222,8 @@ class ResponseDistribution(CdfRateDistribution):
     _CELL_NODES = 2     # Gauss nodes per cell on each of the lo and hi axes
     _TABLE_PANEL_NODES = 4  # Gauss nodes per cell of an integral by parts over the table
     _PAIR_BLOCK = 1 << 14   # node pairs summed at once, which bounds their arrays
+    _TIE_GRID = 48      # points mu_peak + (mu_max - mu_peak) 2^-k, k < 48, that bracket mu*(lo)
+    _TIE_ROUNDING = 4.0     # T's rounding level, in eps times its largest term
     _MONOTONE_GRID = 257
     _GRID_POINTS = 2001
 
@@ -351,24 +361,36 @@ class ResponseDistribution(CdfRateDistribution):
 
     def _switch_level(self, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """a1(lo) and mu*(lo) by the class docstring's two identities: C(lo)
-        and lo on the falling branch, one bisection of T below the peak."""
-        funcs, L, top = self._funcs, self.L, self._dists.mu_max
+        and lo on the falling branch, one root of T below the peak, bracketed
+        on a grid geometric toward the peak and refined by ITP to T's
+        rounding level."""
+        funcs, L, top, peak = self._funcs, self.L, self._dists.mu_max, self._mu_peak
         mu_star = np.array(lo, dtype=float)
         a1 = _ratio_array(funcs, mu_star, L)
-        below = np.flatnonzero(mu_star < self._mu_peak)
+        below = np.flatnonzero(mu_star < peak)
         if below.size:
             b = mu_star[below]
             v_lo, c_lo = _idle_value(funcs, b, L), funcs.c(b)
 
-            def T(mu):
-                return (_idle_value(funcs, mu, L) - v_lo
-                        - _ratio_array(funcs, mu, L) * (funcs.c(mu) - c_lo))
+            def T(mu, rows):
+                """T(mu) for the lo of ``rows``, and the size of its terms."""
+                v = _idle_value(funcs, mu, L)
+                cost = _ratio_array(funcs, mu, L) * (funcs.c(mu) - c_lo[rows])
+                return v - v_lo[rows] - cost, np.abs(v) + np.abs(v_lo[rows]) + np.abs(cost)
 
-            # T = 0 moves hi, so a flat zero at the peak gives the peak
-            root, _, _ = bisect(lambda mu: -T(mu), np.full(b.size, self._mu_peak),
-                                np.full(b.size, top), 200)
-            short = T(np.full(b.size, top)) < 0.0
-            mu_star[below] = np.where(short, top, root)
+            grid = np.concatenate([[peak], peak + (top - peak) * 0.5 ** np.arange(
+                self._TIE_GRID - 1, 0, -1), [top]])
+            t, size = T(grid, np.s_[:, None])   # every lo against every grid point
+            tol = self._TIE_ROUNDING * np.finfo(float).eps * size.max(axis=1)
+            # T = 0 at the peak gives the peak; T < 0 at mu_max the secant to it
+            at_peak, short = t[:, 0] >= 0.0, t[:, -1] < 0.0
+            root = np.where(short, top, peak)
+            rows = np.flatnonzero(~(at_peak | short))
+            if rows.size:
+                j = np.argmax(t[rows] >= 0.0, axis=1)   # T rises: first grid point with T >= 0
+                root[rows], _, _ = itp(lambda mu, k: T(mu, rows[k])[0], grid[j - 1], grid[j],
+                                       t[rows, j - 1], t[rows, j], 200, tol[rows])
+            mu_star[below] = root
             a1[below] = np.where(short, self._secant(b, top), _ratio_array(funcs, root, L))
         return a1, mu_star
 

@@ -400,28 +400,36 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
     inflow = (lam / mu_bar) * (1.0 + beta) * mids * initial.F_masses
     lam_hv = lam * hv
 
-    def relax(m, t, tau):
-        """One exponential-midpoint step of tau from (t, m)."""
-        masses = m
-        for frozen_at, length in ((t, 0.5 * tau), (t + 0.5 * tau, tau)):
-            S = float(hv @ masses)
-            if S <= 0.0:
-                raise ZeroDivisionError(f"weighted idle mass vanished at t={frozen_at!r}: "
-                                        "routing fraction undefined")
-            k = mids + lam_hv / S
-            q = inflow / k
-            masses = q + (m - q) * np.exp(-k * length)
-        return masses
+    def frozen(masses, t):
+        """k and q with S frozen at (t, masses)."""
+        S = float(hv @ masses)
+        if S <= 0.0:
+            raise ZeroDivisionError(f"weighted idle mass vanished at t={t!r}: "
+                                    "routing fraction undefined")
+        k = mids + lam_hv / S
+        return k, inflow / k
+
+    def relax(m, start, t, tau):
+        """One exponential-midpoint step of tau from (t, m); ``start`` is
+        frozen(m, t)."""
+        k, q = start
+        half = q + (m - q) * np.exp(-k * (0.5 * tau))
+        k, q = frozen(half, t + 0.5 * tau)
+        return q + (m - q) * np.exp(-k * tau)
 
     out = [initial]
     m = initial.masses.copy()
     t, tau, error = float(t_grid[0]), _ALLOCATION_FIRST_STEP, 0.0
+    start = None
     for end in t_grid[1:].tolist():
         while t < end:
+            # the start's k and q serve every attempt from it
+            start = frozen(m, t) if start is None else start
             # spread what is left of the interval over equal steps of at most tau
             span = (end - t) / math.ceil((end - t) / tau)
-            whole = relax(m, t, span)
-            halves = relax(relax(m, t, 0.5 * span), t + 0.5 * span, 0.5 * span)
+            whole = relax(m, start, t, span)
+            first = relax(m, start, t, 0.5 * span)
+            halves = relax(first, frozen(first, t + 0.5 * span), t + 0.5 * span, 0.5 * span)
             # Richardson: the two halves' local error is a third of their distance
             estimate = float(np.max(np.abs(halves - whole))) / 3.0
             allowed = ALLOCATION_TOLERANCE * float(halves.max())
@@ -431,6 +439,7 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
                 m = np.maximum(halves + (halves - whole) / 3.0, 0.0)
                 error += estimate
                 t = end if span >= end - t else t + span
+                start = None
             # the local error of a second-order step grows as tau^3
             grow = 5.0 if estimate == 0.0 else min(5.0, 0.9 * (allowed / estimate) ** (1.0 / 3.0))
             tau = span * max(0.2, grow)

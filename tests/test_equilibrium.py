@@ -1,10 +1,12 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rategame._numerics import bisect
+from rategame import equilibrium as equilibrium_module
+from rategame._numerics import bisect, itp
 from rategame.equilibrium import (ResponseDistribution, _assemble_equilibrium, _ratio_array,
                                   _utility)
 from rategame.rates import CdfRateDistribution, _check_cdf_values, gauss_legendre_panels
@@ -356,6 +358,42 @@ class TestUnimodalSwitchLevel:
         # sampling reads the same table: its grid holds every edge
         assert np.isin(edges, F._grid).all()
         assert np.array_equal(F._grid_cdf[np.isin(F._grid, edges)], F.cdf(edges))
+
+    @pytest.mark.parametrize("overrides", [{"r": -2.0}, {"p": 5.0, "r": -3.0}])
+    def test_each_tie_rate_takes_at_most_12_evaluations(self, monkeypatch, base_config,
+                                                         overrides):
+        # bisection of T took 52-59 per law; an array call lasts as long as
+        # its slowest element, so the bound is on every element
+        counts = []
+
+        def counted(f, lo, hi, flo, fhi, iters, tol):
+            out = itp(f, lo, hi, flo, fhi, iters, tol)
+            if np.ndim(out[2]):
+                counts.append(int(out[2].max()))
+            return out
+
+        monkeypatch.setattr(equilibrium_module, "itp", counted)
+        cfg = base_config.with_overrides(**overrides)
+        sol = solve_equilibrium(cfg.population(), cfg.functions(), cfg.beta,
+                                cfg.lambda_bar, cfg.n)
+        assert not sol.first_order_monotone
+        assert len(counts) > 16 and max(counts) <= 12
+
+    def test_lo_at_the_peak_ties_at_the_peak(self, base_config):
+        # T has a tangent zero at the peak: lo a few floats below it meets
+        # T(mu_peak) >= 0 or a bracket of rounding width, and neither warns
+        exact = 0
+        for overrides, scan_index in UNIMODAL_LAWS[1::2]:
+            F = _scan_law(base_config, overrides, scan_index)
+            peak = F._mu_peak
+            lo = np.array([np.nextafter(peak, 0.0), peak - 1e-15, peak - 1e-12])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                a1, mu_star = F._switch_level(lo)
+            assert np.all((mu_star >= peak) & (mu_star - peak <= 1e-10))
+            np.testing.assert_allclose(a1, F._c_peak, rtol=1e-10)
+            exact += int(np.sum(mu_star == peak))
+        assert exact > 0
 
     @pytest.mark.parametrize("overrides", [{"r": -2.0}, {"p": 5.0, "r": -3.0},
                                            {"p": 6.0, "r": -4.0}])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,150 @@ class TestItp:
         assert abs(fx) < 1e-12
         assert x == pytest.approx(1.8216e-9, rel=1e-11)
         assert evals < 10
+
+
+def _scalar_itp(f, lo, hi, flo, fhi, iters, tol):
+    """The scalar ITP loop in plain Python floats, as it stood before the
+    kernel went elementwise: the reference for the scalar path."""
+    lo, hi, flo, fhi = float(lo), float(hi), float(flo), float(fhi)
+    kappa1 = 0.2 / (hi - lo)
+    radius = hi - lo
+    evals = 0
+    while evals < iters and min(abs(flo), abs(fhi)) >= tol and flo != 0.0 != fhi:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        width = hi - lo
+        x = (fhi * lo - flo * hi) / (fhi - flo)
+        sigma = 1.0 if mid >= x else -1.0
+        delta = kappa1 * width * width
+        x = x + sigma * delta if delta <= abs(mid - x) else mid
+        r = max(radius - 0.5 * width, 0.0)
+        if abs(x - mid) > r:
+            x = mid - sigma * r
+        if not lo < x < hi:
+            x = mid
+        fx = float(f(x))
+        evals += 1
+        if (fx > 0.0) == (flo > 0.0):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+        radius *= 0.5
+    if abs(flo) <= abs(fhi):
+        return lo, flo, evals
+    return hi, fhi, evals
+
+
+# (f, lo, hi, tol): smooth, flat, steep, tangent, far-below-one and stepped roots
+SCALAR_CASES = [
+    (lambda x: math.exp(-x) - 0.5, 0.0, 5.0, 1e-12),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 0.0),
+    (lambda x: math.tanh(50.0 * (x - 0.7)), 0.0, 1.0, 1e-14),
+    (lambda x: (x - 0.25) ** 2 - 1e-12, 0.25, 1.0, 1e-20),
+    (lambda x: 1.0 - x / 1.8216e-9, 0.0, 1e-8, 1e-12),
+    (lambda x: 1.0 if x < 1.0 / 3.0 else -1e-3, 0.0, 5.0, 1e-10),
+    (lambda x: math.log(x) + 3.0, 1e-6, 10.0, 1e-15),
+]
+
+
+class TestItpOverArrays:
+    """The one ITP kernel, called with arrays of brackets: each element
+    moves by its own bracket, end values and stop, and scalars go through
+    the same loop as before, bit for bit."""
+
+    @pytest.mark.parametrize("f, lo, hi, tol", SCALAR_CASES)
+    def test_scalar_path_is_the_plain_loop_bit_for_bit(self, f, lo, hi, tol):
+        calls, ref_calls = [], []
+
+        def traced(into):
+            def g(x):
+                into.append(x)
+                return f(x)
+            return g
+
+        got = itp(traced(calls), lo, hi, f(lo), f(hi), 200, tol)
+        ref = _scalar_itp(traced(ref_calls), lo, hi, f(lo), f(hi), 200, tol)
+        assert got == ref and calls == ref_calls
+        assert [type(v) for v in got] == [float, float, int]
+        assert all(type(x) is float for x in calls)
+
+    def test_a_step_costs_at_most_one_evaluation_more_than_bisection(self):
+        # jumps, not roots, with skewed end values: see the scalar test
+        roots = np.array([0.3, 1.0 / 3.0, 2.718281828, 4.99, 1e-9] * 3)
+        below = np.repeat([-1.0, -1e-3, -1e8], 5)
+
+        def step(x, index):
+            return np.where(x < roots[index], 1.0, below[index])
+
+        lo, hi = np.zeros(roots.size), np.full(roots.size, 5.0)
+        x, fx, evals = itp(step, lo, hi, np.ones(roots.size), below, 200, 1e-10)
+        for k in range(roots.size):
+            _, _, bisect_evals = bisect(lambda x: 1.0 if x < roots[k] else below[k], 0.0, 5.0, 200)
+            assert evals[k] <= bisect_evals + 1
+        np.testing.assert_allclose(x, roots, rtol=1e-15)
+        np.testing.assert_array_equal(np.abs(fx), np.minimum(1.0, np.abs(below)))
+
+    def test_an_element_alone_equals_itself_in_a_batch(self):
+        # f evaluated only on the unfinished elements, which finish at
+        # different steps; every result equals its own scalar solve
+        roots = np.array([0.3, 1e-9, 0.99999, 0.5, 2.0 / 3.0])
+        scale = np.array([1.0, 1e3, 1e-3, 1.0, 7.0])
+        lo, hi = np.zeros(5), np.array([1.0, 1e-8, 1.0, 1.0, 1.0])
+        seen = []
+
+        def f(x, index):
+            seen.append(index.copy())
+            return np.tanh(scale[index] * (x - roots[index])) + 0.1 * (x - roots[index]) ** 3
+
+        def g(x, k):
+            return np.tanh(scale[k] * (x - roots[k])) + 0.1 * (x - roots[k]) ** 3
+
+        flo, fhi = g(lo, np.arange(5)), g(hi, np.arange(5))
+        x, fx, evals = itp(f, lo, hi, flo, fhi, 200, 0.0)
+        assert len({len(i) for i in seen}) > 1      # some elements finished early
+        for k in range(5):
+            alone = itp(lambda x: float(g(x, k)), lo[k], hi[k], flo[k], fhi[k], 200, 0.0)
+            assert alone == (x[k], fx[k], evals[k])
+            single = itp(lambda x, index: g(x, k), lo[k:k + 1], hi[k:k + 1], flo[k:k + 1],
+                         fhi[k:k + 1], 200, 0.0)
+            assert [v[0] for v in single] == [x[k], fx[k], evals[k]]
+
+    def test_a_tolerance_per_element_stops_each_on_its_own(self):
+        def f(x, index):
+            return np.exp(-x) - 0.5
+
+        n = 4
+        lo, hi = np.zeros(n), np.full(n, 5.0)
+        tol = np.array([1e-2, 1e-6, 1e-12, 0.0])
+        x, fx, evals = itp(f, lo, hi, np.full(n, 0.5), np.full(n, math.exp(-5.0) - 0.5), 200, tol)
+        assert np.all(np.abs(fx[:3]) < tol[:3])
+        assert np.all(np.diff(evals) >= 0) and evals[0] < evals[-1]
+        for k in range(n):
+            assert (x[k], fx[k], evals[k]) == itp(lambda x: math.exp(-x) - 0.5, 0.0, 5.0, 0.5,
+                                                  math.exp(-5.0) - 0.5, 200, tol[k])
+
+    def test_a_bracket_of_zero_width_is_done_at_once(self):
+        calls = []
+
+        def f(x, index):
+            calls.append(index.copy())
+            return x - 0.3
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, fx, evals = itp(f, np.array([0.5, 0.0]), np.array([0.5, 1.0]),
+                               np.array([0.2, -0.3]), np.array([0.2, 0.7]), 200, 1e-14)
+        assert evals[0] == 0 and x[0] == 0.5 and fx[0] == 0.2
+        assert all(i.tolist() == [1] for i in calls)
+        assert abs(fx[1]) < 1e-14
+
+    def test_no_elements_no_evaluations(self):
+        def f(x, index):
+            raise AssertionError("f called without elements")
+
+        x, fx, evals = itp(f, np.zeros(0), np.ones(0), np.zeros(0), np.zeros(0), 200, 0.0)
+        assert x.size == fx.size == evals.size == 0
 
 
 class TestRk4Step:
