@@ -158,36 +158,93 @@ def _edge_sums(q: np.ndarray, i: np.ndarray, j: np.ndarray, psi: np.ndarray,
     return np.cumsum(level)[:-1] + q * np.cumsum(weight)[:-1]
 
 
-class ResponseDistribution(CdfRateDistribution):
-    """Law of the optimal service rate given L, as a closed-form CDF.
+# The response laws: the grid of their monotone check, a monotone law's
+# sampling table, and a unimodal law's peak search, cell table and Gauss rules
+_MONOTONE_GRID = 257
+_GRID_POINTS = 2001
+_PEAK_GRID = 4097       # points that locate the peak of a unimodal C(., L)
+_CELLS = 256            # cells of the unimodal table
+_CELL_NODES = 2         # Gauss nodes per cell on each of the lo and hi axes
+_TABLE_PANEL_NODES = 4  # Gauss nodes per cell of an integral by parts over the table
+_PAIR_BLOCK = 1 << 14   # node pairs summed at once, which bounds their arrays
+_TIE_GRID = 48          # points mu_peak + (mu_max - mu_peak) 2^-k, k < 48, that bracket mu*(lo)
+_TIE_ROUNDING = 4.0     # T's rounding level, in eps times its largest term
 
-    With C(., L) strictly decreasing (the three-branch regime) the CDF is
+
+class ResponseDistribution(CdfRateDistribution):
+    """Law of the optimal service rate given L, the type of every response law.
+
+    It takes one of two forms: :class:`MonotoneResponse` where C(., L) is
+    strictly decreasing, :class:`UnimodalResponse` where it is unimodal.
+    ``first_order_monotone`` records which applied. ``response_distribution``
+    builds the law at one L and tabulates it; the solver builds its laws
+    with ``_response_laws``.
+    """
+
+    first_order_monotone: bool
+
+    def __init__(self, L: float, dists: PopulationDistributions, cdf, kinks,
+                 grid_points: int):
+        self.L = L
+        self._define(dists.mu_min, dists.mu_max, cdf, kinks, grid_points)
+
+    def density(self, mu, half_step: float | None = None):
+        """Reporting density via central differences of the CDF."""
+        mu = np.asarray(mu, dtype=float)
+        d = half_step if half_step is not None else (self.mu_max - self.mu_min) / 4000.0
+        lo = np.maximum(mu - d, self.mu_min)
+        hi = np.minimum(mu + d, self.mu_max)
+        return (self.cdf(hi) - self.cdf(lo)) / (hi - lo)
+
+
+class MonotoneResponse(ResponseDistribution):
+    """The law where C(., L) is strictly decreasing (the three-branch
+    regime), in closed form:
 
         F1(mu | L) = P(mu_hi <= mu)
                      + P(mu_lo < mu < mu_hi) (1 - F_a(C(mu, L))).
 
-    Kinks sit where C(mu, L) crosses a_max and a_min (density spikes there,
-    visible in the reported density, which is a central difference on a
-    dense grid).
+    ``kinks`` are where C(mu, L) crosses a_max and a_min (density spikes
+    there, visible in the reported density, which is a central difference
+    on a dense grid). The law builds its sampling table when one is first
+    read; until then every integral checks the CDF at its Gauss nodes.
+    """
 
-    When C is unimodal instead (weights steeper than the base case push the
-    peak inside the support), the displayed formula stops being a CDF and
-    the three-branch split stops maximizing utility. The exact pushforward
-    of the true best response is used then: the optimum is either the
-    personal minimum or the down-branch stationary point R(a) clipped into
-    the personal interval, whichever utility wins (tie to the smaller
-    rate). It does not increase in a (increasing differences in (mu, -a)),
-    and sits at or below m in [lo, hi) exactly when a >= min(A(m), a_sw),
-    so with q = F_a(A) and psi = F_a(a_sw)
+    first_order_monotone = True
+
+    def __init__(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
+                 kinks: list[float]):
+        def cdf(mu):
+            mu = np.asarray(mu, dtype=float)
+            inside = np.clip(mu, dists.mu_min, dists.mu_max)
+            c = _ratio_array(funcs, inside, L)
+            val = dists.max_marginal_cdf(mu) + dists.between_prob(mu) * (1.0 - dists.a_cdf(c))
+            return np.clip(val, 0.0, 1.0)
+
+        super().__init__(L, dists, cdf, kinks, _GRID_POINTS)
+
+
+class UnimodalResponse(ResponseDistribution):
+    """The law where C(., L) is unimodal, the exact pushforward of the true
+    best response.
+
+    When weights steeper than the base case push the peak of C inside the
+    support, the monotone formula stops being a CDF and the three-branch
+    split stops maximizing utility. The optimum is then either the personal
+    minimum or the down-branch stationary point R(a) clipped into the
+    personal interval, whichever utility wins (tie to the smaller rate). It
+    does not increase in a (increasing differences in (mu, -a)), and sits
+    at or below m in [lo, hi) exactly when a >= min(A(m), a_sw), so with
+    q = F_a(A) and psi = F_a(a_sw)
 
         F1(m) = P(lo <= m) - E[ 1(lo <= m < hi) min(q(m), psi(lo, hi)) ].
 
-    A is C capped at C_peak left of the peak. The switch level a_sw(lo, hi),
-    at which the personal minimum starts winning, is one-dimensional. With
-    V(mu) = f(1 / (1 + L htilde(mu))), so that C = V' / c', let mu*(lo) be
-    the down-branch rate that ties lo. Then a_sw = a1(lo) = C(mu*, L) if
-    hi >= mu*, else the secant (V(hi) - V(lo)) / (c(hi) - c(lo)). Two
-    identities give mu*:
+    A is C capped at C_peak left of the peak (``_capped_ratio``). The switch
+    level a_sw(lo, hi), at which the personal minimum starts winning, is
+    one-dimensional. With V(mu) = f(1 / (1 + L htilde(mu))), so that
+    C = V' / c', let mu*(lo) be the down-branch rate that ties lo. Then
+    a_sw = a1(lo) = C(mu*, L) if hi >= mu*, else the secant
+    (V(hi) - V(lo)) / (c(hi) - c(lo)). Two identities give mu*:
 
     - on the falling branch, lo >= mu_peak, mu* = lo and a1 = C(lo, L):
       R(C(lo)) = lo, and for a < C(lo) the stationary point R(a) > lo
@@ -204,210 +261,174 @@ class ResponseDistribution(CdfRateDistribution):
     the root T is a difference of O(1) terms cancelled to rounding noise.
     So every root is first bracketed on one grid, geometric toward the
     peak and shared by all lo, and then refined by elementwise ITP until
-    |T| is below a few eps times its largest term on that grid row.
+    |T| is below a few eps times its largest term on that grid row
+    (``_switch_level``).
 
-    F1 is one table on the edges m_k of a uniform cell grid, read by linear
-    interpolation; the expectation is a Gauss rule over (lo, hi) with the
-    uniform-pair density 2 / (mu_max - mu_min)^2. Its nodes sit inside the
-    cells, so every indicator is exact at the edges, and each node pair's
-    term 1(hi <= m) + 1(lo <= m < hi) (1 - min(q(m), psi)) does not
-    decrease in m, as q does not: with positive weights the table cannot
-    decrease at any resolution. The table's interior edges are its kinks,
-    and an integral by parts reads each cell with a few Gauss nodes: F1 is
-    linear there, so Phi is the table's own integral to rounding.
-    ``first_order_monotone`` records which regime applied.
+    F1 is one table on the edges m_k of ``cells`` uniform cells, read by
+    linear interpolation; the expectation is a Gauss rule over (lo, hi),
+    ``cell_nodes`` nodes per cell on each axis, with the uniform-pair
+    density 2 / (mu_max - mu_min)^2 (``_unimodal_table``). Its nodes sit
+    inside the cells, so every indicator is exact at the edges, and each
+    node pair's term 1(hi <= m) + 1(lo <= m < hi) (1 - min(q(m), psi)) does
+    not decrease in m, as q does not: with positive weights the table
+    cannot decrease at any resolution. The table is also the law's sampling
+    grid, built and checked with the law: a linear interpolant is
+    nondecreasing exactly when its table is. Its interior edges are its
+    kinks, and an integral by parts reads each cell with a few Gauss nodes:
+    F1 is linear there, so Phi is the table's own integral to rounding.
+    ``mu_peak`` and ``c_peak`` are the peak of C(., L) and its value.
     """
 
-    _CELLS = 256        # cells of the unimodal table
-    _CELL_NODES = 2     # Gauss nodes per cell on each of the lo and hi axes
-    _TABLE_PANEL_NODES = 4  # Gauss nodes per cell of an integral by parts over the table
-    _PAIR_BLOCK = 1 << 14   # node pairs summed at once, which bounds their arrays
-    _TIE_GRID = 48      # points mu_peak + (mu_max - mu_peak) 2^-k, k < 48, that bracket mu*(lo)
-    _TIE_ROUNDING = 4.0     # T's rounding level, in eps times its largest term
-    _MONOTONE_GRID = 257
-    _GRID_POINTS = 2001
+    first_order_monotone = False
+    _panel_nodes = _TABLE_PANEL_NODES
 
-    def __init__(self, L: float, dists: PopulationDistributions,
-                 funcs: PolicyFunctions):
-        self._setup(float(L), dists, funcs)
+    def __init__(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
+                 cells: int = _CELLS, cell_nodes: int = _CELL_NODES):
+        self.mu_peak, self.c_peak = _ratio_peak(L, dists, funcs)
+        edges, table = _unimodal_table(L, dists, funcs, self.mu_peak, self.c_peak,
+                                       cells, cell_nodes)
+        # linear between its edges and kinked at each; the edges are its sampling grid
+        super().__init__(L, dists, lambda mu: np.interp(mu, edges, table), edges[1:-1],
+                         edges.size)
         self._tabulate()
 
-    @classmethod
-    def _untabulated(cls, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
-                     refine: int = 1):
-        """The law at L as the solver reads it for one Phi value: it builds
-        no sampling table, so its CDF is checked at the Gauss nodes Phi
-        reads. A unimodal table gets ``refine`` times the cells and nodes."""
-        F = cls.__new__(cls)
-        F._CELLS, F._CELL_NODES = refine * cls._CELLS, refine * cls._CELL_NODES
-        F._setup(float(L), dists, funcs)
-        return F
 
-    def _setup(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions):
-        kinks = None
-        if verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max),
-                                       grid_size=self._MONOTONE_GRID):
-            kinks = _monotone_kinks(np.array([L]), dists, funcs)[0]
-        self._build(L, dists, funcs, kinks)
+def _response_laws(L: np.ndarray, dists: PopulationDistributions, funcs: PolicyFunctions):
+    """The response law at each L of the array ``L``, built as it is read:
+    a :class:`MonotoneResponse` where C(., L) is strictly decreasing, else a
+    :class:`UnimodalResponse`. The monotone check and the kink search run
+    once over the whole array. A monotone law builds no sampling table, so
+    its CDF is checked at the Gauss nodes each integral reads."""
+    if not dists.independent_a:
+        raise ValueError("response distribution needs a independent of the rate bounds")
+    monotone = verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max),
+                                           grid_size=_MONOTONE_GRID)
+    kinks = iter(_monotone_kinks(L[monotone], dists, funcs))
+    for Lk, ok in zip(L.tolist(), monotone.tolist()):
+        yield (MonotoneResponse(Lk, dists, funcs, next(kinks)) if ok
+               else UnimodalResponse(Lk, dists, funcs))
 
-    @classmethod
-    def _scan(cls, L: np.ndarray, dists: PopulationDistributions, funcs: PolicyFunctions):
-        """The untabulated response law at each L of ``L``, or None where
-        C(., L) is not monotone, one at a time. The monotone check and the
-        kink search run once over the whole array; each law then equals
-        ``cls._untabulated(L_k, ...)``.
-        """
-        monotone = verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max),
-                                               grid_size=cls._MONOTONE_GRID)
-        kinks = iter(_monotone_kinks(L[monotone], dists, funcs))
-        for Lk, ok in zip(L.tolist(), monotone.tolist()):
-            F = None
-            if ok:
-                F = cls.__new__(cls)
-                F._build(Lk, dists, funcs, next(kinks))
-            yield F
 
-    def _build(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
-               kinks: list[float] | None):
-        """Set up the law at L; ``kinks`` are the monotone CDF's, or None
-        when C(., L) is not monotone (the true pushforward's table is built
-        then)."""
-        if not dists.independent_a:
-            raise ValueError("response distribution needs a independent of the rate bounds")
-        self.L = L
-        self._dists = dists
-        self._funcs = funcs
-        self.first_order_monotone = kinks is not None
-        if self.first_order_monotone:
-            def cdf(mu):
-                mu = np.asarray(mu, dtype=float)
-                inside = np.clip(mu, dists.mu_min, dists.mu_max)
-                c = _ratio_array(funcs, inside, L)
-                val = dists.max_marginal_cdf(mu) + dists.between_prob(mu) * (1.0 - dists.a_cdf(c))
-                return np.clip(val, 0.0, 1.0)
-            grid_points = self._GRID_POINTS
-        else:
-            edges, table = self._build_true_pushforward()
-            kinks = edges[1:-1]   # the table is linear between its edges, kinked at each
-            self._panel_nodes = self._TABLE_PANEL_NODES
+# -- the unimodal law's numerics ------------------------------------------
 
-            def cdf(mu):
-                return np.interp(mu, edges, table)
-            grid_points = edges.size   # the sampling table is this one
-        self._define(dists.mu_min, dists.mu_max, cdf, kinks, grid_points)
+def _ratio_peak(L: float, dists: PopulationDistributions,
+                funcs: PolicyFunctions) -> tuple[float, float]:
+    """mu_peak and C(mu_peak, L) on a grid of the support; a C(., L) that
+    is not unimodal there is unsupported."""
+    grid = np.linspace(dists.mu_min, dists.mu_max, _PEAK_GRID)
+    cg = _ratio_array(funcs, grid, L)
+    ipk = int(np.argmax(cg))
+    rising = np.diff(cg[:ipk + 1])
+    falling = np.diff(cg[ipk:])
+    tol = 1e-9 * max(float(cg[ipk]), 1.0)
+    if np.any(rising < -tol) or np.any(falling > tol):
+        raise ValueError("routing weight gives a multi-modal first-order ratio: unsupported")
+    return float(grid[ipk]), float(cg[ipk])
 
-    def _A(self, mu: np.ndarray) -> np.ndarray:
-        """Effective threshold of the unimodal regime: C capped at its peak
-        value to the left of the peak (a >= A(mu) iff the down-branch
-        stationary point sits at or below mu)."""
-        mu = np.asarray(mu, dtype=float)
-        c = _ratio_array(self._funcs, mu, self.L)
-        return np.where(mu <= self._mu_peak, self._c_peak, c)
 
-    # -- true-best-response machinery (unimodal C) -----------------------
+def _capped_ratio(mu, L: float, funcs: PolicyFunctions, peak: float,
+                  c_peak: float) -> np.ndarray:
+    """A(mu), the effective threshold of the unimodal regime: C capped at
+    its peak value to the left of the peak (a >= A(mu) iff the down-branch
+    stationary point sits at or below mu)."""
+    mu = np.asarray(mu, dtype=float)
+    return np.where(mu <= peak, c_peak, _ratio_array(funcs, mu, L))
 
-    def _build_true_pushforward(self) -> tuple[np.ndarray, np.ndarray]:
-        """The unimodal CDF's table: the cell edges and F1 on them."""
-        d, funcs, L = self._dists, self._funcs, self.L
-        grid = np.linspace(d.mu_min, d.mu_max, 4097)
-        cg = _ratio_array(funcs, grid, L)
-        ipk = int(np.argmax(cg))
-        rising = np.diff(cg[:ipk + 1])
-        falling = np.diff(cg[ipk:])
-        tol = 1e-9 * max(float(cg[ipk]), 1.0)
-        if np.any(rising < -tol) or np.any(falling > tol):
-            raise ValueError("routing weight gives a multi-modal first-order ratio: unsupported")
-        self._mu_peak = float(grid[ipk])
-        self._c_peak = float(cg[ipk])
 
-        # Gauss nodes inside the cells. A pair (lo, hi) in cells i < j adds
-        # w_lo w_hi min(q_k, psi) to the edges k = i+1..j, where lo <= m_k < hi.
-        K, n = self._CELLS, self._CELL_NODES
-        edges = np.linspace(d.mu_min, d.mu_max, K + 1)
-        x, w = np.polynomial.legendre.leggauss(n)
-        half = 0.5 * (edges[1] - edges[0])
-        nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
-        weights = np.tile(half * w, K)
-        cell = np.repeat(np.arange(K), n)
-        # q does not increase; minimum.accumulate takes out rounding
-        q = np.minimum.accumulate(np.asarray(d.a_cdf(self._A(edges)), dtype=float))
+def _secant(lo, hi, L: float, funcs: PolicyFunctions) -> np.ndarray:
+    """(V(hi) - V(lo)) / (c(hi) - c(lo)): the level of a at which hi ties lo."""
+    return ((_idle_value(funcs, hi, L) - _idle_value(funcs, lo, L))
+            / (funcs.c(hi) - funcs.c(lo)))
 
-        # psi = psi1(lo) for every hi at or above mu*(lo): summed over all hi
-        # of the cells above edge k, whose weight is mu_max - m_k
-        a1, mu_star = self._switch_level(nodes)
-        psi1 = np.asarray(d.a_cdf(a1), dtype=float)
-        pairs = (d.mu_max - edges) * _edge_sums(q, cell, np.full(cell.size, K), psi1, weights)
-        # the hi below mu*(lo) take the secant level instead: swap their
-        # terms, for groups of lo nodes of about _PAIR_BLOCK pairs at a time
-        first = n * (cell + 1)
-        count = np.maximum(np.searchsorted(nodes, mu_star) - first, 0)
-        ends = np.cumsum(count)
-        cuts = np.searchsorted(ends, np.arange(self._PAIR_BLOCK, ends[-1], self._PAIR_BLOCK))
-        for group in np.split(np.arange(cell.size), cuts):
-            c = count[group]
-            lo = np.repeat(group, c)
-            hi = np.arange(lo.size) + np.repeat(first[group] - (np.cumsum(c) - c), c)
-            i, j, ww = cell[lo], cell[hi], weights[lo] * weights[hi]
-            psi = np.asarray(d.a_cdf(self._secant(nodes[lo], nodes[hi])), dtype=float)
-            pairs += _edge_sums(q, i, j, psi, ww) - _edge_sums(q, i, j, psi1[lo], ww)
-        below = d.max_marginal_cdf(edges) + d.between_prob(edges)   # P(lo <= m)
-        return edges, below - 2.0 / (d.mu_max - d.mu_min) ** 2 * pairs
 
-    def _secant(self, lo, hi) -> np.ndarray:
-        """(V(hi) - V(lo)) / (c(hi) - c(lo)): the level of a at which hi ties lo."""
-        funcs, L = self._funcs, self.L
-        return ((_idle_value(funcs, hi, L) - _idle_value(funcs, lo, L))
-                / (funcs.c(hi) - funcs.c(lo)))
+def _switch_level(lo: np.ndarray, L: float, funcs: PolicyFunctions, peak: float,
+                  top: float) -> tuple[np.ndarray, np.ndarray]:
+    """a1(lo) and mu*(lo) by the two identities of :class:`UnimodalResponse`:
+    C(lo) and lo on the falling branch, one root of T below the peak,
+    bracketed on a grid geometric toward the peak and refined by ITP to
+    T's rounding level. ``top`` is mu_max."""
+    mu_star = np.array(lo, dtype=float)
+    a1 = _ratio_array(funcs, mu_star, L)
+    below = np.flatnonzero(mu_star < peak)
+    if below.size:
+        b = mu_star[below]
+        v_lo, c_lo = _idle_value(funcs, b, L), funcs.c(b)
 
-    def _switch_level(self, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """a1(lo) and mu*(lo) by the class docstring's two identities: C(lo)
-        and lo on the falling branch, one root of T below the peak, bracketed
-        on a grid geometric toward the peak and refined by ITP to T's
-        rounding level."""
-        funcs, L, top, peak = self._funcs, self.L, self._dists.mu_max, self._mu_peak
-        mu_star = np.array(lo, dtype=float)
-        a1 = _ratio_array(funcs, mu_star, L)
-        below = np.flatnonzero(mu_star < peak)
-        if below.size:
-            b = mu_star[below]
-            v_lo, c_lo = _idle_value(funcs, b, L), funcs.c(b)
+        def T(mu, rows):
+            """T(mu) for the lo of ``rows``, and the size of its terms."""
+            v = _idle_value(funcs, mu, L)
+            cost = _ratio_array(funcs, mu, L) * (funcs.c(mu) - c_lo[rows])
+            return v - v_lo[rows] - cost, np.abs(v) + np.abs(v_lo[rows]) + np.abs(cost)
 
-            def T(mu, rows):
-                """T(mu) for the lo of ``rows``, and the size of its terms."""
-                v = _idle_value(funcs, mu, L)
-                cost = _ratio_array(funcs, mu, L) * (funcs.c(mu) - c_lo[rows])
-                return v - v_lo[rows] - cost, np.abs(v) + np.abs(v_lo[rows]) + np.abs(cost)
+        grid = np.concatenate([[peak], peak + (top - peak) * 0.5 ** np.arange(
+            _TIE_GRID - 1, 0, -1), [top]])
+        t, size = T(grid, np.s_[:, None])   # every lo against every grid point
+        tol = _TIE_ROUNDING * np.finfo(float).eps * size.max(axis=1)
+        # T = 0 at the peak gives the peak; T < 0 at mu_max the secant to it
+        at_peak, short = t[:, 0] >= 0.0, t[:, -1] < 0.0
+        root = np.where(short, top, peak)
+        rows = np.flatnonzero(~(at_peak | short))
+        if rows.size:
+            j = np.argmax(t[rows] >= 0.0, axis=1)   # T rises: first grid point with T >= 0
+            root[rows], _, _ = itp(lambda mu, k: T(mu, rows[k])[0], grid[j - 1], grid[j],
+                                   t[rows, j - 1], t[rows, j], 200, tol[rows])
+        mu_star[below] = root
+        a1[below] = np.where(short, _secant(b, top, L, funcs), _ratio_array(funcs, root, L))
+    return a1, mu_star
 
-            grid = np.concatenate([[peak], peak + (top - peak) * 0.5 ** np.arange(
-                self._TIE_GRID - 1, 0, -1), [top]])
-            t, size = T(grid, np.s_[:, None])   # every lo against every grid point
-            tol = self._TIE_ROUNDING * np.finfo(float).eps * size.max(axis=1)
-            # T = 0 at the peak gives the peak; T < 0 at mu_max the secant to it
-            at_peak, short = t[:, 0] >= 0.0, t[:, -1] < 0.0
-            root = np.where(short, top, peak)
-            rows = np.flatnonzero(~(at_peak | short))
-            if rows.size:
-                j = np.argmax(t[rows] >= 0.0, axis=1)   # T rises: first grid point with T >= 0
-                root[rows], _, _ = itp(lambda mu, k: T(mu, rows[k])[0], grid[j - 1], grid[j],
-                                       t[rows, j - 1], t[rows, j], 200, tol[rows])
-            mu_star[below] = root
-            a1[below] = np.where(short, self._secant(b, top), _ratio_array(funcs, root, L))
-        return a1, mu_star
 
-    def density(self, mu, half_step: float | None = None):
-        """Reporting density via central differences of the CDF."""
-        mu = np.asarray(mu, dtype=float)
-        d = half_step if half_step is not None else (self.mu_max - self.mu_min) / 4000.0
-        lo = np.maximum(mu - d, self.mu_min)
-        hi = np.minimum(mu + d, self.mu_max)
-        return (self.cdf(hi) - self.cdf(lo)) / (hi - lo)
+def _unimodal_table(L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
+                    peak: float, c_peak: float, cells: int,
+                    cell_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unimodal CDF's table: the cell edges and F1 on them."""
+    # Gauss nodes inside the cells. A pair (lo, hi) in cells i < j adds
+    # w_lo w_hi min(q_k, psi) to the edges k = i+1..j, where lo <= m_k < hi.
+    K, n, d = cells, cell_nodes, dists
+    edges = np.linspace(d.mu_min, d.mu_max, K + 1)
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    weights = np.tile(half * w, K)
+    cell = np.repeat(np.arange(K), n)
+    # q does not increase; minimum.accumulate takes out rounding
+    q = np.minimum.accumulate(np.asarray(
+        d.a_cdf(_capped_ratio(edges, L, funcs, peak, c_peak)), dtype=float))
+
+    # psi = psi1(lo) for every hi at or above mu*(lo): summed over all hi
+    # of the cells above edge k, whose weight is mu_max - m_k
+    a1, mu_star = _switch_level(nodes, L, funcs, peak, d.mu_max)
+    psi1 = np.asarray(d.a_cdf(a1), dtype=float)
+    pairs = (d.mu_max - edges) * _edge_sums(q, cell, np.full(cell.size, K), psi1, weights)
+    # the hi below mu*(lo) take the secant level instead: swap their terms,
+    # for groups of lo nodes of about _PAIR_BLOCK pairs at a time; each
+    # pair's secant is read from V and c at the nodes
+    value, cost = _idle_value(funcs, nodes, L), funcs.c(nodes)
+    first = n * (cell + 1)
+    count = np.maximum(np.searchsorted(nodes, mu_star) - first, 0)
+    ends = np.cumsum(count)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1], _PAIR_BLOCK))
+    for group in np.split(np.arange(cell.size), cuts):
+        c = count[group]
+        lo = np.repeat(group, c)
+        hi = np.arange(lo.size) + np.repeat(first[group] - (np.cumsum(c) - c), c)
+        i, j, ww = cell[lo], cell[hi], weights[lo] * weights[hi]
+        secant = (value[hi] - value[lo]) / (cost[hi] - cost[lo])
+        psi = np.asarray(d.a_cdf(secant), dtype=float)
+        pairs += _edge_sums(q, i, j, psi, ww) - _edge_sums(q, i, j, psi1[lo], ww)
+    below = d.max_marginal_cdf(edges) + d.between_prob(edges)   # P(lo <= m)
+    return edges, below - 2.0 / (d.mu_max - d.mu_min) ** 2 * pairs
 
 
 def response_distribution(L: float, dists: PopulationDistributions,
                           funcs: PolicyFunctions) -> ResponseDistribution:
+    """The response law at L, tabulated and checked on its whole grid: a
+    :class:`MonotoneResponse` on 2,001 points plus its kinks, or a
+    :class:`UnimodalResponse` on its cell edges."""
     if L <= 0:
         raise ValueError("L must be positive")
-    return ResponseDistribution(L, dists, funcs)
+    F = next(_response_laws(np.array([L], dtype=float), dists, funcs))
+    F._tabulate()
+    return F
 
 
 def _phi_integrand(funcs, beta: float, L: float):
@@ -431,13 +452,15 @@ def equilibrium_residual(L: float, dists: PopulationDistributions,
                          F: ResponseDistribution | None = None) -> float:
     """Phi(L); zero exactly when solve_L on F(.|L) returns L back.
 
-    Without ``F`` the law at L is built for this one integral and dropped:
-    a monotone one is checked at the Gauss nodes the integral reads, not
-    tabulated (``ResponseDistribution._untabulated``).
+    Without ``F`` the law at L is built for this one integral and dropped,
+    as ``_response_laws`` builds it: a monotone law is not tabulated and is
+    checked at the Gauss nodes the integral reads, a unimodal law is its
+    cell table, checked as it is built.
     """
     if L <= 0:
         raise ValueError("L must be positive")
-    F = ResponseDistribution._untabulated(L, dists, funcs) if F is None else F
+    if F is None:
+        F = next(_response_laws(np.array([L], dtype=float), dists, funcs))
     phi, phi_prime = _phi_integrand(funcs, beta, L)
     return F.integrate(phi, phi_prime)
 
@@ -489,10 +512,9 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
         return equilibrium_residual(L, dists, funcs, beta, F=F)
 
     scan_L = np.geomspace(blo, bhi, SCAN_POINTS)
-    # the monotone scan points share one check and one kink search; the
-    # others build their law inside equilibrium_residual
+    # the scan points share one monotone check and one kink search
     scan_phi = np.array([phi_at(L, F) for L, F in
-                         zip(scan_L.tolist(), ResponseDistribution._scan(scan_L, dists, funcs))])
+                         zip(scan_L.tolist(), _response_laws(scan_L, dists, funcs))])
     signs = np.sign(scan_phi)
     nonzero = signs != 0
     change_idx = np.flatnonzero(nonzero[:-1] & nonzero[1:] & (signs[:-1] != signs[1:]))
@@ -526,7 +548,7 @@ def _assemble_equilibrium(L, dists, funcs, beta, lambda_bar, n,
     if not F.first_order_monotone:
         # the moves of Phi, L* and mu_bar under a rebuild on twice the cells and
         # nodes; Phi integrated here, as equilibrium_residual's calls are the solver's
-        fine = ResponseDistribution._untabulated(L, dists, funcs, refine=2)
+        fine = UnimodalResponse(L, dists, funcs, 2 * _CELLS, 2 * _CELL_NODES)
         d_phi = fine.integrate(*_phi_integrand(funcs, beta, L)) - residual
         i = max(int(np.searchsorted(scan_L, L)) - 1, 0)
         slope = (scan_phi[i + 1] - scan_phi[i]) / (scan_L[i + 1] - scan_L[i])

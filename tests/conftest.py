@@ -20,6 +20,6 @@ def base_dists(base_config):
 
 @pytest.fixture(scope="session")
 def base_equilibrium(base_config, base_funcs, base_dists):
-    """Base-case equilibrium, shared across the suite (solves in ~0.1 s)."""
+    """Base-case equilibrium, shared across the suite (solves in ~0.02 s)."""
     return solve_equilibrium(base_dists, base_funcs, base_config.beta,
                              base_config.lambda_bar, base_config.n)

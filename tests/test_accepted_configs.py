@@ -1,17 +1,22 @@
-"""Every configuration the config validator accepts ends in a documented way:
-it solves, or it exits 2 (config), 3 (solver) or 4 (simulation) with one
-diagnostic line on stderr."""
+"""Every configuration the config validator accepts ends in a documented way
+under `equilibrium` and under `limits`: it solves, or it exits 2 (config),
+3 (solver) or 4 (simulation) with one diagnostic line on stderr."""
 
 import contextlib
+import functools
 import io
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from rategame import cli
 
 EXIT_CODES = {0, 2, 3, 4}
+# `limits` on short horizons, as in test_limits_exits_0_at_a_unimodal_configuration
+SHORT_LIMITS = functools.partial(cli.cmd_limits, fluid_T=5.0, diffusion_T=5.0,
+                                 diffusion_paths=4, allocation_T=40.0)
 
 
 def _log_uniform(lo: float, hi: float):
@@ -36,13 +41,14 @@ def accepted_configs(draw) -> dict:
     }
 
 
+@pytest.mark.parametrize("command", ["equilibrium", "limits"])
 @given(values=accepted_configs())
 # steep discomfort, where a unimodal law that is not monotone by construction
 # fails with `cdf is decreasing somewhere`; no derandomized draw reaches it
 @example(values={"p": 5.0, "q": 2.0, "r": -3.0, "beta": 0.3, "lambda-bar": 100.0,
                  "mu-min": 0.01, "mu-max": 0.5, "a-min": 0.01, "a-max": 25.0})
 @settings(max_examples=25, derandomize=True, deadline=None)
-def test_accepted_config_solves_or_fails_in_one_line(values):
+def test_accepted_config_solves_or_fails_in_one_line(command, values):
     solutions = []
     solve = cli.solve_equilibrium
 
@@ -54,8 +60,9 @@ def test_accepted_config_solves_or_fails_in_one_line(values):
     flags = [f"--{key}={value!r}" for key, value in values.items()]
     with tempfile.TemporaryDirectory() as outdir, \
             mock.patch.object(cli, "solve_equilibrium", recorded), \
+            mock.patch.object(cli, "cmd_limits", SHORT_LIMITS), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(["--out", outdir, *flags, "equilibrium"])
+        rc = cli.main(["--out", outdir, *flags, command])
     lines = err.getvalue().splitlines()
     event(f"exit {rc}" + (f": {lines[0].split(' |')[0]}" if lines else ""))
 

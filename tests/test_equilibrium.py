@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from rategame import equilibrium as equilibrium_module
 from rategame._numerics import bisect, itp
-from rategame.equilibrium import (ResponseDistribution, _assemble_equilibrium, _ratio_array,
-                                  _utility)
+from rategame.equilibrium import (_CELL_NODES, _CELLS, ResponseDistribution,
+                                  _assemble_equilibrium, _capped_ratio, _ratio_array,
+                                  _response_laws, _secant, _switch_level, _utility)
 from rategame.rates import CdfRateDistribution, _check_cdf_values, gauss_legendre_panels
 from rategame import (RegimeClass, best_response, best_response_rates,
                       classify_regime, equilibrium_residual,
@@ -252,9 +253,15 @@ def _scan_Ls(cfg):
 
 
 def _scan_law(base_config, overrides, scan_index):
+    """The law at one scan point, with its population and policy functions."""
     cfg = base_config.with_overrides(**overrides)
-    return response_distribution(float(_scan_Ls(cfg)[scan_index]), cfg.population(),
-                                 cfg.functions())
+    dists, funcs = cfg.population(), cfg.functions()
+    return response_distribution(float(_scan_Ls(cfg)[scan_index]), dists, funcs), dists, funcs
+
+
+def _tie(F, funcs, lo):
+    """a1(lo) and mu*(lo) of the unimodal law F."""
+    return _switch_level(lo, F.L, funcs, F.mu_peak, F.mu_max)
 
 
 def _random_pairs(F, seed):
@@ -263,35 +270,35 @@ def _random_pairs(F, seed):
     return u.min(axis=1), u.max(axis=1)
 
 
-def _switch_psi(F, lo, hi, a1, mu_star):
+def _switch_psi(F, dists, funcs, lo, hi, a1, mu_star):
     """psi = F_a(a_sw(lo, hi)) for lo < hi, given a1(lo) and mu*(lo): a1
     where hi >= mu*, else the secant level at which hi itself ties lo."""
-    a_sw = np.where(hi >= mu_star, a1, F._secant(lo, hi))
-    return np.asarray(F._dists.a_cdf(a_sw), dtype=float)
+    a_sw = np.where(hi >= mu_star, a1, _secant(lo, hi, F.L, funcs))
+    return np.asarray(dists.a_cdf(a_sw), dtype=float)
 
 
-def _bisected_psi(F, lo, hi):
+def _bisected_psi(F, dists, funcs, lo, hi):
     """Reference: F_a(a_sw(lo, hi)) bisected in a for each pair on its own,
     with the down-branch stationary point R(a), itself bisected from
     C(mu, L) = a on [mu_peak, mu_max], clipped into [lo, hi]."""
-    d, funcs, L = F._dists, F._funcs, F.L
+    d, L = dists, F.L
 
     def R_of(a):
         mu, _, _ = bisect(lambda mu: _ratio_array(funcs, mu, L) - a,
-                          np.full(a.size, F._mu_peak), np.full(a.size, d.mu_max), 200)
+                          np.full(a.size, F.mu_peak), np.full(a.size, d.mu_max), 200)
         return mu
 
     def min_loses(a):
         return _utility(funcs, np.clip(R_of(a), lo, hi), a, L) - _utility(funcs, lo, a, L)
 
-    a_sw, _, _ = bisect(min_loses, np.full(lo.size, 1e-12), np.full(lo.size, F._c_peak), 200)
+    a_sw, _, _ = bisect(min_loses, np.full(lo.size, 1e-12), np.full(lo.size, F.c_peak), 200)
     return np.asarray(d.a_cdf(a_sw), dtype=float)
 
 
-def _pair_sum_table(F):
+def _pair_sum_table(F, dists, funcs):
     """Reference: the unimodal table as the direct sum over every Gauss node
     pair (lo, hi) in cells i < j, one edge at a time."""
-    d, K, n = F._dists, F._CELLS, F._CELL_NODES
+    d, K, n = dists, _CELLS, _CELL_NODES
     edges = np.linspace(d.mu_min, d.mu_max, K + 1)
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (edges[1] - edges[0])
@@ -299,10 +306,10 @@ def _pair_sum_table(F):
     weights = np.tile(half * w, K)
     cell = np.repeat(np.arange(K), n)
     lo, hi = np.nonzero(cell[:, None] < cell[None, :])
-    a1, mu_star = F._switch_level(nodes)
-    psi = _switch_psi(F, nodes[lo], nodes[hi], a1[lo], mu_star[lo])
+    a1, mu_star = _tie(F, funcs, nodes)
+    psi = _switch_psi(F, d, funcs, nodes[lo], nodes[hi], a1[lo], mu_star[lo])
     ww = weights[lo] * weights[hi]
-    q = np.asarray(d.a_cdf(F._A(edges)), dtype=float)
+    q = np.asarray(d.a_cdf(_capped_ratio(edges, F.L, funcs, F.mu_peak, F.c_peak)), dtype=float)
     pairs = np.array([np.sum(ww * ((nodes[lo] <= m) & (m < nodes[hi])) * np.minimum(qk, psi))
                       for m, qk in zip(edges, q)])
     below = d.max_marginal_cdf(edges) + d.between_prob(edges)
@@ -317,43 +324,44 @@ class TestUnimodalSwitchLevel:
 
     @pytest.mark.parametrize("overrides, scan_index", UNIMODAL_LAWS)
     def test_psi_equals_per_pair_bisection(self, base_config, overrides, scan_index):
-        F = _scan_law(base_config, overrides, scan_index)
+        F, dists, funcs = _scan_law(base_config, overrides, scan_index)
         assert not F.first_order_monotone
         lo, hi = _random_pairs(F, scan_index)
-        lo, hi = lo[lo < F._mu_peak], hi[lo < F._mu_peak]
+        lo, hi = lo[lo < F.mu_peak], hi[lo < F.mu_peak]
         # and each lo with hi = mu_max, which reads a1 also where mu* = mu_max
         lo, hi = np.concatenate([lo, lo]), np.concatenate([hi, np.full(lo.size, F.mu_max)])
-        a1, mu_star = F._switch_level(lo)
+        a1, mu_star = _tie(F, funcs, lo)
         assert (hi >= mu_star).any()
-        psi = _switch_psi(F, lo, hi, a1, mu_star)
-        assert np.max(np.abs(psi - _bisected_psi(F, lo, hi))) <= 1e-12
+        psi = _switch_psi(F, dists, funcs, lo, hi, a1, mu_star)
+        assert np.max(np.abs(psi - _bisected_psi(F, dists, funcs, lo, hi))) <= 1e-12
 
     @pytest.mark.parametrize("overrides, scan_index", UNIMODAL_LAWS[:5])
     def test_falling_branch_is_closed_form(self, base_config, overrides, scan_index):
         # lo itself is the stationary point at a = C(lo); a per-pair bisection
         # meets a tangent zero there and is good to about 1e-7 only
-        F = _scan_law(base_config, overrides, scan_index)
+        F, dists, funcs = _scan_law(base_config, overrides, scan_index)
         lo, _hi = _random_pairs(F, scan_index)
-        lo = lo[lo > F._mu_peak]
-        a1, mu_star = F._switch_level(lo)
+        lo = lo[lo > F.mu_peak]
+        a1, mu_star = _tie(F, funcs, lo)
         assert np.array_equal(mu_star, lo)
-        assert np.array_equal(a1, _ratio_array(F._funcs, lo, F.L))
-        psi1 = np.asarray(F._dists.a_cdf(a1), dtype=float)
-        assert np.array_equal(psi1, np.asarray(F._dists.a_cdf(F._A(lo)), dtype=float))
+        assert np.array_equal(a1, _ratio_array(funcs, lo, F.L))
+        psi1 = np.asarray(dists.a_cdf(a1), dtype=float)
+        A = _capped_ratio(lo, F.L, funcs, F.mu_peak, F.c_peak)
+        assert np.array_equal(psi1, np.asarray(dists.a_cdf(A), dtype=float))
 
     def test_both_branches_are_checked(self, base_config):
         # the secant branch is rare at small L: counted over all six laws
         secant = 0
         for overrides, scan_index in UNIMODAL_LAWS:
-            F = _scan_law(base_config, overrides, scan_index)
+            F, _dists, funcs = _scan_law(base_config, overrides, scan_index)
             lo, hi = _random_pairs(F, scan_index)
-            secant += int(np.sum(hi < F._switch_level(lo)[1]))
+            secant += int(np.sum(hi < _tie(F, funcs, lo)[1]))
         assert secant > 0
 
     @pytest.mark.parametrize("overrides, scan_index", UNIMODAL_LAWS[::2] + UNIMODAL_LAWS[5:])
     def test_table_equals_the_direct_pair_sum(self, base_config, overrides, scan_index):
-        F = _scan_law(base_config, overrides, scan_index)
-        edges, ref = _pair_sum_table(F)
+        F, dists, funcs = _scan_law(base_config, overrides, scan_index)
+        edges, ref = _pair_sum_table(F, dists, funcs)
         assert np.max(np.abs(F.cdf(edges) - ref)) < 1e-14
         # sampling reads the same table: its grid holds every edge
         assert np.isin(edges, F._grid).all()
@@ -384,14 +392,14 @@ class TestUnimodalSwitchLevel:
         # T(mu_peak) >= 0 or a bracket of rounding width, and neither warns
         exact = 0
         for overrides, scan_index in UNIMODAL_LAWS[1::2]:
-            F = _scan_law(base_config, overrides, scan_index)
-            peak = F._mu_peak
+            F, _dists, funcs = _scan_law(base_config, overrides, scan_index)
+            peak = F.mu_peak
             lo = np.array([np.nextafter(peak, 0.0), peak - 1e-15, peak - 1e-12])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                a1, mu_star = F._switch_level(lo)
+                a1, mu_star = _tie(F, funcs, lo)
             assert np.all((mu_star >= peak) & (mu_star - peak <= 1e-10))
-            np.testing.assert_allclose(a1, F._c_peak, rtol=1e-10)
+            np.testing.assert_allclose(a1, F.c_peak, rtol=1e-10)
             exact += int(np.sum(mu_star == peak))
         assert exact > 0
 
@@ -401,11 +409,10 @@ class TestUnimodalSwitchLevel:
         cfg = base_config.with_overrides(**overrides)
         dists, funcs = cfg.population(), cfg.functions()
         unimodal = 0
-        for L in _scan_Ls(cfg).tolist():
-            F = ResponseDistribution._untabulated(L, dists, funcs)
+        for F in _response_laws(_scan_Ls(cfg), dists, funcs):
             if not F.first_order_monotone:
                 unimodal += 1
-                edges = np.linspace(F.mu_min, F.mu_max, F._CELLS + 1)
+                edges = np.linspace(F.mu_min, F.mu_max, _CELLS + 1)
                 steps = np.diff(F._cdf(edges))
                 assert steps.min() > 0.0
         assert unimodal > 0
@@ -420,9 +427,9 @@ class TestPhiReadsTheTable:
     def test_phi_is_the_exact_integral_of_the_table(self, base_config, L):
         cfg = base_config.with_overrides(r=-2.0)
         dists, funcs = cfg.population(), cfg.functions()
-        F = ResponseDistribution._untabulated(L, dists, funcs)
+        F = next(_response_laws(np.array([L]), dists, funcs))
         assert not F.first_order_monotone
-        edges = np.linspace(F.mu_min, F.mu_max, F._CELLS + 1)
+        edges = np.linspace(F.mu_min, F.mu_max, _CELLS + 1)
         x, w = np.polynomial.legendre.leggauss(16)
         nodes = 0.5 * (edges[:-1] + edges[1:])[:, None] + 0.5 * np.diff(edges)[:, None] * x
         z = 1.0 + L * funcs.htilde(nodes)
@@ -449,8 +456,9 @@ def _reference_kinks(A, dists):
 
 class TestScanMatchesPerPointLaws:
     """solve_equilibrium checks monotonicity and finds the kinks of all its
-    monotone scan points at once; every scan value must equal the one a
-    separately built law gives, bit for bit."""
+    monotone scan points at once; every scan law, monotone or unimodal, and
+    every scan value must equal the one a separately built law gives, bit
+    for bit."""
 
     @pytest.mark.parametrize("overrides, monotone_points", [
         ({}, 64), ({"r": -0.5}, 64), ({"q": 3.0}, 64),
@@ -461,23 +469,22 @@ class TestScanMatchesPerPointLaws:
         dists, funcs = cfg.population(), cfg.functions()
         support = (dists.mu_min, dists.mu_max)
         sol = solve_equilibrium(dists, funcs, cfg.beta, cfg.lambda_bar, cfg.n)
-        scan = list(ResponseDistribution._scan(sol.scan_L, dists, funcs))
-        assert sum(G is not None for G in scan) == monotone_points
+        scan = list(_response_laws(sol.scan_L, dists, funcs))
+        assert sum(G.first_order_monotone for G in scan) == monotone_points
         ref_phi = []
         for L, G in zip(sol.scan_L.tolist(), scan):
-            F = ResponseDistribution(L, dists, funcs)
+            F = response_distribution(L, dists, funcs)
             ref_phi.append(equilibrium_residual(L, dists, funcs, cfg.beta, F=F))
             if F.first_order_monotone:
                 ref = _reference_kinks(lambda mu: _ratio_array(funcs, mu, L), dists)
             else:
                 # a unimodal law is a linear table: its kinks are its interior edges
-                ref = tuple(np.linspace(F.mu_min, F.mu_max, F._CELLS + 1)[1:-1].tolist())
+                ref = tuple(np.linspace(F.mu_min, F.mu_max, _CELLS + 1)[1:-1].tolist())
             assert F.kinks == ref
-            assert (G is not None) == F.first_order_monotone
-            if G is not None:
-                assert G.first_order_monotone and G.L == F.L
-                assert G.kinks == F.kinks
-                assert np.array_equal(G._grid_cdf, F._grid_cdf)
+            assert G.first_order_monotone == F.first_order_monotone and G.L == F.L
+            assert G.kinks == F.kinks
+            assert np.array_equal(G._grid_cdf, F._grid_cdf)
+            assert equilibrium_residual(L, dists, funcs, cfg.beta, F=G) == ref_phi[-1]
         assert np.array_equal(sol.scan_phi, np.array(ref_phi))
         for grid_size in (129, 257):
             flags = verify_first_order_monotone(funcs, sol.scan_L, support, grid_size)
@@ -509,6 +516,10 @@ class TestWhereTheCdfIsChecked:
 
     L = 0.2455
 
+    def _solver_law(self, dists, funcs):
+        """The untabulated law at L, as the solver builds it."""
+        return next(_response_laws(np.array([self.L]), dists, funcs))
+
     def _nodes_and_grid(self, dists, funcs):
         F = response_distribution(self.L, dists, funcs)
         nodes, _ = gauss_legendre_panels(F.mu_min, F.mu_max, F.kinks)
@@ -539,14 +550,11 @@ class TestWhereTheCdfIsChecked:
         assert equilibrium_residual(self.L, base_dists, base_funcs, base_config.beta) == phi
         with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
             response_distribution(self.L, base_dists, base_funcs)
-        with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
-            ResponseDistribution(self.L, base_dists, base_funcs)
-        F = ResponseDistribution._untabulated(self.L, base_dists, base_funcs)
+        F = self._solver_law(base_dists, base_funcs)
         with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
             F.sample(np.random.default_rng(0), 10)
         with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
-            solve_L(ResponseDistribution._untabulated(self.L, base_dists, base_funcs),
-                    base_funcs, base_config.beta)
+            solve_L(self._solver_law(base_dists, base_funcs), base_funcs, base_config.beta)
 
     def test_a_monotone_solve_tabulates_only_the_law_it_returns(
             self, monkeypatch, base_config, base_dists, base_funcs):
@@ -563,7 +571,7 @@ class TestWhereTheCdfIsChecked:
                                 base_config.lambda_bar, base_config.n)
         assert built == [sol.L_star]
         assert all(F._table is None for F in
-                   ResponseDistribution._scan(sol.scan_L, base_dists, base_funcs))
+                   _response_laws(sol.scan_L, base_dists, base_funcs))
 
     def test_the_solution_samples_without_rebuilding(self, monkeypatch, base_equilibrium):
         F = base_equilibrium.response
