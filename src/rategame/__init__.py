@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 from .model import (ModelParams, PolicyFunctions, PopulationDistributions,
                     ServerPopulation, log_family, neg_inverse_family,
                     power_family, sample_population, staffing_level,
-                    staffing_load, uniform_box_population,
-                    verify_first_order_monotone)
+                    staffing_load, verify_first_order_monotone)
 from .rates import (CdfRateDistribution, DensityRateDistribution,
                     DiscreteRateDistribution, FairnessMeasure,
                     RateDistribution, point_mass_rate_distribution,

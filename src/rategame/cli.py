@@ -184,7 +184,7 @@ def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str,
         print(f"fairness solver: bracket=[{fsol.bracket_lo!r},{fsol.bracket_hi!r}] "
               f"iterations={fsol.iterations} residual={fsol.residual!r} L={fsol.L!r}")
         grid = np.linspace(config.mu_min, config.mu_max, grid_points)
-        rows = [[float(m), float(fsol.g(np.array([m]))[0])] for m in grid]
+        rows = list(zip(grid.tolist(), fsol.g(grid).tolist()))
         _write_csv(os.path.join(outdir, "fairness_hrandom.csv"), ["mu", "g"], rows, config)
         return fsol.measure
     measure = special_policy_fairness(policy, F)
@@ -193,7 +193,7 @@ def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str,
         _write_csv(os.path.join(outdir, f"fairness_{policy}.csv"), ["mu", "weight"], rows, config)
     else:
         grid = np.linspace(config.mu_min, config.mu_max, grid_points)
-        rows = [[float(m), float(measure.g(np.array([m]))[0])] for m in grid]
+        rows = list(zip(grid.tolist(), measure.g(grid).tolist()))
         _write_csv(os.path.join(outdir, f"fairness_{policy}.csv"), ["mu", "g"], rows, config)
     return measure
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
-from .model import ModelParams, PolicyFunctions, PopulationDistributions, power_family, uniform_box_population
+from .model import ModelParams, PolicyFunctions, PopulationDistributions, power_family
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config_file", "resolve_config", "CONFIG_KEYS"]
 
@@ -55,7 +55,7 @@ class ExperimentConfig:
         return power_family(self.p, self.q, self.r)
 
     def population(self) -> PopulationDistributions:
-        return uniform_box_population(self.mu_min, self.mu_max, self.a_min, self.a_max)
+        return PopulationDistributions(self.mu_min, self.mu_max, self.a_min, self.a_max)
 
     def canonical(self) -> str:
         parts = []

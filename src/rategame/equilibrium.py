@@ -2,10 +2,11 @@
 
 Given the routing-pressure scalar L, a server with trade-off coefficient a
 and personal rate bounds [mu_lo, mu_hi] compares a against the marginal
-benefit-to-cost ratio C(mu, L), which is strictly decreasing in mu for the
-supported weight families. That yields the three-branch best response and,
-pushed through the attribute distributions, the closed-form CDF of chosen
-rates F(mu | L). A Nash equilibrium is a root of
+benefit-to-cost ratio C(mu, L). Where C(., L) is strictly decreasing in mu
+that yields the three-branch best response and, pushed through the
+attribute distributions, the closed-form CDF of chosen rates F(mu | L);
+where it is unimodal, F(mu | L) is a table of the true best response's
+pushforward. A Nash equilibrium is a root of
 
     Phi(L) = int mu (1 - beta L htilde(mu)) / (1 + L htilde(mu)) dF(mu | L),
 
@@ -26,7 +27,7 @@ from .model import (PolicyFunctions, PopulationDistributions,
                     ServerPopulation, _ratio_array, staffing_level,
                     verify_first_order_monotone)
 from .fairness import SolverFailure, fairness_density, solve_L
-from .rates import CdfRateDistribution
+from .rates import CdfRateDistribution, _leggauss
 
 __all__ = [
     "BestResponse",
@@ -266,16 +267,17 @@ class UnimodalResponse(ResponseDistribution):
 
     F1 is one table on the edges m_k of ``cells`` uniform cells, read by
     linear interpolation; the expectation is a Gauss rule over (lo, hi),
-    ``cell_nodes`` nodes per cell on each axis, with the uniform-pair
-    density 2 / (mu_max - mu_min)^2 (``_unimodal_table``). Its nodes sit
-    inside the cells, so every indicator is exact at the edges, and each
-    node pair's term 1(hi <= m) + 1(lo <= m < hi) (1 - min(q(m), psi)) does
-    not decrease in m, as q does not: with positive weights the table
-    cannot decrease at any resolution. The table is also the law's sampling
-    grid, built and checked with the law: a linear interpolant is
-    nondecreasing exactly when its table is. Its interior edges are its
-    kinks, and an integral by parts reads each cell with a few Gauss nodes:
-    F1 is linear there, so Phi is the table's own integral to rounding.
+    ``cell_nodes`` nodes per cell on each axis, of the pair density
+    2 / (mu_max - mu_min)^2 of :class:`PopulationDistributions`
+    (``_unimodal_table``). Its nodes sit inside the cells, so every
+    indicator is exact at the edges, and each node pair's term
+    1(hi <= m) + 1(lo <= m < hi) (1 - min(q(m), psi)) does not decrease in
+    m, as q does not: with positive weights the table cannot decrease at
+    any resolution. The table is also the law's sampling grid, built and
+    checked with the law: a linear interpolant is nondecreasing exactly
+    when its table is. Its interior edges are its kinks, and an integral by
+    parts reads each cell with a few Gauss nodes: F1 is linear there, so
+    Phi is the table's own integral to rounding.
     ``mu_peak`` and ``c_peak`` are the peak of C(., L) and its value.
     """
 
@@ -299,8 +301,6 @@ def _response_laws(L: np.ndarray, dists: PopulationDistributions, funcs: PolicyF
     :class:`UnimodalResponse`. The monotone check and the kink search run
     once over the whole array. A monotone law builds no sampling table, so
     its CDF is checked at the Gauss nodes each integral reads."""
-    if not dists.independent_a:
-        raise ValueError("response distribution needs a independent of the rate bounds")
     monotone = verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max),
                                            grid_size=_MONOTONE_GRID)
     kinks = iter(_monotone_kinks(L[monotone], dists, funcs))
@@ -380,12 +380,15 @@ def _switch_level(lo: np.ndarray, L: float, funcs: PolicyFunctions, peak: float,
 def _unimodal_table(L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
                     peak: float, c_peak: float, cells: int,
                     cell_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unimodal CDF's table: the cell edges and F1 on them."""
+    """The unimodal CDF's table: the cell edges and F1 on them. The Gauss
+    rule integrates the pair density 2 / (mu_max - mu_min)^2 of
+    :class:`PopulationDistributions`, and P(lo <= m) and the hi mass
+    mu_max - m above an edge are that law's."""
     # Gauss nodes inside the cells. A pair (lo, hi) in cells i < j adds
     # w_lo w_hi min(q_k, psi) to the edges k = i+1..j, where lo <= m_k < hi.
     K, n, d = cells, cell_nodes, dists
     edges = np.linspace(d.mu_min, d.mu_max, K + 1)
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _leggauss(n)
     half = 0.5 * (edges[1] - edges[0])
     nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
     weights = np.tile(half * w, K)

@@ -42,6 +42,7 @@ __all__ = [
 
 G_TOLERANCE = 1e-10
 MAX_ITERATIONS = 200
+_ATTAINABLE_GRID = 512  # points of the support where check_attainable reads g
 
 
 class SolverFailure(RuntimeError):
@@ -228,22 +229,21 @@ class AttainabilityCheck:
 
 
 def check_attainable(g: Callable, F: RateDistribution, beta: float,
-                     mu_bar: float | None = None, g_prime: Callable | None = None,
-                     grid_size: int = 512) -> AttainabilityCheck:
+                     g_prime: Callable | None = None) -> AttainabilityCheck:
     """Strict feasibility of a target fairness density:
 
-        0 < g(mu) < (1+beta) <iota,eta> / (beta mu_bar_F)  on the support.
+        0 < g(mu) < (1+beta) <iota,eta> / (beta mu_bar_F)  on the support,
 
-    Returns the minimum slack against both bounds (negative when infeasible).
+    checked on ``_ATTAINABLE_GRID`` points. Returns the minimum slack
+    against both bounds (negative when infeasible).
     """
-    mu_bar = F.mean if mu_bar is None else mu_bar
     if g_prime is None:
         moment = F.integrate(lambda m: np.asarray(m, dtype=float) * g(m))
     else:
         moment = F.integrate(lambda m: np.asarray(m, dtype=float) * g(m),
                              lambda m: g(m) + np.asarray(m, dtype=float) * g_prime(m))
-    ceiling = (1.0 + beta) * moment / (beta * mu_bar)
-    mus = np.linspace(F.mu_min, F.mu_max, grid_size)
+    ceiling = (1.0 + beta) * moment / (beta * F.mean)
+    mus = np.linspace(F.mu_min, F.mu_max, _ATTAINABLE_GRID)
     gv = np.asarray(g(mus), dtype=float)
     slack = float(min(gv.min(), (ceiling - gv).min()))
     return AttainabilityCheck(ok=bool(slack > 0.0), slack=slack,

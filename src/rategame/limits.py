@@ -43,6 +43,7 @@ __all__ = [
     "allocation_fixed_point",
 ]
 
+_FLUID_STEPS = 16  # RK4 steps per interval of the fluid's time grid
 ALLOCATION_CELLS = 400
 ALLOCATION_TOLERANCE = 1e-8  # allocation fluid: local error per step / largest cell mass
 _ALLOCATION_FIRST_STEP = 1e-3
@@ -90,9 +91,9 @@ def fluid_closed_form(spec: FluidSpec, t: float | np.ndarray) -> np.ndarray | fl
     return float(out) if np.ndim(t) == 0 else out
 
 
-def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray,
-                    substeps: int = 16) -> np.ndarray:
-    """Classical RK4 trajectory of the fluid equation on ``t_grid``.
+def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray) -> np.ndarray:
+    """Classical RK4 trajectory of the fluid equation on ``t_grid``, in
+    ``_FLUID_STEPS`` equal steps per grid interval.
 
     The grid should include any discontinuity of a time-varying moment.
     Its evaluations are clamped into the interior of the current grid
@@ -105,8 +106,6 @@ def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing with at least two points")
-    if substeps < 1:
-        raise ValueError("substeps must be at least 1")
 
     drift, moment = spec.drift, spec.moment
 
@@ -124,9 +123,9 @@ def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray,
                 tm = min(max(t, lo + theta), hi - theta)
                 return -drift + moment(tm) * max(-y, 0.0)
 
-        h = (hi - lo) / substeps
+        h = (hi - lo) / _FLUID_STEPS
         t = lo
-        for _ in range(substeps):
+        for _ in range(_FLUID_STEPS):
             x = rk4_step(rhs, t, x, h)
             t += h
         out[i + 1] = x
@@ -325,16 +324,10 @@ class AllocationState:
         return 0.5 * float(np.abs(a - b).sum())
 
 
-def _grid_from_F(F: RateDistribution, cells: int) -> tuple[np.ndarray, np.ndarray]:
-    edges = np.linspace(F.mu_min, F.mu_max, cells + 1)
-    cdf = F.cdf(edges)
-    return edges, np.diff(np.concatenate([[0.0], cdf[1:-1], [1.0]]))
-
-
 def allocation_fixed_point(F: RateDistribution, params: ModelParams, mu_bar: float,
-                           h: Callable, L: float | None = None,
-                           cells: int = ALLOCATION_CELLS) -> AllocationState:
-    """The stationary allocation gbar(mu_c) F(cell) on a cell grid.
+                           h: Callable, L: float | None = None) -> AllocationState:
+    """The stationary allocation gbar(mu_c) F(cell) on ``ALLOCATION_CELLS``
+    uniform cells.
 
     With L given, evaluates the continuum density at the cell midpoints.
     With L omitted, solves the grid's own self-consistency equation
@@ -342,7 +335,8 @@ def allocation_fixed_point(F: RateDistribution, params: ModelParams, mu_bar: flo
     makes the cellwise drift vanish identically (the exact fixed point of
     :func:`allocation_fluid_integrate`).
     """
-    edges, Fm = _grid_from_F(F, cells)
+    edges = np.linspace(F.mu_min, F.mu_max, ALLOCATION_CELLS + 1)
+    Fm = np.diff(np.concatenate([[0.0], F.cdf(edges)[1:-1], [1.0]]))
     mids = 0.5 * (edges[1:] + edges[:-1])
     hv = np.asarray(h(mids), dtype=float)
     lam, beta = params.lambda_bar, params.beta

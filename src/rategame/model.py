@@ -18,7 +18,7 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "log_family",
     "neg_inverse_family",
     "PopulationDistributions",
-    "uniform_box_population",
     "ServerPopulation",
     "staffing_load",
     "staffing_level",
@@ -141,15 +140,8 @@ def power_family(p: float, q: float, r: float) -> PolicyFunctions:
 
 def log_family(q: float, r: float) -> PolicyFunctions:
     """f(x) = log x (diverges at zero idleness), power cost and weight."""
-    base = power_family(1.0, q, r)
-    return PolicyFunctions(
-        f=np.log,
-        f_prime=lambda x: 1.0 / x,
-        c=base.c, c_prime=base.c_prime,
-        h=base.h, htilde=base.htilde,
-        htilde_prime=base.htilde_prime, htilde_pprime=base.htilde_pprime,
-        name=f"log(q={q:g},r={r:g})",
-    )
+    return replace(power_family(1.0, q, r), f=np.log, f_prime=lambda x: 1.0 / x,
+                   name=f"log(q={q:g},r={r:g})")
 
 
 def neg_inverse_family(s: float, q: float, r: float) -> PolicyFunctions:
@@ -160,40 +152,26 @@ def neg_inverse_family(s: float, q: float, r: float) -> PolicyFunctions:
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    base = power_family(1.0, q, r)
-    return PolicyFunctions(
-        f=lambda x: -(x ** (-s)),
-        f_prime=lambda x: s * x ** (-s - 1.0),
-        c=base.c, c_prime=base.c_prime,
-        h=base.h, htilde=base.htilde,
-        htilde_prime=base.htilde_prime, htilde_pprime=base.htilde_pprime,
-        name=f"neg_inverse(s={s:g},q={q:g},r={r:g})",
-    )
+    return replace(power_family(1.0, q, r), f=lambda x: -(x ** (-s)),
+                   f_prime=lambda x: s * x ** (-s - 1.0),
+                   name=f"neg_inverse(s={s:g},q={q:g},r={r:g})")
 
 
 @dataclass(frozen=True)
 class PopulationDistributions:
-    """Joint law of per-server attributes (a, mu_lo, mu_hi).
+    """Joint law of per-server attributes (a, mu_lo, mu_hi): the uniform box.
 
-    The default concrete instance (:func:`uniform_box_population`) draws
-    (mu_lo, mu_hi) as the ordered pair of two independent uniforms on
+    (mu_lo, mu_hi) is the ordered pair of two independent uniforms on
     [mu_min, mu_max], whose density on the triangle mu_lo < mu_hi is
-    2 (mu_max - mu_min)^-2, and a independently uniform on [a_min, a_max].
-
-    The callables below describe the marginals the response-distribution
-    formula needs; independent_a must hold for that formula to apply.
+    2 (mu_max - mu_min)^-2, and a is independently uniform on
+    [a_min, a_max]. The methods give the marginals the response laws read
+    and draw a roster; both response laws assume this law.
     """
 
     mu_min: float
     mu_max: float
     a_min: float
     a_max: float
-    max_marginal_cdf: Callable[[np.ndarray], np.ndarray]
-    between_prob: Callable[[np.ndarray], np.ndarray]
-    a_cdf: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray, np.ndarray]]
-    independent_a: bool = True
-    name: str = "custom"
 
     def __post_init__(self) -> None:
         if not 0 < self.mu_min < self.mu_max:
@@ -201,46 +179,37 @@ class PopulationDistributions:
         if not 0 < self.a_min < self.a_max:
             raise ValueError("need 0 < a_min < a_max")
 
-
-def uniform_box_population(mu_min: float, mu_max: float,
-                           a_min: float, a_max: float) -> PopulationDistributions:
-    """Ordered-uniform-pair rate bounds plus uniform trade-off coefficient."""
-    if not 0 < mu_min < mu_max:
-        raise ValueError("need 0 < mu_min < mu_max")
-    if not 0 < a_min < a_max:
-        raise ValueError("need 0 < a_min < a_max")
-    width = mu_max - mu_min
-
-    def max_marginal_cdf(mu):
-        u = np.clip((np.asarray(mu, dtype=float) - mu_min) / width, 0.0, 1.0)
+    def max_marginal_cdf(self, mu):
+        """P(mu_hi <= mu)."""
+        u = np.clip((np.asarray(mu, dtype=float) - self.mu_min) / (self.mu_max - self.mu_min),
+                    0.0, 1.0)
         return u * u
 
-    def between_prob(mu):
-        u = np.clip((np.asarray(mu, dtype=float) - mu_min) / width, 0.0, 1.0)
+    def between_prob(self, mu):
+        """P(mu_lo < mu < mu_hi)."""
+        u = np.clip((np.asarray(mu, dtype=float) - self.mu_min) / (self.mu_max - self.mu_min),
+                    0.0, 1.0)
         return 2.0 * u * (1.0 - u)
 
-    def a_cdf(a):
-        return np.clip((np.asarray(a, dtype=float) - a_min) / (a_max - a_min), 0.0, 1.0)
+    def a_cdf(self, a):
+        """P(a' <= a) for the trade-off coefficient a'."""
+        return np.clip((np.asarray(a, dtype=float) - self.a_min) / (self.a_max - self.a_min),
+                       0.0, 1.0)
 
-    def sampler(rng: np.random.Generator, count: int):
-        u = rng.uniform(mu_min, mu_max, size=(count, 2))
+    def sample(self, rng: np.random.Generator,
+               count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``count`` i.i.d. draws of (a, mu_lo, mu_hi), with mu_lo < mu_hi."""
+        u = rng.uniform(self.mu_min, self.mu_max, size=(count, 2))
         lo = u.min(axis=1)
         hi = u.max(axis=1)
         # float ties have probability ~0; resample them so mu_lo < mu_hi holds surely
         while np.any(lo == hi):
             mask = lo == hi
-            redraw = rng.uniform(mu_min, mu_max, size=(int(mask.sum()), 2))
+            redraw = rng.uniform(self.mu_min, self.mu_max, size=(int(mask.sum()), 2))
             lo[mask] = redraw.min(axis=1)
             hi[mask] = redraw.max(axis=1)
-        a = rng.uniform(a_min, a_max, size=count)
+        a = rng.uniform(self.a_min, self.a_max, size=count)
         return a, lo, hi
-
-    return PopulationDistributions(
-        mu_min=mu_min, mu_max=mu_max, a_min=a_min, a_max=a_max,
-        max_marginal_cdf=max_marginal_cdf, between_prob=between_prob,
-        a_cdf=a_cdf, sampler=sampler, independent_a=True,
-        name=f"uniform_box([{mu_min:g},{mu_max:g}]x[{a_min:g},{a_max:g}])",
-    )
 
 
 @dataclass(frozen=True)
@@ -318,7 +287,7 @@ def sample_population(dists: PopulationDistributions, count: int, seed: int) -> 
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    a, lo, hi = dists.sampler(rng, count)
+    a, lo, hi = dists.sample(rng, count)
     return ServerPopulation(a=a, mu_lo=lo, mu_hi=hi, rate=lo.copy(),
                             mu_min=dists.mu_min, mu_max=dists.mu_max)
 

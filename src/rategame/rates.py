@@ -288,7 +288,7 @@ class CdfRateDistribution(RateDistribution):
             return 0.0
         if dg is None:
             return self._stieltjes(g, a, b)
-        ga = float(np.asarray(g(np.array([a]))).reshape(())) if callable(g) else g
+        ga = float(np.asarray(g(np.array([a]))).reshape(()))
         gb = float(np.asarray(g(np.array([b]))).reshape(()))
         Fa = float(self.cdf(np.array([a]))[0]) if a > self.mu_min else 0.0
         Fb = float(self.cdf(np.array([b]))[0]) if b < self.mu_max else 1.0

@@ -11,11 +11,11 @@ from rategame.equilibrium import (_CELL_NODES, _CELLS, ResponseDistribution,
                                   _assemble_equilibrium, _capped_ratio, _ratio_array,
                                   _response_laws, _secant, _switch_level, _utility)
 from rategame.rates import CdfRateDistribution, _check_cdf_values, gauss_legendre_panels
-from rategame import (RegimeClass, best_response, best_response_rates,
-                      classify_regime, equilibrium_residual,
+from rategame import (PopulationDistributions, RegimeClass, best_response,
+                      best_response_rates, classify_regime, equilibrium_residual,
                       marginal_rate_of_substitution, power_family,
                       response_distribution, sample_population,
-                      solve_equilibrium, solve_L, uniform_box_population,
+                      solve_equilibrium, solve_L,
                       neg_inverse_family, verify_first_order_monotone)
 from _oracles import grid_best_utility
 
@@ -125,7 +125,7 @@ class TestResponseDistribution:
     def test_everyone_at_max_when_weight_dominates(self, base_funcs):
         # C >= a_max everywhere forces the at-max branch a.s., so the law of
         # chosen rates is the marginal law of the personal maxima
-        dists = uniform_box_population(0.01, 0.5, 1e-6, 2e-6)
+        dists = PopulationDistributions(0.01, 0.5, 1e-6, 2e-6)
         L = 0.25
         mus = np.linspace(0.01, 0.5, 101)
         C = np.array([marginal_rate_of_substitution(float(m), L, base_funcs) for m in mus])
@@ -136,7 +136,7 @@ class TestResponseDistribution:
     def test_everyone_at_min_when_cost_dominates(self, base_funcs):
         # C <= a_min everywhere forces the at-min branch a.s.: the law of
         # chosen rates is the marginal law of the personal minima
-        dists = uniform_box_population(0.01, 0.5, 1e5, 2e5)
+        dists = PopulationDistributions(0.01, 0.5, 1e5, 2e5)
         L = 0.25
         mus = np.linspace(0.01, 0.5, 101)
         C = np.array([marginal_rate_of_substitution(float(m), L, base_funcs) for m in mus])

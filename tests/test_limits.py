@@ -117,11 +117,6 @@ class TestFluidIntegrate:
         with pytest.raises(ValueError):
             fluid_integrate(spec, np.array([1.0]))
 
-    def test_substeps_below_one_rejected(self):
-        spec = FluidSpec(xi0=0.0, drift=0.3, moment=1.0)
-        with pytest.raises(ValueError, match="substeps must be at least 1"):
-            fluid_integrate(spec, np.array([0.0, 1.0]), substeps=0)
-
 
 class TestDiffusion:
     def test_zero_noise_degenerates_to_fluid(self):

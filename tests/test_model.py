@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rategame import (ModelParams, PolicyFunctions, ServerPopulation, log_family,
-                      neg_inverse_family, power_family, sample_population,
-                      staffing_level, staffing_load, uniform_box_population,
+from rategame import (ModelParams, PolicyFunctions, PopulationDistributions,
+                      ServerPopulation, log_family, neg_inverse_family, power_family,
+                      sample_population, staffing_level, staffing_load,
                       verify_first_order_monotone)
 
 
@@ -68,7 +68,7 @@ class TestPopulationSampling:
 
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(ValueError):
-            uniform_box_population(0.3, 0.3, 0.01, 25.0)
+            PopulationDistributions(0.3, 0.3, 0.01, 25.0)
 
     @given(seed=st.integers(0, 2**31), count=st.integers(1, 200))
     @settings(max_examples=30, deadline=None)
