@@ -27,7 +27,7 @@ from .model import (PolicyFunctions, PopulationDistributions,
                     ServerPopulation, _ratio_array, staffing_level,
                     verify_first_order_monotone)
 from .fairness import SolverFailure, fairness_density, solve_L
-from .rates import CdfRateDistribution, _leggauss
+from .rates import CdfRateDistribution, _check_cdf_values, _interior, _leggauss, _panel_rule
 
 __all__ = [
     "BestResponse",
@@ -185,9 +185,9 @@ class ResponseDistribution(CdfRateDistribution):
     first_order_monotone: bool
 
     def __init__(self, L: float, dists: PopulationDistributions, cdf, kinks,
-                 grid_points: int):
+                 grid_points: int, support_nodes=None):
         self.L = L
-        self._define(dists.mu_min, dists.mu_max, cdf, kinks, grid_points)
+        self._define(dists.mu_min, dists.mu_max, cdf, kinks, grid_points, support_nodes)
 
     def density(self, mu, half_step: float | None = None):
         """Reporting density via central differences of the CDF."""
@@ -207,22 +207,49 @@ class MonotoneResponse(ResponseDistribution):
 
     ``kinks`` are where C(mu, L) crosses a_max and a_min (density spikes
     there, visible in the reported density, which is a central difference
-    on a dense grid). The law builds its sampling table when one is first
-    read; until then every integral checks the CDF at its Gauss nodes.
+    on a dense grid). F1 is :func:`_monotone_cdf`. The law comes with its
+    support node set, read and checked by ``_monotone_node_sets``; it
+    builds its sampling table when one is first read, and until then every
+    integral over part of the support checks the CDF at its Gauss nodes.
     """
 
     first_order_monotone = True
 
     def __init__(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
-                 kinks: list[float]):
-        def cdf(mu):
-            mu = np.asarray(mu, dtype=float)
-            inside = np.clip(mu, dists.mu_min, dists.mu_max)
-            c = _ratio_array(funcs, inside, L)
-            val = dists.max_marginal_cdf(mu) + dists.between_prob(mu) * (1.0 - dists.a_cdf(c))
-            return np.clip(val, 0.0, 1.0)
+                 kinks, support_nodes):
+        super().__init__(L, dists, lambda mu: _monotone_cdf(mu, L, dists, funcs), kinks,
+                         _GRID_POINTS, support_nodes)
 
-        super().__init__(L, dists, cdf, kinks, _GRID_POINTS)
+
+def _monotone_cdf(mu, L, dists: PopulationDistributions, funcs: PolicyFunctions) -> np.ndarray:
+    """F1(mu | L) of :class:`MonotoneResponse`, clipped into [0, 1],
+    elementwise in ``mu`` and ``L``."""
+    mu = np.asarray(mu, dtype=float)
+    c = _ratio_array(funcs, np.clip(mu, dists.mu_min, dists.mu_max), L)
+    val = dists.max_marginal_cdf(mu) + dists.between_prob(mu) * (1.0 - dists.a_cdf(c))
+    return np.clip(val, 0.0, 1.0)
+
+
+def _monotone_node_sets(L: np.ndarray, kinks: list[tuple[float, ...]],
+                        dists: PopulationDistributions, funcs: PolicyFunctions) -> list[tuple]:
+    """The support node set of the monotone law at each L of ``L`` with
+    the interior ``kinks`` of each: read-only (x, w, F1(x)) on the 64-node
+    Gauss panels that split the support at its kinks, as
+    ``gauss_legendre_panels`` gives them. F1 is read at every node of every
+    law at once, each node at its own law's L, and checked law by law."""
+    n = MonotoneResponse._panel_nodes
+    lo = np.array([edge for k in kinks for edge in (dists.mu_min, *k)])
+    hi = np.array([edge for k in kinks for edge in (*k, dists.mu_max)])
+    x, w = _panel_rule(lo, hi, n)
+    count = [(len(k) + 1) * n for k in kinks]
+    ends = np.cumsum(count)
+    cdf = _monotone_cdf(x, np.repeat(L, count), dists, funcs)
+    _check_cdf_values(cdf, "at its quadrature nodes", ends[:-1])
+    nodes = x, w, np.clip(cdf, 0.0, 1.0)
+    for array in nodes:
+        array.flags.writeable = False
+    ends = ends.tolist()
+    return [tuple(array[i:j] for array in nodes) for i, j in zip([0, *ends[:-1]], ends)]
 
 
 class UnimodalResponse(ResponseDistribution):
@@ -298,14 +325,18 @@ class UnimodalResponse(ResponseDistribution):
 def _response_laws(L: np.ndarray, dists: PopulationDistributions, funcs: PolicyFunctions):
     """The response law at each L of the array ``L``, built as it is read:
     a :class:`MonotoneResponse` where C(., L) is strictly decreasing, else a
-    :class:`UnimodalResponse`. The monotone check and the kink search run
-    once over the whole array. A monotone law builds no sampling table, so
-    its CDF is checked at the Gauss nodes each integral reads."""
+    :class:`UnimodalResponse`. The monotone check, the kink search and the
+    read of the monotone laws' CDF at their support nodes run once over the
+    whole array. A monotone law builds no sampling table; its CDF is
+    checked at those nodes, which every integral over the support reads."""
     monotone = verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max),
                                            grid_size=_MONOTONE_GRID)
-    kinks = iter(_monotone_kinks(L[monotone], dists, funcs))
+    kinks = [_interior(k, dists.mu_min, dists.mu_max)
+             for k in _monotone_kinks(L[monotone], dists, funcs)]
+    nodes = iter(_monotone_node_sets(L[monotone], kinks, dists, funcs) if kinks else ())
+    kinks = iter(kinks)
     for Lk, ok in zip(L.tolist(), monotone.tolist()):
-        yield (MonotoneResponse(Lk, dists, funcs, next(kinks)) if ok
+        yield (MonotoneResponse(Lk, dists, funcs, next(kinks), next(nodes)) if ok
                else UnimodalResponse(Lk, dists, funcs))
 
 

@@ -43,6 +43,7 @@ __all__ = [
 G_TOLERANCE = 1e-10
 MAX_ITERATIONS = 200
 _ATTAINABLE_GRID = 512  # points of the support where check_attainable reads g
+_HTILDE_GRID = 257      # points of the support where solve_L checks htilde
 
 
 class SolverFailure(RuntimeError):
@@ -65,7 +66,6 @@ class RoutingWeight:
     h: Callable
     htilde: Callable
     htilde_prime: Callable
-    name: str = "designed"
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,8 @@ def special_policy_fairness(policy, F: RateDistribution) -> FairnessMeasure:
     raise ValueError(f"unknown policy kind {kind!r}")
 
 
-def _check_htilde_nonincreasing(funcs, mu_lo: float, mu_hi: float,
-                                grid_size: int = 257) -> None:
-    vals = funcs.htilde(np.linspace(mu_lo, mu_hi, grid_size))
+def _check_htilde_nonincreasing(funcs, mu_lo: float, mu_hi: float) -> None:
+    vals = funcs.htilde(np.linspace(mu_lo, mu_hi, _HTILDE_GRID))
     if np.any(np.diff(vals) > 1e-12 * np.maximum(np.abs(vals[:-1]), 1.0)):
         raise ValueError("htilde must be nonincreasing on the support")
     if np.any(vals <= 0):
@@ -285,8 +284,7 @@ def h_for_target_density(g: Callable, F: RateDistribution, beta: float,
             mu = np.asarray(mu, dtype=float)
             return -c0 * g_prime(mu) / (scale * g(mu) ** 2)
 
-    return RoutingWeight(h=h, htilde=htilde, htilde_prime=htilde_prime,
-                         name="target-density weight")
+    return RoutingWeight(h=h, htilde=htilde, htilde_prime=htilde_prime)
 
 
 def conditional_idleness_alpha1(mu: float, L: float, funcs) -> float:

@@ -74,6 +74,7 @@ class ModelParams:
 
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
+_CURVATURE_GRID = 129  # points of the grid satisfies_curvature_condition checks
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,9 @@ class PolicyFunctions:
     htilde: ArrayFn
     htilde_prime: ArrayFn
     htilde_pprime: ArrayFn | None = None
-    name: str = "custom"
 
-    def satisfies_curvature_condition(self, mu_lo: float, mu_hi: float,
-                                      grid_size: int = 129) -> bool:
-        """Check 2*htilde'^2 <= htilde*htilde'' on a grid.
+    def satisfies_curvature_condition(self, mu_lo: float, mu_hi: float) -> bool:
+        """Check 2*htilde'^2 <= htilde*htilde'' on a grid of 129 points.
 
         This is the sufficient condition for concavity of the limiting
         utility; the power family with r = -1 violates it, which is why
@@ -112,7 +111,7 @@ class PolicyFunctions:
         """
         if self.htilde_pprime is None:
             raise ValueError("htilde_pprime not supplied")
-        mus = np.linspace(mu_lo, mu_hi, grid_size)
+        mus = np.linspace(mu_lo, mu_hi, _CURVATURE_GRID)
         lhs = 2.0 * self.htilde_prime(mus) ** 2
         rhs = self.htilde(mus) * self.htilde_pprime(mus)
         return not np.any(lhs > rhs + 1e-9 * np.maximum(np.abs(rhs), 1.0))
@@ -134,14 +133,12 @@ def power_family(p: float, q: float, r: float) -> PolicyFunctions:
         htilde=lambda mu: mu ** (r - 1.0),
         htilde_prime=lambda mu: (r - 1.0) * mu ** (r - 2.0),
         htilde_pprime=lambda mu: (r - 1.0) * (r - 2.0) * mu ** (r - 3.0),
-        name=f"power(p={p:g},q={q:g},r={r:g})",
     )
 
 
 def log_family(q: float, r: float) -> PolicyFunctions:
     """f(x) = log x (diverges at zero idleness), power cost and weight."""
-    return replace(power_family(1.0, q, r), f=np.log, f_prime=lambda x: 1.0 / x,
-                   name=f"log(q={q:g},r={r:g})")
+    return replace(power_family(1.0, q, r), f=np.log, f_prime=lambda x: 1.0 / x)
 
 
 def neg_inverse_family(s: float, q: float, r: float) -> PolicyFunctions:
@@ -153,8 +150,7 @@ def neg_inverse_family(s: float, q: float, r: float) -> PolicyFunctions:
     if s <= 0:
         raise ValueError("s must be positive")
     return replace(power_family(1.0, q, r), f=lambda x: -(x ** (-s)),
-                   f_prime=lambda x: s * x ** (-s - 1.0),
-                   name=f"neg_inverse(s={s:g},q={q:g},r={r:g})")
+                   f_prime=lambda x: s * x ** (-s - 1.0))
 
 
 @dataclass(frozen=True)

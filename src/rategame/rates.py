@@ -58,9 +58,21 @@ def gauss_legendre_panels(a: float, b: float, kinks: Sequence[float] = (),
         raise ValueError("empty interval")
     if b == a:
         return np.array([]), np.array([])
-    edges = np.array([a, *sorted({float(k) for k in kinks if a < k < b}), b])
+    edges = np.array([a, *_interior(kinks, a, b), b])
+    return _panel_rule(edges[:-1], edges[1:], nodes_per_panel)
+
+
+def _interior(points: Sequence[float], a: float, b: float) -> tuple[float, ...]:
+    """The distinct ``points`` strictly inside (a, b), ascending."""
+    return tuple(sorted({float(k) for k in points if a < k < b}))
+
+
+def _panel_rule(lo: np.ndarray, hi: np.ndarray,
+                nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the panels [lo[i], hi[i]], panel
+    after panel."""
     x0, w0 = _leggauss(nodes_per_panel)
-    lo, hi = edges[:-1, None], edges[1:, None]
+    lo, hi = lo[:, None], hi[:, None]
     half = 0.5 * (hi - lo)
     return (half * x0 + 0.5 * (hi + lo)).ravel(), (half * w0).ravel()
 
@@ -124,7 +136,7 @@ class DensityRateDistribution(RateDistribution):
             raise ValueError("need 0 < mu_min < mu_max")
         self.mu_min = float(mu_min)
         self.mu_max = float(mu_max)
-        self.kinks = tuple(sorted({float(k) for k in kinks if mu_min < k < mu_max}))
+        self.kinks = _interior(kinks, mu_min, mu_max)
         self._density = density
         self._grid, self._grid_cdf = self._build_cdf_grid()
         self._validate()
@@ -204,12 +216,16 @@ class DiscreteRateDistribution(RateDistribution):
         return rng.choice(self.atoms, size=size, p=self.weights)
 
 
-def _check_cdf_values(vals: np.ndarray, where: str) -> None:
+def _check_cdf_values(vals: np.ndarray, where: str, splits=()) -> None:
     """CDF values at ascending points must be finite and must not decrease
-    by more than 1e-10 from one point to the next."""
+    by more than 1e-10 from one point to the next. ``splits`` cut ``vals``
+    into runs of points, as ``np.split`` takes them, each the values of
+    another law: the step into a run's first point is not checked."""
     if not np.isfinite(vals).all():
         raise ValueError(f"cdf is not finite {where}")
-    if (np.diff(vals) < -1e-10).any():
+    drops = np.diff(vals) < -1e-10
+    drops[np.asarray(splits, dtype=int) - 1] = False
+    if drops.any():
         raise ValueError("cdf is decreasing somewhere")
 
 
@@ -224,7 +240,8 @@ class CdfRateDistribution(RateDistribution):
     on panels split at the CDF's kinks, with ``_panel_nodes`` Gauss nodes
     each (a subclass whose CDF is a piecewise-linear table, split at every
     edge, needs only a few). The CDF is read at the whole support's nodes
-    once per law. Without a derivative a fine midpoint
+    once per law, or comes with those nodes already read (``_define``'s
+    ``support_nodes``). Without a derivative a fine midpoint
     Stieltjes rule is used instead (adequate for reporting, not for
     solver-grade tolerances).
 
@@ -245,16 +262,20 @@ class CdfRateDistribution(RateDistribution):
         self._tabulate()
 
     def _define(self, mu_min: float, mu_max: float, cdf: Callable,
-                kinks: Sequence[float], grid_points: int) -> None:
+                kinks: Sequence[float], grid_points: int, support_nodes=None) -> None:
+        """The law's support, CDF and kinks. ``support_nodes``, if given, is
+        the node set of the whole support as ``_nodes`` returns it, already
+        read and checked: read-only (x, w, clipped CDF values) on the panels
+        that ``kinks`` split."""
         if not 0 < mu_min < mu_max:
             raise ValueError("need 0 < mu_min < mu_max")
         self.mu_min = float(mu_min)
         self.mu_max = float(mu_max)
-        self.kinks = tuple(sorted({float(k) for k in kinks if mu_min < k < mu_max}))
+        self.kinks = _interior(kinks, mu_min, mu_max)
         self._cdf = cdf
         self._grid_points = grid_points
         self._table = None
-        self._support_nodes = None
+        self._support_nodes = support_nodes
 
     def _tabulate(self) -> tuple[np.ndarray, np.ndarray]:
         """The sampling table (grid, CDF on it), built and checked once."""

@@ -492,22 +492,16 @@ class TestScanMatchesPerPointLaws:
                                       for L in sol.scan_L.tolist()]
 
 
-def _dip(cdf, at: float, halfwidth: float, depth: float):
-    """``cdf`` lowered by ``depth`` on (at - halfwidth, at + halfwidth)."""
-    def dipped(mu):
-        mu = np.asarray(mu, dtype=float)
-        return np.asarray(cdf(mu), dtype=float) - depth * (np.abs(mu - at) < halfwidth)
-    return dipped
-
-
 def _dipped_laws(monkeypatch, at: float, halfwidth: float, depth: float):
-    """Every response law built from here on has the dip in its CDF."""
-    define = CdfRateDistribution._define
+    """Every monotone response law read from here on has its CDF lowered
+    by ``depth`` on (at - halfwidth, at + halfwidth)."""
+    cdf = equilibrium_module._monotone_cdf
 
-    def dipped_define(self, mu_min, mu_max, cdf, kinks, grid_points):
-        define(self, mu_min, mu_max, _dip(cdf, at, halfwidth, depth), kinks, grid_points)
+    def dipped(mu, L, dists, funcs):
+        mu = np.asarray(mu, dtype=float)
+        return cdf(mu, L, dists, funcs) - depth * (np.abs(mu - at) < halfwidth)
 
-    monkeypatch.setattr(ResponseDistribution, "_define", dipped_define)
+    monkeypatch.setattr(equilibrium_module, "_monotone_cdf", dipped)
 
 
 class TestWhereTheCdfIsChecked:
@@ -611,15 +605,13 @@ class TestOneCdfReadPerNodeSet:
         """The assembled solution at the base case's L*, and every array at
         which its law's CDF was read."""
         reads = []
-        define = CdfRateDistribution._define
+        cdf = equilibrium_module._monotone_cdf
 
-        def recording_define(self, mu_min, mu_max, cdf, kinks, grid_points):
-            def read(mu):
-                reads.append(np.array(mu, dtype=float))
-                return cdf(mu)
-            define(self, mu_min, mu_max, read, kinks, grid_points)
+        def read(mu, L, dists, funcs):
+            reads.append(np.array(mu, dtype=float))
+            return cdf(mu, L, dists, funcs)
 
-        monkeypatch.setattr(CdfRateDistribution, "_define", recording_define)
+        monkeypatch.setattr(equilibrium_module, "_monotone_cdf", read)
         got = _assemble_equilibrium(sol.L_star, dists, funcs, config.beta, config.lambda_bar,
                                     config.n, sol.bracket_lo, sol.bracket_hi, sol.scan_L,
                                     sol.scan_phi, sol.sign_changes, sol.iterations)
@@ -647,6 +639,47 @@ class TestOneCdfReadPerNodeSet:
             elif callable(a):
                 a, b = a(mus), b(mus)
             assert np.array_equal(a, b), field.name
+
+
+class TestOneCdfReadPerScan:
+    """A solve's scan reads F1 at the support nodes of all its monotone
+    laws in one call, each node at its own law's L, and each scan law's
+    node set is the one a separately built law reads, bit for bit."""
+
+    @pytest.mark.parametrize("overrides, monotone_points", [({}, 64), ({"r": -1.5}, 8)])
+    def test_the_scan_reads_every_monotone_law_at_once(self, monkeypatch, base_config,
+                                                      overrides, monotone_points):
+        cfg = base_config.with_overrides(**overrides)
+        dists, funcs = cfg.population(), cfg.functions()
+        calls = []
+        cdf = equilibrium_module._monotone_cdf
+
+        def recording(mu, L, dists, funcs):
+            calls.append((np.array(mu, dtype=float), np.broadcast_to(L, np.shape(mu)).copy()))
+            return cdf(mu, L, dists, funcs)
+
+        monkeypatch.setattr(equilibrium_module, "_monotone_cdf", recording)
+        sol = solve_equilibrium(dists, funcs, cfg.beta, cfg.lambda_bar, cfg.n)
+        monkeypatch.undo()
+
+        laws = [F for F in (response_distribution(L, dists, funcs) for L in sol.scan_L.tolist())
+                if F.first_order_monotone]
+        assert len(laws) == monotone_points
+        panels = [gauss_legendre_panels(F.mu_min, F.mu_max, F.kinks) for F in laws]
+        # one call reads at the scan's L: the first, over every monotone law's nodes
+        assert [i for i, (_, L) in enumerate(calls) if np.isin(L, sol.scan_L).any()] == [0]
+        mu, L = calls[0]
+        assert np.array_equal(mu, np.concatenate([x for x, _ in panels]))
+        assert np.array_equal(L, np.concatenate([np.full(x.size, F.L)
+                                                 for (x, _), F in zip(panels, laws)]))
+
+        scan = [G for G in _response_laws(sol.scan_L, dists, funcs) if G.first_order_monotone]
+        for G, F, (x, w) in zip(scan, laws, panels):
+            assert G.L == F.L and G.kinks == F.kinks
+            nodes = G._nodes(G.mu_min, G.mu_max)
+            for got, ref in zip(nodes, (x, w, np.clip(F._cdf(x), 0.0, 1.0))):
+                assert np.array_equal(got, ref)
+                assert not got.flags.writeable
 
 
 class TestEquilibrium:
