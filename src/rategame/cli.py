@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor, as_completed
 
 import numpy as np
@@ -55,14 +56,25 @@ def _fmt(v) -> str:
     return "" if v is None else str(v)
 
 
-def _write_csv(path: str, header: list[str], rows: list, config: ExperimentConfig) -> None:
+def _column(values) -> Iterator[str]:
+    """The cells of one column: a float array in one pass, any other values
+    one at a time by ``_fmt``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return map(repr, values.tolist())
+    return map(_fmt, values)
+
+
+def _write_csv(path: str, header: list[str], config: ExperimentConfig,
+               columns: list = (), rows: list = ()) -> None:
+    """One table: its ``columns``, one sequence of equal length per header
+    field, then its ``rows``, each cell by ``_fmt``."""
+    lines = [f"# provenance: config={config.digest()} seed={config.seed} "
+             f"tool=rategame-{__version__}", ",".join(header)]
+    lines += map(",".join, zip(*map(_column, columns), strict=True))
+    lines += (",".join(map(_fmt, row)) for row in rows)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# provenance: config={config.digest()} seed={config.seed} "
-                 f"tool=rategame-{__version__}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _outdir(flag: str | None) -> str:
@@ -96,21 +108,15 @@ def cmd_equilibrium(config: ExperimentConfig, outdir: str) -> EquilibriumSolutio
     refinement = [getattr(sol, name) for name in _REFINEMENT]
     _write_csv(os.path.join(outdir, "equilibrium_report.csv"),
                [*_REFINEMENT, "L_star", "mu_bar", "sigma2", "N", "residual", "bracket_lo",
-                "bracket_hi", "first_order_monotone", "sign_changes", "iterations"],
-               [[*refinement, sol.L_star, sol.mu_bar, sol.sigma2, sol.N, sol.residual,
-                 sol.bracket_lo, sol.bracket_hi, sol.first_order_monotone,
-                 sol.sign_changes, sol.iterations]], config)
+                "bracket_hi", "first_order_monotone", "sign_changes", "iterations"], config,
+               rows=[[*refinement, sol.L_star, sol.mu_bar, sol.sigma2, sol.N, sol.residual,
+                      sol.bracket_lo, sol.bracket_hi, sol.first_order_monotone,
+                      sol.sign_changes, sol.iterations]])
     grid = np.linspace(config.mu_min, config.mu_max, _DISTRIBUTION_POINTS)
-    cdf = sol.response.cdf(grid)
-    dens = sol.response.density(grid)
-    _write_csv(os.path.join(outdir, "distribution.csv"),
-               ["mu", "cdf", "density"],
-               [[float(m), float(c), float(d)] for m, c, d in zip(grid, cdf, dens)],
-               config)
-    _write_csv(os.path.join(outdir, "equilibrium_scan.csv"),
-               ["L", "phi"],
-               [[float(L), float(p)] for L, p in zip(sol.scan_L, sol.scan_phi)],
-               config)
+    _write_csv(os.path.join(outdir, "distribution.csv"), ["mu", "cdf", "density"], config,
+               columns=[grid, sol.response.cdf(grid), sol.response.density(grid)])
+    _write_csv(os.path.join(outdir, "equilibrium_scan.csv"), ["L", "phi"], config,
+               columns=[sol.scan_L, sol.scan_phi])
     print(f"equilibrium: L_star={sol.L_star!r} mu_bar={sol.mu_bar!r} N={sol.N} "
           f"residual={sol.residual!r} sign_changes={sol.sign_changes} "
           f"bracket=[{sol.bracket_lo!r},{sol.bracket_hi!r}] iterations={sol.iterations} "
@@ -155,15 +161,12 @@ def cmd_sweep(config: ExperimentConfig, axis: str, grid: list[float],
                          "flag": f"failed: {exc}"})
     # flag stays the last column: readers take it as the row's last field
     columns = ["L_star", "mu_bar", "N", "residual", "first_order_monotone", *_REFINEMENT]
-    _write_csv(os.path.join(outdir, f"sweep_{axis}.csv"), [axis, *columns, "flag"],
-               [[r["value"], *(r[c] for c in columns), r["flag"].replace(",", ";")]
-                for r in rows], config)
-    long_rows = []
-    for r in rows:
-        for metric in ("L_star", "mu_bar", "N"):
-            long_rows.append([r["value"], metric, r[metric]])
-    _write_csv(os.path.join(outdir, f"plot_{axis}.csv"),
-               [axis, "metric", "value"], long_rows, config)
+    _write_csv(os.path.join(outdir, f"sweep_{axis}.csv"), [axis, *columns, "flag"], config,
+               rows=[[r["value"], *(r[c] for c in columns), r["flag"].replace(",", ";")]
+                     for r in rows])
+    _write_csv(os.path.join(outdir, f"plot_{axis}.csv"), [axis, "metric", "value"], config,
+               rows=[[r["value"], metric, r[metric]]
+                     for r in rows for metric in ("L_star", "mu_bar", "N")])
     if all(r["flag"] for r in rows):
         raise SolverFailure("every sweep point failed", {"axis": axis})
     return rows
@@ -184,17 +187,16 @@ def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str,
         print(f"fairness solver: bracket=[{fsol.bracket_lo!r},{fsol.bracket_hi!r}] "
               f"iterations={fsol.iterations} residual={fsol.residual!r} L={fsol.L!r}")
         grid = np.linspace(config.mu_min, config.mu_max, grid_points)
-        rows = list(zip(grid.tolist(), fsol.g(grid).tolist()))
-        _write_csv(os.path.join(outdir, "fairness_hrandom.csv"), ["mu", "g"], rows, config)
+        _write_csv(os.path.join(outdir, "fairness_hrandom.csv"), ["mu", "g"], config,
+                   columns=[grid, fsol.g(grid)])
         return fsol.measure
     measure = special_policy_fairness(policy, F)
+    path = os.path.join(outdir, f"fairness_{policy}.csv")
     if measure.support is not None:
-        rows = [[float(m), float(w)] for m, w in zip(measure.support, measure.weights)]
-        _write_csv(os.path.join(outdir, f"fairness_{policy}.csv"), ["mu", "weight"], rows, config)
+        _write_csv(path, ["mu", "weight"], config, columns=[measure.support, measure.weights])
     else:
         grid = np.linspace(config.mu_min, config.mu_max, grid_points)
-        rows = list(zip(grid.tolist(), measure.g(grid).tolist()))
-        _write_csv(os.path.join(outdir, f"fairness_{policy}.csv"), ["mu", "g"], rows, config)
+        _write_csv(path, ["mu", "g"], config, columns=[grid, measure.g(grid)])
     return measure
 
 
@@ -210,9 +212,8 @@ def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
     closed = fluid_closed_form(spec, t_grid)
     rk4 = fluid_integrate(spec, t_grid)
     fluid_dev = float(np.max(np.abs(closed - rk4)))
-    _write_csv(os.path.join(outdir, "fluid_compare.csv"), ["t", "closed_form", "rk4"],
-               [[float(t), float(c), float(v)] for t, c, v in zip(t_grid, closed, rk4)],
-               config)
+    _write_csv(os.path.join(outdir, "fluid_compare.csv"), ["t", "closed_form", "rk4"], config,
+               columns=[t_grid, closed, rk4])
 
     # the Euler-Maruyama ensemble checks the exact stationary mean
     dspec = DiffusionSpec(xi0=0.0, lambda_bar=config.lambda_bar, mu_bar=sol.mu_bar,
@@ -220,9 +221,8 @@ def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
     dstats = diffusion_simulate(dspec, diffusion_dt, diffusion_T, diffusion_paths,
                                 seed=config.seed)
     exact_mean, _ = diffusion_stationary(dspec)
-    _write_csv(os.path.join(outdir, "diffusion_mean.csv"), ["t", "value"],
-               [[float(t), float(v)] for t, v in
-                zip(dstats.t_grid[::25], dstats.ensemble_mean[::25])], config)
+    _write_csv(os.path.join(outdir, "diffusion_mean.csv"), ["t", "value"], config,
+               columns=[dstats.t_grid[::25], dstats.ensemble_mean[::25]])
 
     h = config.functions().h
     times = np.linspace(0.0, allocation_T, 81)
@@ -230,13 +230,11 @@ def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
     start = AllocationState(edges=fixed.edges, F_masses=fixed.F_masses,
                             masses=np.full_like(fixed.masses, fixed.total / fixed.masses.size))
     traj = allocation_fluid_integrate(start, params, sol.mu_bar, h, times)
-    alloc_rows = []
-    for ti in (0, len(traj) // 2, len(traj) - 1):
-        state = traj[ti]
-        for mid, mass in zip(state.mids, state.masses):
-            alloc_rows.append([float(times[ti]), float(mid), float(mass)])
-    _write_csv(os.path.join(outdir, "allocation_trace.csv"), ["t", "cell_mid", "mass"],
-               alloc_rows, config)
+    shown = (0, len(traj) // 2, len(traj) - 1)
+    _write_csv(os.path.join(outdir, "allocation_trace.csv"), ["t", "cell_mid", "mass"], config,
+               columns=[np.repeat(times[list(shown)], fixed.masses.size),
+                        np.concatenate([traj[i].mids for i in shown]),
+                        np.concatenate([traj[i].masses for i in shown])])
     terminal_tv = traj[-1].tv_against(fixed.masses)
 
     summary = {
@@ -254,9 +252,9 @@ def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
     fluid = f"alpha={config.alpha!r}"
     diffusion = "alpha=0.5" + ("" if config.alpha == 0.5 else
                                f" (not the configured alpha={config.alpha!r})")
-    _write_csv(os.path.join(outdir, "limits_summary.csv"), ["metric", "value", "regime"],
-               [[k, float(v), diffusion if k.startswith("diffusion") else fluid]
-                for k, v in summary.items()], config)
+    _write_csv(os.path.join(outdir, "limits_summary.csv"), ["metric", "value", "regime"], config,
+               rows=[[k, float(v), diffusion if k.startswith("diffusion") else fluid]
+                     for k, v in summary.items()])
     print("limits:", " ".join(f"{k}={v!r}" for k, v in summary.items()))
     return summary
 
@@ -305,24 +303,20 @@ def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
         print(f"simulate: policy={policy} replication={rep} "
               + " ".join(f"{name}={getattr(res, name)}" for name in _COUNTERS)
               + f" events_per_s={res.event_count / (time.perf_counter() - start):.0f}")
-        rows = [[k, float(pop.a[k]), float(pop.mu_lo[k]), float(pop.mu_hi[k]),
-                 float(pop.rate[k]), float(res.idle_fraction[k])]
-                for k in range(len(pop))]
-        rows.append(["summary", res.scaled_idleness_mean, res.scaled_queue_plus_mean,
-                     res.abandonment_fraction, "", ""])
         _write_csv(os.path.join(outdir, f"run_{policy}_rep{rep}.csv"),
-                   ["index", "a", "mu_min", "mu_max", "mu", "idle_fraction"],
-                   rows, config)
+                   ["index", "a", "mu_min", "mu_max", "mu", "idle_fraction"], config,
+                   columns=[range(len(pop)), pop.a, pop.mu_lo, pop.mu_hi, pop.rate,
+                            res.idle_fraction],
+                   rows=[["summary", res.scaled_idleness_mean, res.scaled_queue_plus_mean,
+                          res.abandonment_fraction, "", ""]])
         if event_log:
             _write_csv(os.path.join(outdir, f"events_{policy}_rep{rep}.csv"),
-                       ["time", "kind", "server", "queue_len"],
-                       [[t, kind, srv, q] for t, kind, srv, q in res.event_log],
-                       config)
+                       ["time", "kind", "server", "queue_len"], config, rows=res.event_log)
         results.append(res)
     _write_csv(os.path.join(outdir, f"simulate_summary_{policy}.csv"),
-               ["replication", *_COUNTERS],
-               [[rep, *(getattr(res, name) for name in _COUNTERS)]
-                for rep, res in enumerate(results)], config)
+               ["replication", *_COUNTERS], config,
+               rows=[[rep, *(getattr(res, name) for name in _COUNTERS)]
+                     for rep, res in enumerate(results)])
     return results
 
 
@@ -412,8 +406,8 @@ def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications:
                      "peak_queue": max(c["peak_queue"] for c in counters)})
     columns = ["n", "sup_gap", "ihat_mean", "ihat_theory", "ihat_gap", "ihat_se",
                "fairness_tv", "replications", *_COUNTERS]
-    _write_csv(os.path.join(outdir, "validation.csv"), columns,
-               [[r[c] for c in columns] for r in rows], config)
+    _write_csv(os.path.join(outdir, "validation.csv"), columns, config,
+               rows=[[r[c] for c in columns] for r in rows])
     for r in rows:
         print(f"validate n={r['n']}: sup_gap={r['sup_gap']:.5f} "
               f"ihat_gap={r['ihat_gap']:.4f} (se {r['ihat_se']:.4f}) "

@@ -159,9 +159,8 @@ def _edge_sums(q: np.ndarray, i: np.ndarray, j: np.ndarray, psi: np.ndarray,
     return np.cumsum(level)[:-1] + q * np.cumsum(weight)[:-1]
 
 
-# The response laws: the grid of their monotone check, a monotone law's
-# sampling table, and a unimodal law's peak search, cell table and Gauss rules
-_MONOTONE_GRID = 257
+# The response laws: a monotone law's sampling table, and a unimodal law's
+# peak search, cell table and Gauss rules
 _GRID_POINTS = 2001
 _PEAK_GRID = 4097       # points that locate the peak of a unimodal C(., L)
 _CELLS = 256            # cells of the unimodal table
@@ -329,8 +328,7 @@ def _response_laws(L: np.ndarray, dists: PopulationDistributions, funcs: PolicyF
     read of the monotone laws' CDF at their support nodes run once over the
     whole array. A monotone law builds no sampling table; its CDF is
     checked at those nodes, which every integral over the support reads."""
-    monotone = verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max),
-                                           grid_size=_MONOTONE_GRID)
+    monotone = verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max))
     kinks = [_interior(k, dists.mu_min, dists.mu_max)
              for k in _monotone_kinks(L[monotone], dists, funcs)]
     nodes = iter(_monotone_node_sets(L[monotone], kinks, dists, funcs) if kinks else ())

@@ -47,6 +47,7 @@ _FLUID_STEPS = 16  # RK4 steps per interval of the fluid's time grid
 ALLOCATION_CELLS = 400
 ALLOCATION_TOLERANCE = 1e-8  # allocation fluid: local error per step / largest cell mass
 _ALLOCATION_FIRST_STEP = 1e-3
+_DIFFUSION_BLOCK = 64  # Euler steps per block of the diffusion ensemble's states
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -107,15 +108,19 @@ def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray) -> np.ndarray:
     if t_grid.ndim != 1 or t_grid.size < 2 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be increasing with at least two points")
 
-    drift, moment = spec.drift, spec.moment
+    # Python floats throughout: the 4 stages of every step are scalar work
+    drift, moment = float(spec.drift), spec.moment
+    if not callable(moment):
+        moment = float(moment)
 
     def rhs(t, y):
         return -drift + moment * max(-y, 0.0)
 
+    grid = t_grid.tolist()
     out = np.empty(t_grid.size)
-    out[0] = x = spec.xi0
+    out[0] = x = float(spec.xi0)
     for i in range(t_grid.size - 1):
-        lo, hi = t_grid[i], t_grid[i + 1]
+        lo, hi = grid[i], grid[i + 1]
         if callable(moment):
             theta = 1e-9 * (hi - lo)
 
@@ -175,6 +180,13 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
     standard error of the mean across paths, and the fraction of stationary
     time spent above ``level`` (gauges how hard abandonment pins the
     positive part).
+
+    The steps run in blocks of ``_DIFFUSION_BLOCK``, each a rows x paths
+    array of states. A block's normals are drawn into its rows in one call,
+    in the stream order of one draw per step, and each step adds its Euler
+    increment to its row; the ensemble means and the count above ``level``
+    are read once per block. The drift -d - k x, k = m below zero and gamma
+    above, is -d + m (x)^- - gamma (x)^+ float for float.
     """
     if dt <= 0 or T <= dt:
         raise ValueError("need 0 < dt < T")
@@ -183,7 +195,7 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
     rng = np.random.default_rng(seed)
     steps = int(round(T / dt))
     t_grid = np.linspace(0.0, steps * dt, steps + 1)
-    drift0 = spec.beta * np.sqrt(spec.lambda_bar * spec.mu_bar)
+    neg_drift0 = -(spec.beta * np.sqrt(spec.lambda_bar * spec.mu_bar))
     noise_sd = np.sqrt(2.0 * spec.lambda_bar * dt)
     x = np.full(paths, spec.xi0, dtype=float)
     half = steps // 2
@@ -191,15 +203,28 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
     above = 0
     ensemble_mean = np.empty(steps + 1)
     ensemble_mean[0] = x.mean()
-    for i in range(steps):
-        x = x + (-drift0 + spec.moment * np.maximum(-x, 0.0)
-                 - spec.gamma * np.maximum(x, 0.0)) * dt
+    block = np.empty((min(_DIFFUSION_BLOCK, steps), paths))
+    for first in range(0, steps, block.shape[0]):
+        rows = block[:min(block.shape[0], steps - first)]
         if noise_sd > 0.0:
-            x += noise_sd * rng.standard_normal(paths)
-        ensemble_mean[i + 1] = x.mean()
-        if i >= half:
-            acc += x
-            above += int(np.count_nonzero(x > level))
+            rng.standard_normal(out=rows)
+            rows *= noise_sd
+        else:
+            rows.fill(-0.0)  # adding -0.0 gives back every float, -0.0 too
+        for i, row in enumerate(rows, first):
+            step = np.where(x < 0.0, spec.moment, spec.gamma)
+            step *= x
+            np.subtract(neg_drift0, step, out=step)
+            step *= dt
+            step += x
+            row += step
+            x = row
+            if i >= half:
+                acc += row
+        ensemble_mean[first + 1:first + 1 + rows.shape[0]] = rows.mean(axis=1)
+        tail = rows[max(half - first, 0):]
+        above += int(np.count_nonzero(tail > level))
+        x = x.copy()  # the next block's draws overwrite its rows
     window = steps - half
     per_path = acc / window
     mean = float(per_path.mean())

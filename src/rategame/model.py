@@ -75,6 +75,9 @@ class ModelParams:
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 _CURVATURE_GRID = 129  # points of the grid satisfies_curvature_condition checks
+# points of the grid verify_first_order_monotone checks: the one grid of the
+# response laws' monotone verdict and of the best-response guard
+_MONOTONE_GRID = 257
 
 
 @dataclass(frozen=True)
@@ -305,7 +308,7 @@ def _ratio_array(funcs: PolicyFunctions, mu, L: float) -> np.ndarray:
 
 def verify_first_order_monotone(funcs: PolicyFunctions, L: float | np.ndarray,
                                 support: tuple[float, float],
-                                grid_size: int = 129) -> bool | np.ndarray:
+                                grid_size: int = _MONOTONE_GRID) -> bool | np.ndarray:
     """True iff C(mu, L) is strictly decreasing across a grid on ``support``.
 
     Operational stand-in for the sufficient curvature condition, which the

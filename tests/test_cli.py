@@ -50,6 +50,47 @@ class TestConfig:
         assert a.digest() != b.digest()
 
 
+class TestCsvWriter:
+    """A float array column is formatted in one pass; the bytes must be those
+    of the same table written row by row, every cell by ``_fmt``."""
+
+    FLOATS = [-0.0, 5e-324, 1e16, 0.1, float("nan"), float("inf"), float("-inf")]
+
+    @staticmethod
+    def _bytes(tmp_path, name, width, **table):
+        path = str(tmp_path / name)
+        cli._write_csv(path, [f"c{k}" for k in range(width)], ExperimentConfig(), **table)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    def test_columns_equal_rows(self, tmp_path):
+        columns = [np.array(self.FLOATS),
+                   [0, -3, 10 ** 20, True, False, None, "a b"],
+                   ["", None, 7, 2.5, -0.0, "nan", False]]
+        rows = [[float(row[0]), *row[1:]] for row in zip(*columns)]
+        by_columns = self._bytes(tmp_path, "columns.csv", 3, columns=columns)
+        assert by_columns == self._bytes(tmp_path, "rows.csv", 3, rows=rows)
+        assert by_columns.decode().splitlines()[2:] == [
+            "-0.0,0,", "5e-324,-3,", "1e+16,100000000000000000000,7", "0.1,True,2.5",
+            "nan,False,-0.0", "inf,,nan", "-inf,a b,False"]
+
+    def test_simulate_table_and_summary_row(self, tmp_path):
+        # simulate's per-server table: an index column and float columns,
+        # then a summary row whose last two cells are empty
+        rng = np.random.default_rng(0)
+        floats = [np.array(self.FLOATS)] + [rng.uniform(size=7) for _ in range(4)]
+        summary = ["summary", 99.96762666732594, 0.0, 5e-324, "", ""]
+        by_columns = self._bytes(tmp_path, "columns.csv", 6,
+                                 columns=[range(7), *floats], rows=[summary])
+        rows = [[k, *(float(col[k]) for col in floats)] for k in range(7)] + [summary]
+        assert by_columns == self._bytes(tmp_path, "rows.csv", 6, rows=rows)
+        assert by_columns.decode().splitlines()[-1] == "summary,99.96762666732594,0.0,5e-324,,"
+
+    def test_column_lengths_must_agree(self, tmp_path):
+        with pytest.raises(ValueError):
+            self._bytes(tmp_path, "short.csv", 2, columns=[np.zeros(3), [1, 2]])
+
+
 class TestEquilibriumCommand:
     def test_writes_reports_and_reruns_identically(self, tmp_path):
         cfg = ExperimentConfig()

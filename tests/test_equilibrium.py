@@ -81,6 +81,21 @@ class TestBestResponse:
         with pytest.raises(ValueError):
             best_response((1.0, 0.1, 0.4), 0.5, rising, (0.05, 0.5))
 
+    def test_guard_reads_the_response_laws_grid(self, base_config):
+        # at r = -1.5 and this L, C(., L) falls across 129 points of the
+        # support but not across 257: the response law is unimodal there, so
+        # the best response must not invert C as if it were decreasing
+        config = base_config.with_overrides(r=-1.5)
+        dists, funcs = config.population(), config.functions()
+        support = (dists.mu_min, dists.mu_max)
+        L = 1.1275e-4
+        assert verify_first_order_monotone(funcs, L, support, grid_size=129)
+        assert not response_distribution(L, dists, funcs).first_order_monotone
+        with pytest.raises(ValueError, match="not strictly decreasing"):
+            best_response((1.0, dists.mu_min, dists.mu_max), L, funcs, support)
+        with pytest.raises(ValueError, match="not strictly decreasing"):
+            best_response_rates(sample_population(dists, 10, seed=5), L, funcs)
+
     def test_grid_oracle_dominance(self, base_funcs, base_dists):
         # utility at the computed optimum must beat a dense grid up to 1e-9
         rng = np.random.default_rng(2024)

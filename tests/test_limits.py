@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 from rategame._numerics import rk4_step
+from rategame.limits import _DIFFUSION_BLOCK
 from rategame import (AllocationState, DiffusionSpec, FluidSpec, ModelParams,
                       allocation_fixed_point, allocation_fluid_integrate,
                       diffusion_simulate, diffusion_stationary, fluid_closed_form,
@@ -67,6 +68,17 @@ class TestFluidIntegrate:
         ts = np.linspace(0.0, 10.0, 401)
         assert np.array_equal(fluid_integrate(spec, ts), _clamped_fluid(spec, ts))
 
+    @pytest.mark.parametrize("moment", [
+        lambda t: 0.4 if t < 1.0 else 1.6,             # a jump at a grid point
+        lambda t: 0.3 + 0.2 * math.sin(3.0 * t),       # smooth, read at clamped stages
+        lambda t: float(np.exp(-t)) + 0.25,            # read through numpy
+    ])
+    def test_time_varying_moment_equals_the_clamped_loop(self, moment):
+        # the loop reads its grid as numpy floats; fluid_integrate as Python floats
+        spec = FluidSpec(xi0=-0.2, drift=0.3, moment=moment)
+        ts = np.unique(np.concatenate([np.linspace(0, 1, 41), np.linspace(1, 3, 81)]))
+        assert np.array_equal(fluid_integrate(spec, ts), _clamped_fluid(spec, ts))
+
     def test_rk4_matches_closed_form(self):
         spec = FluidSpec(xi0=-0.05, drift=0.42, moment=0.8)
         ts = np.linspace(0.0, 10.0, 101)
@@ -118,7 +130,58 @@ class TestFluidIntegrate:
             fluid_integrate(spec, np.array([1.0]))
 
 
+def _stepwise_diffusion(spec, dt, T, paths, seed, level=0.1):
+    """The Euler-Maruyama ensemble one step at a time, with the drift written
+    as -d + m (x)^- - gamma (x)^+: the ensemble means, the per-path averages
+    over the final half horizon and the fraction of that time above
+    ``level``."""
+    rng = np.random.default_rng(seed)
+    steps = int(round(T / dt))
+    drift0 = spec.beta * np.sqrt(spec.lambda_bar * spec.mu_bar)
+    noise_sd = np.sqrt(2.0 * spec.lambda_bar * dt)
+    x = np.full(paths, spec.xi0, dtype=float)
+    half = steps // 2
+    acc = np.zeros(paths)
+    above = 0
+    ensemble_mean = np.empty(steps + 1)
+    ensemble_mean[0] = x.mean()
+    for i in range(steps):
+        x = x + (-drift0 + spec.moment * np.maximum(-x, 0.0)
+                 - spec.gamma * np.maximum(x, 0.0)) * dt
+        if noise_sd > 0.0:
+            x += noise_sd * rng.standard_normal(paths)
+        ensemble_mean[i + 1] = x.mean()
+        if i >= half:
+            acc += x
+            above += int(np.count_nonzero(x > level))
+    window = steps - half
+    return ensemble_mean, acc / window, above / (window * paths)
+
+
+_QED = dict(xi0=0.0, lambda_bar=100.0, mu_bar=0.19, beta=0.3, gamma=1.0, moment=0.298)
+
+
 class TestDiffusion:
+    @pytest.mark.parametrize("fields, steps, paths", [
+        ({}, 1200, 256),                              # the limits command's ensemble
+        ({}, 300, 64),
+        ({}, 1200, 1),
+        ({}, 2 * _DIFFUSION_BLOCK + 7, 5),             # a last block cut short
+        ({}, _DIFFUSION_BLOCK // 2, 5),                # fewer steps than one block
+        ({"lambda_bar": 0.0, "xi0": -1.0}, 300, 3),    # no noise: no normals drawn
+        ({"lambda_bar": 0.0}, 300, 3),                 # no noise, no drift: the state stays at 0
+        ({"gamma": 1000.0}, 1200, 256),
+    ])
+    def test_blocks_equal_the_per_step_loop(self, fields, steps, paths):
+        spec = DiffusionSpec(**dict(_QED, **fields))
+        dt = 0.05
+        stats = diffusion_simulate(spec, dt, steps * dt, paths, seed=31)
+        means, per_path, frac_above = _stepwise_diffusion(spec, dt, steps * dt, paths, seed=31)
+        # bytes, so that the sign of a zero counts too
+        assert stats.ensemble_mean.tobytes() == means.tobytes()
+        assert stats.paths.tobytes() == per_path.tobytes()
+        assert stats.frac_above == frac_above
+
     def test_zero_noise_degenerates_to_fluid(self):
         # lambda_bar = 0 kills both the Brownian term and the constant drift,
         # leaving xi' = moment (xi)^- : exponential decay toward zero
