@@ -11,10 +11,9 @@ from .model import (ModelParams, PolicyFunctions, PopulationDistributions,
                     ServerPopulation, log_family, neg_inverse_family,
                     power_family, sample_population, staffing_level,
                     staffing_load, verify_first_order_monotone)
-from .rates import (CdfRateDistribution, DensityRateDistribution,
-                    DiscreteRateDistribution, FairnessMeasure,
-                    RateDistribution, point_mass_rate_distribution,
-                    uniform_rate_distribution)
+from .rates import (CdfRateDistribution, DiscreteRateDistribution,
+                    FairnessMeasure, RateDistribution,
+                    point_mass_rate_distribution, uniform_rate_distribution)
 from .fairness import (AttainabilityCheck, FairnessSolution, RoutingWeight,
                        SolverFailure, check_attainable,
                        conditional_idleness_alpha1,

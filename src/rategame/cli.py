@@ -48,6 +48,13 @@ _POLICIES = ("hrandom", "lisf", "uniform", "fsf", "ssf")
 _DISTRIBUTION_POINTS = 2001   # rows of distribution.csv
 _REFINEMENT = ("refinement_phi", "refinement_L", "refinement_mu_bar")
 _COUNTERS = ("event_count", "thinned_completions", "routing_rejections", "peak_queue")
+# the horizons of `limits`: the fluid ODE, the Euler-Maruyama ensemble (its
+# step and paths too) and the allocation fluid
+_FLUID_T = 10.0
+_DIFFUSION_T = 60.0
+_DIFFUSION_DT = 0.05
+_DIFFUSION_PATHS = 256
+_ALLOCATION_T = 160.0
 
 
 def _fmt(v) -> str:
@@ -202,13 +209,11 @@ def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str,
 
 # ---------------------------------------------------------------------- limits
 
-def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
-               diffusion_T: float = 60.0, diffusion_dt: float = 0.05,
-               diffusion_paths: int = 256, allocation_T: float = 160.0) -> dict:
+def cmd_limits(config: ExperimentConfig, outdir: str) -> dict:
     sol = _solve(config)
     params = config.params()
     spec = FluidSpec.from_params(params, sol.mu_bar, sol.moment, xi0=0.0)
-    t_grid = np.linspace(0.0, fluid_T, 401)
+    t_grid = np.linspace(0.0, _FLUID_T, 401)
     closed = fluid_closed_form(spec, t_grid)
     rk4 = fluid_integrate(spec, t_grid)
     fluid_dev = float(np.max(np.abs(closed - rk4)))
@@ -218,14 +223,14 @@ def cmd_limits(config: ExperimentConfig, outdir: str, fluid_T: float = 10.0,
     # the Euler-Maruyama ensemble checks the exact stationary mean
     dspec = DiffusionSpec(xi0=0.0, lambda_bar=config.lambda_bar, mu_bar=sol.mu_bar,
                           beta=config.beta, gamma=config.gamma, moment=sol.moment)
-    dstats = diffusion_simulate(dspec, diffusion_dt, diffusion_T, diffusion_paths,
+    dstats = diffusion_simulate(dspec, _DIFFUSION_DT, _DIFFUSION_T, _DIFFUSION_PATHS,
                                 seed=config.seed)
     exact_mean, _ = diffusion_stationary(dspec)
     _write_csv(os.path.join(outdir, "diffusion_mean.csv"), ["t", "value"], config,
                columns=[dstats.t_grid[::25], dstats.ensemble_mean[::25]])
 
     h = config.functions().h
-    times = np.linspace(0.0, allocation_T, 81)
+    times = np.linspace(0.0, _ALLOCATION_T, 81)
     fixed = allocation_fixed_point(sol.response, params, sol.mu_bar, h, L=sol.L_star)
     start = AllocationState(edges=fixed.edges, F_masses=fixed.F_masses,
                             masses=np.full_like(fixed.masses, fixed.total / fixed.masses.size))

@@ -74,12 +74,12 @@ def _utility(funcs, mu, a, L: float):
 
 
 def _best_rates(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, L: float,
-                funcs: PolicyFunctions, support: tuple[float, float] | None):
+                funcs: PolicyFunctions, support: tuple[float, float]):
     """Best responses of servers (a, lo, hi) at L, C(., L) decreasing across
-    ``support`` (checked unless it is None): the personal minimum where
-    a >= C(lo, L), else the maximum where a <= C(hi, L), else the root of
-    C(., L) = a between them. Returns the rates and the two end masks."""
-    if support is not None and not verify_first_order_monotone(funcs, L, support):
+    ``support`` (checked): the personal minimum where a >= C(lo, L), else
+    the maximum where a <= C(hi, L), else the root of C(., L) = a between
+    them. Returns the rates and the two end masks."""
+    if not verify_first_order_monotone(funcs, L, support):
         raise ValueError("C(mu, L) is not strictly decreasing: configuration unsupported")
     at_min = a >= _ratio_array(funcs, lo, L)
     at_max = a <= _ratio_array(funcs, hi, L)
@@ -93,20 +93,19 @@ def _best_rates(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, L: float,
 
 
 def best_response(attrs: tuple[float, float, float], L: float,
-                  funcs: PolicyFunctions, support: tuple[float, float],
-                  check_monotone: bool = True) -> BestResponse:
+                  funcs: PolicyFunctions, support: tuple[float, float]) -> BestResponse:
     """Utility-maximizing rate for a server with attributes (a, mu_lo, mu_hi).
 
     Requires C(., L) strictly decreasing on the global support (checked via
-    verify_first_order_monotone unless the caller already did). Interior
-    roots are found by bisection; ties resolve to the smaller rate, which
-    the leftmost root of a decreasing C delivers automatically.
+    verify_first_order_monotone). Interior roots are found by bisection;
+    ties resolve to the smaller rate, which the leftmost root of a
+    decreasing C delivers automatically.
     """
     a, mu_lo, mu_hi = attrs
     if not (support[0] - 1e-12 <= mu_lo <= mu_hi <= support[1] + 1e-12):
         raise ValueError("attributes escape the global support")
     rates, at_min, at_max = _best_rates(np.array([a]), np.array([mu_lo]), np.array([mu_hi]),
-                                        L, funcs, support if check_monotone else None)
+                                        L, funcs, support)
     mu_star = float(rates[0])
     regime = "at_min" if at_min[0] else "at_max" if at_max[0] else "interior"
     return BestResponse(mu_star, regime, _utility(funcs, mu_star, a, L))
@@ -131,7 +130,7 @@ def _monotone_kinks(L: np.ndarray, dists: PopulationDistributions,
     laws, cells, levels = [], [], []
     for level in (dists.a_max, dists.a_min):
         d = vals - level
-        k, i = np.nonzero((d[:, :-1] != 0.0) & (d[:, :-1] * d[:, 1:] < 0.0))
+        k, i = np.nonzero(np.sign(d[:, :-1]) * np.sign(d[:, 1:]) < 0.0)
         laws.append(k)
         cells.append(i)
         levels.append(np.full(k.size, level))
@@ -188,10 +187,11 @@ class ResponseDistribution(CdfRateDistribution):
         self.L = L
         self._define(dists.mu_min, dists.mu_max, cdf, kinks, grid_points, support_nodes)
 
-    def density(self, mu, half_step: float | None = None):
-        """Reporting density via central differences of the CDF."""
+    def density(self, mu):
+        """Reporting density via central differences of the CDF, half a
+        step of (mu_max - mu_min) / 4000 to each side."""
         mu = np.asarray(mu, dtype=float)
-        d = half_step if half_step is not None else (self.mu_max - self.mu_min) / 4000.0
+        d = (self.mu_max - self.mu_min) / 4000.0
         lo = np.maximum(mu - d, self.mu_min)
         hi = np.minimum(mu + d, self.mu_max)
         return (self.cdf(hi) - self.cdf(lo)) / (hi - lo)

@@ -270,7 +270,10 @@ def staffing_load(lambda_n: float, mu_bar: float, beta: float, alpha: float) -> 
     if not 0.5 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [1/2, 1]")
     offered = lambda_n / mu_bar
-    return offered + beta * offered ** alpha
+    load = offered + beta * offered ** alpha
+    if not math.isfinite(load):
+        raise ValueError(f"staffing load is not finite: lambda_n / mu_bar = {offered!r}")
+    return load
 
 
 def staffing_level(lambda_n: float, mu_bar: float, beta: float, alpha: float) -> int:
@@ -307,9 +310,9 @@ def _ratio_array(funcs: PolicyFunctions, mu, L: float) -> np.ndarray:
 
 
 def verify_first_order_monotone(funcs: PolicyFunctions, L: float | np.ndarray,
-                                support: tuple[float, float],
-                                grid_size: int = _MONOTONE_GRID) -> bool | np.ndarray:
-    """True iff C(mu, L) is strictly decreasing across a grid on ``support``.
+                                support: tuple[float, float]) -> bool | np.ndarray:
+    """True iff C(mu, L) is strictly decreasing across ``_MONOTONE_GRID``
+    evenly spaced points of ``support``.
 
     Operational stand-in for the sufficient curvature condition, which the
     base-case family (r = -1) violates even though its C is perfectly
@@ -321,8 +324,6 @@ def verify_first_order_monotone(funcs: PolicyFunctions, L: float | np.ndarray,
     L = np.asarray(L, dtype=float)
     if np.any(L <= 0):
         raise ValueError("L must be positive")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    vals = _ratio_array(funcs, np.linspace(support[0], support[1], grid_size), L[..., None])
+    vals = _ratio_array(funcs, np.linspace(support[0], support[1], _MONOTONE_GRID), L[..., None])
     verdict = np.all(np.diff(vals, axis=-1) < 0.0, axis=-1)
     return bool(verdict) if verdict.ndim == 0 else verdict

@@ -1,12 +1,11 @@
 """Distributions over service rates and probability measures built on them.
 
-Three concrete representations cover everything the solvers need:
+Two concrete representations cover everything the solvers need:
 
-* :class:`DensityRateDistribution` for smooth laws given by a density,
-  integrated by composite Gauss-Legendre panels split at known kinks;
 * :class:`DiscreteRateDistribution` for atomic laws, integrated exactly;
-* :class:`CdfRateDistribution` for laws known only through their CDF
-  (the best-response distribution is one), integrated by parts so the
+* :class:`CdfRateDistribution` for continuous laws, given by their CDF
+  (the best-response distribution is one), integrated by parts on
+  composite Gauss-Legendre panels split at known kinks, so the
   integrand's derivative does the smoothing work.
 
 :class:`FairnessMeasure` represents how cumulative idleness is shared
@@ -26,7 +25,6 @@ __all__ = [
     "gauss_legendre_panels",
     "bin_index",
     "RateDistribution",
-    "DensityRateDistribution",
     "DiscreteRateDistribution",
     "CdfRateDistribution",
     "uniform_rate_distribution",
@@ -35,7 +33,7 @@ __all__ = [
 ]
 
 _NODES_PER_PANEL = 64
-_CDF_POINTS_PER_PIECE = 512   # tabulated CDF points per kink-free piece of a density law
+_TABLE_POINTS = 4097   # points of a CDF law's sampling table, besides its kinks
 
 
 @lru_cache(maxsize=8)
@@ -121,66 +119,6 @@ class RateDistribution:
             self._variance = max(second - self.mean ** 2, 0.0)
             return self._variance
 
-    def _validate(self) -> None:
-        total = self.integrate(lambda m: np.ones_like(m), lambda m: np.zeros_like(m))
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"distribution mass {total!r} != 1")
-        if not self.mu_min - 1e-12 <= self.mean <= self.mu_max + 1e-12:
-            raise ValueError("mean escapes the support")
-
-
-class DensityRateDistribution(RateDistribution):
-    def __init__(self, mu_min: float, mu_max: float, density: Callable,
-                 kinks: Sequence[float] = ()):
-        if not 0 < mu_min < mu_max:
-            raise ValueError("need 0 < mu_min < mu_max")
-        self.mu_min = float(mu_min)
-        self.mu_max = float(mu_max)
-        self.kinks = _interior(kinks, mu_min, mu_max)
-        self._density = density
-        self._grid, self._grid_cdf = self._build_cdf_grid()
-        self._validate()
-
-    def density(self, mu):
-        return np.asarray(self._density(np.asarray(mu, dtype=float)), dtype=float)
-
-    def _build_cdf_grid(self):
-        """The CDF on _CDF_POINTS_PER_PIECE points of each kink-free piece:
-        one 16-node Gauss panel between neighbouring points, summed on in
-        order."""
-        edges = [self.mu_min, *self.kinks, self.mu_max]
-        grid = [np.array([self.mu_min])]
-        cdfv = [np.array([0.0])]
-        acc = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            xs = np.linspace(lo, hi, _CDF_POINTS_PER_PIECE + 1)[1:]
-            nx, nw = gauss_legendre_panels(lo, hi, xs[:-1], nodes_per_panel=16)
-            panels = (nw * self.density(nx)).reshape(xs.size, 16).sum(axis=1)
-            piece = np.cumsum(np.concatenate(([acc], panels)))[1:]
-            acc = float(piece[-1])
-            grid.append(xs)
-            cdfv.append(piece)
-        g = np.concatenate(grid)
-        c = np.minimum.accumulate(np.concatenate(cdfv)[::-1])[::-1]  # clip stray wiggles
-        c = np.maximum.accumulate(c)
-        return g, np.clip(c, 0.0, 1.0)
-
-    def cdf(self, mu):
-        return np.interp(np.asarray(mu, dtype=float), self._grid, self._grid_cdf,
-                         left=0.0, right=1.0)
-
-    def integrate_between(self, g, dg, a, b):
-        a = max(a, self.mu_min)
-        b = min(b, self.mu_max)
-        if b <= a:
-            return 0.0
-        x, w = gauss_legendre_panels(a, b, self.kinks)
-        return float(np.sum(w * self.density(x) * np.asarray(g(x), dtype=float)))
-
-    def sample(self, rng, size):
-        u = rng.uniform(0.0, 1.0, size=size)
-        return np.interp(u, self._grid_cdf, self._grid)
-
 
 class DiscreteRateDistribution(RateDistribution):
     def __init__(self, atoms: np.ndarray, weights: np.ndarray):
@@ -245,7 +183,7 @@ class CdfRateDistribution(RateDistribution):
     Stieltjes rule is used instead (adequate for reporting, not for
     solver-grade tolerances).
 
-    The constructor tabulates the CDF on ``grid_points`` points plus the
+    The constructor tabulates the CDF on ``_TABLE_POINTS`` points plus the
     kinks and checks it there: finite, nondecreasing (to 1e-10) and running
     from 0 to 1. The table serves sampling and the Stieltjes rule. A
     subclass may leave it unbuilt (``_define`` without ``_tabulate``); the
@@ -257,8 +195,8 @@ class CdfRateDistribution(RateDistribution):
     _panel_nodes = _NODES_PER_PANEL
 
     def __init__(self, mu_min: float, mu_max: float, cdf: Callable,
-                 kinks: Sequence[float] = (), grid_points: int = 4097):
-        self._define(mu_min, mu_max, cdf, kinks, grid_points)
+                 kinks: Sequence[float] = ()):
+        self._define(mu_min, mu_max, cdf, kinks, _TABLE_POINTS)
         self._tabulate()
 
     def _define(self, mu_min: float, mu_max: float, cdf: Callable,
@@ -350,9 +288,9 @@ class CdfRateDistribution(RateDistribution):
         return np.interp(u, grid_cdf, grid)
 
 
-def uniform_rate_distribution(lo: float, hi: float) -> DensityRateDistribution:
+def uniform_rate_distribution(lo: float, hi: float) -> CdfRateDistribution:
     width = hi - lo
-    return DensityRateDistribution(lo, hi, lambda m: np.full_like(np.asarray(m, dtype=float), 1.0 / width))
+    return CdfRateDistribution(lo, hi, lambda m: (np.asarray(m, dtype=float) - lo) / width)
 
 
 def point_mass_rate_distribution(mu0: float) -> DiscreteRateDistribution:

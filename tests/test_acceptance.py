@@ -250,8 +250,7 @@ def test_criterion_9_property_suites(base_config, base_dists, base_funcs,
     slack_min = 0.0
     for i in range(1000):
         attrs = (float(pop.a[i]), float(pop.mu_lo[i]), float(pop.mu_hi[i]))
-        br = best_response(attrs, float(Ls[i]), base_funcs, (0.01, 0.5),
-                           check_monotone=False)
+        br = best_response(attrs, float(Ls[i]), base_funcs, (0.01, 0.5))
         ref = grid_best_utility(base_funcs, attrs[0], attrs[1], attrs[2], float(Ls[i]))
         slack_min = min(slack_min, br.utility - ref)
     dominance_ok = slack_min >= -1e-9

@@ -3,7 +3,6 @@ under `equilibrium` and under `limits`: it solves, or it exits 2 (config),
 3 (solver) or 4 (simulation) with one diagnostic line on stderr."""
 
 import contextlib
-import functools
 import io
 import tempfile
 from unittest import mock
@@ -14,9 +13,6 @@ from hypothesis import event, example, given, seed, settings, strategies as st
 from rategame import cli
 
 EXIT_CODES = {0, 2, 3, 4}
-# `limits` on short horizons, as in test_limits_exits_0_at_a_unimodal_configuration
-SHORT_LIMITS = functools.partial(cli.cmd_limits, fluid_T=5.0, diffusion_T=5.0,
-                                 diffusion_paths=4, allocation_T=40.0)
 
 
 def _log_uniform(lo: float, hi: float):
@@ -47,6 +43,9 @@ def accepted_configs(draw) -> dict:
 # fails with `cdf is decreasing somewhere`; no derandomized draw reaches it
 @example(values={"p": 5.0, "q": 2.0, "r": -3.0, "beta": 0.3, "lambda-bar": 100.0,
                  "mu-min": 0.01, "mu-max": 0.5, "a-min": 0.01, "a-max": 25.0})
+# a load too large for a float: the staffing level is not finite
+@example(values={"p": 1.0, "q": 2.0, "r": -1.0, "beta": 0.3, "lambda-bar": 1e308,
+                 "mu-min": 0.01, "mu-max": 0.5, "a-min": 0.01, "a-max": 25.0})
 @settings(max_examples=25, derandomize=True, deadline=None)
 # a fixed seed, so that edits to this function keep the configurations it draws
 @seed(17)
@@ -62,7 +61,6 @@ def test_accepted_config_solves_or_fails_in_one_line(command, values):
     flags = [f"--{key}={value!r}" for key, value in values.items()]
     with tempfile.TemporaryDirectory() as outdir, \
             mock.patch.object(cli, "solve_equilibrium", recorded), \
-            mock.patch.object(cli, "cmd_limits", SHORT_LIMITS), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(["--out", outdir, *flags, command])
     lines = err.getvalue().splitlines()

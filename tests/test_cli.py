@@ -1,4 +1,3 @@
-import functools
 import multiprocessing
 import os
 import runpy
@@ -258,13 +257,12 @@ class TestSimulateAndFairness:
     def test_limits_command_files_and_summary(self, tmp_path):
         from rategame.cli import cmd_limits
         cfg = ExperimentConfig()
-        summary = cmd_limits(cfg, str(tmp_path), fluid_T=5.0, diffusion_T=20.0,
-                             diffusion_paths=8, allocation_T=60.0)
+        summary = cmd_limits(cfg, str(tmp_path))
         for name in ("fluid_compare.csv", "diffusion_mean.csv",
                      "allocation_trace.csv", "limits_summary.csv"):
             assert os.path.exists(os.path.join(str(tmp_path), name))
         assert summary["fluid_max_dev"] < 1e-8
-        assert summary["allocation_terminal_tv"] < 1e-3  # short horizon smoke run
+        assert summary["allocation_terminal_tv"] < 1e-3
 
     @pytest.mark.parametrize("alpha, diffusion", [
         (1.0, "alpha=0.5 (not the configured alpha=1.0)"),
@@ -272,8 +270,7 @@ class TestSimulateAndFairness:
     ])
     def test_limits_summary_names_each_rows_regime(self, tmp_path, alpha, diffusion):
         from rategame.cli import cmd_limits
-        cmd_limits(ExperimentConfig(alpha=alpha), str(tmp_path), fluid_T=5.0,
-                   diffusion_T=5.0, diffusion_paths=4, allocation_T=10.0)
+        cmd_limits(ExperimentConfig(alpha=alpha), str(tmp_path))
         lines = open(os.path.join(str(tmp_path), "limits_summary.csv")).read().split("\n")
         assert lines[1] == "metric,value,regime"
         regime = {row.split(",")[0]: row.split(",")[2] for row in lines[2:] if row}
@@ -287,11 +284,10 @@ class TestSimulateAndFairness:
 
 def test_limits_exits_0_at_a_unimodal_configuration(tmp_path, monkeypatch):
     # the allocation fluid's drain rate lam h_max / sum(h m) reaches about 735
-    # at r = -2, and its step is not bound by it; short runs keep this cheap
-    short = functools.partial(cli.cmd_limits, fluid_T=5.0, diffusion_T=5.0,
-                              diffusion_paths=4, allocation_T=40.0)
+    # at r = -2, and its step is not bound by it
+    limits = cli.cmd_limits
     summaries = []
-    monkeypatch.setattr(cli, "cmd_limits", lambda *args: summaries.append(short(*args)))
+    monkeypatch.setattr(cli, "cmd_limits", lambda *args: summaries.append(limits(*args)))
     assert main(["--out", str(tmp_path), "--r", "-2", "limits"]) == 0
     assert summaries[0]["allocation_terminal_tv"] < 2e-6
 
@@ -299,9 +295,6 @@ def test_limits_exits_0_at_a_unimodal_configuration(tmp_path, monkeypatch):
 class TestLimitsSerialOrder:
     """``cmd_limits`` runs the fluid, the diffusion and the allocation one
     after another in the calling process, each writing its file when done."""
-
-    SHORT = {"fluid_T": 5.0, "diffusion_T": 20.0, "diffusion_dt": 0.01,
-             "diffusion_paths": 8, "allocation_T": 60.0}
 
     def test_a_fluid_error_leaves_no_file(self, tmp_path, monkeypatch):
         from rategame.cli import cmd_limits
@@ -311,13 +304,18 @@ class TestLimitsSerialOrder:
 
         monkeypatch.setattr(cli, "fluid_integrate", broken)
         with pytest.raises(ValueError, match="fluid broke"):
-            cmd_limits(ExperimentConfig(), str(tmp_path), **dict(self.SHORT, diffusion_dt=0.0))
+            cmd_limits(ExperimentConfig(), str(tmp_path))
         assert not any(tmp_path.iterdir())
 
-    def test_a_diffusion_error_leaves_only_the_fluid_file(self, tmp_path):
+    def test_a_diffusion_error_leaves_only_the_fluid_file(self, tmp_path, monkeypatch):
         from rategame.cli import cmd_limits
-        with pytest.raises(ValueError, match=r"^need 0 < dt < T$"):
-            cmd_limits(ExperimentConfig(), str(tmp_path), **dict(self.SHORT, diffusion_dt=0.0))
+
+        def broken(*args, **kwargs):
+            raise ValueError("diffusion broke")
+
+        monkeypatch.setattr(cli, "diffusion_simulate", broken)
+        with pytest.raises(ValueError, match="diffusion broke"):
+            cmd_limits(ExperimentConfig(), str(tmp_path))
         assert sorted(os.listdir(tmp_path)) == ["fluid_compare.csv"]
 
     def test_an_allocation_error_leaves_the_fluid_and_diffusion_files(self, tmp_path,
@@ -329,7 +327,7 @@ class TestLimitsSerialOrder:
 
         monkeypatch.setattr(cli, "allocation_fluid_integrate", broken)
         with pytest.raises(ZeroDivisionError, match="allocation broke"):
-            cmd_limits(ExperimentConfig(), str(tmp_path), **self.SHORT)
+            cmd_limits(ExperimentConfig(), str(tmp_path))
         assert sorted(os.listdir(tmp_path)) == ["diffusion_mean.csv", "fluid_compare.csv"]
 
     def test_starts_no_child_process(self, tmp_path, monkeypatch):
@@ -340,7 +338,7 @@ class TestLimitsSerialOrder:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
-        cmd_limits(ExperimentConfig(), str(tmp_path), **self.SHORT)
+        cmd_limits(ExperimentConfig(), str(tmp_path))
         assert multiprocessing.active_children() == []
 
     def test_main_reports_a_failure_in_one_line(self, tmp_path, monkeypatch, capsys):

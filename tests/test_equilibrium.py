@@ -89,7 +89,7 @@ class TestBestResponse:
         dists, funcs = config.population(), config.functions()
         support = (dists.mu_min, dists.mu_max)
         L = 1.1275e-4
-        assert verify_first_order_monotone(funcs, L, support, grid_size=129)
+        assert np.all(np.diff(_ratio_array(funcs, np.linspace(*support, 129), L)) < 0.0)
         assert not response_distribution(L, dists, funcs).first_order_monotone
         with pytest.raises(ValueError, match="not strictly decreasing"):
             best_response((1.0, dists.mu_min, dists.mu_max), L, funcs, support)
@@ -103,8 +103,7 @@ class TestBestResponse:
         Ls = rng.uniform(1e-3, 0.8, size=1000)
         for i in range(1000):
             attrs = (float(pop.a[i]), float(pop.mu_lo[i]), float(pop.mu_hi[i]))
-            br = best_response(attrs, float(Ls[i]), base_funcs, self.SUPPORT,
-                               check_monotone=False)
+            br = best_response(attrs, float(Ls[i]), base_funcs, self.SUPPORT)
             ref = grid_best_utility(base_funcs, attrs[0], attrs[1], attrs[2], float(Ls[i]))
             assert br.utility >= ref - 1e-9
 
@@ -114,7 +113,7 @@ class TestBestResponse:
         vec = best_response_rates(pop, L, base_funcs)
         for i in range(0, 200, 17):
             attrs = (float(pop.a[i]), float(pop.mu_lo[i]), float(pop.mu_hi[i]))
-            br = best_response(attrs, L, base_funcs, self.SUPPORT, check_monotone=False)
+            br = best_response(attrs, L, base_funcs, self.SUPPORT)
             assert vec[i] == pytest.approx(br.mu_star, abs=1e-9)
 
 
@@ -181,8 +180,25 @@ class TestResponseDistribution:
         F = response_distribution(L, base_dists, base_funcs)
         assert len(F.kinks) >= 1
         k = F.kinks[0]
-        dens = F.density(np.array([k - 0.02, k + 5e-4, k + 0.02]), half_step=2e-4)
+        dens = F.density(np.array([k - 0.02, k + 5e-4, k + 0.02]))
         assert dens[1] > dens[0] and dens[1] > dens[2]
+
+    def test_a_huge_a_max_builds_without_a_warning(self, base_config):
+        # C(., L) - a_max is about -1e308 across the support: the product of
+        # neighbouring differences overflows, their signs do not, and the
+        # a_min crossing is the one found where a_max leaves no such product
+        L = 0.01
+        kinks = []
+        for a_max in (1e308, 1e150):
+            config = base_config.with_overrides(a_min=1.0, a_max=a_max)
+            funcs = config.functions()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                F = response_distribution(L, config.population(), funcs)
+            assert F.first_order_monotone
+            kinks.append(F.kinks)
+        assert kinks[0] == kinks[1] and len(kinks[0]) == 1
+        assert marginal_rate_of_substitution(kinks[0][0], L, funcs) == pytest.approx(1.0)
 
     def test_no_kinks_at_equilibrium_L(self, base_dists, base_funcs, base_equilibrium):
         # at the solved base-case L the ratio stays inside [a_min, a_max]
@@ -501,10 +517,9 @@ class TestScanMatchesPerPointLaws:
             assert np.array_equal(G._grid_cdf, F._grid_cdf)
             assert equilibrium_residual(L, dists, funcs, cfg.beta, F=G) == ref_phi[-1]
         assert np.array_equal(sol.scan_phi, np.array(ref_phi))
-        for grid_size in (129, 257):
-            flags = verify_first_order_monotone(funcs, sol.scan_L, support, grid_size)
-            assert flags.tolist() == [verify_first_order_monotone(funcs, L, support, grid_size)
-                                      for L in sol.scan_L.tolist()]
+        flags = verify_first_order_monotone(funcs, sol.scan_L, support)
+        assert flags.tolist() == [verify_first_order_monotone(funcs, L, support)
+                                  for L in sol.scan_L.tolist()]
 
 
 def _dipped_laws(monkeypatch, at: float, halfwidth: float, depth: float):

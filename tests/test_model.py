@@ -26,6 +26,8 @@ def test_staffing_domain_errors():
         staffing_level(100, -1.0, 0.3, 1.0)
     with pytest.raises(ValueError):
         staffing_level(100, 1.0, 0.3, 0.3)
+    with pytest.raises(ValueError, match="not finite"):
+        staffing_level(1e308, 0.01, 0.3, 1.0)
 
 
 @given(lam=st.floats(1.0, 1e4), beta=st.floats(0.01, 2.0),
@@ -147,8 +149,6 @@ class TestMonotoneGuard:
     def test_guard_preconditions(self, base_funcs):
         with pytest.raises(ValueError):
             verify_first_order_monotone(base_funcs, 0.0, (0.01, 0.5))
-        with pytest.raises(ValueError):
-            verify_first_order_monotone(base_funcs, 1.0, (0.01, 0.5), grid_size=1)
 
     @pytest.mark.parametrize("r", [-3.0, -2.0, -1.5, -1.0, 0.0, 0.5, 2.0])
     @pytest.mark.parametrize("L", [1e-4, 0.02, 0.3, 5.0])
@@ -164,7 +164,7 @@ class TestMonotoneGuard:
 
         vals = [ratio(float(mu)) for mu in mus]
         expected = all(b < a for a, b in zip(vals, vals[1:]))
-        assert verify_first_order_monotone(funcs, L, (0.01, 0.5), grid_size=257) is expected
+        assert verify_first_order_monotone(funcs, L, (0.01, 0.5)) is expected
 
     def test_flat_cost_is_rejected(self, base_funcs):
         flat = PolicyFunctions(
