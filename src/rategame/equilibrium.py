@@ -27,7 +27,7 @@ from .model import (PolicyFunctions, PopulationDistributions,
                     ServerPopulation, _ratio_array, staffing_level,
                     verify_first_order_monotone)
 from .fairness import SolverFailure, fairness_density, solve_L
-from .rates import CdfRateDistribution, _check_cdf_values, _interior, _leggauss, _panel_rule
+from .rates import CdfRateDistribution, _check_cdf_values, _interior, _panel_rule
 
 __all__ = [
     "BestResponse",
@@ -159,11 +159,10 @@ def _edge_sums(q: np.ndarray, i: np.ndarray, j: np.ndarray, psi: np.ndarray,
 
 
 # The response laws: a monotone law's sampling table, and a unimodal law's
-# peak search, cell table and Gauss rules
+# peak search, cell table and quadrature rules
 _GRID_POINTS = 2001
 _PEAK_GRID = 4097       # points that locate the peak of a unimodal C(., L)
 _CELLS = 256            # cells of the unimodal table
-_CELL_NODES = 2         # Gauss nodes per cell on each of the lo and hi axes
 _TABLE_PANEL_NODES = 4  # Gauss nodes per cell of an integral by parts over the table
 _PAIR_BLOCK = 1 << 14   # node pairs summed at once, which bounds their arrays
 _TIE_GRID = 48          # points mu_peak + (mu_max - mu_peak) 2^-k, k < 48, that bracket mu*(lo)
@@ -292,8 +291,8 @@ class UnimodalResponse(ResponseDistribution):
     (``_switch_level``).
 
     F1 is one table on the edges m_k of ``cells`` uniform cells, read by
-    linear interpolation; the expectation is a Gauss rule over (lo, hi),
-    ``cell_nodes`` nodes per cell on each axis, of the pair density
+    linear interpolation; the expectation is the midpoint rule over
+    (lo, hi), one node per cell on each axis, of the pair density
     2 / (mu_max - mu_min)^2 of :class:`PopulationDistributions`
     (``_unimodal_table``). Its nodes sit inside the cells, so every
     indicator is exact at the edges, and each node pair's term
@@ -311,10 +310,9 @@ class UnimodalResponse(ResponseDistribution):
     _panel_nodes = _TABLE_PANEL_NODES
 
     def __init__(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
-                 cells: int = _CELLS, cell_nodes: int = _CELL_NODES):
+                 cells: int = _CELLS):
         self.mu_peak, self.c_peak = _ratio_peak(L, dists, funcs)
-        edges, table = _unimodal_table(L, dists, funcs, self.mu_peak, self.c_peak,
-                                       cells, cell_nodes)
+        edges, table = _unimodal_table(L, dists, funcs, self.mu_peak, self.c_peak, cells)
         # linear between its edges and kinked at each; the edges are its sampling grid
         super().__init__(L, dists, lambda mu: np.interp(mu, edges, table), edges[1:-1],
                          edges.size)
@@ -407,21 +405,19 @@ def _switch_level(lo: np.ndarray, L: float, funcs: PolicyFunctions, peak: float,
 
 
 def _unimodal_table(L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
-                    peak: float, c_peak: float, cells: int,
-                    cell_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unimodal CDF's table: the cell edges and F1 on them. The Gauss
-    rule integrates the pair density 2 / (mu_max - mu_min)^2 of
+                    peak: float, c_peak: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unimodal CDF's table: the cell edges and F1 on them. The
+    midpoint rule integrates the pair density 2 / (mu_max - mu_min)^2 of
     :class:`PopulationDistributions`, and P(lo <= m) and the hi mass
     mu_max - m above an edge are that law's."""
-    # Gauss nodes inside the cells. A pair (lo, hi) in cells i < j adds
+    # Node i at the middle of cell i. A pair (lo, hi) of nodes i < j adds
     # w_lo w_hi min(q_k, psi) to the edges k = i+1..j, where lo <= m_k < hi.
-    K, n, d = cells, cell_nodes, dists
+    K, d = cells, dists
     edges = np.linspace(d.mu_min, d.mu_max, K + 1)
-    x, w = _leggauss(n)
     half = 0.5 * (edges[1] - edges[0])
-    nodes = (edges[:-1, None] + half * (x + 1.0)).ravel()
-    weights = np.tile(half * w, K)
-    cell = np.repeat(np.arange(K), n)
+    nodes = edges[:-1] + half
+    weights = np.full(K, half * 2.0)
+    cell = np.arange(K)   # each node's cell: its own index
     # q does not increase; minimum.accumulate takes out rounding
     q = np.minimum.accumulate(np.asarray(
         d.a_cdf(_capped_ratio(edges, L, funcs, peak, c_peak)), dtype=float))
@@ -435,18 +431,18 @@ def _unimodal_table(L: float, dists: PopulationDistributions, funcs: PolicyFunct
     # for groups of lo nodes of about _PAIR_BLOCK pairs at a time; each
     # pair's secant is read from V and c at the nodes
     value, cost = _idle_value(funcs, nodes, L), funcs.c(nodes)
-    first = n * (cell + 1)
+    first = cell + 1
     count = np.maximum(np.searchsorted(nodes, mu_star) - first, 0)
     ends = np.cumsum(count)
     cuts = np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1], _PAIR_BLOCK))
-    for group in np.split(np.arange(cell.size), cuts):
+    for group in np.split(cell, cuts):
         c = count[group]
         lo = np.repeat(group, c)
         hi = np.arange(lo.size) + np.repeat(first[group] - (np.cumsum(c) - c), c)
-        i, j, ww = cell[lo], cell[hi], weights[lo] * weights[hi]
+        ww = weights[lo] * weights[hi]
         secant = (value[hi] - value[lo]) / (cost[hi] - cost[lo])
         psi = np.asarray(d.a_cdf(secant), dtype=float)
-        pairs += _edge_sums(q, i, j, psi, ww) - _edge_sums(q, i, j, psi1[lo], ww)
+        pairs += _edge_sums(q, lo, hi, psi, ww) - _edge_sums(q, lo, hi, psi1[lo], ww)
     below = d.max_marginal_cdf(edges) + d.between_prob(edges)   # P(lo <= m)
     return edges, below - 2.0 / (d.mu_max - d.mu_min) ** 2 * pairs
 
@@ -578,9 +574,9 @@ def _assemble_equilibrium(L, dists, funcs, beta, lambda_bar, n,
     N = staffing_level(n * lambda_bar, F.mean, beta, 1.0)
     refinement = {}
     if not F.first_order_monotone:
-        # the moves of Phi, L* and mu_bar under a rebuild on twice the cells and
-        # nodes; Phi integrated here, as equilibrium_residual's calls are the solver's
-        fine = UnimodalResponse(L, dists, funcs, 2 * _CELLS, 2 * _CELL_NODES)
+        # the moves of Phi, L* and mu_bar under a rebuild on twice the cells;
+        # Phi integrated here, as equilibrium_residual's calls are the solver's
+        fine = UnimodalResponse(L, dists, funcs, 2 * _CELLS)
         d_phi = fine.integrate(*_phi_integrand(funcs, beta, L)) - residual
         i = max(int(np.searchsorted(scan_L, L)) - 1, 0)
         slope = (scan_phi[i + 1] - scan_phi[i]) / (scan_L[i + 1] - scan_L[i])
