@@ -46,6 +46,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.q < 1:
             raise ConfigError("q must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
     def params(self) -> ModelParams:
         return ModelParams(lambda_bar=self.lambda_bar, beta=self.beta,

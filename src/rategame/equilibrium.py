@@ -17,7 +17,6 @@ empirical observation the scan verifies per run).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,35 +26,21 @@ from .model import (PolicyFunctions, PopulationDistributions,
                     ServerPopulation, _ratio_array, staffing_level,
                     verify_first_order_monotone)
 from .fairness import SolverFailure, fairness_density, solve_L
-from .rates import CdfRateDistribution, _check_cdf_values, _interior, _panel_rule
+from .rates import RateDistribution, _check_cdf_values, _interior, _panel_rule
 
 __all__ = [
     "BestResponse",
     "ResponseDistribution",
     "EquilibriumSolution",
-    "RegimeClass",
-    "marginal_rate_of_substitution",
     "best_response",
     "best_response_rates",
     "response_distribution",
     "equilibrium_residual",
     "solve_equilibrium",
-    "classify_regime",
 ]
 
 PHI_TOLERANCE = 1e-10
 SCAN_POINTS = 64
-# classify_regime's probe: scales n, points x, and the log-log slope that counts as flat
-PROBE_SCALES = (1e2, 1e4, 1e6, 1e8, 1e10, 1e12)
-PROBE_XS = (0.25, 0.5, 1.0)
-SLOPE_TOL = 5e-3
-
-
-def marginal_rate_of_substitution(mu: float, L: float, funcs: PolicyFunctions) -> float:
-    """C(mu, L): the trade-off level at which mu is an interior optimum."""
-    if L <= 0:
-        raise ValueError("L must be positive")
-    return float(_ratio_array(funcs, mu, L))
 
 
 @dataclass(frozen=True)
@@ -169,7 +154,7 @@ _TIE_GRID = 48          # points mu_peak + (mu_max - mu_peak) 2^-k, k < 48, that
 _TIE_ROUNDING = 4.0     # T's rounding level, in eps times its largest term
 
 
-class ResponseDistribution(CdfRateDistribution):
+class ResponseDistribution(RateDistribution):
     """Law of the optimal service rate given L, the type of every response law.
 
     It takes one of two forms: :class:`MonotoneResponse` where C(., L) is
@@ -589,41 +574,3 @@ def _assemble_equilibrium(L, dists, funcs, beta, lambda_bar, n,
         sign_changes=sign_changes, iterations=iterations, L_selfcheck=selfcheck,
         first_order_monotone=F.first_order_monotone, **refinement)
 
-
-class RegimeClass(enum.Enum):
-    ALL_AT_MIN = "all_at_min"
-    ALL_AT_MAX = "all_at_max"
-    INDETERMINATE = "indeterminate"
-
-
-def classify_regime(funcs: PolicyFunctions, alpha: float, g_shape: str) -> RegimeClass:
-    """Numerical probe of the asymptotic best-response regime.
-
-    Evaluates s(n, x) = n^(alpha-1) f'(n^(alpha-1) x) on the geometric
-    ladder of scales ``PROBE_SCALES`` at the points ``PROBE_XS`` and
-    classifies by the fitted log-log slope. A negative slope
-    (s vanishing, or a decreasing fairness density) pins everyone to the
-    personal minimum; a positive slope with an increasing concave density
-    pins everyone to the personal maximum. Anything else is Indeterminate,
-    which is a first-class outcome: the criterion is asymptotic and a
-    finite probe cannot always decide it.
-    """
-    if g_shape not in ("decreasing", "increasing-concave", "other"):
-        raise ValueError("g_shape must be decreasing | increasing-concave | other")
-    if g_shape == "decreasing":
-        return RegimeClass.ALL_AT_MIN
-    scales = np.asarray(PROBE_SCALES, dtype=float)
-    slopes = []
-    for x in PROBE_XS:
-        shrink = scales ** (alpha - 1.0)
-        s = shrink * funcs.f_prime(shrink * x)
-        if np.any(~np.isfinite(s)) or np.any(s <= 0):
-            return RegimeClass.INDETERMINATE
-        ls, ln = np.log(s), np.log(scales)
-        slopes.append(float(np.polyfit(ln, ls, 1)[0]))
-    slopes = np.asarray(slopes)
-    if np.all(slopes < -SLOPE_TOL):
-        return RegimeClass.ALL_AT_MIN
-    if np.all(slopes > SLOPE_TOL) and g_shape == "increasing-concave":
-        return RegimeClass.ALL_AT_MAX
-    return RegimeClass.INDETERMINATE

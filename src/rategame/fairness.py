@@ -23,8 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._numerics import itp
-from .model import ModelParams, PolicyFunctions, power_family
-from .rates import CdfRateDistribution, FairnessMeasure, RateDistribution
+from .rates import FairnessMeasure, RateDistribution
 
 __all__ = [
     "FairnessSolution",
@@ -37,7 +36,6 @@ __all__ = [
     "check_attainable",
     "h_for_target_density",
     "conditional_idleness_alpha1",
-    "conditional_idleness_idle_order",
 ]
 
 G_TOLERANCE = 1e-10
@@ -83,21 +81,14 @@ class FairnessSolution:
     measure: FairnessMeasure
 
 
-def _policy_kind(policy) -> str:
-    kind = getattr(policy, "kind", policy)
-    if not isinstance(kind, str):
-        raise TypeError(f"cannot interpret policy {policy!r}")
-    return kind.lower()
-
-
-def special_policy_fairness(policy, F: RateDistribution) -> FairnessMeasure:
-    """Limiting fairness for SSF / FSF / LISF / uniform routing, alpha < 1.
+def special_policy_fairness(kind: str, F: RateDistribution) -> FairnessMeasure:
+    """Limiting fairness for SSF / FSF / LISF / uniform routing, alpha < 1,
+    by policy name: ``"ssf"``, ``"fsf"``, ``"lisf"`` or ``"uniform"``.
 
     Slowest-first parks all idleness on the fastest rate class and vice
     versa; the blind policies (longest-idle-first, uniform) tilt F by the
     rate itself: density mu / mean(F).
     """
-    kind = _policy_kind(policy)
     if kind == "ssf":
         return FairnessMeasure.point_mass(F.mu_max)
     if kind == "fsf":
@@ -125,13 +116,12 @@ def solve_L(F: RateDistribution, funcs, beta: float) -> FairnessSolution:
 
     ``funcs`` needs attributes ``htilde`` and ``htilde_prime`` (a
     PolicyFunctions or a RoutingWeight). htilde must be nonincreasing;
-    a constant htilde collapses the bracket onto the exact root. A law
-    given by its CDF is checked on its whole grid first.
+    a constant htilde collapses the bracket onto the exact root. The law's
+    CDF is checked on its whole grid first.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    if isinstance(F, CdfRateDistribution):
-        F._tabulate()
+    F._tabulate()
     _check_htilde_nonincreasing(funcs, F.mu_min, F.mu_max)
     ht, htp = funcs.htilde, funcs.htilde_prime
     mu_bar = F.mean
@@ -294,23 +284,3 @@ def conditional_idleness_alpha1(mu: float, L: float, funcs) -> float:
         raise ValueError("L must be nonnegative")
     return 1.0 / (1.0 + L * funcs.htilde(mu))
 
-
-def conditional_idleness_idle_order(mu: float, params: ModelParams,
-                                    F: RateDistribution) -> float:
-    """Limiting per-server idleness under idle-time-order policies.
-
-    For alpha < 1 the returned value is on the n^(1-alpha) scale:
-    mu beta lambda^(alpha-1) (mu_bar^-alpha sigma^2 + mu_bar^(2-alpha)).
-    For alpha = 1 it is the unscaled fraction beta/m / (mu beta/m + 1)
-    with m the fairness moment of the unit-weight policy; multiplying by
-    mu recovers (1 + L htilde(mu))^-1 for h = 1.
-    """
-    if not F.mu_min - 1e-12 <= mu <= F.mu_max + 1e-12:
-        raise ValueError("mu outside the support")
-    if params.alpha == 1.0:
-        sol = solve_L(F, power_family(1.0, 2.0, 0.0), params.beta)
-        c = params.beta / sol.moment
-        return c / (mu * c + 1.0)
-    lam, mu_bar, s2 = params.lambda_bar, F.mean, F.variance
-    return mu * params.beta * lam ** (params.alpha - 1.0) * (
-        mu_bar ** (-params.alpha) * s2 + mu_bar ** (2.0 - params.alpha))

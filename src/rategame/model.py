@@ -18,7 +18,7 @@ state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,8 +27,6 @@ __all__ = [
     "ModelParams",
     "PolicyFunctions",
     "power_family",
-    "log_family",
-    "neg_inverse_family",
     "PopulationDistributions",
     "ServerPopulation",
     "staffing_load",
@@ -74,7 +72,6 @@ class ModelParams:
 
 
 ArrayFn = Callable[[np.ndarray], np.ndarray]
-_CURVATURE_GRID = 129  # points of the grid satisfies_curvature_condition checks
 # points of the grid verify_first_order_monotone checks: the one grid of the
 # response laws' monotone verdict and of the best-response guard
 _MONOTONE_GRID = 257
@@ -89,8 +86,6 @@ class PolicyFunctions:
     h  : routing weight, strictly positive on [mu_min, mu_max]
 
     Derivatives are supplied analytically; ``htilde(mu) = h(mu)/mu``.
-    ``htilde_pprime`` is only needed by the curvature check
-    :meth:`satisfies_curvature_condition` and may be omitted.
 
     Every callable must accept a float or a numpy array of any shape and
     act elementwise: the solvers evaluate them on whole grids at once.
@@ -103,21 +98,6 @@ class PolicyFunctions:
     h: ArrayFn
     htilde: ArrayFn
     htilde_prime: ArrayFn
-    htilde_pprime: ArrayFn | None = None
-
-    def satisfies_curvature_condition(self, mu_lo: float, mu_hi: float) -> bool:
-        """Check 2*htilde'^2 <= htilde*htilde'' on a grid of 129 points.
-
-        This is the sufficient condition for concavity of the limiting
-        utility; the power family with r = -1 violates it, which is why
-        :func:`verify_first_order_monotone` exists as the operational guard.
-        """
-        if self.htilde_pprime is None:
-            raise ValueError("htilde_pprime not supplied")
-        mus = np.linspace(mu_lo, mu_hi, _CURVATURE_GRID)
-        lhs = 2.0 * self.htilde_prime(mus) ** 2
-        rhs = self.htilde(mus) * self.htilde_pprime(mus)
-        return not np.any(lhs > rhs + 1e-9 * np.maximum(np.abs(rhs), 1.0))
 
 
 def power_family(p: float, q: float, r: float) -> PolicyFunctions:
@@ -135,25 +115,7 @@ def power_family(p: float, q: float, r: float) -> PolicyFunctions:
         h=lambda mu: mu ** r,
         htilde=lambda mu: mu ** (r - 1.0),
         htilde_prime=lambda mu: (r - 1.0) * mu ** (r - 2.0),
-        htilde_pprime=lambda mu: (r - 1.0) * (r - 2.0) * mu ** (r - 3.0),
     )
-
-
-def log_family(q: float, r: float) -> PolicyFunctions:
-    """f(x) = log x (diverges at zero idleness), power cost and weight."""
-    return replace(power_family(1.0, q, r), f=np.log, f_prime=lambda x: 1.0 / x)
-
-
-def neg_inverse_family(s: float, q: float, r: float) -> PolicyFunctions:
-    """f(x) = -x^(-s), s > 0: strong discomfort as idleness vanishes.
-
-    Exercises the regime where the marginal utility of idleness blows up,
-    which makes staffing below the purely quality-driven level attractive.
-    """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    return replace(power_family(1.0, q, r), f=lambda x: -(x ** (-s)),
-                   f_prime=lambda x: s * x ** (-s - 1.0))
 
 
 @dataclass(frozen=True)
@@ -237,11 +199,6 @@ class ServerPopulation:
     def __len__(self) -> int:
         return int(self.rate.size)
 
-    def with_rates(self, rates: np.ndarray) -> "ServerPopulation":
-        return ServerPopulation(self.a, self.mu_lo, self.mu_hi,
-                                np.asarray(rates, dtype=float).copy(),
-                                self.mu_min, self.mu_max)
-
     @staticmethod
     def from_rates(rates: np.ndarray, mu_min: float, mu_max: float) -> "ServerPopulation":
         """Roster specified by rates alone (bounds collapse to the global box,
@@ -314,9 +271,12 @@ def verify_first_order_monotone(funcs: PolicyFunctions, L: float | np.ndarray,
     """True iff C(mu, L) is strictly decreasing across ``_MONOTONE_GRID``
     evenly spaced points of ``support``.
 
-    Operational stand-in for the sufficient curvature condition, which the
-    base-case family (r = -1) violates even though its C is perfectly
-    monotone. Guard every interior best-response inversion with this.
+    Operational stand-in for the sufficient curvature condition
+    2 htilde'^2 <= htilde htilde'' for concavity of the limiting utility,
+    which the base-case family (r = -1) fails: there htilde = mu^-2 and
+    2 htilde'^2 = 8 mu^-6 > 6 mu^-6 = htilde htilde'', even though its C is
+    perfectly monotone. Guard every interior best-response inversion with
+    this.
 
     A scalar L gives a bool; an array of L gives one verdict per L, as a
     boolean array of the same shape.

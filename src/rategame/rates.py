@@ -1,12 +1,9 @@
 """Distributions over service rates and probability measures built on them.
 
-Two concrete representations cover everything the solvers need:
-
-* :class:`DiscreteRateDistribution` for atomic laws, integrated exactly;
-* :class:`CdfRateDistribution` for continuous laws, given by their CDF
-  (the best-response distribution is one), integrated by parts on
-  composite Gauss-Legendre panels split at known kinks, so the
-  integrand's derivative does the smoothing work.
+One class, :class:`RateDistribution`, covers every law the solvers need:
+a continuous law given by its CDF (the best-response distribution is
+one), integrated by parts on composite Gauss-Legendre panels split at
+known kinks, so the integrand's derivative does the smoothing work.
 
 :class:`FairnessMeasure` represents how cumulative idleness is shared
 across rate classes, either as a discrete measure on observed rates or
@@ -16,7 +13,7 @@ as a density with respect to a rate distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,10 +22,7 @@ __all__ = [
     "gauss_legendre_panels",
     "bin_index",
     "RateDistribution",
-    "DiscreteRateDistribution",
-    "CdfRateDistribution",
     "uniform_rate_distribution",
-    "point_mass_rate_distribution",
     "FairnessMeasure",
 ]
 
@@ -82,78 +76,6 @@ def bin_index(edges: np.ndarray, x) -> np.ndarray:
     return np.clip(np.searchsorted(edges, x, side="right") - 1, 0, edges.size - 2)
 
 
-class RateDistribution:
-    """Common interface: CDF, integrals against dF, moments, sampling."""
-
-    mu_min: float
-    mu_max: float
-
-    def cdf(self, mu):
-        raise NotImplementedError
-
-    def integrate(self, g: Callable, dg: Callable | None = None) -> float:
-        """Integral of g against dF over the whole support."""
-        return self.integrate_between(g, dg, self.mu_min, self.mu_max)
-
-    def integrate_between(self, g: Callable, dg: Callable | None,
-                          a: float, b: float) -> float:
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        raise NotImplementedError
-
-    @property
-    def mean(self) -> float:
-        try:
-            return self._mean
-        except AttributeError:
-            self._mean = self.integrate(lambda m: m, lambda m: np.ones_like(m))
-            return self._mean
-
-    @property
-    def variance(self) -> float:
-        try:
-            return self._variance
-        except AttributeError:
-            second = self.integrate(lambda m: m * m, lambda m: 2.0 * m)
-            self._variance = max(second - self.mean ** 2, 0.0)
-            return self._variance
-
-
-class DiscreteRateDistribution(RateDistribution):
-    def __init__(self, atoms: np.ndarray, weights: np.ndarray):
-        atoms = np.asarray(atoms, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if atoms.size == 0:
-            raise ValueError("no atoms")
-        if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        order = np.argsort(atoms)
-        self.atoms = atoms[order]
-        self.weights = weights[order]
-        self.mu_min = float(self.atoms[0])
-        self.mu_max = float(self.atoms[-1])
-
-    def cdf(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        idx = np.searchsorted(self.atoms, mu, side="right")
-        return np.concatenate([[0.0], np.cumsum(self.weights)])[idx]
-
-    def integrate_between(self, g, dg, a, b):
-        mask = (self.atoms > a) & (self.atoms <= b)
-        if a <= self.atoms[0] <= b:
-            mask |= self.atoms == self.atoms[0]
-        if not np.any(mask):
-            return 0.0
-        return float(np.sum(self.weights[mask] * np.asarray(g(self.atoms[mask]), dtype=float)))
-
-    def integrate(self, g, dg=None):
-        return float(np.sum(self.weights * np.asarray(g(self.atoms), dtype=float)))
-
-    def sample(self, rng, size):
-        return rng.choice(self.atoms, size=size, p=self.weights)
-
-
 def _check_cdf_values(vals: np.ndarray, where: str, splits=()) -> None:
     """CDF values at ascending points must be finite and must not decrease
     by more than 1e-10 from one point to the next. ``splits`` cut ``vals``
@@ -167,8 +89,9 @@ def _check_cdf_values(vals: np.ndarray, where: str, splits=()) -> None:
         raise ValueError("cdf is decreasing somewhere")
 
 
-class CdfRateDistribution(RateDistribution):
-    """Law specified by its CDF; integrals are done by parts.
+class RateDistribution:
+    """A law of service rates, given by its CDF on [mu_min, mu_max];
+    integrals against dF are done by parts.
 
     For integrands with a supplied derivative,
 
@@ -240,6 +163,10 @@ class CdfRateDistribution(RateDistribution):
     def cdf(self, mu):
         return np.clip(np.asarray(self._cdf(np.asarray(mu, dtype=float)), dtype=float), 0.0, 1.0)
 
+    def integrate(self, g: Callable, dg: Callable | None = None) -> float:
+        """Integral of g against dF over the whole support."""
+        return self.integrate_between(g, dg, self.mu_min, self.mu_max)
+
     def integrate_between(self, g, dg, a, b):
         a = max(a, self.mu_min)
         b = min(b, self.mu_max)
@@ -282,19 +209,29 @@ class CdfRateDistribution(RateDistribution):
         mid = 0.5 * (xs[1:] + xs[:-1])
         return float(np.sum(np.asarray(g(mid), dtype=float) * np.diff(Fv)))
 
-    def sample(self, rng, size):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.uniform(0.0, 1.0, size=size)
         grid, grid_cdf = self._tabulate()
         return np.interp(u, grid_cdf, grid)
 
+    @cached_property
+    def mean(self) -> float:
+        return self.integrate(lambda m: m, lambda m: np.ones_like(m))
 
-def uniform_rate_distribution(lo: float, hi: float) -> CdfRateDistribution:
+    @cached_property
+    def variance(self) -> float:
+        second = self.integrate(lambda m: m * m, lambda m: 2.0 * m)
+        return max(second - self.mean ** 2, 0.0)
+
+
+# The old name of RateDistribution, kept only because perfbench/layers.py
+# wraps ``CdfRateDistribution.sample`` by it.
+CdfRateDistribution = RateDistribution
+
+
+def uniform_rate_distribution(lo: float, hi: float) -> RateDistribution:
     width = hi - lo
-    return CdfRateDistribution(lo, hi, lambda m: (np.asarray(m, dtype=float) - lo) / width)
-
-
-def point_mass_rate_distribution(mu0: float) -> DiscreteRateDistribution:
-    return DiscreteRateDistribution(np.array([mu0]), np.array([1.0]))
+    return RateDistribution(lo, hi, lambda m: (np.asarray(m, dtype=float) - lo) / width)
 
 
 @dataclass(frozen=True)

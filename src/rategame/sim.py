@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import ModelParams, ServerPopulation
-from .rates import FairnessMeasure, bin_index
+from .rates import FairnessMeasure
 
 __all__ = [
     "RoutingPolicy",
@@ -54,8 +54,6 @@ __all__ = [
     "stream_seed",
     "run_simulation",
     "empirical_fairness",
-    "empirical_conditional_idleness",
-    "empirical_allocation",
 ]
 
 STREAMS = ("population", "arrival", "service", "patience", "routing", "init")
@@ -688,41 +686,3 @@ def empirical_fairness(result: SimulationResult, population: ServerPopulation,
         return FairnessMeasure.pre_shift()
     return FairnessMeasure.from_weights(population.rate, idle)
 
-
-def empirical_conditional_idleness(result: SimulationResult,
-                                   population: ServerPopulation,
-                                   bins: int) -> list[tuple[float, float, float]]:
-    """Mean idle fraction per equal-width rate bin with across-server
-    standard errors; empty bins are omitted."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    rates = population.rate
-    lo, hi = float(rates.min()), float(rates.max())
-    if hi == lo:
-        frac = result.idle_fraction
-        se = float(frac.std(ddof=1) / math.sqrt(frac.size)) if frac.size > 1 else 0.0
-        return [(lo, float(frac.mean()), se)]
-    edges = np.linspace(lo, hi, bins + 1)
-    idx = bin_index(edges, rates)
-    out = []
-    for b in range(bins):
-        mask = idx == b
-        cnt = int(mask.sum())
-        if cnt == 0:
-            continue
-        vals = result.idle_fraction[mask]
-        se = float(vals.std(ddof=1) / math.sqrt(cnt)) if cnt > 1 else 0.0
-        out.append((float(0.5 * (edges[b] + edges[b + 1])), float(vals.mean()), se))
-    return out
-
-
-def empirical_allocation(result: SimulationResult, population: ServerPopulation,
-                         rate_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Time-averaged scaled idle-server measure per rate cell:
-    cell b -> (1/n) * time average of the idle count with rate in b."""
-    edges = np.asarray(rate_grid, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("rate_grid must be an increasing array of edges")
-    sums = np.zeros(edges.size - 1)
-    np.add.at(sums, bin_index(edges, population.rate), result.idle_time)
-    return edges, sums / result.window / result.n

@@ -489,6 +489,8 @@ class TestMainEntry:
         ["fairness", "--grid-points", "0"],
         ["validate", "--n-list", "2,x"],
         ["sweep", "--axis", "beta", "--grid=a,b"],
+        ["--seed", "-1", "simulate"],
+        ["--seed", "-1", "limits"],
     ])
     def test_config_errors_exit_2_in_one_line(self, tmp_path, capsys, argv):
         rc = main(["--out", str(tmp_path), *argv])

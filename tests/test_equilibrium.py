@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 from rategame import equilibrium as equilibrium_module
 from rategame._numerics import bisect, itp
 from rategame.equilibrium import (_CELLS, ResponseDistribution,
-                                  _assemble_equilibrium, _capped_ratio, _ratio_array,
+                                  _assemble_equilibrium, _capped_ratio,
                                   _response_laws, _secant, _switch_level, _utility)
-from rategame.rates import CdfRateDistribution, _check_cdf_values, gauss_legendre_panels
-from rategame import (PopulationDistributions, RegimeClass, best_response,
-                      best_response_rates, classify_regime, equilibrium_residual,
-                      marginal_rate_of_substitution, power_family,
+from rategame.model import _ratio_array
+from rategame.rates import RateDistribution, _check_cdf_values, gauss_legendre_panels
+from rategame import (PopulationDistributions, best_response,
+                      best_response_rates, equilibrium_residual, power_family,
                       response_distribution, sample_population,
-                      solve_equilibrium, solve_L,
-                      neg_inverse_family, verify_first_order_monotone)
+                      solve_equilibrium, solve_L, verify_first_order_monotone)
 from _oracles import grid_best_utility
 
 # Frozen from the pre-implementation quad+brentq oracle (1e-15 bracket).
@@ -36,26 +35,26 @@ class TestMarginalRatio:
         # f' = 1, c' = 2 mu, htilde = mu^-2 simplify to L/(mu^2+L)^2
         for mu in (0.05, 0.1, 0.3):
             for L in (1e-3, 0.01, 0.2):
-                assert marginal_rate_of_substitution(mu, L, base_funcs) == \
+                assert float(_ratio_array(base_funcs, mu, L)) == \
                     pytest.approx(L / (mu * mu + L) ** 2, rel=1e-12)
 
     def test_worked_value(self, base_funcs):
-        assert marginal_rate_of_substitution(0.1, 0.01, base_funcs) == pytest.approx(25.0, rel=1e-12)
+        assert float(_ratio_array(base_funcs, 0.1, 0.01)) == pytest.approx(25.0, rel=1e-12)
 
     def test_flat_htilde_gives_zero(self):
         funcs = power_family(1.0, 2.0, 1.0)   # h = mu, htilde constant
-        assert marginal_rate_of_substitution(0.3, 0.5, funcs) == pytest.approx(0.0, abs=1e-15)
+        assert float(_ratio_array(funcs, 0.3, 0.5)) == pytest.approx(0.0, abs=1e-15)
 
     def test_strictly_decreasing_finite_differences(self, base_funcs):
         L = 0.01
         mus = np.linspace(0.02, 0.49, 200)
-        vals = np.array([marginal_rate_of_substitution(float(m), L, base_funcs) for m in mus])
+        vals = _ratio_array(base_funcs, mus, L)
         assert np.all(np.diff(vals) < 0)
         # derivative matches -4 L mu / (mu^2+L)^3
         d = 1e-7
         for mu in (0.1, 0.3):
-            fd = (marginal_rate_of_substitution(mu + d, L, base_funcs)
-                  - marginal_rate_of_substitution(mu - d, L, base_funcs)) / (2 * d)
+            fd = (float(_ratio_array(base_funcs, mu + d, L))
+                  - float(_ratio_array(base_funcs, mu - d, L))) / (2 * d)
             assert fd == pytest.approx(-4 * L * mu / (mu * mu + L) ** 3, rel=1e-5)
 
 
@@ -142,7 +141,7 @@ class TestResponseDistribution:
         dists = PopulationDistributions(0.01, 0.5, 1e-6, 2e-6)
         L = 0.25
         mus = np.linspace(0.01, 0.5, 101)
-        C = np.array([marginal_rate_of_substitution(float(m), L, base_funcs) for m in mus])
+        C = _ratio_array(base_funcs, mus, L)
         assert C.min() >= 2e-6
         F = response_distribution(L, dists, base_funcs)
         assert np.allclose(F.cdf(mus), dists.max_marginal_cdf(mus), atol=1e-12)
@@ -153,7 +152,7 @@ class TestResponseDistribution:
         dists = PopulationDistributions(0.01, 0.5, 1e5, 2e5)
         L = 0.25
         mus = np.linspace(0.01, 0.5, 101)
-        C = np.array([marginal_rate_of_substitution(float(m), L, base_funcs) for m in mus])
+        C = _ratio_array(base_funcs, mus, L)
         assert C.max() <= 1e5
         F = response_distribution(L, dists, base_funcs)
         min_marginal = dists.max_marginal_cdf(mus) + dists.between_prob(mus)
@@ -175,8 +174,8 @@ class TestResponseDistribution:
         # at small L the ratio C starts above a_max and crosses it inside the
         # support; the density jumps there (bounded-support effect)
         L = 0.01
-        assert marginal_rate_of_substitution(0.01, L, base_funcs) > base_dists.a_max
-        assert marginal_rate_of_substitution(0.5, L, base_funcs) < base_dists.a_max
+        assert float(_ratio_array(base_funcs, 0.01, L)) > base_dists.a_max
+        assert float(_ratio_array(base_funcs, 0.5, L)) < base_dists.a_max
         F = response_distribution(L, base_dists, base_funcs)
         assert len(F.kinks) >= 1
         k = F.kinks[0]
@@ -198,7 +197,7 @@ class TestResponseDistribution:
             assert F.first_order_monotone
             kinks.append(F.kinks)
         assert kinks[0] == kinks[1] and len(kinks[0]) == 1
-        assert marginal_rate_of_substitution(kinks[0][0], L, funcs) == pytest.approx(1.0)
+        assert float(_ratio_array(funcs, kinks[0][0], L)) == pytest.approx(1.0)
 
     def test_no_kinks_at_equilibrium_L(self, base_dists, base_funcs, base_equilibrium):
         # at the solved base-case L the ratio stays inside [a_min, a_max]
@@ -581,7 +580,7 @@ class TestWhereTheCdfIsChecked:
     def test_a_monotone_solve_tabulates_only_the_law_it_returns(
             self, monkeypatch, base_config, base_dists, base_funcs):
         built = []
-        tabulate = CdfRateDistribution._tabulate
+        tabulate = RateDistribution._tabulate
 
         def counting(self):
             if self._table is None:
@@ -608,7 +607,7 @@ class TestWhereTheCdfIsChecked:
 
 
 def _reread_integral(self, g, dg, a, b):
-    """``CdfRateDistribution.integrate_between`` reading the CDF at its
+    """``RateDistribution.integrate_between`` reading the CDF at its
     Gauss nodes on every call."""
     a = max(a, self.mu_min)
     b = min(b, self.mu_max)
@@ -656,7 +655,7 @@ class TestOneCdfReadPerNodeSet:
         assert nodes.size == 64
         assert sum(np.array_equal(mu, nodes) for mu in reads) == 1
 
-        monkeypatch.setattr(CdfRateDistribution, "integrate_between", _reread_integral)
+        monkeypatch.setattr(RateDistribution, "integrate_between", _reread_integral)
         ref, ref_reads = self._assemble(*args)
         assert sum(np.array_equal(mu, nodes) for mu in ref_reads) > 1
         mus = np.linspace(F.mu_min, F.mu_max, 101)
@@ -798,20 +797,3 @@ class TestEquilibrium:
             assert np.max(np.abs(sol_k.response.cdf(grid)
                                  - base_equilibrium.response.cdf(grid))) < 1e-6
 
-
-class TestRegimeClassification:
-    def test_identity_utility_below_one(self):
-        funcs = power_family(1.0, 2.0, -1.0)
-        assert classify_regime(funcs, 0.75, "other") is RegimeClass.ALL_AT_MIN
-
-    def test_decreasing_density_short_circuits(self):
-        funcs = power_family(1.0, 2.0, -1.0)
-        assert classify_regime(funcs, 1.0, "decreasing") is RegimeClass.ALL_AT_MIN
-
-    def test_blowing_up_marginal_utility(self):
-        funcs = neg_inverse_family(1.0, 2.0, 0.0)
-        assert classify_regime(funcs, 0.75, "increasing-concave") is RegimeClass.ALL_AT_MAX
-
-    def test_alpha_one_is_indeterminate(self):
-        funcs = power_family(1.0, 2.0, -1.0)
-        assert classify_regime(funcs, 1.0, "other") is RegimeClass.INDETERMINATE

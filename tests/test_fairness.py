@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rategame import (FairnessMeasure, ModelParams, check_attainable,
-                      conditional_idleness_alpha1,
-                      conditional_idleness_idle_order, fairness_density,
-                      h_for_target_density, point_mass_rate_distribution,
-                      power_family, solve_L, special_policy_fairness,
+from rategame import (check_attainable, conditional_idleness_alpha1,
+                      fairness_density, h_for_target_density, power_family,
+                      solve_L, special_policy_fairness,
                       uniform_rate_distribution)
 from rategame.fairness import SolverFailure
 
@@ -27,18 +25,20 @@ def unit_weight():
 
 
 class TestSolveL:
-    def test_point_mass_any_weight(self, inverse_weight):
-        F = point_mass_rate_distribution(0.3)
-        sol = solve_L(F, inverse_weight, beta=0.3)
-        # 1 + L htilde(mu0) = (1+beta)/beta forces L algebraically
-        assert sol.L == pytest.approx(1.0 / (0.3 * inverse_weight.htilde(0.3)), rel=1e-9)
+    def test_constant_htilde_collapses_the_bracket(self):
+        # h = mu: htilde = 1, so both ends of the bracket are 1/beta, and
+        # 1 + L = (1+beta)/beta there solves G(L) = 0 exactly
+        F = uniform_rate_distribution(0.2, 0.5)
+        sol = solve_L(F, power_family(1.0, 2.0, 1.0), beta=0.3)
+        assert sol.L == 1.0 / 0.3
+        assert sol.bracket_lo == sol.bracket_hi == sol.L
+        assert sol.iterations == 0 and sol.residual == 0.0
+        assert np.allclose(sol.g(np.linspace(0.2, 0.5, 5)), 1.0, atol=1e-12)
 
-    def test_point_mass_unit_weight(self, unit_weight):
-        F = point_mass_rate_distribution(0.7)
+    def test_unit_weight_moment_is_beta_L(self, unit_weight):
+        F = uniform_rate_distribution(0.2, 0.5)
         sol = solve_L(F, unit_weight, beta=0.3)
-        assert sol.L == pytest.approx(0.7 / 0.3, rel=1e-9)
-        mus = np.linspace(0.69, 0.71, 5)
-        assert np.allclose([sol.g(np.array([m]))[0] for m in [0.7]], 1.0, atol=1e-9)
+        assert sol.moment / 0.3 == pytest.approx(sol.L, rel=1e-8)
 
     def test_uniform_golden(self, inverse_weight):
         F = uniform_rate_distribution(0.2, 0.5)
@@ -109,11 +109,6 @@ class TestSpecialPolicies:
         F = uniform_rate_distribution(0.2, 0.5)
         eta = special_policy_fairness("ssf", F)
         assert eta.support.tolist() == [0.5]
-
-    def test_lisf_point_mass_base(self):
-        F = point_mass_rate_distribution(0.7)
-        eta = special_policy_fairness("lisf", F)
-        assert eta.moment() == pytest.approx(0.7, rel=1e-10)
 
     def test_lisf_uniform_moment(self):
         # int mu^2 / int mu = (7/3)/(3/2) = 14/9 on [1, 2]
@@ -244,34 +239,3 @@ class TestConditionalIdleness:
     def test_base_case_value(self, inverse_weight):
         # htilde(0.1) = 100, L = 0.01 -> (1 + 1)^-1
         assert conditional_idleness_alpha1(0.1, 0.01, inverse_weight) == pytest.approx(0.5)
-
-    def test_sub_quality_regime_formula(self):
-        F = point_mass_rate_distribution(1.0)   # sigma = 0, mu_bar = 1
-        params = ModelParams(lambda_bar=1.0, beta=0.4, alpha=0.75, gamma=1.0, n=1)
-        for mu in (1.0,):
-            assert conditional_idleness_idle_order(mu, params, F) == pytest.approx(mu * 0.4)
-
-    def test_alpha1_consistency_with_unit_weight(self, unit_weight):
-        # mu * (returned value) equals the weighted-random formula with h = 1
-        # and L = moment/beta, across the support
-        F = uniform_rate_distribution(0.2, 0.5)
-        params = ModelParams(lambda_bar=1.0, beta=0.3, alpha=1.0, gamma=1.0, n=1)
-        sol = solve_L(F, unit_weight, beta=0.3)
-        assert sol.moment / 0.3 == pytest.approx(sol.L, rel=1e-8)
-        for mu in np.linspace(0.2, 0.5, 9):
-            val = conditional_idleness_idle_order(float(mu), params, F)
-            ci = conditional_idleness_alpha1(float(mu), sol.L, unit_weight)
-            assert val * mu == pytest.approx(ci, rel=1e-8)
-
-    def test_half_saturation(self, unit_weight):
-        F = uniform_rate_distribution(0.2, 0.5)
-        params = ModelParams(lambda_bar=1.0, beta=0.3, alpha=1.0, gamma=1.0, n=1)
-        sol = solve_L(F, unit_weight, beta=0.3)
-        c = 0.3 / sol.moment
-        mu = 1.0 / c
-        if 0.2 <= mu <= 0.5:
-            assert conditional_idleness_idle_order(mu, params, F) == pytest.approx(c / 2)
-        else:
-            # half-saturation point lies outside this support; check the formula directly
-            val = conditional_idleness_idle_order(0.5, params, F)
-            assert val == pytest.approx(c / (0.5 * c + 1.0), rel=1e-10)

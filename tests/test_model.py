@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rategame import (ModelParams, PolicyFunctions, PopulationDistributions,
-                      ServerPopulation, log_family, neg_inverse_family, power_family,
+                      ServerPopulation, power_family,
                       sample_population, staffing_level, staffing_load,
                       verify_first_order_monotone)
 
@@ -93,8 +93,6 @@ class TestFunctionFamilies:
     @pytest.mark.parametrize("funcs", [
         power_family(1.0, 2.0, -1.0),
         power_family(0.5, 1.5, 0.5),
-        log_family(2.0, -1.0),
-        neg_inverse_family(1.0, 2.0, -1.0),
     ])
     def test_derivatives_match_central_differences(self, funcs):
         d = 1e-6
@@ -117,12 +115,6 @@ class TestFunctionFamilies:
     def test_power_family_rejects_concave_cost(self):
         with pytest.raises(ValueError):
             power_family(1.0, 0.5, -1.0)
-
-    def test_base_case_violates_curvature_condition(self, base_funcs):
-        # r = -1 fails the sufficient curvature inequality, which is exactly
-        # why the operational monotonicity guard exists
-        assert not base_funcs.satisfies_curvature_condition(0.01, 0.5)
-        assert power_family(1.0, 2.0, 0.0).satisfies_curvature_condition(0.01, 0.5)
 
 
 class TestMonotoneGuard:

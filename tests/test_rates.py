@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from rategame import (CdfRateDistribution, DiscreteRateDistribution, FairnessMeasure,
-                      point_mass_rate_distribution, uniform_rate_distribution)
+from rategame import FairnessMeasure, RateDistribution, uniform_rate_distribution
 from rategame.rates import gauss_legendre_panels
 
 
@@ -39,23 +37,19 @@ def test_uniform_quadrature_sanity():
     assert F.variance == pytest.approx(0.3 ** 2 / 12, abs=1e-10)
 
 
-def test_discrete_distribution():
-    F = DiscreteRateDistribution(np.array([0.2, 0.4, 0.9]), np.array([0.5, 0.25, 0.25]))
-    assert F.mean == pytest.approx(0.2 * 0.5 + 0.4 * 0.25 + 0.9 * 0.25)
-    assert F.cdf(np.array([0.3]))[0] == pytest.approx(0.5)
-    assert F.integrate_between(lambda m: np.ones_like(m), None, 0.3, 1.0) == pytest.approx(0.5)
-
-
-def test_point_mass():
-    F = point_mass_rate_distribution(0.7)
-    assert F.mean == 0.7
-    assert F.variance == pytest.approx(0.0, abs=1e-15)
+def test_integral_over_part_of_the_support():
+    F = uniform_rate_distribution(0.2, 0.5)
+    assert F.cdf(np.array([0.3]))[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    ones, zeros = (lambda m: np.ones_like(m)), (lambda m: np.zeros_like(m))
+    assert F.integrate_between(ones, zeros, 0.3, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
+    # without a derivative the midpoint Stieltjes rule reads the sampling table
+    assert F.integrate_between(ones, None, 0.3, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-3)
 
 
 def test_cdf_distribution_integration_by_parts_matches_quad():
     # triangular-ish law: F(x) = x^2 on [0,1] shifted to [0.1, 1.1]
     cdf = lambda m: np.clip((np.asarray(m) - 0.1), 0.0, 1.0) ** 2
-    F = CdfRateDistribution(0.1, 1.1, cdf)
+    F = RateDistribution(0.1, 1.1, cdf)
     g = lambda m: np.sin(m)
     dg = lambda m: np.cos(m)
     val = F.integrate(g, dg)
@@ -66,9 +60,9 @@ def test_cdf_distribution_integration_by_parts_matches_quad():
 
 def test_cdf_distribution_rejects_bad_cdf():
     with pytest.raises(ValueError):
-        CdfRateDistribution(0.1, 1.1, lambda m: 1.0 - np.clip(np.asarray(m) - 0.1, 0, 1))
+        RateDistribution(0.1, 1.1, lambda m: 1.0 - np.clip(np.asarray(m) - 0.1, 0, 1))
     with pytest.raises(ValueError):
-        CdfRateDistribution(0.1, 1.1, lambda m: 0.5 * np.clip(np.asarray(m) - 0.1, 0, 1))
+        RateDistribution(0.1, 1.1, lambda m: 0.5 * np.clip(np.asarray(m) - 0.1, 0, 1))
 
 
 def test_cdf_distribution_rejects_a_nan_grid_value():
@@ -79,7 +73,7 @@ def test_cdf_distribution_rejects_a_nan_grid_value():
         return vals
 
     with pytest.raises(ValueError, match="not finite"):
-        CdfRateDistribution(0.1, 1.1, cdf)
+        RateDistribution(0.1, 1.1, cdf)
 
 
 def _uniform_cdf_dipped_at(at, halfwidth, depth):
@@ -90,7 +84,7 @@ def _uniform_cdf_dipped_at(at, halfwidth, depth):
 
 
 def _untabulated(cdf):
-    F = CdfRateDistribution.__new__(CdfRateDistribution)
+    F = RateDistribution.__new__(RateDistribution)
     F._define(0.1, 1.1, cdf, (), 4097)
     return F
 
@@ -101,7 +95,7 @@ def test_a_dip_between_grid_points_fails_the_table_not_the_nodes():
     gap = np.abs(grid[:, None] - nodes[None, :]).min(axis=1)
     cdf = _uniform_cdf_dipped_at(grid[int(np.argmax(gap))], 0.5 * (grid[1] - grid[0]), 0.01)
     with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
-        CdfRateDistribution(0.1, 1.1, cdf)
+        RateDistribution(0.1, 1.1, cdf)
     # without its table the law checks only the nodes its integrals read
     F = _untabulated(cdf)
     assert F.integrate(lambda m: m, lambda m: np.ones_like(m)) == pytest.approx(0.6, abs=1e-14)
@@ -131,18 +125,6 @@ def test_sampling_matches_cdf():
     draws = F.sample(rng, 200_000)
     for q in (0.25, 0.3, 0.4):
         assert np.mean(draws <= q) == pytest.approx(float(F.cdf(np.array([q]))[0]), abs=5e-3)
-
-
-@given(st.lists(st.floats(0.05, 4.0), min_size=1, max_size=6),
-       st.integers(0, 2**30))
-@settings(max_examples=50, deadline=None)
-def test_discrete_quadrature_mass_and_mean(atoms, seed):
-    atoms = np.unique(np.asarray(atoms))
-    rng = np.random.default_rng(seed)
-    w = rng.dirichlet(np.ones(atoms.size))
-    F = DiscreteRateDistribution(atoms, w)
-    assert F.integrate(lambda m: np.ones_like(m)) == pytest.approx(1.0, abs=1e-12)
-    assert F.integrate(lambda m: m) == pytest.approx(F.mean, abs=1e-12)
 
 
 class TestFairnessMeasure:

@@ -4,10 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from rategame import (FairnessMeasure, ModelParams, RoutingPolicy,
-                      ServerPopulation, empirical_allocation,
-                      empirical_conditional_idleness, empirical_fairness,
-                      run_simulation, stream_seed)
+from rategame import (ModelParams, RoutingPolicy, ServerPopulation,
+                      empirical_fairness, run_simulation, stream_seed)
 from rategame import sim
 from rategame.sim import _alias_table, _idle_pool, _stream
 from _oracles import (birth_death_mean_idle, birth_death_mean_queue,
@@ -200,45 +198,14 @@ class TestEmpiricalFairness:
             empirical_fairness(res, pop, 0.123)
 
 
-class TestBinnedStatistics:
-    def _run(self):
-        params = _params(4.0, gamma=1.0)
-        pop = _pop([0.5, 0.7, 0.9, 1.1, 1.3, 1.5])
-        res = run_simulation(params, pop, RoutingPolicy.uniform(), 2000.0, 200.0, seed=14)
-        return params, pop, res
-
-    def test_homogeneous_single_bin(self):
-        params = _params(2.0, gamma=1.0)
-        pop = _pop([0.9] * 5)
-        res = run_simulation(params, pop, RoutingPolicy.uniform(), 500.0, 50.0, seed=3)
-        rows = empirical_conditional_idleness(res, pop, 10)
-        assert len(rows) == 1
-        assert rows[0][1] == pytest.approx(float(res.idle_fraction.mean()), rel=1e-12)
-
-    def test_partition_consistency(self):
-        _params_, pop, res = self._run()
-        rows = empirical_conditional_idleness(res, pop, 3)
-        # counts per bin recovered from equal-width edges on [min, max]
-        edges = np.linspace(0.5, 1.5, 4)
-        idx = np.clip(np.searchsorted(edges, pop.rate, side="right") - 1, 0, 2)
-        total = sum(mean * np.count_nonzero(idx == b) for b, (_m, mean, _s) in enumerate(rows))
-        assert total == pytest.approx(float(res.idle_fraction.sum()), rel=1e-9)
-
-    def test_allocation_sums_to_scaled_idleness(self):
-        params, pop, res = self._run()
-        edges, masses = empirical_allocation(res, pop, np.linspace(0.4, 1.6, 7))
-        # alpha = 1 and n = 1: cell masses must sum to the scaled idleness average
-        assert masses.sum() == pytest.approx(res.scaled_idleness_mean, rel=1e-9)
-
-    def test_allocation_rejects_bad_grid(self):
-        params, pop, res = self._run()
-        with pytest.raises(ValueError):
-            empirical_allocation(res, pop, np.array([1.0, 1.0]))
-
-    def test_bins_precondition(self):
-        params, pop, res = self._run()
-        with pytest.raises(ValueError):
-            empirical_conditional_idleness(res, pop, 0)
+def test_idle_time_sums_to_scaled_idleness():
+    params = _params(4.0, gamma=1.0)
+    pop = _pop([0.5, 0.7, 0.9, 1.1, 1.3, 1.5])
+    res = run_simulation(params, pop, RoutingPolicy.uniform(), 2000.0, 200.0, seed=14)
+    # alpha = 1 and n = 1: the servers' idle time per unit of window and of
+    # scale is the scaled idleness average
+    assert res.idle_time.sum() / res.window / res.n == \
+        pytest.approx(res.scaled_idleness_mean, rel=1e-9)
 
 
 def test_abandonment_matches_birth_death_in_overload():
