@@ -491,6 +491,10 @@ class TestMainEntry:
         ["sweep", "--axis", "beta", "--grid=a,b"],
         ["--seed", "-1", "simulate"],
         ["--seed", "-1", "limits"],
+        ["--seed", "-1", "validate"],
+        ["--seed", "-1", "equilibrium"],
+        ["--seed", "-1", "fairness"],
+        ["--seed", "-1", "sweep", "--axis", "beta"],
     ])
     def test_config_errors_exit_2_in_one_line(self, tmp_path, capsys, argv):
         rc = main(["--out", str(tmp_path), *argv])

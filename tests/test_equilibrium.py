@@ -117,6 +117,15 @@ class TestBestResponse:
 
 
 class TestResponseDistribution:
+    def test_is_a_rate_distribution(self, base_dists, base_funcs):
+        F = response_distribution(0.25, base_dists, base_funcs)
+        assert isinstance(F, RateDistribution)
+        assert F.integrate(lambda m: np.ones_like(m), lambda m: np.zeros_like(m)) == \
+            pytest.approx(1.0, abs=1e-12)
+        draws = F.sample(np.random.default_rng(5), 2000)
+        assert draws.min() >= F.mu_min and draws.max() <= F.mu_max
+        assert np.mean(draws <= 0.25) == pytest.approx(float(F.cdf(0.25)), abs=0.05)
+
     def test_cdf_endpoints_and_monotone(self, base_dists, base_funcs):
         for L in (1e-3, 0.01, 0.25, 0.8):
             F = response_distribution(L, base_dists, base_funcs)

@@ -35,6 +35,26 @@ class TestSolveL:
         assert sol.iterations == 0 and sol.residual == 0.0
         assert np.allclose(sol.g(np.linspace(0.2, 0.5, 5)), 1.0, atol=1e-12)
 
+    @given(beta=st.floats(0.05, 1.5), lo=st.floats(0.1, 0.3), width=st.floats(0.05, 0.6))
+    @settings(max_examples=25, deadline=None)
+    def test_constant_htilde_solves_without_iterating(self, beta, lo, width):
+        F = uniform_rate_distribution(lo, lo + width)
+        sol = solve_L(F, power_family(1.0, 2.0, 1.0), beta=beta)
+        assert sol.L == pytest.approx(1.0 / beta, rel=1e-12)
+        assert sol.iterations == 0 and abs(sol.residual) < 1e-10
+
+    def test_narrow_law_any_weight(self, inverse_weight):
+        # as F narrows onto mu0, 1 + L htilde(mu0) = (1+beta)/beta fixes L
+        F = uniform_rate_distribution(0.3 - 1e-5, 0.3 + 1e-5)
+        sol = solve_L(F, inverse_weight, beta=0.3)
+        assert sol.L == pytest.approx(1.0 / (0.3 * inverse_weight.htilde(0.3)), rel=1e-8)
+
+    def test_narrow_law_unit_weight(self, unit_weight):
+        F = uniform_rate_distribution(0.7 - 1e-5, 0.7 + 1e-5)
+        sol = solve_L(F, unit_weight, beta=0.3)
+        assert sol.L == pytest.approx(0.7 / 0.3, rel=1e-8)
+        assert np.allclose(sol.g(np.linspace(0.7 - 1e-5, 0.7 + 1e-5, 5)), 1.0, atol=1e-4)
+
     def test_unit_weight_moment_is_beta_L(self, unit_weight):
         F = uniform_rate_distribution(0.2, 0.5)
         sol = solve_L(F, unit_weight, beta=0.3)
@@ -116,6 +136,18 @@ class TestSpecialPolicies:
         for kind in ("lisf", "uniform"):
             eta = special_policy_fairness(kind, F)
             assert eta.moment() == pytest.approx(14.0 / 9.0, abs=1e-10)
+
+    def test_lisf_narrow_law_moment(self):
+        F = uniform_rate_distribution(0.7 - 1e-5, 0.7 + 1e-5)
+        eta = special_policy_fairness("lisf", F)
+        assert eta.moment() == pytest.approx(0.7, rel=1e-9)
+
+    def test_unknown_kind_rejected(self):
+        F = uniform_rate_distribution(1.0, 2.0)
+        # names are matched as given: the CLI passes them in lower case
+        for kind in ("SSF", "fifo"):
+            with pytest.raises(ValueError, match="unknown policy kind"):
+                special_policy_fairness(kind, F)
 
     def test_hrandom_below_alpha1_unsupported(self):
         F = uniform_rate_distribution(1.0, 2.0)
@@ -239,3 +271,18 @@ class TestConditionalIdleness:
     def test_base_case_value(self, inverse_weight):
         # htilde(0.1) = 100, L = 0.01 -> (1 + 1)^-1
         assert conditional_idleness_alpha1(0.1, 0.01, inverse_weight) == pytest.approx(0.5)
+
+    def test_negative_L_rejected(self, unit_weight):
+        with pytest.raises(ValueError):
+            conditional_idleness_alpha1(0.3, -1e-3, unit_weight)
+
+    def test_fairness_density_is_proportional_to_idleness(self, inverse_weight):
+        # at alpha = 1 the idleness share density at rate mu is proportional
+        # to a rate-mu server's idle fraction, across the support
+        F = uniform_rate_distribution(0.2, 0.5)
+        sol = solve_L(F, inverse_weight, beta=0.3)
+        mus = np.linspace(0.2, 0.5, 9)
+        idle = np.array([conditional_idleness_alpha1(float(m), sol.L, inverse_weight)
+                         for m in mus])
+        ratio = sol.g(mus) / idle
+        assert np.allclose(ratio, ratio[0], rtol=1e-10)

@@ -93,6 +93,8 @@ class TestFunctionFamilies:
     @pytest.mark.parametrize("funcs", [
         power_family(1.0, 2.0, -1.0),
         power_family(0.5, 1.5, 0.5),
+        power_family(1.0, 2.0, -2.0),
+        power_family(1.0, 5.0, -3.0),
     ])
     def test_derivatives_match_central_differences(self, funcs):
         d = 1e-6

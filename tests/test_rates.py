@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from rategame import FairnessMeasure, RateDistribution, uniform_rate_distribution
+import rategame
+from rategame import FairnessMeasure, RateDistribution, rates, uniform_rate_distribution
 from rategame.rates import gauss_legendre_panels
 
 
@@ -44,6 +46,19 @@ def test_integral_over_part_of_the_support():
     assert F.integrate_between(ones, zeros, 0.3, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
     # without a derivative the midpoint Stieltjes rule reads the sampling table
     assert F.integrate_between(ones, None, 0.3, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-3)
+
+
+def test_narrow_law_is_nearly_a_point_mass():
+    F = uniform_rate_distribution(0.7 - 1e-6, 0.7 + 1e-6)
+    assert F.mean == pytest.approx(0.7, rel=1e-12)
+    assert F.variance == pytest.approx(0.0, abs=1e-12)
+
+
+def test_old_law_name_is_an_unexported_alias():
+    # the benchmark's layer table resolves the sampler by the old name
+    assert rates.CdfRateDistribution is RateDistribution
+    assert "CdfRateDistribution" not in rates.__all__
+    assert not hasattr(rategame, "CdfRateDistribution")
 
 
 def test_cdf_distribution_integration_by_parts_matches_quad():
@@ -125,6 +140,18 @@ def test_sampling_matches_cdf():
     draws = F.sample(rng, 200_000)
     for q in (0.25, 0.3, 0.4):
         assert np.mean(draws <= q) == pytest.approx(float(F.cdf(np.array([q]))[0]), abs=5e-3)
+
+
+@given(lo=st.floats(0.05, 2.0), width=st.floats(0.05, 4.0), k=st.integers(1, 5))
+@settings(max_examples=50, deadline=None)
+def test_quadrature_mass_and_mean(lo, width, k):
+    # F(mu) = ((mu - lo) / width)^k, whose mean is lo + width k / (k + 1)
+    F = RateDistribution(lo, lo + width,
+                         lambda m: np.clip((np.asarray(m) - lo) / width, 0.0, 1.0) ** k)
+    assert F.integrate(lambda m: np.ones_like(m), lambda m: np.zeros_like(m)) == \
+        pytest.approx(1.0, abs=1e-12)
+    assert F.integrate(lambda m: m, lambda m: np.ones_like(m)) == \
+        pytest.approx(lo + width * k / (k + 1.0), rel=1e-10)
 
 
 class TestFairnessMeasure:

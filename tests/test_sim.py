@@ -198,6 +198,27 @@ class TestEmpiricalFairness:
             empirical_fairness(res, pop, 0.123)
 
 
+    def test_bin_masses_partition_idle_time(self):
+        params = _params(4.0, gamma=1.0)
+        pop = _pop([0.5, 0.7, 0.9, 1.1, 1.3, 1.5])
+        res = run_simulation(params, pop, RoutingPolicy.uniform(), 2000.0, 200.0, seed=14)
+        eta = empirical_fairness(res, pop, 0.0)
+        edges = np.linspace(0.4, 1.6, 4)
+        idle = res.idle_after_shift[0.0]
+        idx = np.searchsorted(edges, pop.rate, side="right") - 1
+        expected = [idle[idx == b].sum() / idle.sum() for b in range(3)]
+        assert eta.bin_masses(edges) == pytest.approx(expected, rel=1e-12)
+
+
+def test_idle_fraction_is_idle_time_over_window():
+    params = _params(2.0, gamma=1.0)
+    pop = _pop([0.9] * 5)
+    res = run_simulation(params, pop, RoutingPolicy.uniform(), 500.0, 50.0, seed=3)
+    assert res.window == 450.0
+    assert np.array_equal(res.idle_fraction, res.idle_time / res.window)
+    assert np.all((res.idle_fraction >= 0.0) & (res.idle_fraction <= 1.0))
+
+
 def test_idle_time_sums_to_scaled_idleness():
     params = _params(4.0, gamma=1.0)
     pop = _pop([0.5, 0.7, 0.9, 1.1, 1.3, 1.5])
