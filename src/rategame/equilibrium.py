@@ -166,8 +166,8 @@ class ResponseDistribution(RateDistribution):
 
     first_order_monotone: bool
 
-    def __init__(self, L: float, dists: PopulationDistributions, cdf, kinks,
-                 grid_points: int, support_nodes=None):
+    def __init__(self, L: float, dists: PopulationDistributions, cdf,
+                 kinks: tuple[float, ...], grid_points: int, support_nodes=None):
         self.L = L
         self._define(dists.mu_min, dists.mu_max, cdf, kinks, grid_points, support_nodes)
 
@@ -285,9 +285,13 @@ class UnimodalResponse(ResponseDistribution):
     m, as q does not: with positive weights the table cannot decrease at
     any resolution. The table is also the law's sampling grid, built and
     checked with the law: a linear interpolant is nondecreasing exactly
-    when its table is. Its interior edges are its kinks, and an integral by
-    parts reads each cell with a few Gauss nodes: F1 is linear there, so
-    Phi is the table's own integral to rounding.
+    when its table is. Its interior edges are its kinks, as they stand. The
+    law carries its support node set from its cell edges, built with the
+    law (a monotone law is given its own by ``_response_laws``): each cell
+    is one panel of ``_TABLE_PANEL_NODES`` Gauss nodes, with the table read
+    at them. F1 is
+    linear on each cell, so an integral by parts over the support, Phi
+    among them, is the table's own integral to rounding.
     ``mu_peak`` and ``c_peak`` are the peak of C(., L) and its value.
     """
 
@@ -298,9 +302,14 @@ class UnimodalResponse(ResponseDistribution):
                  cells: int = _CELLS):
         self.mu_peak, self.c_peak = _ratio_peak(L, dists, funcs)
         edges, table = _unimodal_table(L, dists, funcs, self.mu_peak, self.c_peak, cells)
-        # linear between its edges and kinked at each; the edges are its sampling grid
-        super().__init__(L, dists, lambda mu: np.interp(mu, edges, table), edges[1:-1],
-                         edges.size)
+        # linear between its edges and kinked at each; the edges are its
+        # sampling grid, and each cell is one panel of its support node set
+        x, w = _panel_rule(edges[:-1], edges[1:], self._panel_nodes)
+        nodes = x, w, np.clip(np.interp(x, edges, table), 0.0, 1.0)
+        for array in nodes:
+            array.flags.writeable = False
+        super().__init__(L, dists, lambda mu: np.interp(mu, edges, table),
+                         tuple(edges[1:-1].tolist()), edges.size, nodes)
         self._tabulate()
 
 
@@ -312,8 +321,8 @@ def _response_laws(L: np.ndarray, dists: PopulationDistributions, funcs: PolicyF
     whole array. A monotone law builds no sampling table; its CDF is
     checked at those nodes, which every integral over the support reads."""
     monotone = verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max))
-    kinks = [_interior(k, dists.mu_min, dists.mu_max)
-             for k in _monotone_kinks(L[monotone], dists, funcs)]
+    kinks = ([_interior(k, dists.mu_min, dists.mu_max)
+              for k in _monotone_kinks(L[monotone], dists, funcs)] if monotone.any() else [])
     nodes = iter(_monotone_node_sets(L[monotone], kinks, dists, funcs) if kinks else ())
     kinks = iter(kinks)
     for Lk, ok in zip(L.tolist(), monotone.tolist()):
@@ -367,15 +376,16 @@ def _switch_level(lo: np.ndarray, L: float, funcs: PolicyFunctions, peak: float,
         v_lo, c_lo = _idle_value(funcs, b, L), funcs.c(b)
 
         def T(mu, rows):
-            """T(mu) for the lo of ``rows``, and the size of its terms."""
-            v = _idle_value(funcs, mu, L)
+            """T(mu) for the lo of ``rows``, and its three terms."""
+            v, v_row = _idle_value(funcs, mu, L), v_lo[rows]
             cost = _ratio_array(funcs, mu, L) * (funcs.c(mu) - c_lo[rows])
-            return v - v_lo[rows] - cost, np.abs(v) + np.abs(v_lo[rows]) + np.abs(cost)
+            return v - v_row - cost, (v, v_row, cost)
 
         grid = np.concatenate([[peak], peak + (top - peak) * 0.5 ** np.arange(
             _TIE_GRID - 1, 0, -1), [top]])
-        t, size = T(grid, np.s_[:, None])   # every lo against every grid point
-        tol = _TIE_ROUNDING * np.finfo(float).eps * size.max(axis=1)
+        t, terms = T(grid, np.s_[:, None])   # every lo against every grid point
+        # only the grid reads the size of T's terms
+        tol = _TIE_ROUNDING * np.finfo(float).eps * sum(map(np.abs, terms)).max(axis=1)
         # T = 0 at the peak gives the peak; T < 0 at mu_max the secant to it
         at_peak, short = t[:, 0] >= 0.0, t[:, -1] < 0.0
         root = np.where(short, top, peak)
@@ -449,13 +459,14 @@ def _phi_integrand(funcs, beta: float, L: float):
 
     def phi(m):
         m = np.asarray(m, dtype=float)
-        z = 1.0 + L * ht(m)
-        return m * (1.0 - beta * L * ht(m)) / z
+        h = ht(m)
+        return m * (1.0 - beta * L * h) / (1.0 + L * h)
 
     def phi_prime(m):
         m = np.asarray(m, dtype=float)
-        z = 1.0 + L * ht(m)
-        return (1.0 - beta * L * ht(m)) / z - m * L * htp(m) * (1.0 + beta) / (z * z)
+        h = ht(m)
+        z = 1.0 + L * h
+        return (1.0 - beta * L * h) / z - m * L * htp(m) * (1.0 + beta) / (z * z)
 
     return phi, phi_prime
 

@@ -119,20 +119,22 @@ class RateDistribution:
 
     def __init__(self, mu_min: float, mu_max: float, cdf: Callable,
                  kinks: Sequence[float] = ()):
-        self._define(mu_min, mu_max, cdf, kinks, _TABLE_POINTS)
+        self._define(mu_min, mu_max, cdf, _interior(kinks, mu_min, mu_max), _TABLE_POINTS)
         self._tabulate()
 
     def _define(self, mu_min: float, mu_max: float, cdf: Callable,
-                kinks: Sequence[float], grid_points: int, support_nodes=None) -> None:
-        """The law's support, CDF and kinks. ``support_nodes``, if given, is
-        the node set of the whole support as ``_nodes`` returns it, already
-        read and checked: read-only (x, w, clipped CDF values) on the panels
-        that ``kinks`` split."""
+                kinks: tuple[float, ...], grid_points: int, support_nodes=None) -> None:
+        """The law's support, CDF and kinks. ``kinks`` are taken as they
+        stand, so they must be as ``_interior`` gives them: distinct Python
+        floats strictly inside the support, ascending. ``support_nodes``,
+        if given, is the node set of the whole support as ``_nodes``
+        returns it, already read and checked: read-only (x, w, clipped CDF
+        values) on the panels that ``kinks`` split."""
         if not 0 < mu_min < mu_max:
             raise ValueError("need 0 < mu_min < mu_max")
         self.mu_min = float(mu_min)
         self.mu_max = float(mu_max)
-        self.kinks = _interior(kinks, mu_min, mu_max)
+        self.kinks = kinks
         self._cdf = cdf
         self._grid_points = grid_points
         self._table = None

@@ -8,17 +8,14 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from rategame import (AllocationState, FairnessMeasure, ModelParams,
                       RoutingPolicy, ServerPopulation, allocation_fixed_point,
                       allocation_fluid_integrate, best_response,
                       best_response_rates, empirical_fairness, fluid_closed_form,
-                      fluid_integrate, h_for_target_density, power_family,
-                      response_distribution, run_simulation, sample_population,
-                      solve_L, solve_equilibrium, staffing_level,
-                      stationary_scaled_idleness, stream_seed,
-                      uniform_rate_distribution, FluidSpec, ExperimentConfig)
+                      fluid_integrate, h_for_target_density, run_simulation,
+                      sample_population, solve_L, solve_equilibrium,
+                      staffing_level, stream_seed, FluidSpec)
 from rategame.cli import cmd_sweep, validate_pipeline
 from _oracles import ctmc_idle_fractions, grid_best_utility
 

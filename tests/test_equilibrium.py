@@ -7,11 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from rategame import equilibrium as equilibrium_module
 from rategame._numerics import bisect, itp
-from rategame.equilibrium import (_CELLS, ResponseDistribution,
-                                  _assemble_equilibrium, _capped_ratio,
-                                  _response_laws, _secant, _switch_level, _utility)
+from rategame import rates as rates_module
+from rategame.equilibrium import (_CELLS, _TIE_GRID, _TIE_ROUNDING, ResponseDistribution,
+                                  UnimodalResponse, _assemble_equilibrium, _capped_ratio,
+                                  _idle_value, _response_laws, _secant, _switch_level,
+                                  _utility)
 from rategame.model import _ratio_array
-from rategame.rates import RateDistribution, _check_cdf_values, gauss_legendre_panels
+from rategame.rates import (RateDistribution, _check_cdf_values, _interior,
+                            gauss_legendre_panels)
 from rategame import (PopulationDistributions, best_response,
                       best_response_rates, equilibrium_residual, power_family,
                       response_distribution, sample_population,
@@ -455,6 +458,97 @@ class TestUnimodalSwitchLevel:
         assert unimodal > 0
 
 
+def _switch_level_with_sizes(lo, L, funcs, peak, top):
+    """Reference: ``_switch_level`` with a T that returns the size of its
+    terms at every evaluation, the ITP steps' included."""
+    mu_star = np.array(lo, dtype=float)
+    a1 = _ratio_array(funcs, mu_star, L)
+    below = np.flatnonzero(mu_star < peak)
+    if below.size:
+        b = mu_star[below]
+        v_lo, c_lo = _idle_value(funcs, b, L), funcs.c(b)
+
+        def T(mu, rows):
+            v = _idle_value(funcs, mu, L)
+            cost = _ratio_array(funcs, mu, L) * (funcs.c(mu) - c_lo[rows])
+            return v - v_lo[rows] - cost, np.abs(v) + np.abs(v_lo[rows]) + np.abs(cost)
+
+        grid = np.concatenate([[peak], peak + (top - peak) * 0.5 ** np.arange(
+            _TIE_GRID - 1, 0, -1), [top]])
+        t, size = T(grid, np.s_[:, None])
+        tol = _TIE_ROUNDING * np.finfo(float).eps * size.max(axis=1)
+        at_peak, short = t[:, 0] >= 0.0, t[:, -1] < 0.0
+        root = np.where(short, top, peak)
+        rows = np.flatnonzero(~(at_peak | short))
+        if rows.size:
+            j = np.argmax(t[rows] >= 0.0, axis=1)
+            root[rows], _, _ = itp(lambda mu, k: T(mu, rows[k])[0], grid[j - 1], grid[j],
+                                   t[rows, j - 1], t[rows, j], 200, tol[rows])
+        mu_star[below] = root
+        a1[below] = np.where(short, _secant(b, top, L, funcs), _ratio_array(funcs, root, L))
+    return a1, mu_star
+
+
+UNIMODAL_CONFIGS = [{"r": -2.0}, {"r": -1.5}, {"p": 5.0, "r": -3.0}]
+
+
+class TestUnimodalLawBuildsOnlyItsPath:
+    """A unimodal law runs no monotone kink search, takes its cell edges as
+    its kinks as they stand and builds its support node set from them, and
+    its switch level reads T's term sizes on the bracketing grid alone; each
+    gives the floats the longer way gave."""
+
+    @pytest.mark.parametrize("overrides", UNIMODAL_CONFIGS)
+    def test_node_set_comes_from_the_cell_edges(self, monkeypatch, base_config, overrides):
+        cfg = base_config.with_overrides(**overrides)
+        dists, funcs = cfg.population(), cfg.functions()
+        L = float(_scan_Ls(cfg)[32])
+
+        def no_set_and_sort(*args):
+            raise AssertionError("a unimodal law sorted its edges as a set")
+
+        monkeypatch.setattr(rates_module, "_interior", no_set_and_sort)
+        F = next(_response_laws(np.array([L]), dists, funcs))
+        fine = UnimodalResponse(L, dists, funcs, 2 * _CELLS)
+        phi = equilibrium_residual(L, dists, funcs, cfg.beta, F=F)
+        monkeypatch.undo()
+        assert not F.first_order_monotone
+        for law, cells in ((F, _CELLS), (fine, 2 * _CELLS)):
+            edges = np.linspace(law.mu_min, law.mu_max, cells + 1)
+            assert law.kinks == _interior(edges[1:-1], law.mu_min, law.mu_max)
+            x, w = gauss_legendre_panels(law.mu_min, law.mu_max, law.kinks, 4)
+            for got, ref in zip(law._support_nodes, (x, w, np.clip(law._cdf(x), 0.0, 1.0))):
+                assert np.array_equal(got, ref)
+                assert not got.flags.writeable
+        assert phi == float(equilibrium_residual(L, dists, funcs, cfg.beta))
+
+    def test_no_kink_search_without_a_monotone_law(self, monkeypatch, base_config):
+        def no_kinks(*args):
+            raise AssertionError("kink search without a monotone law")
+
+        monkeypatch.setattr(equilibrium_module, "_monotone_kinks", no_kinks)
+        cfg = base_config.with_overrides(r=-2.0)
+        F = response_distribution(float(_scan_Ls(cfg)[32]), cfg.population(), cfg.functions())
+        assert not F.first_order_monotone
+        # every scan law and every ITP step of this solve is unimodal
+        cfg = base_config.with_overrides(p=5.0, r=-3.0)
+        dists, funcs = cfg.population(), cfg.functions()
+        sol = solve_equilibrium(dists, funcs, cfg.beta, cfg.lambda_bar, cfg.n)
+        assert not sol.first_order_monotone
+        assert not any(G.first_order_monotone for G in _response_laws(sol.scan_L, dists, funcs))
+
+    @pytest.mark.parametrize("overrides, scan_index", UNIMODAL_LAWS)
+    def test_switch_level_equals_the_form_with_term_sizes(self, base_config, overrides,
+                                                          scan_index):
+        F, _dists, funcs = _scan_law(base_config, overrides, scan_index)
+        edges = np.linspace(F.mu_min, F.mu_max, _CELLS + 1)
+        lo = np.concatenate([0.5 * (edges[:-1] + edges[1:]), _random_pairs(F, scan_index)[0],
+                             [np.nextafter(F.mu_peak, 0.0), F.mu_peak - 1e-12]])
+        got = _switch_level(lo, F.L, funcs, F.mu_peak, F.mu_max)
+        ref = _switch_level_with_sizes(lo, F.L, funcs, F.mu_peak, F.mu_max)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
 class TestPhiReadsTheTable:
     """The unimodal CDF is linear on each cell of its table, so the integral
     of g against it is the sum over cells of the cell's mass times the mean
@@ -788,7 +882,6 @@ class TestEquilibrium:
         # kappa-scaled weight: L* scales by 1/kappa, everything else fixed
         for kappa in (0.1, 10.0):
             funcs_k = power_family(1.0, 2.0, -1.0)
-            from rategame.fairness import RoutingWeight
             from rategame.model import PolicyFunctions
             scaled = PolicyFunctions(
                 f=funcs_k.f, f_prime=funcs_k.f_prime,

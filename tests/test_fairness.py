@@ -6,7 +6,6 @@ from rategame import (check_attainable, conditional_idleness_alpha1,
                       fairness_density, h_for_target_density, power_family,
                       solve_L, special_policy_fairness,
                       uniform_rate_distribution)
-from rategame.fairness import SolverFailure
 
 # Frozen ahead of implementation with an independent quad+brentq oracle at
 # 1e-14 tolerances.

@@ -10,7 +10,7 @@ from rategame.limits import _DIFFUSION_BLOCK
 from rategame import (AllocationState, DiffusionSpec, FluidSpec, ModelParams,
                       allocation_fixed_point, allocation_fluid_integrate,
                       diffusion_simulate, diffusion_stationary, fluid_closed_form,
-                      fluid_integrate, stationary_scaled_idleness, uniform_rate_distribution)
+                      fluid_integrate, stationary_scaled_idleness)
 
 
 class TestFluidClosedForm:
