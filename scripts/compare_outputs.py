@@ -6,10 +6,11 @@ differs between them.
 
 PARENT and CHANGE are source checkouts; each side's package is imported
 from its ``src/`` by the interpreter that runs this script. Every command
-of ``COMMANDS`` runs at every configuration of ``CONFIGS``, each in a fresh
-working directory with ``--out out``, so the two sides print the same
-paths. The rate ``events_per_s=`` that ``simulate`` prints is the one
-output that is not the same on a rerun, and is stripped from stdout.
+of ``COMMANDS`` runs at every configuration of ``CONFIGS``, and each of
+``BASE_COMMANDS`` at the base configuration, each in a fresh working
+directory with ``--out out``, so the two sides print the same paths. The
+rate ``events_per_s=`` that ``simulate`` prints is the one output that is
+not the same on a rerun, and is stripped from stdout.
 
 Every differing CSV (or file found on one side only), stdout, stderr and
 exit code is named on stdout; the exit status is 1 if anything differs,
@@ -30,12 +31,19 @@ CONFIGS = ([], ["--r", "-0.5"], ["--r", "-1.5"], ["--r", "-2"], ["--p", "5", "--
 COMMANDS = (["equilibrium"], ["fairness", "--policy", "hrandom"], ["limits"],
             ["sweep", "--axis", "beta"], ["sweep", "--axis", "r"],
             ["--n", "200", "simulate", "--horizon", "1", "--warmup", "0.25"])
+# a cold start builds a queue, so the simulator's patience deadlines, its
+# FIFO line and its event log are compared too, under every routing policy
+BASE_COMMANDS = tuple(["--n", "200", "simulate", "--policy", policy, "--cold-start",
+                       "--event-log", "--horizon", "1", "--warmup", "0.25"]
+                      for policy in ("hrandom", "lisf", "fsf", "ssf", "uniform"))
 _RATE = re.compile(r" ?events_per_s=\S*")
 
 
 def runs() -> list[list[str]]:
-    """The CLI arguments of every run: each command at each configuration."""
-    return [config + command for config in CONFIGS for command in COMMANDS]
+    """The CLI arguments of every run: each command at each configuration,
+    then the base-configuration commands."""
+    return ([config + command for config in CONFIGS for command in COMMANDS]
+            + [list(command) for command in BASE_COMMANDS])
 
 
 def strip_rates(stdout: str) -> str:

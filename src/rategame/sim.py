@@ -16,12 +16,15 @@ weighted random the composition-rejection sampler of Slepoy, Thompson &
 Plimpton (J. Chem. Phys. 2008): geometric buckets of the weight, a bucket
 picked by a weighted scan, rejection inside the bucket.
 
-Abandonment uses lazy deletion: each queued customer carries a patience
-deadline; a sweep at every event epoch retires deadlines that passed,
-crediting the abandonment at its true time so the queue-length integral and
-the in-system count stay exact between events. A customer sits both in the
-FIFO line and in the deadline heap and leaves the queue once, by service or
-by abandonment; one set of tombstones lets the other side skip it.
+One time-ordered loop handles one event per step: a patience deadline, a
+batch mark, an arrival or a potential completion, whichever comes first
+(ties in that order). Each step first runs the idle and queue integrals up
+to its time, crossing the idleness-shift levels on the way. Each queued
+customer carries a patience deadline in a heap, so an abandonment is an
+event at its true time. A customer sits both in the FIFO line and in the
+deadline heap and leaves the queue once, by service or by abandonment; one
+set of tombstones lets the other side skip it, and a tombstoned deadline
+is popped with no event.
 
 Structural invariants are enforced on every event:
   * non-idling: a nonempty queue forces zero idle servers;
@@ -217,13 +220,18 @@ class _HeapPool(_Pool):
     """The idle server with the smallest ``keys[k]`` goes first, ties to the
     lower index: keys -mu give fastest-first, keys mu slowest-first.
 
-    The heap holds integer ranks from a stable argsort of the keys, so it pops
-    in the order of the ``(keys[k], k)`` pairs."""
+    The heap holds integer ranks from an argsort of the keys, so it pops in
+    the order of the ``(keys[k], k)`` pairs. Untied keys have one sorted
+    order, which the default sort finds; only when two keys are equal does
+    it take the slower stable sort, for the ties' index order."""
 
     __slots__ = ("push", "pop")
 
     def __init__(self, idle: np.ndarray, keys: np.ndarray):
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
+        ranked = keys[order]
+        if np.any(ranked[1:] == ranked[:-1]):
+            order = np.argsort(keys, kind="stable")
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         heap = rank[idle].tolist()
@@ -271,7 +279,7 @@ class _WeightedPool(_Pool):
     member of it is accepted with probability h_k / (bucket's largest h).
     ``rejections`` counts the refused members."""
 
-    __slots__ = ("push", "pop", "_state")
+    __slots__ = ("push", "pop", "_rejections")
 
     def __init__(self, h: np.ndarray, idle: np.ndarray, next_u: Callable[[], float]):
         if np.any(h <= 0) or np.any(~np.isfinite(h)):
@@ -295,34 +303,35 @@ class _WeightedPool(_Pool):
         hmax = np.zeros(nb)
         np.maximum.at(hmax, bucket, h)
         idle_bucket = bucket[idle]
-        order = np.argsort(idle_bucket, kind="stable")
+        # fewer than 256 buckets: the stable sort of a uint8 copy is a radix sort
+        order = np.argsort(idle_bucket.astype(np.uint8), kind="stable")
         cuts = np.cumsum(np.bincount(idle_bucket, minlength=nb))[:-1]
         members = [m.tolist() for m in np.split(idle[order], cuts)]
         hsum = np.bincount(idle_bucket, weights=h[idle], minlength=nb).tolist()
         # per-server lookups read the arrays through memoryviews: no N-entry lists
         hmax, hv, bucket = hmax.tolist(), memoryview(np.ascontiguousarray(h)), memoryview(bucket)
         last_b = nb - 1
-        # the idle h-sum, routings since it was last rebuilt, rejections
-        state = [sum(hsum), 0, 0]
-        self._state = state
+        total = sum(hsum)       # the idle h-sum
+        since = 0               # routings since it was last rebuilt
+        rejected = 0
 
         def push(k: int) -> None:
+            nonlocal total
             b = bucket[k]
             members[b].append(k)
             hk = hv[k]
             hsum[b] += hk
-            state[0] += hk
+            total += hk
 
         def pop() -> int:
+            nonlocal total, since, rejected
             # the idle h-sum is kept incrementally; rebuilding it from the
             # bucket sums every _REBUILD_EVERY routings caps floating drift
             # (deterministic: tied to the routing count)
-            since = state[1] + 1
+            since += 1
             if since >= _REBUILD_EVERY:
                 since = 0
-                state[0] = sum(hsum)
-            state[1] = since
-            total = state[0]
+                total = sum(hsum)
             while True:
                 target = next_u() * total
                 b = 0
@@ -346,15 +355,16 @@ class _WeightedPool(_Pool):
                         if last != k:
                             group[j] = last
                         hsum[b] -= hk
-                        state[0] = total - hk
+                        total -= hk
                         return k
-                    state[2] += 1
+                    rejected += 1
 
         self.push, self.pop = push, pop
+        self._rejections = lambda: rejected
 
     @property
     def rejections(self) -> int:
-        return self._state[2]
+        return self._rejections()
 
 
 def _idle_pool(policy: RoutingPolicy, rates: np.ndarray, idle: np.ndarray,
@@ -425,15 +435,20 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     """Simulate one trajectory; deterministic given (seed, replication).
 
     ``epsilons`` lists the idleness-shift levels at which per-server idle
-    snapshots are taken (cumulative scaled idleness measured from time 0).
+    snapshots are taken (cumulative scaled idleness measured from time 0);
+    each must be finite and nonnegative.
     ``initial_idle_prob`` starts each server idle independently with the
     given probability (all busy when omitted); the queue starts empty either
     way, so the initial scaled state is nonpositive.
     """
     if len(population) == 0:
         raise ValueError("population is empty")
-    if not 0.0 <= warmup < horizon:
-        raise ValueError("need 0 <= warmup < horizon")
+    if not (math.isfinite(horizon) and math.isfinite(warmup) and 0.0 <= warmup < horizon):
+        raise ValueError("need finite 0 <= warmup < horizon; "
+                         f"got warmup={warmup!r}, horizon={horizon!r}")
+    eps_sorted = sorted(set(float(e) for e in epsilons))
+    if not all(math.isfinite(e) and e >= 0.0 for e in eps_sorted):
+        raise ValueError(f"shift levels must be finite and >= 0; got {list(epsilons)!r}")
 
     N = len(population)
     rates_arr = np.asarray(population.rate, dtype=float)
@@ -500,7 +515,6 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     I_int = 0.0              # integral of idle count from time 0
     Q_int = 0.0              # integral of queue length from time 0
     t_cursor = 0.0
-    eps_sorted = sorted(set(float(e) for e in epsilons))
     eps_pending = list(eps_sorted)
     eps_target = eps_pending[0] * n_scale if eps_pending else math.inf
     shift_snap: dict = {}
@@ -517,87 +531,71 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
         snap[idle] += at - since_view[idle]
         return snap
 
-    def integrate_to(t: float):
-        nonlocal I_int, Q_int, t_cursor, eps_target
-        dt = t - t_cursor
-        if dt <= 0.0:
-            return
-        # epsilon-shift crossings happen mid-interval at the exact instant
-        while idle_count > 0 and I_int + idle_count * dt > eps_target:
-            t_c = t_cursor + (eps_target - I_int) / idle_count
-            eps = eps_pending.pop(0)
-            tau_shift[eps] = t_c
-            shift_snap[eps] = snapshot(t_c)
-            eps_target = eps_pending[0] * n_scale if eps_pending else math.inf
-        I_int += idle_count * dt
-        Q_int += queue_len * dt
-        t_cursor = t
-
-    def sweep(t: float):
-        nonlocal X, queue_len, abandonments, window_abandonments
-        while dl_heap and dl_heap[0][0] <= t:
-            d, sq = heapq.heappop(dl_heap)
-            if sq in left:
-                left.discard(sq)
-                continue
-            integrate_to(d)
-            left.add(sq)
-            queue_len -= 1
-            X -= 1
-            abandonments += 1
-            if d >= warmup:
-                window_abandonments += 1
-            if log is not None:
-                log.append((d, "abandon", -1, queue_len))
-
+    heappush, heappop = heapq.heappush, heapq.heappop
     next_arr = next_arrival_gap()
     next_srv = next_service_gap()
     mark_idx = 0
     n_marks = len(marks)
     t_mark = marks[0]
 
+    # Each step handles one event, the earliest of: a live patience deadline,
+    # a batch mark, the next arrival or potential completion. Ties go in
+    # that order. A tombstoned deadline is popped and nothing happens.
     while True:
-        t_ev = next_arr if next_arr <= next_srv else next_srv
-        if t_mark <= t_ev:
-            sweep(t_mark)
-            integrate_to(t_mark)
-            if mark_idx == 0:
-                warm_snap = snapshot(t_mark)
-            mark_I.append(I_int)
-            mark_Q.append(Q_int)
-            mark_idx += 1
-            if mark_idx == n_marks:
-                break
-            t_mark = marks[mark_idx]
-            continue
-        if dl_heap and dl_heap[0][0] <= t_ev:
-            sweep(t_ev)
-        integrate_to(t_ev)
-        event_count += 1
         if next_arr <= next_srv:
+            t = next_arr
+            step = 0                # arrival
+        else:
+            t = next_srv
+            step = 1                # potential completion
+        if t_mark <= t:
+            t = t_mark
+            step = 3                # batch mark
+        if dl_heap and dl_heap[0][0] <= t:
+            t, sq = heappop(dl_heap)
+            if sq in left:
+                left.discard(sq)
+                continue
+            step = 2                # abandonment
+        # the idle and queue integrals run up to t (never behind t_cursor);
+        # the epsilon-shift levels are crossed mid-interval, at the exact instant
+        dt = t - t_cursor
+        I_next = I_int + idle_count * dt
+        while idle_count > 0 and I_next > eps_target:
+            t_c = t_cursor + (eps_target - I_int) / idle_count
+            eps = eps_pending.pop(0)
+            tau_shift[eps] = t_c
+            shift_snap[eps] = snapshot(t_c)
+            eps_target = eps_pending[0] * n_scale if eps_pending else math.inf
+        I_int = I_next
+        Q_int += queue_len * dt
+        t_cursor = t
+        if step == 0:
+            event_count += 1
             arrivals += 1
-            if t_ev >= warmup:
+            if t >= warmup:
                 window_arrivals += 1
             X += 1
             if idle_count > 0:
                 k = pop_idle()
                 busy[k] = 1
-                idle_total[k] += t_ev - idle_since[k]
+                idle_total[k] += t - idle_since[k]
                 idle_count -= 1
                 if log is not None:
-                    log.append((t_ev, "arrival", k, queue_len))
+                    log.append((t, "arrival", k, queue_len))
             else:
                 seq += 1
-                d = t_ev + next_patience()
+                d = t + next_patience()
                 fifo.append((d, seq))
-                heapq.heappush(dl_heap, (d, seq))
+                heappush(dl_heap, (d, seq))
                 queue_len += 1
                 if queue_len > peak_queue:
                     peak_queue = queue_len
                 if log is not None:
-                    log.append((t_ev, "arrival", -1, queue_len))
-            next_arr = t_ev + next_arrival_gap()
-        else:
+                    log.append((t, "arrival", -1, queue_len))
+            next_arr = t + next_arrival_gap()
+        elif step == 1:
+            event_count += 1
             k = next_service_pick()
             if busy[k]:
                 departures += 1
@@ -613,12 +611,31 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
                     queue_len -= 1
                 else:
                     busy[k] = 0
-                    idle_since[k] = t_ev
+                    idle_since[k] = t
                     idle_count += 1
                     push_idle(k)
                 if log is not None:
-                    log.append((t_ev, "service", k, queue_len))
-            next_srv = t_ev + next_service_gap()
+                    log.append((t, "service", k, queue_len))
+            next_srv = t + next_service_gap()
+        elif step == 2:
+            left.add(sq)
+            queue_len -= 1
+            X -= 1
+            abandonments += 1
+            if t >= warmup:
+                window_abandonments += 1
+            if log is not None:
+                log.append((t, "abandon", -1, queue_len))
+        else:
+            if mark_idx == 0:
+                warm_snap = snapshot(t)
+            mark_I.append(I_int)
+            mark_Q.append(Q_int)
+            mark_idx += 1
+            if mark_idx == n_marks:
+                break
+            t_mark = marks[mark_idx]
+            continue
         # structural invariants of a non-idling system
         if queue_len > 0 and idle_count != 0:
             raise RuntimeError("non-idling violated: queue with idle servers")

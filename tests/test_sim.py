@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import math
 
 import numpy as np
@@ -50,6 +51,27 @@ def test_bad_window_rejected():
     pop = _pop([1.0])
     with pytest.raises(ValueError):
         run_simulation(params, pop, RoutingPolicy.uniform(), 10.0, 10.0, seed=1)
+
+
+@pytest.mark.parametrize("horizon, warmup", [(math.inf, 5.0), (math.inf, math.inf),
+                                             (math.nan, 0.0), (10.0, math.nan),
+                                             (10.0, -math.inf)])
+def test_non_finite_window_rejected(horizon, warmup):
+    # an infinite horizon passes 0 <= warmup < horizon, and its batch marks
+    # would be inf and nan: the run would never end
+    with pytest.raises(ValueError, match="finite"):
+        run_simulation(_params(0.5), _pop([1.0]), RoutingPolicy.uniform(), horizon, warmup,
+                       seed=1)
+
+
+@pytest.mark.parametrize("epsilons", [(-1.0, 0.0), (math.nan, 0.0, 0.5), (0.0, math.inf),
+                                      (-0.5,)])
+def test_bad_shift_levels_rejected(epsilons):
+    # a negative level would be crossed before time 0, and a NaN one would
+    # never be crossed and block every level sorted after it
+    with pytest.raises(ValueError, match="shift levels"):
+        run_simulation(_params(0.5), _pop([1.0, 2.0]), RoutingPolicy.uniform(), 10.0, 1.0,
+                       seed=1, epsilons=epsilons)
 
 
 def test_conservation_is_exact_integers():
@@ -253,6 +275,55 @@ def test_event_log_schema():
     assert times == sorted(times)
 
 
+def _replay(log, N, warmup, horizon):
+    """Per-server idle time and the idle-count and queue-length integrals on
+    [warmup, horizon], rebuilt from the event log of a run that starts with
+    every server busy and the queue empty."""
+    idle_time = np.zeros(N)
+    idle_since = {}                 # idle server -> when it fell idle
+    queue_len = 0
+    t_prev = warmup
+    idle_int = queue_int = 0.0
+
+    def advance(t):
+        nonlocal t_prev, idle_int, queue_int
+        t = min(max(t, warmup), horizon)
+        idle_int += len(idle_since) * (t - t_prev)
+        queue_int += queue_len * (t - t_prev)
+        t_prev = t
+
+    def idle_on_window(since, until):
+        return max(0.0, min(until, horizon) - max(since, warmup))
+
+    for t, kind, k, q in log:
+        advance(t)
+        if kind == "arrival" and k >= 0:
+            idle_time[k] += idle_on_window(idle_since.pop(k), t)
+        elif kind == "service" and queue_len == 0:
+            idle_since[k] = t       # no one waits: the server falls idle
+        queue_len = q
+    advance(horizon)
+    for k, since in idle_since.items():
+        idle_time[k] += idle_on_window(since, horizon)
+    return idle_time, idle_int, queue_int
+
+
+def test_float_statistics_match_the_event_log():
+    # every server starts busy, so the log fixes the state; the load makes a
+    # queue that forms, abandons and drains, and idle spells in between
+    rates = np.random.default_rng(31).uniform(0.5, 1.5, 30)
+    params = _params(float(rates.sum()) / 4, gamma=0.8, n=4, alpha=0.5)
+    res = run_simulation(params, _pop(rates), RoutingPolicy.fsf(), 200.0, 20.0, seed=32,
+                         collect_event_log=True)
+    assert res.peak_queue > 0 and res.window_abandonments > 0
+    idle_time, idle_int, queue_int = _replay(res.event_log, rates.size, 20.0, 200.0)
+    assert idle_int > 0.0 and queue_int > 0.0
+    assert np.allclose(res.idle_time, idle_time, rtol=1e-9, atol=1e-9 * res.window)
+    scale = res.window * 4 ** 0.5
+    assert res.scaled_idleness_mean == pytest.approx(idle_int / scale, rel=1e-9)
+    assert res.scaled_queue_plus_mean == pytest.approx(queue_int / scale, rel=1e-9)
+
+
 def _within_binomial(counts, probs, draws, z=5.0):
     """Each count within z binomial standard deviations of draws * p."""
     counts, probs = np.asarray(counts, dtype=float), np.asarray(probs, dtype=float)
@@ -288,14 +359,53 @@ class TestIdlePools:
         assert pool.rejections == 0
 
     @pytest.mark.parametrize("kind, sign", [("fsf", -1.0), ("ssf", 1.0)])
-    def test_rate_ordered_pools_break_many_ties_by_index(self, kind, sign):
+    def test_rate_ordered_pools_break_many_ties_by_index(self, kind, sign, monkeypatch):
         # enough tied rates that an unstable sort would reorder them
         rates = np.random.default_rng(63).integers(1, 4, 200) / 2.0
+        sorts = self._record_sorts(monkeypatch)
         pool = _idle_pool(RoutingPolicy(kind), rates, np.arange(0, 200, 2), None)
+        assert "stable" in sorts
         for k in range(1, 200, 2):
             pool.push(k)
         order = sorted(range(200), key=lambda k: (sign * rates[k], k))
         assert [pool.pop() for _ in range(200)] == order
+
+    @staticmethod
+    def _record_sorts(monkeypatch):
+        """The ``kind`` of every ``np.argsort`` call from now on."""
+        sorts = []
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            sorts.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        return sorts
+
+    @pytest.mark.parametrize("kind, sign", [("fsf", -1.0), ("ssf", 1.0)])
+    def test_rate_ordered_pools_without_ties(self, kind, sign, monkeypatch):
+        # untied rates rank by the default sort, not the stable one
+        rates = np.random.default_rng(64).uniform(0.5, 1.5, 3000)
+        assert np.unique(rates).size == rates.size
+        sorts = self._record_sorts(monkeypatch)
+        pool = _idle_pool(RoutingPolicy(kind), rates, np.arange(0, 3000, 3), None)
+        assert sorts == [None]
+        reference = [(sign * rates[k], k) for k in range(0, 3000, 3)]
+        heapq.heapify(reference)
+        steps = np.random.default_rng(65).random(6000) < 0.5
+        busy = [k for k in range(3000) if k % 3]
+        for push in steps:
+            if push and busy:
+                k = busy.pop()
+                pool.push(k)
+                heapq.heappush(reference, (sign * rates[k], k))
+            elif reference:
+                k = pool.pop()
+                assert k == heapq.heappop(reference)[1]
+                busy.append(k)
+        while reference:
+            assert pool.pop() == heapq.heappop(reference)[1]
 
     def _frequencies(self, pool, servers, draws):
         counts = dict.fromkeys(servers, 0)
