@@ -32,9 +32,10 @@ COMMANDS = (["equilibrium"], ["fairness", "--policy", "hrandom"], ["limits"],
             ["sweep", "--axis", "beta"], ["sweep", "--axis", "r"],
             ["--n", "200", "simulate", "--horizon", "1", "--warmup", "0.25"])
 # a cold start builds a queue, so the simulator's patience deadlines, its
-# FIFO line and its event log are compared too, under every routing policy
-BASE_COMMANDS = tuple(["--n", "200", "simulate", "--policy", policy, "--cold-start",
-                       "--event-log", "--horizon", "1", "--warmup", "0.25"]
+# FIFO line and its event log are compared too, under every routing policy;
+# at gamma 200 some of the queued customers abandon within the horizon
+BASE_COMMANDS = tuple(["--n", "200", "--gamma", "200", "simulate", "--policy", policy,
+                       "--cold-start", "--event-log", "--horizon", "1", "--warmup", "0.25"]
                       for policy in ("hrandom", "lisf", "fsf", "ssf", "uniform"))
 _RATE = re.compile(r" ?events_per_s=\S*")
 

@@ -350,8 +350,8 @@ def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications:
     """Per scale n: sup-gap of binned idleness vs theory, scaled-idleness gap
     with replication standard error, and fairness TV gap. Gaps should shrink
     with n up to noise; rows report the raw numbers."""
-    if sorted(n_list) != list(n_list) or len(n_list) == 0:
-        raise ConfigError("n_list must be nonempty and increasing")
+    if not n_list or any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ConfigError(f"n_list must be nonempty and strictly increasing; got {n_list}")
     if min(n_list) < 2:
         raise ConfigError("scales below 2 are rejected: fairness binning needs servers to spare")
     if replications < 1:
@@ -483,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise SolverFailure("residual not below 1e-9", {"residual": sol.residual})
             return 0
         if args.command == "sweep":
-            if args.grid:
+            if args.grid is not None:
                 grid = _parse_list(args.grid, float, "--grid")
             elif args.axis == "r":
                 grid = [-2.0, -1.75, -1.5, -1.25, -1.0, -0.75, -0.5, -0.25]

@@ -9,6 +9,7 @@ sha256 of the resolved configuration.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 from .model import ModelParams, PolicyFunctions, PopulationDistributions, power_family
@@ -39,6 +40,10 @@ class ExperimentConfig:
     seed: int = 1729
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite; got {value!r}")
         try:
             self.params()
             self.population()

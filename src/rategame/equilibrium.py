@@ -143,9 +143,7 @@ def _edge_sums(q: np.ndarray, i: np.ndarray, j: np.ndarray, psi: np.ndarray,
     return np.cumsum(level)[:-1] + q * np.cumsum(weight)[:-1]
 
 
-# The response laws: a monotone law's sampling table, and a unimodal law's
-# peak search, cell table and quadrature rules
-_GRID_POINTS = 2001
+# The unimodal law's peak search, cell table and quadrature rules
 _PEAK_GRID = 4097       # points that locate the peak of a unimodal C(., L)
 _CELLS = 256            # cells of the unimodal table
 _TABLE_PANEL_NODES = 4  # Gauss nodes per cell of an integral by parts over the table
@@ -167,9 +165,9 @@ class ResponseDistribution(RateDistribution):
     first_order_monotone: bool
 
     def __init__(self, L: float, dists: PopulationDistributions, cdf,
-                 kinks: tuple[float, ...], grid_points: int, support_nodes=None):
+                 kinks: tuple[float, ...], support_nodes):
         self.L = L
-        self._define(dists.mu_min, dists.mu_max, cdf, kinks, grid_points, support_nodes)
+        self._define(dists.mu_min, dists.mu_max, cdf, kinks, support_nodes)
 
     def density(self, mu):
         """Reporting density via central differences of the CDF, half a
@@ -197,11 +195,12 @@ class MonotoneResponse(ResponseDistribution):
     """
 
     first_order_monotone = True
+    _table_points = 2001
 
     def __init__(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
                  kinks, support_nodes):
         super().__init__(L, dists, lambda mu: _monotone_cdf(mu, L, dists, funcs), kinks,
-                         _GRID_POINTS, support_nodes)
+                         support_nodes)
 
 
 def _monotone_cdf(mu, L, dists: PopulationDistributions, funcs: PolicyFunctions) -> np.ndarray:
@@ -283,13 +282,13 @@ class UnimodalResponse(ResponseDistribution):
     indicator is exact at the edges, and each node pair's term
     1(hi <= m) + 1(lo <= m < hi) (1 - min(q(m), psi)) does not decrease in
     m, as q does not: with positive weights the table cannot decrease at
-    any resolution. The table is also the law's sampling grid, built and
-    checked with the law: a linear interpolant is nondecreasing exactly
-    when its table is. Its interior edges are its kinks, as they stand. The
-    law carries its support node set from its cell edges, built with the
-    law (a monotone law is given its own by ``_response_laws``): each cell
-    is one panel of ``_TABLE_PANEL_NODES`` Gauss nodes, with the table read
-    at them. F1 is
+    any resolution. The edges and the table are also the law's sampling
+    table, handed to ``_set_table`` and checked there with the law: a
+    linear interpolant is nondecreasing exactly when its table is. Its
+    interior edges are its kinks, as they stand. The law carries its
+    support node set from its cell edges, built with the law (a monotone
+    law is given its own by ``_response_laws``): each cell is one panel of
+    ``_TABLE_PANEL_NODES`` Gauss nodes, with the table read at them. F1 is
     linear on each cell, so an integral by parts over the support, Phi
     among them, is the table's own integral to rounding.
     ``mu_peak`` and ``c_peak`` are the peak of C(., L) and its value.
@@ -309,8 +308,8 @@ class UnimodalResponse(ResponseDistribution):
         for array in nodes:
             array.flags.writeable = False
         super().__init__(L, dists, lambda mu: np.interp(mu, edges, table),
-                         tuple(edges[1:-1].tolist()), edges.size, nodes)
-        self._tabulate()
+                         tuple(edges[1:-1].tolist()), nodes)
+        self._set_table(edges, table)
 
 
 def _response_laws(L: np.ndarray, dists: PopulationDistributions, funcs: PolicyFunctions):

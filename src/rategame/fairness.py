@@ -218,19 +218,18 @@ class AttainabilityCheck:
 
 
 def check_attainable(g: Callable, F: RateDistribution, beta: float,
-                     g_prime: Callable | None = None) -> AttainabilityCheck:
+                     g_prime: Callable) -> AttainabilityCheck:
     """Strict feasibility of a target fairness density:
 
         0 < g(mu) < (1+beta) <iota,eta> / (beta mu_bar_F)  on the support,
 
-    checked on ``_ATTAINABLE_GRID`` points. Returns the minimum slack
-    against both bounds (negative when infeasible).
+    checked on ``_ATTAINABLE_GRID`` points. The moment <iota,eta> is
+    integrated by parts, so g must be differentiable with derivative
+    ``g_prime``. Returns the minimum slack against both bounds (negative
+    when infeasible).
     """
-    if g_prime is None:
-        moment = F.integrate(lambda m: np.asarray(m, dtype=float) * g(m))
-    else:
-        moment = F.integrate(lambda m: np.asarray(m, dtype=float) * g(m),
-                             lambda m: g(m) + np.asarray(m, dtype=float) * g_prime(m))
+    moment = F.integrate(lambda m: np.asarray(m, dtype=float) * g(m),
+                         lambda m: g(m) + np.asarray(m, dtype=float) * g_prime(m))
     ceiling = (1.0 + beta) * moment / (beta * F.mean)
     mus = np.linspace(F.mu_min, F.mu_max, _ATTAINABLE_GRID)
     gv = np.asarray(g(mus), dtype=float)
@@ -240,12 +239,14 @@ def check_attainable(g: Callable, F: RateDistribution, beta: float,
 
 
 def h_for_target_density(g: Callable, F: RateDistribution, beta: float,
-                         lambda_bar: float, g_prime: Callable | None = None) -> RoutingWeight:
-    """Routing weight whose stationary fairness density is exactly ``g``.
+                         lambda_bar: float, g_prime: Callable) -> RoutingWeight:
+    """Routing weight whose stationary fairness density is exactly ``g``,
+    a differentiable density with derivative ``g_prime``:
 
         h(mu) = ((1+beta)/mu_bar - beta g(mu)/<iota,eta>) mu
                 / (beta lambda_bar g(mu)/<iota,eta>)
 
+    and htilde' is read from ``g_prime`` in closed form.
     Round trip: solve_L(F, returned weight, beta) recovers g and L = lambda_bar.
     """
     chk = check_attainable(g, F, beta, g_prime=g_prime)
@@ -266,13 +267,9 @@ def h_for_target_density(g: Callable, F: RateDistribution, beta: float,
         mu = np.asarray(mu, dtype=float)
         return (c0 - c1 * g(mu)) / (scale * g(mu))
 
-    if g_prime is None:
-        def htilde_prime(mu, _d=1e-6):
-            return (htilde(mu + _d) - htilde(mu - _d)) / (2.0 * _d)
-    else:
-        def htilde_prime(mu):
-            mu = np.asarray(mu, dtype=float)
-            return -c0 * g_prime(mu) / (scale * g(mu) ** 2)
+    def htilde_prime(mu):
+        mu = np.asarray(mu, dtype=float)
+        return -c0 * g_prime(mu) / (scale * g(mu) ** 2)
 
     return RoutingWeight(h=h, htilde=htilde, htilde_prime=htilde_prime)
 

@@ -54,13 +54,13 @@ class ModelParams:
     n: int
 
     def __post_init__(self) -> None:
-        if self.lambda_bar <= 0:
+        if not self.lambda_bar > 0:
             raise ValueError("lambda_bar must be positive")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise ValueError("beta must be positive")
         if not 0.5 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [1/2, 1]")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if self.n < 1 or int(self.n) != self.n:
             raise ValueError("n must be a positive integer")

@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _NODES_PER_PANEL = 64
-_TABLE_POINTS = 4097   # points of a CDF law's sampling table, besides its kinks
 
 
 @lru_cache(maxsize=8)
@@ -91,9 +90,8 @@ def _check_cdf_values(vals: np.ndarray, where: str, splits=()) -> None:
 
 class RateDistribution:
     """A law of service rates, given by its CDF on [mu_min, mu_max];
-    integrals against dF are done by parts.
-
-    For integrands with a supplied derivative,
+    every integral against dF is done by parts, with the integrand's
+    derivative, which the caller must supply:
 
         int g dF = g(b) F(b) - g(a) F(a) - int g'(mu) F(mu) dmu,
 
@@ -102,28 +100,27 @@ class RateDistribution:
     each (a subclass whose CDF is a piecewise-linear table, split at every
     edge, needs only a few). The CDF is read at the whole support's nodes
     once per law, or comes with those nodes already read (``_define``'s
-    ``support_nodes``). Without a derivative a fine midpoint
-    Stieltjes rule is used instead (adequate for reporting, not for
-    solver-grade tolerances).
+    ``support_nodes``).
 
-    The constructor tabulates the CDF on ``_TABLE_POINTS`` points plus the
+    The constructor tabulates the CDF on ``_table_points`` points plus the
     kinks and checks it there: finite, nondecreasing (to 1e-10) and running
-    from 0 to 1. The table serves sampling and the Stieltjes rule. A
-    subclass may leave it unbuilt (``_define`` without ``_tabulate``); the
-    first read of ``_grid`` or ``_grid_cdf`` builds and checks it then, and
-    until that happens every integral by parts checks the CDF values at
-    its own Gauss nodes instead.
+    from 0 to 1. The table serves sampling. A subclass may hand in a table
+    of its own (``_set_table``), or leave it unbuilt (``_define`` without
+    ``_tabulate``); the first read of ``_grid`` or ``_grid_cdf`` builds and
+    checks it then, and until that happens every integral by parts checks
+    the CDF values at its own Gauss nodes instead.
     """
 
     _panel_nodes = _NODES_PER_PANEL
+    _table_points = 4097   # points of the sampling table, besides the kinks
 
     def __init__(self, mu_min: float, mu_max: float, cdf: Callable,
                  kinks: Sequence[float] = ()):
-        self._define(mu_min, mu_max, cdf, _interior(kinks, mu_min, mu_max), _TABLE_POINTS)
+        self._define(mu_min, mu_max, cdf, _interior(kinks, mu_min, mu_max))
         self._tabulate()
 
     def _define(self, mu_min: float, mu_max: float, cdf: Callable,
-                kinks: tuple[float, ...], grid_points: int, support_nodes=None) -> None:
+                kinks: tuple[float, ...], support_nodes=None) -> None:
         """The law's support, CDF and kinks. ``kinks`` are taken as they
         stand, so they must be as ``_interior`` gives them: distinct Python
         floats strictly inside the support, ascending. ``support_nodes``,
@@ -136,23 +133,26 @@ class RateDistribution:
         self.mu_max = float(mu_max)
         self.kinks = kinks
         self._cdf = cdf
-        self._grid_points = grid_points
         self._table = None
         self._support_nodes = support_nodes
 
     def _tabulate(self) -> tuple[np.ndarray, np.ndarray]:
         """The sampling table (grid, CDF on it), built and checked once."""
         if self._table is None:
-            base = np.linspace(self.mu_min, self.mu_max, self._grid_points)
+            base = np.linspace(self.mu_min, self.mu_max, self._table_points)
             grid = np.unique(np.concatenate([base, np.asarray(self.kinks, dtype=float)]))
-            vals = np.asarray(self._cdf(grid), dtype=float)
-            _check_cdf_values(vals, "on its whole grid")
-            # the sampling table: clipped into [0, 1] and made nondecreasing
-            grid_cdf = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
-            if abs(grid_cdf[-1] - 1.0) > 1e-8 or grid_cdf[0] > 1e-8:
-                raise ValueError("cdf must run from 0 to 1 across the support")
-            self._table = grid, grid_cdf
+            self._set_table(grid, np.asarray(self._cdf(grid), dtype=float))
         return self._table
+
+    def _set_table(self, grid: np.ndarray, vals: np.ndarray) -> None:
+        """Check the CDF values ``vals`` on the ascending ``grid``, which
+        spans the support, and keep them as the sampling table."""
+        _check_cdf_values(vals, "on its whole grid")
+        # the sampling table: clipped into [0, 1] and made nondecreasing
+        grid_cdf = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
+        if abs(grid_cdf[-1] - 1.0) > 1e-8 or grid_cdf[0] > 1e-8:
+            raise ValueError("cdf must run from 0 to 1 across the support")
+        self._table = grid, grid_cdf
 
     @property
     def _grid(self) -> np.ndarray:
@@ -165,17 +165,17 @@ class RateDistribution:
     def cdf(self, mu):
         return np.clip(np.asarray(self._cdf(np.asarray(mu, dtype=float)), dtype=float), 0.0, 1.0)
 
-    def integrate(self, g: Callable, dg: Callable | None = None) -> float:
-        """Integral of g against dF over the whole support."""
+    def integrate(self, g: Callable, dg: Callable) -> float:
+        """Integral of g against dF over the whole support; ``dg`` is g'."""
         return self.integrate_between(g, dg, self.mu_min, self.mu_max)
 
-    def integrate_between(self, g, dg, a, b):
+    def integrate_between(self, g: Callable, dg: Callable, a: float, b: float) -> float:
+        """Integral of g against dF over [a, b] within the support, by
+        parts with ``dg`` = g'."""
         a = max(a, self.mu_min)
         b = min(b, self.mu_max)
         if b <= a:
             return 0.0
-        if dg is None:
-            return self._stieltjes(g, a, b)
         ga = float(np.asarray(g(np.array([a]))).reshape(()))
         gb = float(np.asarray(g(np.array([b]))).reshape(()))
         Fa = float(self.cdf(np.array([a]))[0]) if a > self.mu_min else 0.0
@@ -201,15 +201,6 @@ class RateDistribution:
                 array.flags.writeable = False
             self._support_nodes = nodes
         return nodes
-
-    def _stieltjes(self, g, a, b):
-        grid = self._grid
-        xs = grid[(grid >= a) & (grid <= b)]
-        if xs.size < 2:
-            xs = np.array([a, b])
-        Fv = self.cdf(xs)
-        mid = 0.5 * (xs[1:] + xs[:-1])
-        return float(np.sum(np.asarray(g(mid), dtype=float) * np.diff(Fv)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.uniform(0.0, 1.0, size=size)
@@ -242,8 +233,9 @@ class FairnessMeasure:
 
     Either a discrete measure on ``support``/``weights`` (empirical runs,
     point-mass limits) or a density ``g`` with respect to a rate
-    distribution ``base``. ``degenerate`` marks the placeholder measure
-    returned before any idleness has accrued (mass at rate 0).
+    distribution ``base``, with its derivative ``g_prime``, which every
+    integral against ``base`` reads. ``degenerate`` marks the placeholder
+    measure returned before any idleness has accrued (mass at rate 0).
     """
 
     support: np.ndarray | None = None
@@ -258,18 +250,18 @@ class FairnessMeasure:
             return
         if self.support is not None:
             w = np.asarray(self.weights, dtype=float)
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
+            if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-12):
                 raise ValueError("weights must be nonnegative and sum to 1")
-        elif self.base is None or self.g is None:
-            raise ValueError("need either (support, weights) or (base, g)")
+        elif self.base is None or not (callable(self.g) and callable(self.g_prime)):
+            raise ValueError("need either (support, weights) or (base, g, g_prime)")
 
     @staticmethod
     def from_weights(support: np.ndarray, weights: np.ndarray) -> "FairnessMeasure":
         support = np.asarray(support, dtype=float)
         weights = np.asarray(weights, dtype=float)
         total = weights.sum()
-        if total <= 0:
-            raise ValueError("no mass")
+        if not 0.0 < total < np.inf:
+            raise ValueError(f"weights need a positive finite mass; got {total!r}")
         return FairnessMeasure(support=support, weights=weights / total)
 
     @staticmethod
@@ -278,7 +270,7 @@ class FairnessMeasure:
 
     @staticmethod
     def from_density(base: RateDistribution, g: Callable,
-                     g_prime: Callable | None = None) -> "FairnessMeasure":
+                     g_prime: Callable) -> "FairnessMeasure":
         return FairnessMeasure(base=base, g=g, g_prime=g_prime)
 
     @staticmethod
@@ -292,8 +284,6 @@ class FairnessMeasure:
         if self.support is not None:
             return float(np.sum(self.support * self.weights))
         g, gp = self.g, self.g_prime
-        if gp is None:
-            return self.base.integrate(lambda m: m * g(m))
         return self.base.integrate(lambda m: m * g(m), lambda m: g(m) + m * gp(m))
 
     def bin_masses(self, edges: np.ndarray) -> np.ndarray:

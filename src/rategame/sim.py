@@ -9,12 +9,13 @@ made a block at a time), so server k is named with probability
 mu_k / sum(mu); the completion is thinned when that server is idle (exact,
 since accepted completions occur at rate sum over busy servers of mu_k).
 
-Idle servers wait in one pool per routing policy, each with ``push(k)`` and
-``pop()``: a deque for longest-idle-first, a heap of rate ranks for
-fastest- and slowest-first, a list with swap-remove for uniform, and for
-weighted random the composition-rejection sampler of Slepoy, Thompson &
-Plimpton (J. Chem. Phys. 2008): geometric buckets of the weight, a bucket
-picked by a weighted scan, rejection inside the bucket.
+Idle servers wait in one pool per routing policy, which ``_idle_pool``
+returns as a ``push(k)`` and a ``pop()`` closure: a deque's ends for
+longest-idle-first, a heap of rate ranks for fastest- and slowest-first, a
+list with swap-remove for uniform, and for weighted random the
+composition-rejection sampler of Slepoy, Thompson & Plimpton (J. Chem.
+Phys. 2008): geometric buckets of the weight, a bucket picked by a weighted
+scan, rejection inside the bucket.
 
 One time-ordered loop handles one event per step: a patience deadline, a
 batch mark, an arrival or a potential completion, whichever comes first
@@ -196,27 +197,7 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-class _Pool:
-    """The idle servers under one routing policy: ``push(k)`` when server k
-    falls idle, ``pop()`` removes and returns the server an arriving customer
-    is routed to (only called while a server is idle)."""
-
-    __slots__ = ()
-    rejections = 0      # draws refused inside pop(); weighted random only
-
-
-class _FifoPool(_Pool):
-    """Longest-idle-server-first: servers leave in the order they fell idle."""
-
-    __slots__ = ("push", "pop")
-
-    def __init__(self, idle: list[int]):
-        queue = deque(idle)
-        self.push = queue.append
-        self.pop = queue.popleft
-
-
-class _HeapPool(_Pool):
+def _heap_pool(idle: np.ndarray, keys: np.ndarray):
     """The idle server with the smallest ``keys[k]`` goes first, ties to the
     lower index: keys -mu give fastest-first, keys mu slowest-first.
 
@@ -224,44 +205,32 @@ class _HeapPool(_Pool):
     the order of the ``(keys[k], k)`` pairs. Untied keys have one sorted
     order, which the default sort finds; only when two keys are equal does
     it take the slower stable sort, for the ties' index order."""
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(keys, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    heap = rank[idle].tolist()
+    heapq.heapify(heap)
+    rank, server = memoryview(rank), memoryview(order)
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    __slots__ = ("push", "pop")
+    def push(k: int) -> None:
+        heappush(heap, rank[k])
 
-    def __init__(self, idle: np.ndarray, keys: np.ndarray):
-        order = np.argsort(keys)
-        ranked = keys[order]
-        if np.any(ranked[1:] == ranked[:-1]):
-            order = np.argsort(keys, kind="stable")
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        heap = rank[idle].tolist()
-        heapq.heapify(heap)
-        rank, server = memoryview(rank), memoryview(order)
-        heappush, heappop = heapq.heappush, heapq.heappop
+    def pop() -> int:
+        return server[heappop(heap)]
 
-        def push(k: int) -> None:
-            heappush(heap, rank[k])
-
-        def pop() -> int:
-            return server[heappop(heap)]
-
-        self.push, self.pop = push, pop
+    return push, pop
 
 
-class _UniformPool(_Pool):
+def _uniform_pool(idle: list[int], next_u: Callable[[], float]):
     """Every idle server equally likely; the last entry fills the hole."""
 
-    __slots__ = ("_idle", "_u", "push")
-
-    def __init__(self, idle: list[int], next_u: Callable[[], float]):
-        self._idle = idle
-        self._u = next_u
-        self.push = idle.append
-
-    def pop(self) -> int:
-        idle = self._idle
+    def pop() -> int:
         m = len(idle)
-        j = int(self._u() * m)
+        j = int(next_u() * m)
         if j == m:
             j -= 1
         k = idle[j]
@@ -270,117 +239,115 @@ class _UniformPool(_Pool):
             idle[j] = last
         return k
 
+    return idle.append, pop
 
-class _WeightedPool(_Pool):
+
+def _weighted_pool(h: np.ndarray, idle: np.ndarray, next_u: Callable[[], float]):
     """Idle server k goes with probability h_k / (sum of h over idle servers).
 
     Composition-rejection: servers sit in geometric buckets of h / max(h); a
     scan weighted by each bucket's idle h-sum picks the bucket, and a uniform
     member of it is accepted with probability h_k / (bucket's largest h).
-    ``rejections`` counts the refused members."""
+    Returns ``push``, ``pop`` and a count of the refused members."""
+    if np.any(h <= 0) or np.any(~np.isfinite(h)):
+        raise ValueError("routing weight must be finite and positive on all rates")
+    z = h / h.max()          # scale-invariant bucket coordinate
+    zmin = float(z.min())
+    if zmin >= 1.0:
+        edges = np.array([0.0, 2.0])
+        bucket = np.zeros(z.size, dtype=np.intp)
+    else:
+        edges = np.geomspace(zmin, 1.0, _H_BUCKETS + 1)
+        edges[0] = 0.0
+        edges[-1] = 2.0
+        # the edges are geometric, so the log finds the bucket up to
+        # rounding; one comparison each way makes edges[b] <= z < edges[b+1]
+        bucket = np.clip((np.log(z / zmin) * (_H_BUCKETS / -math.log(zmin))).astype(np.intp),
+                         0, _H_BUCKETS - 1)
+        bucket -= z < edges[bucket]
+        bucket += z >= edges[bucket + 1]
+    nb = edges.size - 1
+    hmax = np.zeros(nb)
+    np.maximum.at(hmax, bucket, h)
+    idle_bucket = bucket[idle]
+    # fewer than 256 buckets: the stable sort of a uint8 copy is a radix sort
+    order = np.argsort(idle_bucket.astype(np.uint8), kind="stable")
+    cuts = np.cumsum(np.bincount(idle_bucket, minlength=nb))[:-1]
+    members = [m.tolist() for m in np.split(idle[order], cuts)]
+    hsum = np.bincount(idle_bucket, weights=h[idle], minlength=nb).tolist()
+    # per-server lookups read the arrays through memoryviews: no N-entry lists
+    hmax, hv, bucket = hmax.tolist(), memoryview(np.ascontiguousarray(h)), memoryview(bucket)
+    last_b = nb - 1
+    total = sum(hsum)       # the idle h-sum
+    since = 0               # routings since it was last rebuilt
+    rejected = 0
 
-    __slots__ = ("push", "pop", "_rejections")
+    def push(k: int) -> None:
+        nonlocal total
+        b = bucket[k]
+        members[b].append(k)
+        hk = hv[k]
+        hsum[b] += hk
+        total += hk
 
-    def __init__(self, h: np.ndarray, idle: np.ndarray, next_u: Callable[[], float]):
-        if np.any(h <= 0) or np.any(~np.isfinite(h)):
-            raise ValueError("routing weight must be finite and positive on all rates")
-        z = h / h.max()          # scale-invariant bucket coordinate
-        zmin = float(z.min())
-        if zmin >= 1.0:
-            edges = np.array([0.0, 2.0])
-            bucket = np.zeros(z.size, dtype=np.intp)
-        else:
-            edges = np.geomspace(zmin, 1.0, _H_BUCKETS + 1)
-            edges[0] = 0.0
-            edges[-1] = 2.0
-            # the edges are geometric, so the log finds the bucket up to
-            # rounding; one comparison each way makes edges[b] <= z < edges[b+1]
-            bucket = np.clip((np.log(z / zmin) * (_H_BUCKETS / -math.log(zmin))).astype(np.intp),
-                             0, _H_BUCKETS - 1)
-            bucket -= z < edges[bucket]
-            bucket += z >= edges[bucket + 1]
-        nb = edges.size - 1
-        hmax = np.zeros(nb)
-        np.maximum.at(hmax, bucket, h)
-        idle_bucket = bucket[idle]
-        # fewer than 256 buckets: the stable sort of a uint8 copy is a radix sort
-        order = np.argsort(idle_bucket.astype(np.uint8), kind="stable")
-        cuts = np.cumsum(np.bincount(idle_bucket, minlength=nb))[:-1]
-        members = [m.tolist() for m in np.split(idle[order], cuts)]
-        hsum = np.bincount(idle_bucket, weights=h[idle], minlength=nb).tolist()
-        # per-server lookups read the arrays through memoryviews: no N-entry lists
-        hmax, hv, bucket = hmax.tolist(), memoryview(np.ascontiguousarray(h)), memoryview(bucket)
-        last_b = nb - 1
-        total = sum(hsum)       # the idle h-sum
-        since = 0               # routings since it was last rebuilt
-        rejected = 0
-
-        def push(k: int) -> None:
-            nonlocal total
-            b = bucket[k]
-            members[b].append(k)
-            hk = hv[k]
-            hsum[b] += hk
-            total += hk
-
-        def pop() -> int:
-            nonlocal total, since, rejected
-            # the idle h-sum is kept incrementally; rebuilding it from the
-            # bucket sums every _REBUILD_EVERY routings caps floating drift
-            # (deterministic: tied to the routing count)
-            since += 1
-            if since >= _REBUILD_EVERY:
-                since = 0
-                total = sum(hsum)
+    def pop() -> int:
+        nonlocal total, since, rejected
+        # the idle h-sum is kept incrementally; rebuilding it from the
+        # bucket sums every _REBUILD_EVERY routings caps floating drift
+        # (deterministic: tied to the routing count)
+        since += 1
+        if since >= _REBUILD_EVERY:
+            since = 0
+            total = sum(hsum)
+        while True:
+            target = next_u() * total
+            b = 0
+            acc = hsum[0]
+            while acc < target and b < last_b:
+                b += 1
+                acc += hsum[b]
+            group = members[b]
+            m = len(group)
+            if m == 0:
+                continue  # numerically empty bucket hit by rounding drift
+            top = hmax[b]
             while True:
-                target = next_u() * total
-                b = 0
-                acc = hsum[0]
-                while acc < target and b < last_b:
-                    b += 1
-                    acc += hsum[b]
-                group = members[b]
-                m = len(group)
-                if m == 0:
-                    continue  # numerically empty bucket hit by rounding drift
-                top = hmax[b]
-                while True:
-                    j = int(next_u() * m)
-                    if j == m:
-                        j -= 1
-                    k = group[j]
-                    hk = hv[k]
-                    if next_u() * top < hk:
-                        last = group.pop()
-                        if last != k:
-                            group[j] = last
-                        hsum[b] -= hk
-                        total -= hk
-                        return k
-                    rejected += 1
+                j = int(next_u() * m)
+                if j == m:
+                    j -= 1
+                k = group[j]
+                hk = hv[k]
+                if next_u() * top < hk:
+                    last = group.pop()
+                    if last != k:
+                        group[j] = last
+                    hsum[b] -= hk
+                    total -= hk
+                    return k
+                rejected += 1
 
-        self.push, self.pop = push, pop
-        self._rejections = lambda: rejected
-
-    @property
-    def rejections(self) -> int:
-        return self._rejections()
+    return push, pop, lambda: rejected
 
 
 def _idle_pool(policy: RoutingPolicy, rates: np.ndarray, idle: np.ndarray,
-               next_u: Callable[[], float]) -> _Pool:
-    """The pool of ``policy`` holding the servers ``idle``, in index order;
+               next_u: Callable[[], float]):
+    """The idle servers of ``policy``, starting with ``idle`` in index
+    order, as ``(push, pop, rejections)``: ``push(k)`` when server k falls
+    idle, ``pop()`` removes and returns the server an arriving customer is
+    routed to (only called while a server is idle), and ``rejections()``
+    counts the draws refused inside ``pop`` (weighted random only).
     ``next_u`` is the routing stream of uniforms."""
     kind = policy.kind
+    if kind == "hrandom":
+        return _weighted_pool(np.asarray(policy.h(rates), dtype=float), idle, next_u)
     if kind == "lisf":
-        return _FifoPool(idle.tolist())
-    if kind == "fsf":
-        return _HeapPool(idle, -rates)
-    if kind == "ssf":
-        return _HeapPool(idle, rates)
-    if kind == "uniform":
-        return _UniformPool(idle.tolist(), next_u)
-    return _WeightedPool(np.asarray(policy.h(rates), dtype=float), idle, next_u)
+        queue = deque(idle.tolist())
+        push, pop = queue.append, queue.popleft
+    elif kind == "uniform":
+        push, pop = _uniform_pool(idle.tolist(), next_u)
+    else:
+        push, pop = _heap_pool(idle, -rates if kind == "fsf" else rates)
+    return push, pop, lambda: 0
 
 
 @dataclass(frozen=True)
@@ -484,7 +451,7 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
         busy = bytearray(b"\x01") * N
     else:
         p = np.broadcast_to(np.asarray(initial_idle_prob, dtype=float), (N,))
-        if np.any(p < 0) or np.any(p > 1):
+        if not np.all((p >= 0) & (p <= 1)):
             raise ValueError("initial idle probabilities must lie in [0, 1]")
         busy = bytearray(init_rng.random(N) >= p)
     busy_view = np.frombuffer(busy, dtype=np.uint8)   # shares memory with busy
@@ -496,9 +463,8 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
     idle_count = int(initially_idle.size)
     X = N - idle_count
     X0 = X
-    pool = _idle_pool(policy, rates_arr, initially_idle, next_route_u)
-    push_idle = pool.push
-    pop_idle = pool.pop
+    push_idle, pop_idle, rejections = _idle_pool(policy, rates_arr, initially_idle,
+                                                 next_route_u)
 
     # --- queue with patience deadlines ---------------------------------
     fifo: deque = deque()
@@ -679,7 +645,7 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
                               if window_arrivals else 0.0),
         event_count=event_count,
         thinned_completions=event_count - arrivals - departures,
-        routing_rejections=pool.rejections,
+        routing_rejections=rejections(),
         peak_queue=peak_queue,
         event_log=log,
     )

@@ -495,6 +495,16 @@ class TestMainEntry:
         ["--seed", "-1", "equilibrium"],
         ["--seed", "-1", "fairness"],
         ["--seed", "-1", "sweep", "--axis", "beta"],
+        ["sweep", "--axis", "r", "--grid="],
+        ["validate", "--n-list", "20,20"],
+        ["validate", "--n-list", "40,20"],
+        ["--gamma", "nan", "--n", "50", "simulate"],
+        ["--gamma", "inf", "limits"],
+        ["--a-max", "inf", "equilibrium"],
+        ["--beta", "nan", "equilibrium"],
+        ["--q", "nan", "equilibrium"],
+        ["--r", "nan", "equilibrium"],
+        ["--lambda-bar", "nan", "equilibrium"],
     ])
     def test_config_errors_exit_2_in_one_line(self, tmp_path, capsys, argv):
         rc = main(["--out", str(tmp_path), *argv])

@@ -41,10 +41,11 @@ def test_every_command_runs_at_every_configuration():
     assert ["--p", "5", "--r", "-3", "fairness", "--policy", "hrandom"] in runs
     assert ["--r", "-2", "--n", "200", "simulate", "--horizon", "1", "--warmup", "0.25"] in runs
     assert ["sweep", "--axis", "beta"] in runs and ["--p", "6", "--r", "-4", "limits"] in runs
-    # the cold-start simulations run under every policy, at the base configuration only
+    # the cold-start simulations run under every policy, at the base configuration
+    # only, with a patience rate at which queued customers abandon in the horizon
     for policy in ("hrandom", "lisf", "fsf", "ssf", "uniform"):
-        assert ["--n", "200", "simulate", "--policy", policy, "--cold-start", "--event-log",
-                "--horizon", "1", "--warmup", "0.25"] in runs
+        assert ["--n", "200", "--gamma", "200", "simulate", "--policy", policy, "--cold-start",
+                "--event-log", "--horizon", "1", "--warmup", "0.25"] in runs
     assert sum("--cold-start" in r for r in runs) == 5
 
 

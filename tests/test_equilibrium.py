@@ -11,7 +11,7 @@ from rategame import rates as rates_module
 from rategame.equilibrium import (_CELLS, _TIE_GRID, _TIE_ROUNDING, ResponseDistribution,
                                   UnimodalResponse, _assemble_equilibrium, _capped_ratio,
                                   _idle_value, _response_laws, _secant, _switch_level,
-                                  _utility)
+                                  _unimodal_table, _utility)
 from rategame.model import _ratio_array
 from rategame.rates import (RateDistribution, _check_cdf_values, _interior,
                             gauss_legendre_panels)
@@ -522,6 +522,28 @@ class TestUnimodalLawBuildsOnlyItsPath:
                 assert not got.flags.writeable
         assert phi == float(equilibrium_residual(L, dists, funcs, cfg.beta))
 
+    @pytest.mark.parametrize("overrides", UNIMODAL_CONFIGS)
+    def test_sampling_table_is_the_cell_table(self, monkeypatch, base_config, overrides):
+        # the law hands in its checked edges and table; its CDF is read once,
+        # at the support nodes, and never again to rebuild the table
+        cfg = base_config.with_overrides(**overrides)
+        dists, funcs = cfg.population(), cfg.functions()
+        L = float(_scan_Ls(cfg)[32])
+        reads = []
+        interp = np.interp
+
+        def recording(x, *args):
+            reads.append(np.size(x))
+            return interp(x, *args)
+
+        monkeypatch.setattr(np, "interp", recording)
+        F = UnimodalResponse(L, dists, funcs)
+        monkeypatch.undo()
+        assert reads == [4 * _CELLS]
+        edges, table = _unimodal_table(L, dists, funcs, F.mu_peak, F.c_peak, _CELLS)
+        assert np.array_equal(F._grid, edges)
+        assert np.array_equal(F._grid_cdf, np.maximum.accumulate(np.clip(table, 0.0, 1.0)))
+
     def test_no_kink_search_without_a_monotone_law(self, monkeypatch, base_config):
         def no_kinks(*args):
             raise AssertionError("kink search without a monotone law")
@@ -716,8 +738,6 @@ def _reread_integral(self, g, dg, a, b):
     b = min(b, self.mu_max)
     if b <= a:
         return 0.0
-    if dg is None:
-        return self._stieltjes(g, a, b)
     ga = float(np.asarray(g(np.array([a]))).reshape(())) if callable(g) else g
     gb = float(np.asarray(g(np.array([b]))).reshape(()))
     Fa = float(self.cdf(np.array([a]))[0]) if a > self.mu_min else 0.0

@@ -202,15 +202,14 @@ class TestAttainability:
 
     def test_ceiling_boundary_infeasible(self):
         F = uniform_rate_distribution(0.2, 0.5)
-        # density that touches the ceiling at the top end: strictness fails
+        # a smooth density that climbs steeply at the top end and ends above
+        # the ceiling there: strictness fails
         beta = 0.3
-
-        def g(m):
-            m = np.asarray(m, dtype=float)
-            return np.where(m > 0.49999, 1e12, 1.0)
-
-        chk = check_attainable(g, F, beta=beta)
+        g = lambda m: np.exp(100.0 * (np.asarray(m, dtype=float) - 0.5))
+        gp = lambda m: 100.0 * g(m)
+        chk = check_attainable(g, F, beta=beta, g_prime=gp)
         assert not chk.ok
+        assert g(0.5) > chk.ceiling > g(0.48)
 
     def test_round_trip_constant(self):
         F = uniform_rate_distribution(0.2, 0.5)
@@ -247,18 +246,17 @@ class TestAttainability:
         assert np.allclose(ratio, ratio[0], rtol=1e-7)
 
     def test_infeasible_target_raises(self):
-        # mass piled on the top sixth of the support: g = 6 there, above the
-        # ceiling (1+beta) <iota,eta> / (beta mu_bar) ~ 5.9
+        # mass piled toward the top of the support: g = 6 u^5 with
+        # u = (mu - 0.2) / 0.3 integrates to 1 and reaches 6 at the top, above
+        # the ceiling (1+beta) <iota,eta> / (beta mu_bar) = 1.3 (0.2 + 0.3 6/7) / 0.105
         F = uniform_rate_distribution(0.2, 0.5)
-
-        def g(m):
-            m = np.asarray(m, dtype=float)
-            return np.where(m > 0.45, 6.0, 0.0)
-
-        chk = check_attainable(g, F, beta=0.3)
+        g = lambda m: 6.0 * ((np.asarray(m, dtype=float) - 0.2) / 0.3) ** 5
+        gp = lambda m: 100.0 * ((np.asarray(m, dtype=float) - 0.2) / 0.3) ** 4
+        chk = check_attainable(g, F, beta=0.3, g_prime=gp)
+        assert chk.ceiling == pytest.approx(1.3 * (0.2 + 0.3 * 6.0 / 7.0) / 0.105, rel=1e-12)
         assert not chk.ok and chk.slack < 0
         with pytest.raises(ValueError):
-            h_for_target_density(g, F, 0.3, 100.0)
+            h_for_target_density(g, F, 0.3, 100.0, g_prime=gp)
 
 
 class TestConditionalIdleness:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -50,6 +52,15 @@ def test_model_params_validation():
         ModelParams(lambda_bar=1.0, beta=0.3, alpha=1.0, gamma=0.0, n=1)
     params = ModelParams(lambda_bar=100.0, beta=0.3, alpha=1.0, gamma=1.0, n=4)
     assert params.lambda_n == 400.0
+
+
+@pytest.mark.parametrize("field", ["lambda_bar", "beta", "gamma"])
+def test_model_params_reject_nan(field):
+    # NaN compares False both ways, so a positivity check must not be x <= 0
+    values = dict(lambda_bar=1.0, beta=0.3, alpha=1.0, gamma=1.0, n=1)
+    values[field] = math.nan
+    with pytest.raises(ValueError, match=f"{field} must be positive"):
+        ModelParams(**values)
 
 
 class TestPopulationSampling:

@@ -44,8 +44,20 @@ def test_integral_over_part_of_the_support():
     assert F.cdf(np.array([0.3]))[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
     ones, zeros = (lambda m: np.ones_like(m)), (lambda m: np.zeros_like(m))
     assert F.integrate_between(ones, zeros, 0.3, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
-    # without a derivative the midpoint Stieltjes rule reads the sampling table
-    assert F.integrate_between(ones, None, 0.3, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-3)
+
+
+def test_every_integral_needs_the_derivative():
+    # integrals against a rate law are by parts only: no rule runs without g'
+    F = uniform_rate_distribution(0.2, 0.5)
+    ones = lambda m: np.ones_like(m)
+    with pytest.raises(TypeError):
+        F.integrate(ones)
+    with pytest.raises(TypeError):
+        F.integrate_between(ones, None, 0.3, 1.0)
+    with pytest.raises(TypeError):
+        FairnessMeasure.from_density(F, g=ones)
+    with pytest.raises(ValueError, match="g_prime"):
+        FairnessMeasure(base=F, g=ones)
 
 
 def test_narrow_law_is_nearly_a_point_mass():
@@ -100,7 +112,7 @@ def _uniform_cdf_dipped_at(at, halfwidth, depth):
 
 def _untabulated(cdf):
     F = RateDistribution.__new__(RateDistribution)
-    F._define(0.1, 1.1, cdf, (), 4097)
+    F._define(0.1, 1.1, cdf, ())
     return F
 
 
@@ -163,8 +175,16 @@ class TestFairnessMeasure:
     def test_weights_must_normalize(self):
         with pytest.raises(ValueError):
             FairnessMeasure(support=np.array([1.0, 2.0]), weights=np.array([0.7, 0.7]))
+        with pytest.raises(ValueError):
+            FairnessMeasure(support=np.array([1.0, 2.0]), weights=np.array([np.nan, 1.0]))
         eta = FairnessMeasure.from_weights(np.array([1.0, 2.0]), np.array([3.0, 1.0]))
         assert eta.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]])
+    def test_weights_need_a_finite_positive_mass(self, weights):
+        # a NaN weight used to pass both checks and give all-NaN weights
+        with pytest.raises(ValueError, match="mass"):
+            FairnessMeasure.from_weights(np.array([0.2, 0.4]), np.array(weights))
 
     def test_density_form_moment(self):
         F = uniform_rate_distribution(1.0, 2.0)

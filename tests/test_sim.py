@@ -64,6 +64,14 @@ def test_non_finite_window_rejected(horizon, warmup):
                        seed=1)
 
 
+@pytest.mark.parametrize("prob", [math.nan, -0.1, 1.5, [0.5, math.nan]])
+def test_bad_initial_idle_probability_rejected(prob):
+    # a NaN probability would start its server idle at random
+    with pytest.raises(ValueError, match="initial idle probabilities"):
+        run_simulation(_params(0.5), _pop([1.0, 2.0]), RoutingPolicy.uniform(), 10.0, 1.0,
+                       seed=1, initial_idle_prob=prob)
+
+
 @pytest.mark.parametrize("epsilons", [(-1.0, 0.0), (math.nan, 0.0, 0.5), (0.0, math.inf),
                                       (-0.5,)])
 def test_bad_shift_levels_rejected(epsilons):
@@ -340,35 +348,36 @@ class TestIdlePools:
                           _stream(lambda: u.random(1024)))
 
     def test_lisf_pops_in_the_order_servers_fell_idle(self):
-        pool = self._pool(RoutingPolicy.lisf(), [1, 3])
-        pool.push(0)
-        pool.push(4)
-        assert [pool.pop() for _ in range(2)] == [1, 3]
-        pool.push(2)
-        pool.push(1)
-        assert [pool.pop() for _ in range(4)] == [0, 4, 2, 1]
+        push, pop, rejections = self._pool(RoutingPolicy.lisf(), [1, 3])
+        push(0)
+        push(4)
+        assert [pop() for _ in range(2)] == [1, 3]
+        push(2)
+        push(1)
+        assert [pop() for _ in range(4)] == [0, 4, 2, 1]
+        assert rejections() == 0
 
     @pytest.mark.parametrize("kind, order", [("fsf", [1, 3, 2, 4, 0]),
                                              ("ssf", [0, 4, 2, 1, 3])])
     def test_rate_ordered_pools(self, kind, order):
         # rates 0.5, 2.0, 1.0, 2.0, 0.8: equal rates go to the lower index
-        pool = self._pool(RoutingPolicy(kind), [3, 0])
+        push, pop, rejections = self._pool(RoutingPolicy(kind), [3, 0])
         for k in (4, 1, 2):
-            pool.push(k)
-        assert [pool.pop() for _ in range(5)] == order
-        assert pool.rejections == 0
+            push(k)
+        assert [pop() for _ in range(5)] == order
+        assert rejections() == 0
 
     @pytest.mark.parametrize("kind, sign", [("fsf", -1.0), ("ssf", 1.0)])
     def test_rate_ordered_pools_break_many_ties_by_index(self, kind, sign, monkeypatch):
         # enough tied rates that an unstable sort would reorder them
         rates = np.random.default_rng(63).integers(1, 4, 200) / 2.0
         sorts = self._record_sorts(monkeypatch)
-        pool = _idle_pool(RoutingPolicy(kind), rates, np.arange(0, 200, 2), None)
+        push, pop, _ = _idle_pool(RoutingPolicy(kind), rates, np.arange(0, 200, 2), None)
         assert "stable" in sorts
         for k in range(1, 200, 2):
-            pool.push(k)
+            push(k)
         order = sorted(range(200), key=lambda k: (sign * rates[k], k))
-        assert [pool.pop() for _ in range(200)] == order
+        assert [pop() for _ in range(200)] == order
 
     @staticmethod
     def _record_sorts(monkeypatch):
@@ -389,30 +398,31 @@ class TestIdlePools:
         rates = np.random.default_rng(64).uniform(0.5, 1.5, 3000)
         assert np.unique(rates).size == rates.size
         sorts = self._record_sorts(monkeypatch)
-        pool = _idle_pool(RoutingPolicy(kind), rates, np.arange(0, 3000, 3), None)
+        push, pop, _ = _idle_pool(RoutingPolicy(kind), rates, np.arange(0, 3000, 3), None)
         assert sorts == [None]
         reference = [(sign * rates[k], k) for k in range(0, 3000, 3)]
         heapq.heapify(reference)
         steps = np.random.default_rng(65).random(6000) < 0.5
         busy = [k for k in range(3000) if k % 3]
-        for push in steps:
-            if push and busy:
+        for pushes in steps:
+            if pushes and busy:
                 k = busy.pop()
-                pool.push(k)
+                push(k)
                 heapq.heappush(reference, (sign * rates[k], k))
             elif reference:
-                k = pool.pop()
+                k = pop()
                 assert k == heapq.heappop(reference)[1]
                 busy.append(k)
         while reference:
-            assert pool.pop() == heapq.heappop(reference)[1]
+            assert pop() == heapq.heappop(reference)[1]
 
     def _frequencies(self, pool, servers, draws):
+        push, pop, _ = pool
         counts = dict.fromkeys(servers, 0)
         for _ in range(draws):
-            k = pool.pop()
+            k = pop()
             counts[k] += 1
-            pool.push(k)
+            push(k)
         return [counts[k] for k in servers]
 
     def test_uniform_picks_each_idle_server_equally(self):
@@ -422,6 +432,8 @@ class TestIdlePools:
         ok, detail = _within_binomial(self._frequencies(pool, idle, draws),
                                       np.full(4, 0.25), draws)
         assert ok, detail
+        _, _, rejections = pool
+        assert rejections() == 0
 
     def test_hrandom_picks_proportional_to_h(self):
         # weights 1 / mu; the servers at 1.004 and 1.008 share a geometric
@@ -437,7 +449,8 @@ class TestIdlePools:
         ok, detail = _within_binomial(self._frequencies(pool, idle, draws),
                                       weights / weights.sum(), draws)
         assert ok, detail
-        assert pool.rejections > 0
+        _, _, rejections = pool
+        assert rejections() > 0
 
 
 def _two_stack_vose(weights):
