@@ -138,17 +138,18 @@ def cmd_sweep(config: ExperimentConfig, axis: str, grid: list[float],
               outdir: str) -> list[dict]:
     if axis not in ("r", "beta"):
         raise ConfigError("sweep axis must be r or beta")
-    if not grid or sorted(grid) != list(grid):
-        raise ConfigError("sweep grid must be nonempty and sorted ascending")
+    if not grid or any(not lo < hi for lo, hi in zip(grid, grid[1:])):
+        raise ConfigError(f"sweep grid must be nonempty and strictly increasing; got {grid}")
     if axis == "r" and any(v >= 1.0 for v in grid):
         raise ConfigError("r grid must stay below 1 (htilde must decrease)")
     if axis == "beta":
         if any(v <= 0.0 for v in grid):
             raise ConfigError("beta grid must be positive")
         _require_decreasing_htilde(config)
+    # every point's config is checked before the first solve
+    configs = [config.with_overrides(**{axis: float(value)}) for value in grid]
     rows = []
-    for value in grid:
-        cfg_i = config.with_overrides(**{axis: float(value)})
+    for value, cfg_i in zip(grid, configs):
         try:
             sol = _solve(cfg_i)
             # staffing reported at the configured regime exponent; the

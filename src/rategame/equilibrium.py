@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import bisect, itp
-from .model import (PolicyFunctions, PopulationDistributions,
-                    ServerPopulation, _ratio_array, staffing_level,
+from .model import (_MONOTONE_GRID, PolicyFunctions, PopulationDistributions,
+                    ServerPopulation, _monotone_check, _ratio_array, staffing_level,
                     verify_first_order_monotone)
 from .fairness import SolverFailure, fairness_density, solve_L
 from .rates import RateDistribution, _check_cdf_values, _interior, _panel_rule
@@ -103,15 +103,15 @@ def best_response_rates(population: ServerPopulation, L: float,
                        (population.mu_min, population.mu_max))[0]
 
 
-def _monotone_kinks(L: np.ndarray, dists: PopulationDistributions,
+def _monotone_kinks(L: np.ndarray, grid: np.ndarray, vals: np.ndarray,
+                    dists: PopulationDistributions,
                     funcs: PolicyFunctions) -> list[list[float]]:
     """Kinks of the monotone-regime response CDF at each L of ``L``: every
     mu where C(mu, L) crosses a_max, then every mu where it crosses a_min.
-    They are located on a scan grid and refined by one bisection over every
-    bracket of every law; each bracket halves on its own, so each root is
-    the one a bisection of that bracket alone gives."""
-    grid = np.linspace(dists.mu_min, dists.mu_max, 513)
-    vals = _ratio_array(funcs, np.broadcast_to(grid, (L.size, grid.size)), L[:, None])
+    They are located on the scan ``grid``, where ``vals`` holds C, one row
+    per L, and refined by one bisection over every bracket of every law;
+    each bracket halves on its own, so each root is the one a bisection of
+    that bracket alone gives."""
     laws, cells, levels = [], [], []
     for level in (dists.a_max, dists.a_min):
         d = vals - level
@@ -318,10 +318,24 @@ def _response_laws(L: np.ndarray, dists: PopulationDistributions, funcs: PolicyF
     :class:`UnimodalResponse`. The monotone check, the kink search and the
     read of the monotone laws' CDF at their support nodes run once over the
     whole array. A monotone law builds no sampling table; its CDF is
-    checked at those nodes, which every integral over the support reads."""
-    monotone = verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max))
-    kinks = ([_interior(k, dists.mu_min, dists.mu_max)
-              for k in _monotone_kinks(L[monotone], dists, funcs)] if monotone.any() else [])
+    checked at those nodes, which every integral over the support reads.
+
+    C(mu, L) is read once per grid point. The check reads it on
+    ``_MONOTONE_GRID`` points, as ``verify_first_order_monotone`` does; the
+    kink search's grid of 2 ``_MONOTONE_GRID`` - 1 points holds those as its
+    even points (halving a linspace step is exact), so only its odd points
+    are read, and only at the monotone L."""
+    vals, monotone = _monotone_check(funcs, L, (dists.mu_min, dists.mu_max))
+    kinks = []
+    if monotone.any():
+        Lm = L[monotone]
+        grid = np.linspace(dists.mu_min, dists.mu_max, 2 * _MONOTONE_GRID - 1)
+        fine = np.empty((Lm.size, grid.size))
+        fine[:, ::2] = vals[monotone]
+        fine[:, 1::2] = _ratio_array(funcs, np.broadcast_to(grid[1::2], (Lm.size, grid.size // 2)),
+                                     Lm[:, None])
+        kinks = [_interior(k, dists.mu_min, dists.mu_max)
+                 for k in _monotone_kinks(Lm, grid, fine, dists, funcs)]
     nodes = iter(_monotone_node_sets(L[monotone], kinks, dists, funcs) if kinks else ())
     kinks = iter(kinks)
     for Lk, ok in zip(L.tolist(), monotone.tolist()):
@@ -520,7 +534,8 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
 
     Multiple sign changes are reported (``sign_changes``), the smallest root
     is returned. Fails loudly with the scan attached when no sign change is
-    found numerically.
+    found numerically. The returned ``response`` is the law Phi read at L*,
+    kept from the scan or the ITP step that read it, and tabulated.
     """
     if beta <= 0 or lambda_bar <= 0:
         raise ValueError("beta and lambda_bar must be positive")
@@ -531,7 +546,12 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
     blo = 1.0 / (beta * ht_lo)
     bhi = 1.0 / (beta * ht_hi)
 
+    laws = {}   # every law Phi has read, by its L: L* is one of them
+
     def phi_at(L: float, F: ResponseDistribution | None = None) -> float:
+        if F is None:
+            F = next(_response_laws(np.array([L]), dists, funcs))
+        laws[L] = F
         return equilibrium_residual(L, dists, funcs, beta, F=F)
 
     scan_L = np.geomspace(blo, bhi, SCAN_POINTS)
@@ -543,9 +563,8 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
     change_idx = np.flatnonzero(nonzero[:-1] & nonzero[1:] & (signs[:-1] != signs[1:]))
     exact = np.flatnonzero(signs == 0)
     if exact.size and not change_idx.size:
-        L = float(scan_L[exact[0]])
-        return _assemble_equilibrium(L, dists, funcs, beta, lambda_bar, n,
-                                     blo, bhi, scan_L, scan_phi, 1, 0)
+        return _assemble_equilibrium(laws[float(scan_L[exact[0]])], dists, funcs, beta,
+                                     lambda_bar, n, blo, bhi, scan_L, scan_phi, 1, 0)
     if not change_idx.size:
         raise SolverFailure("no sign change of Phi on the existence bracket",
                             {"bracket": (blo, bhi),
@@ -556,13 +575,17 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
     if abs(phi_L) >= PHI_TOLERANCE:
         raise SolverFailure("Phi root search stalled above tolerance",
                             {"L": L, "phi": phi_L, "iterations": iterations})
-    return _assemble_equilibrium(L, dists, funcs, beta, lambda_bar, n,
+    return _assemble_equilibrium(laws[L], dists, funcs, beta, lambda_bar, n,
                                  blo, bhi, scan_L, scan_phi, change_idx.size, iterations)
 
 
-def _assemble_equilibrium(L, dists, funcs, beta, lambda_bar, n,
+def _assemble_equilibrium(F, dists, funcs, beta, lambda_bar, n,
                           blo, bhi, scan_L, scan_phi, sign_changes, iterations):
-    F = response_distribution(L, dists, funcs)
+    """The solution at the law ``F`` Phi read at L*, tabulated here as
+    ``response_distribution`` tabulates it. Its residual is integrated
+    again, as one more Phi evaluation."""
+    L = F.L
+    F._tabulate()
     g, gp, moment = fairness_density(F, funcs, L)
     selfcheck = solve_L(F, funcs, beta).L
     residual = equilibrium_residual(L, dists, funcs, beta, F=F)

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from ._numerics import bisect, rk4_step
+from .fairness import SolverFailure
 from .model import ModelParams
 from .rates import RateDistribution
 
@@ -114,7 +115,8 @@ def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray) -> np.ndarray:
         moment = float(moment)
 
     def rhs(t, y):
-        return -drift + moment * max(-y, 0.0)
+        # (y)^- without a call to max: at y = +-0.0 the sum is -drift either way
+        return -drift + moment * (-y if y < 0.0 else 0.0)
 
     grid = t_grid.tolist()
     out = np.empty(t_grid.size)
@@ -358,7 +360,10 @@ def allocation_fixed_point(F: RateDistribution, params: ModelParams, mu_bar: flo
     With L omitted, solves the grid's own self-consistency equation
     lambda = L (lam/mu_bar)(1+beta) sum F_c h_c/(1+L h_c/mu_c), whose root
     makes the cellwise drift vanish identically (the exact fixed point of
-    :func:`allocation_fluid_integrate`).
+    :func:`allocation_fluid_integrate`). It is bracketed on
+    [1e-14, 2^k], k the first with a nonnegative excess, and raises
+    :class:`SolverFailure` when either end does not hold (an inconsistent
+    ``mu_bar``), or when no 2^k up to 1e18 does.
     """
     edges = np.linspace(F.mu_min, F.mu_max, ALLOCATION_CELLS + 1)
     Fm = np.diff(np.concatenate([[0.0], F.cdf(edges)[1:-1], [1.0]]))
@@ -372,12 +377,16 @@ def allocation_fixed_point(F: RateDistribution, params: ModelParams, mu_bar: flo
             # increasing in Lv from 0 to scale * sum(mu_c F_c) > lambda
             return scale * float(np.sum(Fm * Lv * hv / (1.0 + Lv * hv / mids))) - lam
 
-        hi = 1.0
-        while excess(hi) < 0.0:
+        lo, hi = 1e-14, 1.0
+        if not excess(lo) < 0.0:
+            raise SolverFailure("allocation self-consistency has no root above L = 1e-14",
+                                {"mu_bar": mu_bar, "excess": excess(lo)})
+        while not excess(hi) >= 0.0:
             hi *= 2.0
             if hi > 1e18:
-                raise ZeroDivisionError("allocation self-consistency has no root")
-        log_L, _, _ = bisect(lambda u: -excess(math.exp(u)), math.log(1e-14), math.log(hi), 200)
+                raise SolverFailure("allocation self-consistency has no root below L = 1e18",
+                                    {"mu_bar": mu_bar, "excess": excess(hi)})
+        log_L, _, _ = bisect(lambda u: -excess(math.exp(u)), math.log(lo), math.log(hi), 200)
         L = math.exp(log_L)
     gbar = (lam / mu_bar) * (1.0 + beta) / (1.0 + L * hv / mids)
     return AllocationState(edges=edges, masses=gbar * Fm, F_masses=Fm)
@@ -407,6 +416,12 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
     point of ``t_grid``, and each state's ``step_error`` sums the estimates
     of the steps that reached it, in mass units.
 
+    The whole step and the first half start from the same state, so they
+    share its k, q and m - q; each step's exponential, product and sum run
+    in place on one array. The work is numpy-call-bound on
+    ``ALLOCATION_CELLS`` cells, and every float is the one the textbook
+    form q + (m - q) exp(-k tau) gives.
+
     Raises on a vanishing weighted idle mass (the routing fraction is then
     undefined); the time is reported in the error.
     """
@@ -425,16 +440,29 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
         if S <= 0.0:
             raise ZeroDivisionError(f"weighted idle mass vanished at t={t!r}: "
                                     "routing fraction undefined")
-        k = mids + lam_hv / S
+        k = lam_hv / S
+        k += mids
         return k, inflow / k
+
+    def begin(masses, t):
+        """frozen(masses, t) and masses - q: what every step from there reads."""
+        k, q = frozen(masses, t)
+        return k, q, masses - q
 
     def relax(m, start, t, tau):
         """One exponential-midpoint step of tau from (t, m); ``start`` is
-        frozen(m, t)."""
-        k, q = start
-        half = q + (m - q) * np.exp(-k * (0.5 * tau))
+        begin(m, t)."""
+        k, q, gap = start
+        half = k * (-0.5 * tau)
+        np.exp(half, out=half)
+        half *= gap
+        half += q
         k, q = frozen(half, t + 0.5 * tau)
-        return q + (m - q) * np.exp(-k * tau)
+        step = k * -tau
+        np.exp(step, out=step)
+        step *= m - q
+        step += q
+        return step
 
     out = [initial]
     m = initial.masses.copy()
@@ -442,20 +470,23 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
     start = None
     for end in t_grid[1:].tolist():
         while t < end:
-            # the start's k and q serve every attempt from it
-            start = frozen(m, t) if start is None else start
+            # the start's k, q and m - q serve every attempt from it
+            start = begin(m, t) if start is None else start
             # spread what is left of the interval over equal steps of at most tau
             span = (end - t) / math.ceil((end - t) / tau)
             whole = relax(m, start, t, span)
             first = relax(m, start, t, 0.5 * span)
-            halves = relax(first, frozen(first, t + 0.5 * span), t + 0.5 * span, 0.5 * span)
+            halves = relax(first, begin(first, t + 0.5 * span), t + 0.5 * span, 0.5 * span)
             # Richardson: the two halves' local error is a third of their distance
-            estimate = float(np.max(np.abs(halves - whole))) / 3.0
+            diff = halves - whole
+            estimate = float(np.abs(diff).max()) / 3.0
             allowed = ALLOCATION_TOLERANCE * float(halves.max())
             if estimate <= allowed:
                 # the extrapolation to third order can dip below zero by at most
                 # the estimate, in a cell whose mass is about that small
-                m = np.maximum(halves + (halves - whole) / 3.0, 0.0)
+                diff /= 3.0
+                diff += halves
+                m = np.maximum(diff, 0.0, out=diff)
                 error += estimate
                 t = end if span >= end - t else t + span
                 start = None

@@ -266,6 +266,18 @@ def _ratio_array(funcs: PolicyFunctions, mu, L: float) -> np.ndarray:
     return -L * funcs.f_prime(1.0 / z) * funcs.htilde_prime(mu) / (z * z * cp)
 
 
+def _monotone_check(funcs: PolicyFunctions, L: float | np.ndarray,
+                    support: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """C(mu, L) on the ``_MONOTONE_GRID`` evenly spaced points of
+    ``support``, one row per L, and the verdict of each row: True iff C
+    strictly decreases across it."""
+    L = np.asarray(L, dtype=float)
+    if np.any(L <= 0):
+        raise ValueError("L must be positive")
+    vals = _ratio_array(funcs, np.linspace(support[0], support[1], _MONOTONE_GRID), L[..., None])
+    return vals, np.all(np.diff(vals, axis=-1) < 0.0, axis=-1)
+
+
 def verify_first_order_monotone(funcs: PolicyFunctions, L: float | np.ndarray,
                                 support: tuple[float, float]) -> bool | np.ndarray:
     """True iff C(mu, L) is strictly decreasing across ``_MONOTONE_GRID``
@@ -281,9 +293,5 @@ def verify_first_order_monotone(funcs: PolicyFunctions, L: float | np.ndarray,
     A scalar L gives a bool; an array of L gives one verdict per L, as a
     boolean array of the same shape.
     """
-    L = np.asarray(L, dtype=float)
-    if np.any(L <= 0):
-        raise ValueError("L must be positive")
-    vals = _ratio_array(funcs, np.linspace(support[0], support[1], _MONOTONE_GRID), L[..., None])
-    verdict = np.all(np.diff(vals, axis=-1) < 0.0, axis=-1)
+    verdict = _monotone_check(funcs, L, support)[1]
     return bool(verdict) if verdict.ndim == 0 else verdict

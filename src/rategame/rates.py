@@ -176,8 +176,7 @@ class RateDistribution:
         b = min(b, self.mu_max)
         if b <= a:
             return 0.0
-        ga = float(np.asarray(g(np.array([a]))).reshape(()))
-        gb = float(np.asarray(g(np.array([b]))).reshape(()))
+        ga, gb = np.broadcast_to(np.asarray(g(np.array([a, b])), dtype=float), 2).tolist()
         Fa = float(self.cdf(np.array([a]))[0]) if a > self.mu_min else 0.0
         Fb = float(self.cdf(np.array([b]))[0]) if b < self.mu_max else 1.0
         x, w, cdf = self._nodes(a, b)

@@ -496,6 +496,9 @@ class TestMainEntry:
         ["--seed", "-1", "fairness"],
         ["--seed", "-1", "sweep", "--axis", "beta"],
         ["sweep", "--axis", "r", "--grid="],
+        ["sweep", "--axis", "r", "--grid=-1,-1"],
+        ["sweep", "--axis", "r", "--grid=-2,-1.5,nan"],
+        ["sweep", "--axis", "beta", "--grid=0.3,inf"],
         ["validate", "--n-list", "20,20"],
         ["validate", "--n-list", "40,20"],
         ["--gamma", "nan", "--n", "50", "simulate"],

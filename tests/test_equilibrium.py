@@ -12,7 +12,7 @@ from rategame.equilibrium import (_CELLS, _TIE_GRID, _TIE_ROUNDING, ResponseDist
                                   UnimodalResponse, _assemble_equilibrium, _capped_ratio,
                                   _idle_value, _response_laws, _secant, _switch_level,
                                   _unimodal_table, _utility)
-from rategame.model import _ratio_array
+from rategame.model import _MONOTONE_GRID, _ratio_array
 from rategame.rates import (RateDistribution, _check_cdf_values, _interior,
                             gauss_legendre_panels)
 from rategame import (PopulationDistributions, best_response,
@@ -644,6 +644,74 @@ class TestScanMatchesPerPointLaws:
                                   for L in sol.scan_L.tolist()]
 
 
+class TestOneRatioReadPerGridPoint:
+    """A build reads C(mu, L) once per grid point: the monotone check's
+    grid is the kink search's even points, and only the monotone L read the
+    odd ones. Verdicts, values and kinks are those of a separate check and
+    of a fresh read of the whole kink grid, bit for bit."""
+
+    @pytest.mark.parametrize("support", [(0.05, 0.5), (0.001478, 0.007613), (1e-3, 7.0),
+                                         (0.1, 0.1000001), (3.3, 1e4)])
+    def test_the_check_grid_is_the_kink_grids_even_points(self, support):
+        fine = np.linspace(*support, 2 * _MONOTONE_GRID - 1)
+        assert np.array_equal(fine[::2], np.linspace(*support, _MONOTONE_GRID))
+
+    @pytest.mark.parametrize("overrides, monotone_points", [({}, 64), ({"r": -0.5}, 64),
+                                                            ({"r": -1.5}, 8)])
+    def test_scan_kinks_are_a_fresh_searchs(self, monkeypatch, base_config, overrides,
+                                            monotone_points):
+        cfg = base_config.with_overrides(**overrides)
+        dists, funcs = cfg.population(), cfg.functions()
+        L = _scan_Ls(cfg)
+        handed = []
+        kinks = equilibrium_module._monotone_kinks
+
+        def recording(L, grid, vals, dists, funcs):
+            handed.append((grid.copy(), vals.copy()))
+            return kinks(L, grid, vals, dists, funcs)
+
+        monkeypatch.setattr(equilibrium_module, "_monotone_kinks", recording)
+        laws = list(_response_laws(L, dists, funcs))
+        monkeypatch.undo()
+        flags = verify_first_order_monotone(funcs, L, (dists.mu_min, dists.mu_max))
+        assert [G.first_order_monotone for G in laws] == flags.tolist()
+        assert flags.sum() == monotone_points
+
+        Lm = L[flags]
+        grid = np.linspace(dists.mu_min, dists.mu_max, 513)
+        fresh = _ratio_array(funcs, np.broadcast_to(grid, (Lm.size, grid.size)), Lm[:, None])
+        [(got_grid, vals)] = handed
+        assert np.array_equal(got_grid, grid) and np.array_equal(vals, fresh)
+        ref = [_interior(k, dists.mu_min, dists.mu_max)
+               for k in kinks(Lm, grid, fresh, dists, funcs)]
+        assert [G.kinks for G in laws if G.first_order_monotone] == ref
+
+
+class TestTheSolutionIsTheLawPhiRead:
+    @pytest.mark.parametrize("overrides", [{}, {"r": -2.0}])
+    def test_the_response_is_the_itp_steps_law(self, monkeypatch, base_config, overrides):
+        cfg = base_config.with_overrides(**overrides)
+        dists, funcs = cfg.population(), cfg.functions()
+        read = []
+        residual = equilibrium_module.equilibrium_residual
+
+        def recording(L, dists, funcs, beta, F=None):
+            read.append((L, F))
+            return residual(L, dists, funcs, beta, F=F)
+
+        monkeypatch.setattr(equilibrium_module, "equilibrium_residual", recording)
+        sol = solve_equilibrium(dists, funcs, cfg.beta, cfg.lambda_bar, cfg.n)
+        monkeypatch.undo()
+        # the scan, one read per ITP step, and the residual at L*
+        assert len(read) == 64 + sol.iterations + 1
+        at_root = [F for L, F in read[64:-1] if L == sol.L_star]
+        assert len(at_root) == 1 and sol.response is at_root[0] is read[-1][1]
+        ref = response_distribution(sol.L_star, dists, funcs)
+        assert sol.response.kinks == ref.kinks
+        assert np.array_equal(sol.response._grid, ref._grid)
+        assert np.array_equal(sol.response._grid_cdf, ref._grid_cdf)
+
+
 def _dipped_laws(monkeypatch, at: float, halfwidth: float, depth: float):
     """Every monotone response law read from here on has its CDF lowered
     by ``depth`` on (at - halfwidth, at + halfwidth)."""
@@ -762,7 +830,9 @@ class TestOneCdfReadPerNodeSet:
             return cdf(mu, L, dists, funcs)
 
         monkeypatch.setattr(equilibrium_module, "_monotone_cdf", read)
-        got = _assemble_equilibrium(sol.L_star, dists, funcs, config.beta, config.lambda_bar,
+        # the law at L* as the solver's ITP step builds it
+        F = next(_response_laws(np.array([sol.L_star]), dists, funcs))
+        got = _assemble_equilibrium(F, dists, funcs, config.beta, config.lambda_bar,
                                     config.n, sol.bracket_lo, sol.bracket_hi, sol.scan_L,
                                     sol.scan_phi, sol.sign_changes, sol.iterations)
         monkeypatch.undo()

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 from rategame._numerics import rk4_step
+from rategame.fairness import SolverFailure
 from rategame.limits import _DIFFUSION_BLOCK
 from rategame import (AllocationState, DiffusionSpec, FluidSpec, ModelParams,
                       allocation_fixed_point, allocation_fluid_integrate,
@@ -371,6 +372,23 @@ class TestAllocationFluid:
         # each state's summed local error estimates bound its measured error
         assert all(d <= s.step_error for s, d in zip(traj[1:], dist[1:]))
 
+    def test_base_case_trajectory_is_pinned(self, base_alloc, base_equilibrium):
+        # the run of the limits command: a uniform start, 81 points to t = 160;
+        # three cells' masses and the summed estimates at t = 80 and t = 160
+        params, h, cont, _grid = base_alloc
+        start = AllocationState(edges=cont.edges,
+                                masses=np.full_like(cont.masses, cont.total / cont.masses.size),
+                                F_masses=cont.F_masses)
+        traj = allocation_fluid_integrate(start, params, base_equilibrium.mu_bar, h,
+                                          np.linspace(0.0, 160.0, 81))
+        pins = {40: ([0.0013120000248200297, 0.3866381540959727, 0.07058621401472664],
+                     1.3309041918772397e-06),
+                80: ([0.0013120000248135664, 0.3866381540942139, 0.07058621401451205],
+                     1.3309042927039938e-06)}
+        for i, (masses, step_error) in pins.items():
+            assert traj[i].masses[[0, 199, 399]].tolist() == masses
+            assert traj[i].step_error == step_error
+
     def test_fixed_point_is_stationary(self, base_alloc, base_equilibrium):
         params, h, _cont, grid = base_alloc
         traj = allocation_fluid_integrate(grid, params, base_equilibrium.mu_bar, h,
@@ -439,3 +457,13 @@ class TestAllocationFluid:
         with pytest.raises(ZeroDivisionError):
             allocation_fluid_integrate(state, params, 0.15, lambda m: np.ones_like(m),
                                        np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("mu_bar, end", [(1e6, "below L = 1e18"), (1e-30, "above L = 1e-14")])
+    def test_grid_fixed_point_without_a_root_fails(self, base_alloc, base_equilibrium,
+                                                   mu_bar, end):
+        # the excess rises from -lambda_bar to scale sum(mu_c F_c) - lambda_bar, scale
+        # (lambda_bar / mu_bar)(1 + beta): a large mu_bar keeps it below zero, a tiny
+        # one lifts it above zero already at the lower end
+        params, h, _cont, _grid = base_alloc
+        with pytest.raises(SolverFailure, match=end):
+            allocation_fixed_point(base_equilibrium.response, params, mu_bar, h)
