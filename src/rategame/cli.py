@@ -37,14 +37,13 @@ from .limits import (AllocationState, DiffusionSpec, FluidSpec,
                      fluid_integrate, stationary_scaled_idleness)
 from .model import ModelParams, ServerPopulation, staffing_level
 from .rates import FairnessMeasure, RateDistribution, bin_index
-from .sim import RoutingPolicy, run_simulation, stream_seed
+from .sim import POLICIES, RoutingPolicy, run_simulation, stream_seed
 
 __all__ = [
     "cmd_equilibrium", "cmd_sweep", "cmd_fairness", "cmd_limits",
     "simulate_pipeline", "validate_pipeline", "main",
 ]
 
-_POLICIES = ("hrandom", "lisf", "uniform", "fsf", "ssf")
 _DISTRIBUTION_POINTS = 2001   # rows of distribution.csv
 _REFINEMENT = ("refinement_phi", "refinement_L", "refinement_mu_bar")
 _COUNTERS = ("event_count", "thinned_completions", "routing_rejections", "peak_queue")
@@ -90,14 +89,8 @@ def _outdir(flag: str | None) -> str:
     return os.environ.get("RATEGAME_OUTDIR", "out")
 
 
-def _require_decreasing_htilde(config: ExperimentConfig) -> None:
-    if config.r >= 1.0:
-        raise ConfigError("htilde must be strictly decreasing (need r < 1)")
-
-
 def _solve(config: ExperimentConfig) -> EquilibriumSolution:
     """The equilibrium of ``config``: the one solver call of every command."""
-    _require_decreasing_htilde(config)
     return solve_equilibrium(config.population(), config.functions(), config.beta,
                              config.lambda_bar, config.n)
 
@@ -140,12 +133,6 @@ def cmd_sweep(config: ExperimentConfig, axis: str, grid: list[float],
         raise ConfigError("sweep axis must be r or beta")
     if not grid or any(not lo < hi for lo, hi in zip(grid, grid[1:])):
         raise ConfigError(f"sweep grid must be nonempty and strictly increasing; got {grid}")
-    if axis == "r" and any(v >= 1.0 for v in grid):
-        raise ConfigError("r grid must stay below 1 (htilde must decrease)")
-    if axis == "beta":
-        if any(v <= 0.0 for v in grid):
-            raise ConfigError("beta grid must be positive")
-        _require_decreasing_htilde(config)
     # every point's config is checked before the first solve
     configs = [config.with_overrides(**{axis: float(value)}) for value in grid]
     rows = []
@@ -184,8 +171,8 @@ def cmd_sweep(config: ExperimentConfig, axis: str, grid: list[float],
 
 def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str,
                  grid_points: int = 401) -> FairnessMeasure:
-    if policy not in _POLICIES:
-        raise ConfigError(f"policy must be one of {_POLICIES}")
+    if policy not in POLICIES:
+        raise ConfigError(f"policy must be one of {POLICIES}")
     if grid_points < 2:
         raise ConfigError(f"grid_points must be at least 2; got {grid_points}")
     sol = _solve(config)
@@ -289,8 +276,8 @@ def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
                       replications: int = 1, stationary_init: bool = True,
                       event_log: bool = False) -> list:
     """Sample the equilibrium system at scale config.n and simulate it."""
-    if policy not in _POLICIES:
-        raise ConfigError(f"policy must be one of {_POLICIES}")
+    if policy not in POLICIES:
+        raise ConfigError(f"policy must be one of {POLICIES}")
     if replications < 1:
         raise ConfigError("replications must be >= 1")
     _require_window(horizon, warmup)
@@ -423,9 +410,16 @@ def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications:
 
 # ------------------------------------------------------------------------ main
 
+class _Parser(argparse.ArgumentParser):
+    """Its errors, and its subcommand parsers', are config errors: exit 2, one line."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="rategame", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="rategame", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", help="flat key=value config file")
     ap.add_argument("--out", help="output directory (default ./out, env RATEGAME_OUTDIR)")
     for key, kind in CONFIG_KEYS.items():
@@ -440,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "(write --grid=-2,-1 for negative grids)")
 
     sp = sub.add_parser("simulate", help="simulate the sampled equilibrium system")
-    sp.add_argument("--policy", choices=_POLICIES, default="hrandom")
+    sp.add_argument("--policy", choices=POLICIES, default="hrandom")
     sp.add_argument("--horizon", type=float, default=16.0)
     sp.add_argument("--warmup", type=float, default=4.0)
     sp.add_argument("--replications", type=int, default=1)
@@ -457,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("fairness", help="stationary fairness for a policy")
-    sp.add_argument("--policy", choices=_POLICIES, default="hrandom")
+    sp.add_argument("--policy", choices=POLICIES, default="hrandom")
     sp.add_argument("--grid-points", type=int, default=401)
 
     sub.add_parser("limits", help="fluid/diffusion/allocation trajectories")
@@ -473,9 +467,8 @@ def _parse_list(text: str, kind: type, flag: str) -> list:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         config = resolve_config(args.config, {k: getattr(args, k) for k in CONFIG_KEYS})
         outdir = _outdir(args.out)
         if args.command == "equilibrium":

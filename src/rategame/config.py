@@ -23,7 +23,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Defaults are the base-case experiment scenario."""
+    """Defaults are the base-case experiment scenario.
+
+    Construction is the one check of a configuration, so every command and
+    every sweep point starts from a valid one: finite floats, valid system
+    parameters and rate box, q >= 1, r < 1 (htilde strictly decreasing),
+    htilde finite on the box, and a nonnegative seed; else ``ConfigError``.
+    """
 
     lambda_bar: float = 100.0
     beta: float = 0.3
@@ -44,13 +50,16 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite; got {value!r}")
+        if self.r >= 1.0:
+            raise ConfigError("htilde must be strictly decreasing (need r < 1)")
         try:
             self.params()
             self.population()
+            self.functions().htilde(self.mu_min)    # its largest value on the box
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.q < 1:
-            raise ConfigError("q must be >= 1")
+        except OverflowError:
+            raise ConfigError(f"htilde = mu^(r-1) overflows at mu_min = {self.mu_min!r}") from None
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 

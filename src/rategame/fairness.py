@@ -158,19 +158,24 @@ def solve_L(F: RateDistribution, funcs, beta: float) -> FairnessSolution:
     if abs(gval) >= G_TOLERANCE:
         raise SolverFailure("fairness root search stalled above tolerance",
                             {"L": L, "G(L)": gval, "iterations": iterations})
-    return _assemble(F, funcs, L, gval, 1.0 / (beta * ht(F.mu_min)),
-                     1.0 / (beta * ht(F.mu_max)), iterations)
+    return _assemble(F, funcs, L, gval, lo, hi, iterations)
 
 
-def _assemble(F, funcs, L, residual, blo, bhi, iterations) -> FairnessSolution:
-    g, gp, moment = _density_parts(F, funcs, L)
+def _assemble(F, funcs, L, residual, lo, hi, iterations) -> FairnessSolution:
+    g, gp, moment = fairness_density(F, funcs, L)
     return FairnessSolution(L=L, g=g, g_prime=gp, moment=moment, residual=residual,
-                            bracket_lo=min(blo, bhi), bracket_hi=max(blo, bhi),
-                            iterations=iterations,
+                            bracket_lo=lo, bracket_hi=hi, iterations=iterations,
                             measure=FairnessMeasure.from_density(F, g, gp))
 
 
-def _density_parts(F, funcs, L):
+def fairness_density(F: RateDistribution, funcs, L: float):
+    """Density of the stationary fairness measure at a given L, plus moment.
+
+    Returns (g, g_prime, moment); g integrates to 1 against dF by
+    construction.
+    """
+    if L <= 0:
+        raise ValueError("L must be positive")
     ht, htp = funcs.htilde, funcs.htilde_prime
 
     def raw(m):
@@ -196,17 +201,6 @@ def _density_parts(F, funcs, L):
 
     moment = F.integrate(mg, mgp)
     return g, gp, moment
-
-
-def fairness_density(F: RateDistribution, funcs, L: float):
-    """Density of the stationary fairness measure at a given L, plus moment.
-
-    Returns (g, g_prime, moment); g integrates to 1 against dF by
-    construction.
-    """
-    if L <= 0:
-        raise ValueError("L must be positive")
-    return _density_parts(F, funcs, L)
 
 
 @dataclass(frozen=True)

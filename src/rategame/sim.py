@@ -22,10 +22,10 @@ batch mark, an arrival or a potential completion, whichever comes first
 (ties in that order). Each step first runs the idle and queue integrals up
 to its time, crossing the idleness-shift levels on the way. Each queued
 customer carries a patience deadline in a heap, so an abandonment is an
-event at its true time. A customer sits both in the FIFO line and in the
-deadline heap and leaves the queue once, by service or by abandonment; one
-set of tombstones lets the other side skip it, and a tombstoned deadline
-is popped with no event.
+event at its true time. The waiting line is one insertion-ordered map of
+tickets: an arrival that finds no idle server inserts its ticket, a service
+takes the oldest, and an abandonment deletes its own. A deadline whose
+ticket has already left the map is popped with no event.
 
 Structural invariants are enforced on every event:
   * non-idling: a nonempty queue forces zero idle servers;
@@ -42,7 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 from array import array
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Sequence
@@ -53,6 +53,7 @@ from .model import ModelParams, ServerPopulation
 from .rates import FairnessMeasure
 
 __all__ = [
+    "POLICIES",
     "RoutingPolicy",
     "SimulationResult",
     "stream_seed",
@@ -60,6 +61,7 @@ __all__ = [
     "empirical_fairness",
 ]
 
+POLICIES = ("hrandom", "lisf", "uniform", "fsf", "ssf")
 STREAMS = ("population", "arrival", "service", "patience", "routing", "init")
 _BLOCK = 1 << 15
 _H_BUCKETS = 48
@@ -69,32 +71,18 @@ _BATCHES = 20           # batch means over the measurement window
 
 @dataclass(frozen=True)
 class RoutingPolicy:
-    """Non-idling routing rule. ``h`` is only used by the weighted-random kind."""
+    """Non-idling routing rule, one of ``POLICIES`` by name: weighted
+    random, longest-idle-first, uniform, fastest- or slowest-first. ``h`` is
+    only used by the weighted-random kind."""
 
     kind: str
     h: Callable | None = None
 
     def __post_init__(self):
-        if self.kind not in ("lisf", "fsf", "ssf", "uniform", "hrandom"):
+        if self.kind not in POLICIES:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "hrandom" and self.h is None:
             raise ValueError("hrandom needs a weight function")
-
-    @staticmethod
-    def lisf() -> "RoutingPolicy":
-        return RoutingPolicy("lisf")
-
-    @staticmethod
-    def fsf() -> "RoutingPolicy":
-        return RoutingPolicy("fsf")
-
-    @staticmethod
-    def ssf() -> "RoutingPolicy":
-        return RoutingPolicy("ssf")
-
-    @staticmethod
-    def uniform() -> "RoutingPolicy":
-        return RoutingPolicy("uniform")
 
     @staticmethod
     def hrandom(h: Callable) -> "RoutingPolicy":
@@ -467,9 +455,8 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
                                                  next_route_u)
 
     # --- queue with patience deadlines ---------------------------------
-    fifo: deque = deque()
+    waiting: OrderedDict = OrderedDict()     # the tickets in line, oldest first
     dl_heap: list = []
-    left: set = set()        # customers gone from one of fifo and dl_heap only
     seq = 0
     queue_len = 0
     peak_queue = 0
@@ -506,7 +493,7 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
 
     # Each step handles one event, the earliest of: a live patience deadline,
     # a batch mark, the next arrival or potential completion. Ties go in
-    # that order. A tombstoned deadline is popped and nothing happens.
+    # that order. A deadline whose ticket is served is popped and nothing happens.
     while True:
         if next_arr <= next_srv:
             t = next_arr
@@ -519,8 +506,7 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
             step = 3                # batch mark
         if dl_heap and dl_heap[0][0] <= t:
             t, sq = heappop(dl_heap)
-            if sq in left:
-                left.discard(sq)
+            if sq not in waiting:
                 continue
             step = 2                # abandonment
         # the idle and queue integrals run up to t (never behind t_cursor);
@@ -551,9 +537,8 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
                     log.append((t, "arrival", k, queue_len))
             else:
                 seq += 1
-                d = t + next_patience()
-                fifo.append((d, seq))
-                heappush(dl_heap, (d, seq))
+                waiting[seq] = None
+                heappush(dl_heap, (t + next_patience(), seq))
                 queue_len += 1
                 if queue_len > peak_queue:
                     peak_queue = queue_len
@@ -567,13 +552,7 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
                 departures += 1
                 X -= 1
                 if queue_len > 0:
-                    while True:
-                        d, sq = fifo.popleft()
-                        if sq in left:
-                            left.discard(sq)
-                            continue
-                        left.add(sq)
-                        break
+                    waiting.popitem(last=False)
                     queue_len -= 1
                 else:
                     busy[k] = 0
@@ -584,7 +563,7 @@ def run_simulation(params: ModelParams, population: ServerPopulation,
                     log.append((t, "service", k, queue_len))
             next_srv = t + next_service_gap()
         elif step == 2:
-            left.add(sq)
+            del waiting[sq]
             queue_len -= 1
             X -= 1
             abandonments += 1

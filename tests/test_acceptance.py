@@ -122,7 +122,7 @@ def test_criterion_5_special_policy_fairness(base_config, base_equilibrium):
     keep_busy = int(np.searchsorted(cum_from_fastest, busy_capacity_needed) + 1)
     init = np.zeros(N)
     init[order[:N - keep_busy]] = 1.0
-    res_fsf = run_simulation(params, pop, RoutingPolicy.fsf(), 90.0, 20.0,
+    res_fsf = run_simulation(params, pop, RoutingPolicy("fsf"), 90.0, 20.0,
                              seed=base_config.seed, initial_idle_prob=init)
     eta_fsf = empirical_fairness(res_fsf, pop, 0.0)
     mass_low = float(eta_fsf.weights[eta_fsf.support <= q10].sum())
@@ -133,7 +133,7 @@ def test_criterion_5_special_policy_fairness(base_config, base_equilibrium):
                                           g_prime=lambda m: np.full_like(np.asarray(m), 1.0 / sol.mu_bar))
     edges = np.linspace(base_config.mu_min, base_config.mu_max, 16)
     tvs = {}
-    for policy in (RoutingPolicy.lisf(), RoutingPolicy.uniform()):
+    for policy in (RoutingPolicy("lisf"), RoutingPolicy("uniform")):
         res = run_simulation(params, pop, policy, 60.0, 10.0, seed=base_config.seed)
         eta = empirical_fairness(res, pop, 0.0)
         tvs[policy.kind] = eta.tv_binned(theory, edges)
@@ -159,9 +159,9 @@ def test_criterion_6_ctmc_oracle_equivalence(base_config):
         params = ModelParams(lambda_bar=lam, beta=0.3, alpha=1.0, gamma=gamma, n=1)
         pop = ServerPopulation.from_rates(rates, 0.05, 5.0)
         for kind, policy, oracle_kind in (
-                ("uniform", RoutingPolicy.uniform(), "uniform"),
-                ("fsf", RoutingPolicy.fsf(), "fsf"),
-                ("ssf", RoutingPolicy.ssf(), "ssf"),
+                ("uniform", RoutingPolicy("uniform"), "uniform"),
+                ("fsf", RoutingPolicy("fsf"), "fsf"),
+                ("ssf", RoutingPolicy("ssf"), "ssf"),
                 ("hrandom", RoutingPolicy.hrandom(h_arr), "hrandom")):
             oracle = ctmc_idle_fractions(rates, lam, gamma, oracle_kind, h=h, qmax=200)
             fr = np.array([run_simulation(params, pop, policy, horizon,

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import os
 import runpy
@@ -42,6 +43,16 @@ class TestConfig:
             ExperimentConfig(mu_min=0.5, mu_max=0.5)
         with pytest.raises(ConfigError):
             ExperimentConfig(alpha=0.2)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"r": 1.0}, "htilde must be strictly decreasing (need r < 1)"),
+        ({"q": 0.5}, "q must be >= 1 for a convex increasing cost"),
+        ({"mu_min": 1e-200}, "htilde = mu^(r-1) overflows at mu_min = 1e-200"),
+    ])
+    def test_the_config_is_the_one_check_of_the_power_family(self, overrides, message):
+        with pytest.raises(ConfigError) as raised:
+            ExperimentConfig(**overrides)
+        assert str(raised.value) == message
 
     def test_digest_tracks_content(self):
         a, b = ExperimentConfig(), ExperimentConfig(beta=0.31)
@@ -239,6 +250,25 @@ class TestSimulateAndFairness:
         simulate_pipeline(cfg, "hrandom", str(tmp_path), horizon=30.0, warmup=5.0,
                           replications=2)
         assert open(path).read() == text
+
+    @pytest.mark.parametrize("policy, expected", [
+        ("hrandom", (5, 25072, 15, 46002, "637970dcb7573537")),
+        ("lisf", (5, 25142, 15, 46002, "db71088a76e933b0")),
+        ("uniform", (5, 25180, 15, 46002, "b86ad7b2224a50e5")),
+        ("fsf", (5, 25580, 15, 46002, "8d6686e75822399a")),
+        ("ssf", (5, 24819, 15, 46002, "68dae6b97a37732b")),
+    ])
+    def test_cold_start_waiting_line_is_pinned(self, tmp_path, policy, expected):
+        # `simulate --n 200 --gamma 200 --cold-start --event-log --horizon 1
+        # --warmup 0.25`: the line builds up, and some customers abandon it
+        # while others are served from it; the digest covers every event's
+        # kind, server and queue length
+        cfg = ExperimentConfig(n=200, gamma=200.0)
+        res, = simulate_pipeline(cfg, policy, str(tmp_path), horizon=1.0, warmup=0.25,
+                                 stationary_init=False, event_log=True)
+        events = repr([(kind, k, q) for _t, kind, k, q in res.event_log]).encode()
+        assert (res.abandonments, res.departures, res.peak_queue, res.event_count,
+                hashlib.sha256(events).hexdigest()[:16]) == expected
 
     def test_fairness_special_policy_file(self, tmp_path):
         cfg = ExperimentConfig(lambda_bar=2.0)
@@ -508,6 +538,23 @@ class TestMainEntry:
         ["--q", "nan", "equilibrium"],
         ["--r", "nan", "equilibrium"],
         ["--lambda-bar", "nan", "equilibrium"],
+        ["sweep", "--axis", "r", "--grid=0.5,1.5"],
+        ["sweep", "--axis", "beta", "--grid=-0.1,0.3"],
+        ["--r", "1", "equilibrium"],
+        ["--q", "0.5", "equilibrium"],
+        # htilde = mu^(r-1) too large for a float at mu_min
+        ["--mu-min", "1e-200", "equilibrium"],
+        ["--r=-400", "equilibrium"],
+        ["--mu-min", "1e-20", "--r=-20", "equilibrium"],
+        ["--mu-min", "1e-20", "--r=-20", "simulate"],
+        ["--mu-min", "1e-20", "--r=-20", "fairness"],
+        # the argument parser's own errors
+        ["simulate", "--replications", "abc"],
+        ["simulate", "--policy", "bogus"],
+        ["--seed", "1.5", "equilibrium"],
+        ["bogus"],
+        [],
+        ["equilibrium", "--unknown-flag"],
     ])
     def test_config_errors_exit_2_in_one_line(self, tmp_path, capsys, argv):
         rc = main(["--out", str(tmp_path), *argv])
@@ -515,6 +562,13 @@ class TestMainEntry:
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not any(tmp_path.iterdir())
+
+    def test_help_is_printed_and_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["simulate", "--help"])
+        assert done.value.code == 0
+        captured = capsys.readouterr()
+        assert "--policy" in captured.out and captured.err == ""
 
     def test_small_L_root_solves(self, tmp_path, capsys):
         # the fixed point sits at L ~ 1.8e-9, where the fairness equation's

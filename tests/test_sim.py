@@ -34,7 +34,7 @@ def test_mm1_busy_probability():
     # single server, lam < mu, negligible patience pressure: idle ~ 1 - rho
     params = _params(0.7, gamma=1e-9)
     pop = _pop([1.0])
-    fr = _replicated_idle_fractions(params, pop, RoutingPolicy.uniform(),
+    fr = _replicated_idle_fractions(params, pop, RoutingPolicy("uniform"),
                                     horizon=60_000.0, reps=4)
     per_rep = fr[:, 0]
     se = per_rep.std(ddof=1) / math.sqrt(per_rep.size)
@@ -46,11 +46,17 @@ def test_empty_population_rejected():
         ServerPopulation.from_rates(np.array([]), 0.01, 0.5)
 
 
+@pytest.mark.parametrize("kind", ["bogus", "LISF", ""])
+def test_unknown_policy_rejected(kind):
+    with pytest.raises(ValueError, match="unknown policy kind"):
+        RoutingPolicy(kind)
+
+
 def test_bad_window_rejected():
     params = _params(0.5)
     pop = _pop([1.0])
     with pytest.raises(ValueError):
-        run_simulation(params, pop, RoutingPolicy.uniform(), 10.0, 10.0, seed=1)
+        run_simulation(params, pop, RoutingPolicy("uniform"), 10.0, 10.0, seed=1)
 
 
 @pytest.mark.parametrize("horizon, warmup", [(math.inf, 5.0), (math.inf, math.inf),
@@ -60,7 +66,7 @@ def test_non_finite_window_rejected(horizon, warmup):
     # an infinite horizon passes 0 <= warmup < horizon, and its batch marks
     # would be inf and nan: the run would never end
     with pytest.raises(ValueError, match="finite"):
-        run_simulation(_params(0.5), _pop([1.0]), RoutingPolicy.uniform(), horizon, warmup,
+        run_simulation(_params(0.5), _pop([1.0]), RoutingPolicy("uniform"), horizon, warmup,
                        seed=1)
 
 
@@ -68,7 +74,7 @@ def test_non_finite_window_rejected(horizon, warmup):
 def test_bad_initial_idle_probability_rejected(prob):
     # a NaN probability would start its server idle at random
     with pytest.raises(ValueError, match="initial idle probabilities"):
-        run_simulation(_params(0.5), _pop([1.0, 2.0]), RoutingPolicy.uniform(), 10.0, 1.0,
+        run_simulation(_params(0.5), _pop([1.0, 2.0]), RoutingPolicy("uniform"), 10.0, 1.0,
                        seed=1, initial_idle_prob=prob)
 
 
@@ -78,14 +84,14 @@ def test_bad_shift_levels_rejected(epsilons):
     # a negative level would be crossed before time 0, and a NaN one would
     # never be crossed and block every level sorted after it
     with pytest.raises(ValueError, match="shift levels"):
-        run_simulation(_params(0.5), _pop([1.0, 2.0]), RoutingPolicy.uniform(), 10.0, 1.0,
+        run_simulation(_params(0.5), _pop([1.0, 2.0]), RoutingPolicy("uniform"), 10.0, 1.0,
                        seed=1, epsilons=epsilons)
 
 
 def test_conservation_is_exact_integers():
     params = _params(2.0, gamma=0.7)
     pop = _pop([0.8, 1.1])
-    res = run_simulation(params, pop, RoutingPolicy.lisf(), 500.0, 50.0, seed=5)
+    res = run_simulation(params, pop, RoutingPolicy("lisf"), 500.0, 50.0, seed=5)
     assert res.arrivals + pop.rate.size == res.departures + res.abandonments + res.in_system_end
     assert res.abandonments > 0  # overload: patience must bite
     # every event is an arrival or a potential completion, accepted or thinned
@@ -95,13 +101,13 @@ def test_conservation_is_exact_integers():
 def test_determinism_bitwise():
     params = _params(1.5, gamma=0.8)
     pop = _pop([0.7, 1.2, 0.9])
-    a = run_simulation(params, pop, RoutingPolicy.fsf(), 200.0, 20.0, seed=33,
+    a = run_simulation(params, pop, RoutingPolicy("fsf"), 200.0, 20.0, seed=33,
                        collect_event_log=True)
-    b = run_simulation(params, pop, RoutingPolicy.fsf(), 200.0, 20.0, seed=33,
+    b = run_simulation(params, pop, RoutingPolicy("fsf"), 200.0, 20.0, seed=33,
                        collect_event_log=True)
     assert a.event_log == b.event_log
     assert np.array_equal(a.idle_time, b.idle_time)
-    c = run_simulation(params, pop, RoutingPolicy.fsf(), 200.0, 20.0, seed=33,
+    c = run_simulation(params, pop, RoutingPolicy("fsf"), 200.0, 20.0, seed=33,
                        replication=1, collect_event_log=True)
     assert c.event_log != a.event_log
 
@@ -111,9 +117,9 @@ def test_policy_swap_keeps_arrival_and_service_streams():
     # arrival epochs (routing uses its own substream)
     params = _params(1.5, gamma=0.8)
     pop = _pop([0.7, 1.2, 0.9])
-    a = run_simulation(params, pop, RoutingPolicy.fsf(), 50.0, 5.0, seed=12,
+    a = run_simulation(params, pop, RoutingPolicy("fsf"), 50.0, 5.0, seed=12,
                        collect_event_log=True)
-    b = run_simulation(params, pop, RoutingPolicy.ssf(), 50.0, 5.0, seed=12,
+    b = run_simulation(params, pop, RoutingPolicy("ssf"), 50.0, 5.0, seed=12,
                        collect_event_log=True)
     ta = [t for t, kind, *_ in a.event_log if kind == "arrival"]
     tb = [t for t, kind, *_ in b.event_log if kind == "arrival"]
@@ -141,7 +147,7 @@ def test_init_stream_independent_of_population_stream():
     rng = np.random.default_rng(stream_seed(4242, 0, "population"))
     rates = rng.uniform(0.5, 1.5, size=400)
     pop = _pop(rates)
-    res = run_simulation(params, pop, RoutingPolicy.uniform(), 0.02, 0.0,
+    res = run_simulation(params, pop, RoutingPolicy("uniform"), 0.02, 0.0,
                          seed=4242, replication=0,
                          initial_idle_prob=np.full(400, 0.5))
     # ~Binomial(400, 1/2) initial idle servers, watched through a tiny window
@@ -165,11 +171,11 @@ class TestCtmcOracle:
         return oracle
 
     def test_uniform_two_heterogeneous(self):
-        self._compare(self.RATES2, RoutingPolicy.uniform(), "uniform")
+        self._compare(self.RATES2, RoutingPolicy("uniform"), "uniform")
 
     def test_fsf_vs_ssf_idleness_ordering(self):
-        fsf = self._compare(self.RATES2, RoutingPolicy.fsf(), "fsf")
-        ssf = self._compare(self.RATES2, RoutingPolicy.ssf(), "ssf")
+        fsf = self._compare(self.RATES2, RoutingPolicy("fsf"), "fsf")
+        ssf = self._compare(self.RATES2, RoutingPolicy("ssf"), "ssf")
         # under fastest-first the slow server hoards idleness
         assert fsf[0] > ssf[0]
 
@@ -183,7 +189,7 @@ def test_homogeneous_pool_matches_birth_death():
     lam, mu, N, gamma = 45.0, 1.0, 50, 0.5
     params = _params(lam, gamma=gamma)
     pop = _pop([mu] * N)
-    res = run_simulation(params, pop, RoutingPolicy.lisf(), 4000.0, 400.0, seed=17)
+    res = run_simulation(params, pop, RoutingPolicy("lisf"), 4000.0, 400.0, seed=17)
     idle_oracle = birth_death_mean_idle(lam, mu, N, gamma)
     queue_oracle = birth_death_mean_queue(lam, mu, N, gamma)
     se_idle = res.batch_stderr("idle")
@@ -196,7 +202,7 @@ class TestEmpiricalFairness:
     def test_identical_rates_point_mass(self):
         params = _params(2.0, gamma=1.0)
         pop = _pop([0.9] * 4)
-        res = run_simulation(params, pop, RoutingPolicy.uniform(), 500.0, 50.0, seed=8)
+        res = run_simulation(params, pop, RoutingPolicy("uniform"), 500.0, 50.0, seed=8)
         eta = empirical_fairness(res, pop, 0.0)
         assert not eta.degenerate
         edges = np.array([0.0, 0.89, 0.91, 2.0])
@@ -205,7 +211,7 @@ class TestEmpiricalFairness:
     def test_epsilon_zero_vs_small_shift(self):
         params = _params(3.0, gamma=1.0)
         pop = _pop([0.5, 0.8, 1.1, 1.7])
-        res = run_simulation(params, pop, RoutingPolicy.uniform(), 4000.0, 100.0,
+        res = run_simulation(params, pop, RoutingPolicy("uniform"), 4000.0, 100.0,
                              seed=9, epsilons=(0.0, 5.0))
         eta0 = empirical_fairness(res, pop, 0.0)
         eta1 = empirical_fairness(res, pop, 5.0)
@@ -215,7 +221,7 @@ class TestEmpiricalFairness:
     def test_unreached_shift_returns_degenerate(self):
         params = _params(3.0, gamma=1.0)
         pop = _pop([0.5, 0.8, 1.1, 1.7])
-        res = run_simulation(params, pop, RoutingPolicy.uniform(), 50.0, 5.0,
+        res = run_simulation(params, pop, RoutingPolicy("uniform"), 50.0, 5.0,
                              seed=9, epsilons=(1e9,))
         eta = empirical_fairness(res, pop, 1e9)
         assert eta.degenerate
@@ -223,7 +229,7 @@ class TestEmpiricalFairness:
     def test_unrequested_epsilon_is_an_error(self):
         params = _params(3.0, gamma=1.0)
         pop = _pop([0.5, 0.8])
-        res = run_simulation(params, pop, RoutingPolicy.uniform(), 50.0, 5.0, seed=9)
+        res = run_simulation(params, pop, RoutingPolicy("uniform"), 50.0, 5.0, seed=9)
         with pytest.raises(KeyError):
             empirical_fairness(res, pop, 0.123)
 
@@ -231,7 +237,7 @@ class TestEmpiricalFairness:
     def test_bin_masses_partition_idle_time(self):
         params = _params(4.0, gamma=1.0)
         pop = _pop([0.5, 0.7, 0.9, 1.1, 1.3, 1.5])
-        res = run_simulation(params, pop, RoutingPolicy.uniform(), 2000.0, 200.0, seed=14)
+        res = run_simulation(params, pop, RoutingPolicy("uniform"), 2000.0, 200.0, seed=14)
         eta = empirical_fairness(res, pop, 0.0)
         edges = np.linspace(0.4, 1.6, 4)
         idle = res.idle_after_shift[0.0]
@@ -243,7 +249,7 @@ class TestEmpiricalFairness:
 def test_idle_fraction_is_idle_time_over_window():
     params = _params(2.0, gamma=1.0)
     pop = _pop([0.9] * 5)
-    res = run_simulation(params, pop, RoutingPolicy.uniform(), 500.0, 50.0, seed=3)
+    res = run_simulation(params, pop, RoutingPolicy("uniform"), 500.0, 50.0, seed=3)
     assert res.window == 450.0
     assert np.array_equal(res.idle_fraction, res.idle_time / res.window)
     assert np.all((res.idle_fraction >= 0.0) & (res.idle_fraction <= 1.0))
@@ -252,7 +258,7 @@ def test_idle_fraction_is_idle_time_over_window():
 def test_idle_time_sums_to_scaled_idleness():
     params = _params(4.0, gamma=1.0)
     pop = _pop([0.5, 0.7, 0.9, 1.1, 1.3, 1.5])
-    res = run_simulation(params, pop, RoutingPolicy.uniform(), 2000.0, 200.0, seed=14)
+    res = run_simulation(params, pop, RoutingPolicy("uniform"), 2000.0, 200.0, seed=14)
     # alpha = 1 and n = 1: the servers' idle time per unit of window and of
     # scale is the scaled idleness average
     assert res.idle_time.sum() / res.window / res.n == \
@@ -265,7 +271,7 @@ def test_abandonment_matches_birth_death_in_overload():
     lam, mu, N, gamma = 20.0, 1.0, 20, 1.0
     params = _params(lam, gamma=gamma)
     pop = _pop([mu] * N)
-    res = run_simulation(params, pop, RoutingPolicy.uniform(), 3000.0, 300.0, seed=23)
+    res = run_simulation(params, pop, RoutingPolicy("uniform"), 3000.0, 300.0, seed=23)
     queue_oracle = birth_death_mean_queue(lam, mu, N, gamma)
     assert abs(res.scaled_queue_plus_mean - queue_oracle) < 3 * res.batch_stderr("queue")
     assert res.abandonment_fraction > 0.01
@@ -274,7 +280,7 @@ def test_abandonment_matches_birth_death_in_overload():
 def test_event_log_schema():
     params = _params(2.0, gamma=0.5)
     pop = _pop([0.4, 0.6])
-    res = run_simulation(params, pop, RoutingPolicy.uniform(), 300.0, 30.0, seed=44,
+    res = run_simulation(params, pop, RoutingPolicy("uniform"), 300.0, 30.0, seed=44,
                          collect_event_log=True)
     kinds = {k for _t, k, _s, _q in res.event_log}
     assert kinds <= {"arrival", "service", "abandon"}
@@ -321,7 +327,7 @@ def test_float_statistics_match_the_event_log():
     # queue that forms, abandons and drains, and idle spells in between
     rates = np.random.default_rng(31).uniform(0.5, 1.5, 30)
     params = _params(float(rates.sum()) / 4, gamma=0.8, n=4, alpha=0.5)
-    res = run_simulation(params, _pop(rates), RoutingPolicy.fsf(), 200.0, 20.0, seed=32,
+    res = run_simulation(params, _pop(rates), RoutingPolicy("fsf"), 200.0, 20.0, seed=32,
                          collect_event_log=True)
     assert res.peak_queue > 0 and res.window_abandonments > 0
     idle_time, idle_int, queue_int = _replay(res.event_log, rates.size, 20.0, 200.0)
@@ -348,7 +354,7 @@ class TestIdlePools:
                           _stream(lambda: u.random(1024)))
 
     def test_lisf_pops_in_the_order_servers_fell_idle(self):
-        push, pop, rejections = self._pool(RoutingPolicy.lisf(), [1, 3])
+        push, pop, rejections = self._pool(RoutingPolicy("lisf"), [1, 3])
         push(0)
         push(4)
         assert [pop() for _ in range(2)] == [1, 3]
@@ -428,7 +434,7 @@ class TestIdlePools:
     def test_uniform_picks_each_idle_server_equally(self):
         idle = [0, 2, 3, 4]
         draws = 20_000
-        pool = self._pool(RoutingPolicy.uniform(), idle)
+        pool = self._pool(RoutingPolicy("uniform"), idle)
         ok, detail = _within_binomial(self._frequencies(pool, idle, draws),
                                       np.full(4, 0.25), draws)
         assert ok, detail
@@ -503,7 +509,7 @@ def test_completion_picks_are_proportional_to_rates():
     rates = [0.5, 1.0, 2.5, 0.0]
     params = _params(20.0, gamma=1e-6)
     pop = _pop(rates, lo=0.0)
-    res = run_simulation(params, pop, RoutingPolicy.lisf(), 2000.0, 1.0, seed=71,
+    res = run_simulation(params, pop, RoutingPolicy("lisf"), 2000.0, 1.0, seed=71,
                          collect_event_log=True)
     assert res.thinned_completions <= 3
     served = [k for _t, kind, k, _q in res.event_log if kind == "service"]
