@@ -265,10 +265,20 @@ def _sampled_system(config: ExperimentConfig, F: RateDistribution, mu_bar: float
     return params, pop
 
 
-def _policy_object(config: ExperimentConfig, name: str) -> RoutingPolicy:
-    if name == "hrandom":
-        return RoutingPolicy.hrandom(config.functions().h)
-    return RoutingPolicy(name)
+def _run_replication(config: ExperimentConfig, F: RateDistribution, L_star: float,
+                     mu_bar: float, n: int, rep: int, policy: str, horizon: float,
+                     warmup: float, stationary_init: bool = True, event_log: bool = False):
+    """Replication ``rep`` of the n-th system under ``policy``, started from
+    the stationary idle profile at ``L_star`` (all busy without it): the
+    roster, the profile, the result and ``run_simulation``'s wall time."""
+    params, pop = _sampled_system(config, F, mu_bar, n, rep)
+    funcs = config.functions()
+    init = conditional_idleness_alpha1(pop.rate, L_star, funcs) if stationary_init else None
+    routing = RoutingPolicy.hrandom(funcs.h) if policy == "hrandom" else RoutingPolicy(policy)
+    start = time.perf_counter()
+    res = run_simulation(params, pop, routing, horizon, warmup, seed=config.seed,
+                         replication=rep, initial_idle_prob=init, collect_event_log=event_log)
+    return pop, init, res, time.perf_counter() - start
 
 
 def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
@@ -282,20 +292,15 @@ def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
         raise ConfigError("replications must be >= 1")
     _require_window(horizon, warmup)
     sol = _solve(config)
-    funcs = config.functions()
     results = []
     for rep in range(replications):
-        params, pop = _sampled_system(config, sol.response, sol.mu_bar, config.n, rep)
-        init = (conditional_idleness_alpha1(pop.rate, sol.L_star, funcs)
-                if stationary_init else None)
-        start = time.perf_counter()
-        res = run_simulation(params, pop, _policy_object(config, policy),
-                             horizon, warmup, seed=config.seed, replication=rep,
-                             initial_idle_prob=init, collect_event_log=event_log)
+        pop, _, res, seconds = _run_replication(config, sol.response, sol.L_star, sol.mu_bar,
+                                                config.n, rep, policy, horizon, warmup,
+                                                stationary_init, event_log)
         # the rate goes to stdout only: the CSVs are identical on reruns
         print(f"simulate: policy={policy} replication={rep} "
               + " ".join(f"{name}={getattr(res, name)}" for name in _COUNTERS)
-              + f" events_per_s={res.event_count / (time.perf_counter() - start):.0f}")
+              + f" events_per_s={res.event_count / seconds:.0f}")
         _write_csv(os.path.join(outdir, f"run_{policy}_rep{rep}.csv"),
                    ["index", "a", "mu_min", "mu_max", "mu", "idle_fraction"], config,
                    columns=[range(len(pop)), pop.a, pop.mu_lo, pop.mu_hi, pop.rate,
@@ -317,13 +322,9 @@ def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
 
 def _validate_worker(task: tuple) -> tuple:
     config, L_star, mu_bar, n, rep, horizon, warmup, edges = task
-    funcs = config.functions()
-    F = response_distribution(L_star, config.population(), funcs)
-    params, pop = _sampled_system(config, F, mu_bar, n, rep)
-    init = conditional_idleness_alpha1(pop.rate, L_star, funcs)
-    res = run_simulation(params, pop, _policy_object(config, "hrandom"),
-                         horizon, warmup, seed=config.seed, replication=rep,
-                         initial_idle_prob=init)
+    F = response_distribution(L_star, config.population(), config.functions())
+    pop, init, res, _ = _run_replication(config, F, L_star, mu_bar, n, rep, "hrandom",
+                                         horizon, warmup)
     # per rate bin: simulated and theoretical idle fractions, servers, idle time
     idx = bin_index(edges, pop.rate)
     sums = [np.bincount(idx, weights=w, minlength=edges.size - 1)

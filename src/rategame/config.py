@@ -28,7 +28,8 @@ class ExperimentConfig:
     Construction is the one check of a configuration, so every command and
     every sweep point starts from a valid one: finite floats, valid system
     parameters and rate box, q >= 1, r < 1 (htilde strictly decreasing),
-    htilde finite on the box, and a nonnegative seed; else ``ConfigError``.
+    htilde > 0 on the box, C(mu, L)'s parts finite at mu_min and the top of
+    the equilibrium bracket, and a nonnegative seed; else ``ConfigError``.
     """
 
     lambda_bar: float = 100.0
@@ -55,11 +56,20 @@ class ExperimentConfig:
         try:
             self.params()
             self.population()
-            self.functions().htilde(self.mu_min)    # its largest value on the box
+            funcs = self.functions()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        except OverflowError:
-            raise ConfigError(f"htilde = mu^(r-1) overflows at mu_min = {self.mu_min!r}") from None
+        # C(mu, L) = -L f'(1/z) htilde' / (z z c'), z = 1 + L htilde, is read on
+        # the box and the bracket L <= 1/(beta htilde(mu_max)); htilde, |htilde'|
+        # and z are largest at mu_min (z at the bracket's top), so checked there
+        ht_lo = _at_mu_min("htilde = mu^(r-1)", funcs.htilde, self.mu_min)
+        top = self.beta * funcs.htilde(self.mu_max)
+        if top == 0.0:
+            raise ConfigError(f"beta htilde(mu_max) underflows to 0 at mu_max = {self.mu_max!r}")
+        _at_mu_min("htilde' = (r-1) mu^(r-2)", funcs.htilde_prime, self.mu_min)
+        z = 1.0 + 1.0 / top * ht_lo
+        _at_mu_min("(1 + L htilde)^2 c' at L = 1/(beta htilde(mu_max))",
+                   lambda mu: z * z * funcs.c_prime(mu), self.mu_min)
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 
@@ -85,6 +95,17 @@ class ExperimentConfig:
 
     def with_overrides(self, **kw) -> "ExperimentConfig":
         return replace(self, **kw)
+
+
+def _at_mu_min(name: str, fn, mu_min: float) -> float:
+    """``fn(mu_min)``, which must be finite."""
+    try:
+        value = fn(mu_min)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} overflows at mu_min = {mu_min!r}")
+    return value
 
 
 # key -> value type (int or float), in field order; the CLI flags follow it

@@ -105,29 +105,25 @@ def best_response_rates(population: ServerPopulation, L: float,
 
 def _monotone_kinks(L: np.ndarray, grid: np.ndarray, vals: np.ndarray,
                     dists: PopulationDistributions,
-                    funcs: PolicyFunctions) -> list[list[float]]:
-    """Kinks of the monotone-regime response CDF at each L of ``L``: every
-    mu where C(mu, L) crosses a_max, then every mu where it crosses a_min.
-    They are located on the scan ``grid``, where ``vals`` holds C, one row
-    per L, and refined by one bisection over every bracket of every law;
-    each bracket halves on its own, so each root is the one a bisection of
-    that bracket alone gives."""
-    laws, cells, levels = [], [], []
-    for level in (dists.a_max, dists.a_min):
-        d = vals - level
-        k, i = np.nonzero(np.sign(d[:, :-1]) * np.sign(d[:, 1:]) < 0.0)
-        laws.append(k)
-        cells.append(i)
-        levels.append(np.full(k.size, level))
-    k, i, level = (np.concatenate(parts) for parts in (laws, cells, levels))
+                    funcs: PolicyFunctions) -> list[tuple[float, ...]]:
+    """Kinks of the monotone-regime response CDF at each L of ``L``, as
+    ``_interior`` gives them: every mu where C(mu, L) crosses a_max or
+    a_min. They are located on the scan ``grid``, where ``vals`` holds C,
+    one row per L: the cells where C - level changes sign, over both
+    levels, every law and every cell at once, in that order. One bisection
+    over all those brackets refines them; each bracket halves on its own,
+    so each root is the one a bisection of that bracket alone gives."""
+    levels = np.array([dists.a_max, dists.a_min])[:, None, None]
+    signs = (vals > levels).astype(np.int8) - (vals < levels)   # of C - level
+    j, k, i = np.nonzero(signs[..., :-1] * signs[..., 1:] < 0)
     out: list[list[float]] = [[] for _ in range(L.size)]
     if k.size:
-        sign = np.sign(vals[k, i] - level)
+        level, sign = levels[j, 0, 0], signs[j, k, i]
         roots, _, _ = bisect(lambda mu: sign * (_ratio_array(funcs, mu, L[k]) - level),
                              grid[i], grid[i + 1], 80)
         for law, root in zip(k.tolist(), roots.tolist()):
             out[law].append(root)
-    return out
+    return [_interior(kinks, dists.mu_min, dists.mu_max) for kinks in out]
 
 
 def _edge_sums(q: np.ndarray, i: np.ndarray, j: np.ndarray, psi: np.ndarray,
@@ -215,7 +211,7 @@ def _monotone_cdf(mu, L, dists: PopulationDistributions, funcs: PolicyFunctions)
 def _monotone_node_sets(L: np.ndarray, kinks: list[tuple[float, ...]],
                         dists: PopulationDistributions, funcs: PolicyFunctions) -> list[tuple]:
     """The support node set of the monotone law at each L of ``L`` with
-    the interior ``kinks`` of each: read-only (x, w, F1(x)) on the 64-node
+    the interior ``kinks`` of each: (x, w, F1(x)) on the 64-node
     Gauss panels that split the support at its kinks, as
     ``gauss_legendre_panels`` gives them. F1 is read at every node of every
     law at once, each node at its own law's L, and checked law by law."""
@@ -228,8 +224,6 @@ def _monotone_node_sets(L: np.ndarray, kinks: list[tuple[float, ...]],
     cdf = _monotone_cdf(x, np.repeat(L, count), dists, funcs)
     _check_cdf_values(cdf, "at its quadrature nodes", ends[:-1])
     nodes = x, w, np.clip(cdf, 0.0, 1.0)
-    for array in nodes:
-        array.flags.writeable = False
     ends = ends.tolist()
     return [tuple(array[i:j] for array in nodes) for i, j in zip([0, *ends[:-1]], ends)]
 
@@ -305,8 +299,6 @@ class UnimodalResponse(ResponseDistribution):
         # sampling grid, and each cell is one panel of its support node set
         x, w = _panel_rule(edges[:-1], edges[1:], self._panel_nodes)
         nodes = x, w, np.clip(np.interp(x, edges, table), 0.0, 1.0)
-        for array in nodes:
-            array.flags.writeable = False
         super().__init__(L, dists, lambda mu: np.interp(mu, edges, table),
                          tuple(edges[1:-1].tolist()), nodes)
         self._set_table(edges, table)
@@ -334,12 +326,10 @@ def _response_laws(L: np.ndarray, dists: PopulationDistributions, funcs: PolicyF
         fine[:, ::2] = vals[monotone]
         fine[:, 1::2] = _ratio_array(funcs, np.broadcast_to(grid[1::2], (Lm.size, grid.size // 2)),
                                      Lm[:, None])
-        kinks = [_interior(k, dists.mu_min, dists.mu_max)
-                 for k in _monotone_kinks(Lm, grid, fine, dists, funcs)]
-    nodes = iter(_monotone_node_sets(L[monotone], kinks, dists, funcs) if kinks else ())
-    kinks = iter(kinks)
+        kinks = _monotone_kinks(Lm, grid, fine, dists, funcs)
+    laws = zip(kinks, _monotone_node_sets(L[monotone], kinks, dists, funcs) if kinks else ())
     for Lk, ok in zip(L.tolist(), monotone.tolist()):
-        yield (MonotoneResponse(Lk, dists, funcs, next(kinks), next(nodes)) if ok
+        yield (MonotoneResponse(Lk, dists, funcs, *next(laws)) if ok
                else UnimodalResponse(Lk, dists, funcs))
 
 

@@ -98,17 +98,17 @@ class RateDistribution:
     which needs nothing but CDF evaluations and is spectrally accurate
     on panels split at the CDF's kinks, with ``_panel_nodes`` Gauss nodes
     each (a subclass whose CDF is a piecewise-linear table, split at every
-    edge, needs only a few). The CDF is read at the whole support's nodes
-    once per law, or comes with those nodes already read (``_define``'s
-    ``support_nodes``).
+    edge, needs only a few). Every law holds its whole support's node set
+    from its definition (``_define``), with the CDF read and checked there
+    once; every integral over the whole support reads it.
 
     The constructor tabulates the CDF on ``_table_points`` points plus the
     kinks and checks it there: finite, nondecreasing (to 1e-10) and running
     from 0 to 1. The table serves sampling. A subclass may hand in a table
     of its own (``_set_table``), or leave it unbuilt (``_define`` without
     ``_tabulate``); the first read of ``_grid`` or ``_grid_cdf`` builds and
-    checks it then, and until that happens every integral by parts checks
-    the CDF values at its own Gauss nodes instead.
+    checks it then, and until that happens every integral over part of the
+    support checks the CDF values at its own Gauss nodes.
     """
 
     _panel_nodes = _NODES_PER_PANEL
@@ -121,12 +121,12 @@ class RateDistribution:
 
     def _define(self, mu_min: float, mu_max: float, cdf: Callable,
                 kinks: tuple[float, ...], support_nodes=None) -> None:
-        """The law's support, CDF and kinks. ``kinks`` are taken as they
-        stand, so they must be as ``_interior`` gives them: distinct Python
-        floats strictly inside the support, ascending. ``support_nodes``,
-        if given, is the node set of the whole support as ``_nodes``
-        returns it, already read and checked: read-only (x, w, clipped CDF
-        values) on the panels that ``kinks`` split."""
+        """The law's support, CDF, kinks and support node set. ``kinks``
+        are taken as they stand, so they must be as ``_interior`` gives
+        them: distinct Python floats strictly inside the support, ascending.
+        The node set, made read-only, is (x, w, clipped CDF values) on the
+        panels ``kinks`` split: ``support_nodes`` if given (a response law
+        hands its own in, read and checked), else read and checked here."""
         if not 0 < mu_min < mu_max:
             raise ValueError("need 0 < mu_min < mu_max")
         self.mu_min = float(mu_min)
@@ -134,7 +134,9 @@ class RateDistribution:
         self.kinks = kinks
         self._cdf = cdf
         self._table = None
-        self._support_nodes = support_nodes
+        self._support_nodes = support_nodes or self._read_nodes(self.mu_min, self.mu_max)
+        for array in self._support_nodes:
+            array.flags.writeable = False
 
     def _tabulate(self) -> tuple[np.ndarray, np.ndarray]:
         """The sampling table (grid, CDF on it), built and checked once."""
@@ -184,22 +186,19 @@ class RateDistribution:
         return gb * Fb - ga * Fa - inner
 
     def _nodes(self, a, b):
-        """The Gauss nodes and weights of an integral by parts on [a, b] and
-        the clipped CDF values there. Those of the whole support are read
-        once and kept, read-only, for every later integral over it."""
-        whole = a == self.mu_min and b == self.mu_max
-        if whole and self._support_nodes is not None:
+        """Gauss nodes, weights and clipped CDF values on [a, b]: the
+        support node set for the whole support, else read now."""
+        if a == self.mu_min and b == self.mu_max:
             return self._support_nodes
+        return self._read_nodes(a, b)
+
+    def _read_nodes(self, a, b):
+        """``_nodes`` read on [a, b], checked while the law has no table."""
         x, w = gauss_legendre_panels(a, b, self.kinks, self._panel_nodes)
         vals = np.asarray(self._cdf(x), dtype=float)
         if self._table is None:
             _check_cdf_values(vals, "at its quadrature nodes")
-        nodes = x, w, np.clip(vals, 0.0, 1.0)
-        if whole:
-            for array in nodes:
-                array.flags.writeable = False
-            self._support_nodes = nodes
-        return nodes
+        return x, w, np.clip(vals, 0.0, 1.0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.uniform(0.0, 1.0, size=size)

@@ -48,6 +48,10 @@ class TestConfig:
         ({"r": 1.0}, "htilde must be strictly decreasing (need r < 1)"),
         ({"q": 0.5}, "q must be >= 1 for a convex increasing cost"),
         ({"mu_min": 1e-200}, "htilde = mu^(r-1) overflows at mu_min = 1e-200"),
+        ({"mu_max": 1e300}, "beta htilde(mu_max) underflows to 0 at mu_max = 1e+300"),
+        ({"mu_min": 1e-150}, "htilde' = (r-1) mu^(r-2) overflows at mu_min = 1e-150"),
+        ({"mu_min": 1e-100}, "(1 + L htilde)^2 c' at L = 1/(beta htilde(mu_max)) overflows "
+                             "at mu_min = 1e-100"),
     ])
     def test_the_config_is_the_one_check_of_the_power_family(self, overrides, message):
         with pytest.raises(ConfigError) as raised:
@@ -548,6 +552,15 @@ class TestMainEntry:
         ["--mu-min", "1e-20", "--r=-20", "equilibrium"],
         ["--mu-min", "1e-20", "--r=-20", "simulate"],
         ["--mu-min", "1e-20", "--r=-20", "fairness"],
+        # htilde = mu^(r-1) underflows to 0 at mu_max: the bracket has no top
+        ["--mu-max", "1e300", "equilibrium"],
+        ["--mu-max", "1e200", "equilibrium"],
+        # C(mu, L) overflows at mu_min, in (1 + L htilde)^2 c' or in htilde'
+        *([flag, value, *command] for flag, value in (("--mu-min", "1e-100"),
+                                                      ("--mu-min", "1e-140"),
+                                                      ("--mu-min", "1e-150"))
+          for command in (["equilibrium"], ["fairness"], ["limits"], ["simulate"],
+                          ["sweep", "--axis", "beta"])),
         # the argument parser's own errors
         ["simulate", "--replications", "abc"],
         ["simulate", "--policy", "bogus"],

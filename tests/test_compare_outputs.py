@@ -37,7 +37,7 @@ def result(exit=0, stdout="", stderr="", **files):
 
 def test_every_command_runs_at_every_configuration():
     runs = compare_outputs.runs()
-    assert len(runs) == 41 and len({tuple(r) for r in runs}) == 41
+    assert len(runs) == 46 and len({tuple(r) for r in runs}) == 46
     assert ["--p", "5", "--r", "-3", "fairness", "--policy", "hrandom"] in runs
     assert ["--r", "-2", "--n", "200", "simulate", "--horizon", "1", "--warmup", "0.25"] in runs
     assert ["sweep", "--axis", "beta"] in runs and ["--p", "6", "--r", "-4", "limits"] in runs
@@ -47,6 +47,12 @@ def test_every_command_runs_at_every_configuration():
         assert ["--n", "200", "--gamma", "200", "simulate", "--policy", policy, "--cold-start",
                 "--event-log", "--horizon", "1", "--warmup", "0.25"] in runs
     assert sum("--cold-start" in r for r in runs) == 5
+    # the special policies' fairness laws and validate's replications, at the base configuration
+    for policy in ("lisf", "fsf", "ssf", "uniform"):
+        assert ["fairness", "--policy", policy] in runs
+    assert [r for r in runs if "validate" in r] == [
+        ["validate", "--n-list", "20,40", "--replications", "2", "--horizon", "1",
+         "--warmup", "0.25", "--bins", "4"]]
 
 
 def test_strips_only_the_event_rate():
@@ -76,7 +82,7 @@ def test_two_equal_checkouts_show_no_difference(tmp_path, capsys):
     parent = fake_checkout(tmp_path / "parent")
     change = fake_checkout(tmp_path / "change")
     assert compare_outputs.main([str(parent), str(change)]) == 0
-    assert capsys.readouterr().out == "compare_outputs: 0 of 41 runs differ\n"
+    assert capsys.readouterr().out == "compare_outputs: 0 of 46 runs differ\n"
 
 
 def test_a_different_exit_code_is_reported(tmp_path, capsys):
@@ -85,7 +91,7 @@ def test_a_different_exit_code_is_reported(tmp_path, capsys):
     assert compare_outputs.main([str(parent), str(change)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == ["compare_outputs: [--p 6 --r -4 --n 200 simulate --horizon 1 --warmup 0.25] "
-                   "exit code 0 -> 3", "compare_outputs: 1 of 41 runs differ"]
+                   "exit code 0 -> 3", "compare_outputs: 1 of 46 runs differ"]
 
 
 def test_needs_two_checkouts(capsys):

@@ -687,6 +687,43 @@ class TestOneRatioReadPerGridPoint:
         assert [G.kinks for G in laws if G.first_order_monotone] == ref
 
 
+def _per_level_kinks(L, grid, vals, dists, funcs):
+    """The kink search as one sign-change search per level, levels
+    concatenated: the reference for the search over both levels at once."""
+    laws, cells, levels = [], [], []
+    for level in (dists.a_max, dists.a_min):
+        d = vals - level
+        k, i = np.nonzero(np.sign(d[:, :-1]) * np.sign(d[:, 1:]) < 0.0)
+        laws.append(k)
+        cells.append(i)
+        levels.append(np.full(k.size, level))
+    k, i, level = (np.concatenate(parts) for parts in (laws, cells, levels))
+    out = [[] for _ in range(L.size)]
+    if k.size:
+        sign = np.sign(vals[k, i] - level)
+        roots, _, _ = bisect(lambda mu: sign * (_ratio_array(funcs, mu, L[k]) - level),
+                             grid[i], grid[i + 1], 80)
+        for law, root in zip(k.tolist(), roots.tolist()):
+            out[law].append(root)
+    return out
+
+
+class TestKinkSearchOverBothLevels:
+    @pytest.mark.parametrize("overrides", [{}, {"r": -0.5}, {"r": -0.25}, {"beta": 1.0}])
+    def test_equals_the_per_level_search(self, base_config, overrides):
+        cfg = base_config.with_overrides(**overrides)
+        dists, funcs = cfg.population(), cfg.functions()
+        L = np.geomspace(1e-4, 10.0, 1000)
+        grid = np.linspace(dists.mu_min, dists.mu_max, 2 * _MONOTONE_GRID - 1)
+        vals = _ratio_array(funcs, np.broadcast_to(grid, (L.size, grid.size)), L[:, None])
+        got = equilibrium_module._monotone_kinks(L, grid, vals, dists, funcs)
+        ref = [_interior(k, dists.mu_min, dists.mu_max)
+               for k in _per_level_kinks(L, grid, vals, dists, funcs)]
+        assert got == ref
+        # laws with no kink, with one, and with a crossing of each level
+        assert {len(k) for k in got} == {0, 1, 2}
+
+
 class TestTheSolutionIsTheLawPhiRead:
     @pytest.mark.parametrize("overrides", [{}, {"r": -2.0}])
     def test_the_response_is_the_itp_steps_law(self, monkeypatch, base_config, overrides):

@@ -299,6 +299,72 @@ class TestItpOverArrays:
         assert x.size == fx.size == evals.size == 0
 
 
+def _jump(x):
+    return 1.0 if x < 1.0 / 3.0 else -1e-3
+
+
+# (f, lo, hi, tol), one element per way to stop: |f| below tol after steps,
+# |f| below tol at an end, f exactly zero at an end, f exactly zero at a
+# step, a bracket of zero width, adjacent floats at a jump, and a coarse tol
+STOPS = [
+    (lambda x: math.exp(-x) - 0.5, 0.0, 5.0, 1e-12),
+    (lambda x: x - 0.3, 0.3 - 1e-14, 1.0, 1e-12),
+    (lambda x: 0.5 - x, 0.0, 0.5, 0.0),
+    (lambda x: 0.5 - x, 0.0, 1.0, 0.0),
+    (lambda x: x - 0.3, 0.5, 0.5, 1e-14),
+    (_jump, 0.0, 5.0, 1e-10),
+    (lambda x: math.tanh(50.0 * (x - 0.7)), 0.0, 1.0, 1e-3),
+]
+
+
+class TestItpStopsPinned:
+    """Roots, end values, evaluation counts and the index sets handed to f
+    for elements that stop for each reason, pinned bit for bit to the
+    kernel that compacted its unfinished elements' arrays at every step."""
+
+    @staticmethod
+    def _solve(cases, iters):
+        seen = []
+
+        def f(x, index):
+            seen.append(index.tolist())
+            return np.array([cases[k][0](v) for k, v in zip(index.tolist(), x.tolist())])
+
+        lo, hi, tol = (np.array([case[i] for case in cases]) for i in (1, 2, 3))
+        flo = np.array([case[0](case[1]) for case in cases])
+        fhi = np.array([case[0](case[2]) for case in cases])
+        x, fx, evals = itp(f, lo, hi, flo, fhi, iters, tol)
+        return [v.hex() for v in x.tolist()], [v.hex() for v in fx.tolist()], evals, seen
+
+    @staticmethod
+    def _check_index_sets(evals, seen):
+        # the k-th element is handed to f in its first evals[k] calls exactly
+        assert len(seen) == evals.max()
+        for j, index in enumerate(seen):
+            assert index == np.flatnonzero(evals > j).tolist()
+
+    def test_each_way_to_stop(self):
+        x, fx, evals, seen = self._solve(STOPS, 200)
+        assert x == ["0x1.62e42fefa3c6ep-1", "0x1.333333333327fp-2", "0x1.0000000000000p-1",
+                     "0x1.0000000000000p-1", "0x1.0000000000000p-1", "0x1.5555555555555p-2",
+                     "0x1.6666659a65fadp-1"]
+        assert fx == ["-0x1.3f80000000000p-45", "-0x1.6800000000000p-47", "0x0.0p+0",
+                      "0x0.0p+0", "0x1.999999999999ap-3", "-0x1.0624dd2f1a9fcp-10",
+                      "-0x1.3ec0a810ff5b4p-20"]
+        assert evals.tolist() == [9, 0, 0, 1, 0, 57, 8]
+        self._check_index_sets(evals, seen)
+
+    def test_the_iteration_cap(self):
+        # the smooth root with tol 0 and the jump run into the cap of 4; the
+        # exact zero at the first step stops before it
+        cases = [STOPS[0][:3] + (0.0,), STOPS[5], STOPS[3]]
+        x, fx, evals, seen = self._solve(cases, 4)
+        assert x == ["0x1.4000000000000p-1", "0x1.4000000000000p-1", "0x1.0000000000000p-1"]
+        assert fx == ["0x1.20dc934993e80p-5", "-0x1.0624dd2f1a9fcp-10", "0x0.0p+0"]
+        assert evals.tolist() == [4, 4, 1]
+        self._check_index_sets(evals, seen)
+
+
 class TestRk4Step:
     def test_one_step_error_on_exponential_scales_as_h5(self):
         hs = np.array([0.2, 0.1, 0.05, 0.025])

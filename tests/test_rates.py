@@ -133,9 +133,8 @@ def test_a_dip_between_grid_points_fails_the_table_not_the_nodes():
 
 def test_an_untabulated_law_checks_its_gauss_nodes():
     nodes, _ = gauss_legendre_panels(0.1, 1.1)
-    F = _untabulated(_uniform_cdf_dipped_at(nodes[10], 1e-9, 0.1))
     with pytest.raises(ValueError, match="cdf is decreasing somewhere"):
-        F.integrate(lambda m: m, lambda m: np.ones_like(m))
+        _untabulated(_uniform_cdf_dipped_at(nodes[10], 1e-9, 0.1))
 
     def nan_cdf(m):
         vals = np.clip(np.asarray(m, dtype=float) - 0.1, 0.0, 1.0)
@@ -143,7 +142,22 @@ def test_an_untabulated_law_checks_its_gauss_nodes():
         return vals
 
     with pytest.raises(ValueError, match="not finite"):
-        _untabulated(nan_cdf).integrate(lambda m: m, lambda m: np.ones_like(m))
+        _untabulated(nan_cdf)
+
+
+def test_a_law_reads_its_support_nodes_once_at_definition():
+    reads = []
+
+    def cdf(m):
+        reads.append(np.size(m))
+        return np.clip(np.asarray(m, dtype=float) - 0.1, 0.0, 1.0)
+
+    F = _untabulated(cdf)
+    assert reads == [64]
+    assert not any(array.flags.writeable for array in F._nodes(F.mu_min, F.mu_max))
+    assert F.mean == pytest.approx(0.6, abs=1e-14)
+    assert F.integrate(np.sin, np.cos) == pytest.approx(np.cos(0.1) - np.cos(1.1), abs=1e-14)
+    assert reads == [64]
 
 
 def test_sampling_matches_cdf():
