@@ -14,12 +14,16 @@ not the same on a rerun, and is stripped from stdout.
 
 Every differing CSV (or file found on one side only), stdout, stderr and
 exit code is named on stdout; the exit status is 1 if anything differs,
-else 0.
+else 0. A differing CSV whose two sides have the same shape and the same
+non-numeric cells is named with how far its numbers moved: each column
+that differs, with its largest difference as a fraction of the column's
+largest magnitude, the largest first.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import subprocess
@@ -79,9 +83,46 @@ def run(checkout: str, argv: list[str], workdir: str) -> dict:
             "stderr": proc.stderr, "files": collect(os.path.join(workdir, "out"))}
 
 
+def _number(cell: str) -> float | None:
+    """The finite float a CSV cell holds, else None."""
+    try:
+        value = float(cell)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def numeric_moves(parent: bytes, change: bytes) -> list[tuple[str, float]] | None:
+    """How far the numbers of two versions of one CSV moved: (column, largest
+    difference / the column's largest magnitude on either side) for each
+    column that differs, the largest first. None unless both have the same
+    shape, rows of the same lengths, and the same non-numeric cells (a
+    cell that is a finite float on one side only is non-numeric)."""
+    sides = [[line.split(",") for line in data.decode().splitlines()]
+             for data in (parent, change)]
+    if [len(row) for row in sides[0]] != [len(row) for row in sides[1]]:
+        return None
+    header = next((row for row in sides[0] if not row[0].startswith("#")), [])
+    largest: dict[int, float] = {}
+    moved: dict[int, float] = {}
+    for row_a, row_b in zip(*sides):
+        for j, (a, b) in enumerate(zip(row_a, row_b)):
+            x, y = _number(a), _number(b)
+            if x is None or y is None:
+                if a != b:
+                    return None
+                continue
+            largest[j] = max(largest.get(j, 0.0), abs(x), abs(y))
+            if x != y:
+                moved[j] = max(moved.get(j, 0.0), abs(x - y))
+    moves = [(header[j] if j < len(header) else f"column {j + 1}", d / largest[j])
+             for j, d in moved.items()]
+    return sorted(moves, key=lambda move: -move[1])
+
+
 def differences(parent: dict, change: dict) -> list[str]:
     """What differs between two runs' results, one item per file, stream or
-    exit code."""
+    exit code; a CSV whose numbers alone differ carries ``numeric_moves``."""
     out = []
     if parent["exit"] != change["exit"]:
         out.append(f"exit code {parent['exit']} -> {change['exit']}")
@@ -92,7 +133,10 @@ def differences(parent: dict, change: dict) -> list[str]:
         elif name not in parent["files"]:
             out.append(f"{name} (change only)")
         elif parent["files"][name] != change["files"][name]:
-            out.append(name)
+            moves = (numeric_moves(parent["files"][name], change["files"][name])
+                     if name.endswith(".csv") else None)
+            out.append(name if not moves else f"{name} numbers only: "
+                       + ", ".join(f"{column} {fraction:.2g}" for column, fraction in moves))
     return out
 
 

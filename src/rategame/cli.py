@@ -29,8 +29,7 @@ import numpy as np
 from . import __version__
 from .config import CONFIG_KEYS, ConfigError, ExperimentConfig, resolve_config
 from .equilibrium import EquilibriumSolution, response_distribution, solve_equilibrium
-from .fairness import (SolverFailure, conditional_idleness_alpha1, solve_L,
-                       special_policy_fairness)
+from .fairness import SolverFailure, conditional_idleness_alpha1, special_policy_fairness
 from .limits import (AllocationState, DiffusionSpec, FluidSpec,
                      allocation_fixed_point, allocation_fluid_integrate,
                      diffusion_simulate, diffusion_stationary, fluid_closed_form,
@@ -178,7 +177,7 @@ def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str,
     sol = _solve(config)
     F = sol.response
     if policy == "hrandom":
-        fsol = solve_L(F, config.functions(), config.beta)
+        fsol = sol.fairness
         print(f"fairness solver: bracket=[{fsol.bracket_lo!r},{fsol.bracket_hi!r}] "
               f"iterations={fsol.iterations} residual={fsol.residual!r} L={fsol.L!r}")
         grid = np.linspace(config.mu_min, config.mu_max, grid_points)

@@ -29,7 +29,8 @@ class ExperimentConfig:
     every sweep point starts from a valid one: finite floats, valid system
     parameters and rate box, q >= 1, r < 1 (htilde strictly decreasing),
     htilde > 0 on the box, C(mu, L)'s parts finite at mu_min and the top of
-    the equilibrium bracket, and a nonnegative seed; else ``ConfigError``.
+    the equilibrium bracket, (mu_max - mu_min)^2 and c(mu_max) finite,
+    c'(mu_min) > 0 in floats, and a nonnegative seed; else ``ConfigError``.
     """
 
     lambda_bar: float = 100.0
@@ -62,14 +63,21 @@ class ExperimentConfig:
         # C(mu, L) = -L f'(1/z) htilde' / (z z c'), z = 1 + L htilde, is read on
         # the box and the bracket L <= 1/(beta htilde(mu_max)); htilde, |htilde'|
         # and z are largest at mu_min (z at the bracket's top), so checked there
-        ht_lo = _at_mu_min("htilde = mu^(r-1)", funcs.htilde, self.mu_min)
+        ht_lo = _finite_at("htilde = mu^(r-1)", funcs.htilde, "mu_min", self.mu_min)
         top = self.beta * funcs.htilde(self.mu_max)
         if top == 0.0:
             raise ConfigError(f"beta htilde(mu_max) underflows to 0 at mu_max = {self.mu_max!r}")
-        _at_mu_min("htilde' = (r-1) mu^(r-2)", funcs.htilde_prime, self.mu_min)
+        _finite_at("htilde' = (r-1) mu^(r-2)", funcs.htilde_prime, "mu_min", self.mu_min)
         z = 1.0 + 1.0 / top * ht_lo
-        _at_mu_min("(1 + L htilde)^2 c' at L = 1/(beta htilde(mu_max))",
-                   lambda mu: z * z * funcs.c_prime(mu), self.mu_min)
+        _finite_at("(1 + L htilde)^2 c' at L = 1/(beta htilde(mu_max))",
+                   lambda mu: z * z * funcs.c_prime(mu), "mu_min", self.mu_min)
+        # the unimodal law's pair density reads the box's squared width, and
+        # its tie levels c on the box; c' is smallest at mu_min
+        _finite_at("(mu_max - mu_min)^2", lambda mu: (mu - self.mu_min) ** 2, "mu_max",
+                   self.mu_max)
+        _finite_at("c = mu^q", funcs.c, "mu_max", self.mu_max)
+        if funcs.c_prime(self.mu_min) == 0.0:
+            raise ConfigError(f"c' = q mu^(q-1) underflows to 0 at mu_min = {self.mu_min!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 
@@ -97,14 +105,14 @@ class ExperimentConfig:
         return replace(self, **kw)
 
 
-def _at_mu_min(name: str, fn, mu_min: float) -> float:
-    """``fn(mu_min)``, which must be finite."""
+def _finite_at(name: str, fn, key: str, mu: float) -> float:
+    """``fn(mu)``, which must be finite; ``mu`` is the config value ``key``."""
     try:
-        value = fn(mu_min)
+        value = fn(mu)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ConfigError(f"{name} overflows at mu_min = {mu_min!r}")
+        raise ConfigError(f"{name} overflows at {key} = {mu!r}")
     return value
 
 

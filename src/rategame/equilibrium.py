@@ -8,11 +8,16 @@ attribute distributions, the closed-form CDF of chosen rates F(mu | L);
 where it is unimodal, F(mu | L) is a table of the true best response's
 pushforward. A Nash equilibrium is a root of
 
-    Phi(L) = int mu (1 - beta L htilde(mu)) / (1 + L htilde(mu)) dF(mu | L),
+    Phi(L) = int mu (1 - beta L htilde(mu)) / (1 + L htilde(mu)) dF(mu | L)
+           = (1 + beta) I(L) - beta mu_bar(L),
 
-solved on the bracket [1/(beta htilde(mu_min)), 1/(beta htilde(mu_max))]
-after a sign-change scan (the root is provably inside; uniqueness is an
-empirical observation the scan verifies per run).
+with I(L) = int mu (1 + L htilde(mu))^-1 dF(mu | L), the integral the
+fairness equation's G reads (Phi = mu_bar G at F = F(. | L)). Neither
+moment depends on beta: each law reads both at its own L as it is built,
+by parts from its support node set. Phi is solved on the bracket
+[1/(beta htilde(mu_min)), 1/(beta htilde(mu_max))] after a sign-change
+scan (the root is provably inside; uniqueness is an empirical observation
+the scan verifies per run).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from ._numerics import bisect, itp
 from .model import (_MONOTONE_GRID, PolicyFunctions, PopulationDistributions,
                     ServerPopulation, _monotone_check, _ratio_array, staffing_level,
                     verify_first_order_monotone)
-from .fairness import SolverFailure, fairness_density, solve_L
+from .fairness import FairnessSolution, SolverFailure, _idle_weighted, fairness_density, solve_L
 from .rates import RateDistribution, _check_cdf_values, _interior, _panel_rule
 
 __all__ = [
@@ -155,15 +160,18 @@ class ResponseDistribution(RateDistribution):
     strictly decreasing, :class:`UnimodalResponse` where it is unimodal.
     ``first_order_monotone`` records which applied. ``response_distribution``
     builds the law at one L and tabulates it; the solver builds its laws
-    with ``_response_laws``.
+    with ``_response_laws``. Each law is handed its ``mean`` and its
+    idle-weighted mean ``idle_mean`` = I(L), read by parts from its support
+    node set as it is built (``_moments``); Phi reads both.
     """
 
     first_order_monotone: bool
 
     def __init__(self, L: float, dists: PopulationDistributions, cdf,
-                 kinks: tuple[float, ...], support_nodes):
+                 kinks: tuple[float, ...], support_nodes, moments: tuple[float, float]):
         self.L = L
         self._define(dists.mu_min, dists.mu_max, cdf, kinks, support_nodes)
+        self.mean, self.idle_mean = moments
 
     def density(self, mu):
         """Reporting density via central differences of the CDF, half a
@@ -194,9 +202,9 @@ class MonotoneResponse(ResponseDistribution):
     _table_points = 2001
 
     def __init__(self, L: float, dists: PopulationDistributions, funcs: PolicyFunctions,
-                 kinks, support_nodes):
+                 kinks, support_nodes, moments):
         super().__init__(L, dists, lambda mu: _monotone_cdf(mu, L, dists, funcs), kinks,
-                         support_nodes)
+                         support_nodes, moments)
 
 
 def _monotone_cdf(mu, L, dists: PopulationDistributions, funcs: PolicyFunctions) -> np.ndarray:
@@ -209,23 +217,52 @@ def _monotone_cdf(mu, L, dists: PopulationDistributions, funcs: PolicyFunctions)
 
 
 def _monotone_node_sets(L: np.ndarray, kinks: list[tuple[float, ...]],
-                        dists: PopulationDistributions, funcs: PolicyFunctions) -> list[tuple]:
-    """The support node set of the monotone law at each L of ``L`` with
-    the interior ``kinks`` of each: (x, w, F1(x)) on the 64-node
-    Gauss panels that split the support at its kinks, as
-    ``gauss_legendre_panels`` gives them. F1 is read at every node of every
-    law at once, each node at its own law's L, and checked law by law."""
+                        dists: PopulationDistributions,
+                        funcs: PolicyFunctions) -> tuple[list[tuple], list[tuple]]:
+    """The support node set and the moments of the monotone law at each L
+    of ``L`` with the interior ``kinks`` of each. The node set is
+    (x, w, F1(x)) on the 64-node Gauss panels that split the support at
+    its kinks, as ``gauss_legendre_panels`` gives them. F1 is read at every
+    node of every law at once, each node at its own law's L, and checked
+    law by law; the moments' terms are read in the same pass, and each
+    law's sums are row sums over the laws of its node count, the floats
+    the law gets when built alone (``_moments``)."""
     n = MonotoneResponse._panel_nodes
     lo = np.array([edge for k in kinks for edge in (dists.mu_min, *k)])
     hi = np.array([edge for k in kinks for edge in (*k, dists.mu_max)])
     x, w = _panel_rule(lo, hi, n)
-    count = [(len(k) + 1) * n for k in kinks]
+    count = np.array([(len(k) + 1) * n for k in kinks])
     ends = np.cumsum(count)
-    cdf = _monotone_cdf(x, np.repeat(L, count), dists, funcs)
+    at = np.repeat(L, count)
+    cdf = _monotone_cdf(x, at, dists, funcs)
     _check_cdf_values(cdf, "at its quadrature nodes", ends[:-1])
     nodes = x, w, np.clip(cdf, 0.0, 1.0)
+    terms = _moment_terms(at, funcs, *nodes)
+    sums = np.empty((2, L.size))
+    for size in np.unique(count).tolist():
+        laws = np.flatnonzero(count == size)
+        # np.take lays the rows out contiguously: each is summed as np.sum sums it
+        rows = np.take(terms, (ends[laws] - size)[:, None] + np.arange(size), axis=1)
+        sums[:, laws] = rows.sum(axis=-1)
     ends = ends.tolist()
-    return [tuple(array[i:j] for array in nodes) for i, j in zip([0, *ends[:-1]], ends)]
+    return ([tuple(array[i:j] for array in nodes) for i, j in zip([0, *ends[:-1]], ends)],
+            _moments(L, funcs, dists.mu_max, sums))
+
+
+def _moment_terms(L, funcs: PolicyFunctions, x, w, cdf) -> np.ndarray:
+    """The terms w F and w g' F of the two moments' integrals by parts at
+    the nodes ``x``, each at its own ``L``; g is ``_idle_weighted``'s
+    integrand, and each product is taken in ``integrate``'s order."""
+    return np.stack([w, w * _idle_weighted(funcs, L)[1](x)]) * cdf
+
+
+def _moments(L: np.ndarray, funcs: PolicyFunctions, mu_max: float,
+             sums: np.ndarray) -> list[tuple[float, float]]:
+    """(mean, I) of the law at each L of ``L``, I = int mu (1 + L htilde)^-1 dF
+    its idle-weighted mean, by parts from the sums of its ``_moment_terms``:
+    mean = mu_max - sum w F and I = g(mu_max) - sum w g' F."""
+    top = _idle_weighted(funcs, L)[0](np.array([mu_max]))
+    return list(zip((mu_max - sums[0]).tolist(), (top - sums[1]).tolist()))
 
 
 class UnimodalResponse(ResponseDistribution):
@@ -283,8 +320,9 @@ class UnimodalResponse(ResponseDistribution):
     support node set from its cell edges, built with the law (a monotone
     law is given its own by ``_response_laws``): each cell is one panel of
     ``_TABLE_PANEL_NODES`` Gauss nodes, with the table read at them. F1 is
-    linear on each cell, so an integral by parts over the support, Phi
-    among them, is the table's own integral to rounding.
+    linear on each cell, so an integral by parts over the support, the
+    two moments Phi reads among them, is the table's own integral to
+    rounding; both moments are read in one pass over the node set.
     ``mu_peak`` and ``c_peak`` are the peak of C(., L) and its value.
     """
 
@@ -299,8 +337,10 @@ class UnimodalResponse(ResponseDistribution):
         # sampling grid, and each cell is one panel of its support node set
         x, w = _panel_rule(edges[:-1], edges[1:], self._panel_nodes)
         nodes = x, w, np.clip(np.interp(x, edges, table), 0.0, 1.0)
+        sums = _moment_terms(L, funcs, *nodes).sum(axis=-1)[:, None]
         super().__init__(L, dists, lambda mu: np.interp(mu, edges, table),
-                         tuple(edges[1:-1].tolist()), nodes)
+                         tuple(edges[1:-1].tolist()), nodes,
+                         _moments(np.array([L]), funcs, dists.mu_max, sums)[0])
         self._set_table(edges, table)
 
 
@@ -327,7 +367,7 @@ def _response_laws(L: np.ndarray, dists: PopulationDistributions, funcs: PolicyF
         fine[:, 1::2] = _ratio_array(funcs, np.broadcast_to(grid[1::2], (Lm.size, grid.size // 2)),
                                      Lm[:, None])
         kinks = _monotone_kinks(Lm, grid, fine, dists, funcs)
-    laws = zip(kinks, _monotone_node_sets(L[monotone], kinks, dists, funcs) if kinks else ())
+    laws = zip(kinks, *_monotone_node_sets(L[monotone], kinks, dists, funcs)) if kinks else None
     for Lk, ok in zip(L.tolist(), monotone.tolist()):
         yield (MonotoneResponse(Lk, dists, funcs, *next(laws)) if ok
                else UnimodalResponse(Lk, dists, funcs))
@@ -457,39 +497,25 @@ def response_distribution(L: float, dists: PopulationDistributions,
     return F
 
 
-def _phi_integrand(funcs, beta: float, L: float):
-    ht, htp = funcs.htilde, funcs.htilde_prime
-
-    def phi(m):
-        m = np.asarray(m, dtype=float)
-        h = ht(m)
-        return m * (1.0 - beta * L * h) / (1.0 + L * h)
-
-    def phi_prime(m):
-        m = np.asarray(m, dtype=float)
-        h = ht(m)
-        z = 1.0 + L * h
-        return (1.0 - beta * L * h) / z - m * L * htp(m) * (1.0 + beta) / (z * z)
-
-    return phi, phi_prime
-
-
 def equilibrium_residual(L: float, dists: PopulationDistributions,
                          funcs: PolicyFunctions, beta: float,
                          F: ResponseDistribution | None = None) -> float:
-    """Phi(L); zero exactly when solve_L on F(.|L) returns L back.
+    """Phi(L) = (1 + beta) I(L) - beta mu_bar(L); zero exactly when solve_L
+    on F(.|L) returns L back, as Phi = mu_bar G there.
 
-    Without ``F`` the law at L is built for this one integral and dropped,
-    as ``_response_laws`` builds it: a monotone law is not tabulated and is
-    checked at the Gauss nodes the integral reads, a unimodal law is its
-    cell table, checked as it is built.
+    Both moments are the law's own, read with its node set as it is built
+    (``idle_mean`` and ``mean``); an ``F`` built at another L integrates I
+    at L. Without ``F`` the law at L is built for this one value and
+    dropped, as ``_response_laws`` builds it: a monotone law is not
+    tabulated and is checked at the Gauss nodes its moments read, a
+    unimodal law is its cell table, checked as it is built.
     """
     if L <= 0:
         raise ValueError("L must be positive")
     if F is None:
         F = next(_response_laws(np.array([L], dtype=float), dists, funcs))
-    phi, phi_prime = _phi_integrand(funcs, beta, L)
-    return F.integrate(phi, phi_prime)
+    idle = F.idle_mean if L == F.L else F.integrate(*_idle_weighted(funcs, L))
+    return (1.0 + beta) * idle - beta * F.mean
 
 
 @dataclass(frozen=True)
@@ -510,6 +536,8 @@ class EquilibriumSolution:
     sign_changes: int
     iterations: int
     L_selfcheck: float
+    # solve_L on the response law: the self-check, and the hrandom fairness law
+    fairness: FairnessSolution
     first_order_monotone: bool = True
     # a unimodal table's measured error, None if monotone (see _assemble_equilibrium)
     refinement_phi: float | None = None
@@ -577,15 +605,16 @@ def _assemble_equilibrium(F, dists, funcs, beta, lambda_bar, n,
     L = F.L
     F._tabulate()
     g, gp, moment = fairness_density(F, funcs, L)
-    selfcheck = solve_L(F, funcs, beta).L
+    fairness = solve_L(F, funcs, beta)
     residual = equilibrium_residual(L, dists, funcs, beta, F=F)
     N = staffing_level(n * lambda_bar, F.mean, beta, 1.0)
     refinement = {}
     if not F.first_order_monotone:
         # the moves of Phi, L* and mu_bar under a rebuild on twice the cells;
-        # Phi integrated here, as equilibrium_residual's calls are the solver's
+        # Phi read here from the fine law's moments, as equilibrium_residual's
+        # calls are the solver's
         fine = UnimodalResponse(L, dists, funcs, 2 * _CELLS)
-        d_phi = fine.integrate(*_phi_integrand(funcs, beta, L)) - residual
+        d_phi = (1.0 + beta) * fine.idle_mean - beta * fine.mean - residual
         i = max(int(np.searchsorted(scan_L, L)) - 1, 0)
         slope = (scan_phi[i + 1] - scan_phi[i]) / (scan_L[i + 1] - scan_L[i])
         refinement = {"refinement_phi": d_phi, "refinement_L": float(-d_phi / slope),
@@ -594,6 +623,7 @@ def _assemble_equilibrium(F, dists, funcs, beta, lambda_bar, n,
         L_star=L, response=F, mu_bar=F.mean, sigma2=F.variance, N=N,
         g=g, g_prime=gp, moment=moment, residual=residual,
         bracket_lo=blo, bracket_hi=bhi, scan_L=scan_L, scan_phi=scan_phi,
-        sign_changes=sign_changes, iterations=iterations, L_selfcheck=selfcheck,
+        sign_changes=sign_changes, iterations=iterations, L_selfcheck=fairness.L,
+        fairness=fairness,
         first_order_monotone=F.first_order_monotone, **refinement)
 

@@ -2,12 +2,16 @@
 blind policies below the purely quality-driven regime, and the weighted-random
 family at alpha = 1 via the scalar equation
 
-    G(L) = int mu (1+beta) / (mu_bar_F (1 + L htilde(mu))) dF(mu) - beta = 0.
+    G(L) = int mu (1+beta) / (mu_bar_F (1 + L htilde(mu))) dF(mu) - beta = 0,
 
-G is strictly decreasing in L, G(0) = 1 and G(inf) = -beta, so the root is
-unique. The htilde extremes bracket it: at L = 1/(beta htilde(mu_min)),
-L htilde <= 1/beta on the support, so G >= 0, and at 1/(beta htilde(mu_max))
-G <= 0 the same way. The solver checks both signs before refining.
+that is G = (1+beta) I(L) / mu_bar_F - beta with I(L) the idle-weighted mean
+int mu (1 + L htilde(mu))^-1 dF(mu), integrated by parts with the one
+integrand of ``_idle_weighted`` that the response laws' moments, and so the
+equilibrium's Phi = mu_bar G at F = F(. | L), read too. G is strictly
+decreasing in L, G(0) = 1 and G(inf) = -beta, so the root is unique. The
+htilde extremes bracket it: at L = 1/(beta htilde(mu_min)), L htilde <=
+1/beta on the support, so G >= 0, and at 1/(beta htilde(mu_max)) G <= 0
+the same way. The solver checks both signs before refining.
 
 The attainability inverse runs the other way: given a feasible target density
 g with respect to F, it constructs the routing weight whose stationary
@@ -123,19 +127,12 @@ def solve_L(F: RateDistribution, funcs, beta: float) -> FairnessSolution:
         raise ValueError("beta must be positive")
     F._tabulate()
     _check_htilde_nonincreasing(funcs, F.mu_min, F.mu_max)
-    ht, htp = funcs.htilde, funcs.htilde_prime
+    ht = funcs.htilde
     mu_bar = F.mean
     scale = (1.0 + beta) / mu_bar
 
     def G(L: float) -> float:
-        def integrand(m):
-            return m / (1.0 + L * ht(m))
-
-        def integrand_prime(m):
-            z = 1.0 + L * ht(m)
-            return (z - m * L * htp(m)) / (z * z)
-
-        return scale * F.integrate(integrand, integrand_prime) - beta
+        return scale * F.integrate(*_idle_weighted(funcs, L)) - beta
 
     lo = 1.0 / (beta * ht(F.mu_min))
     hi = 1.0 / (beta * ht(F.mu_max))
@@ -159,6 +156,24 @@ def solve_L(F: RateDistribution, funcs, beta: float) -> FairnessSolution:
         raise SolverFailure("fairness root search stalled above tolerance",
                             {"L": L, "G(L)": gval, "iterations": iterations})
     return _assemble(F, funcs, L, gval, lo, hi, iterations)
+
+
+def _idle_weighted(funcs, L):
+    """The integrand of I(L) = int mu (1 + L htilde(mu))^-1 dF(mu), the
+    idle-weighted mean rate that G and the equilibrium's Phi read, and its
+    derivative, for an integral by parts: g = mu / z and
+    g' = (z - mu L htilde'(mu)) / z^2 with z = 1 + L htilde(mu).
+    Elementwise in mu and in L."""
+    ht, htp = funcs.htilde, funcs.htilde_prime
+
+    def g(m):
+        return m / (1.0 + L * ht(m))
+
+    def g_prime(m):
+        z = 1.0 + L * ht(m)
+        return (z - m * L * htp(m)) / (z * z)
+
+    return g, g_prime
 
 
 def _assemble(F, funcs, L, residual, lo, hi, iterations) -> FairnessSolution:

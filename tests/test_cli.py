@@ -52,6 +52,9 @@ class TestConfig:
         ({"mu_min": 1e-150}, "htilde' = (r-1) mu^(r-2) overflows at mu_min = 1e-150"),
         ({"mu_min": 1e-100}, "(1 + L htilde)^2 c' at L = 1/(beta htilde(mu_max)) overflows "
                              "at mu_min = 1e-100"),
+        ({"mu_max": 1e200, "r": 0.5}, "(mu_max - mu_min)^2 overflows at mu_max = 1e+200"),
+        ({"mu_max": 1e100, "q": 4.0, "r": 0.5}, "c = mu^q overflows at mu_max = 1e+100"),
+        ({"q": 300.0}, "c' = q mu^(q-1) underflows to 0 at mu_min = 0.01"),
     ])
     def test_the_config_is_the_one_check_of_the_power_family(self, overrides, message):
         with pytest.raises(ConfigError) as raised:
@@ -561,6 +564,11 @@ class TestMainEntry:
                                                       ("--mu-min", "1e-150"))
           for command in (["equilibrium"], ["fairness"], ["limits"], ["simulate"],
                           ["sweep", "--axis", "beta"])),
+        # the unimodal law's (mu_max - mu_min)^2 and c(mu_max) = mu_max^q overflow
+        ["--mu-max", "1e200", "--r", "0.5", "equilibrium"],
+        # c'(mu_min) = q mu_min^(q-1) underflows to 0
+        ["--q", "300", "equilibrium"],
+        ["--q", "400", "equilibrium"],
         # the argument parser's own errors
         ["simulate", "--replications", "abc"],
         ["simulate", "--policy", "bogus"],

@@ -99,3 +99,39 @@ def test_needs_two_checkouts(capsys):
         compare_outputs.main(["only-one"])
     assert exit_info.value.code == 2
     assert "change" in capsys.readouterr().err
+
+
+def output_tree(root, report, events):
+    """A hand-made output tree: a report table and an event log."""
+    (root / "sub").mkdir(parents=True)
+    (root / "report.csv").write_text(report)
+    (root / "sub" / "events.csv").write_text(events)
+    return compare_outputs.collect(str(root))
+
+
+REPORT = "# provenance: config=abc\nL_star,mu_bar,flag,first_order_monotone\n{},0.19,,True\n"
+EVENTS = "# provenance: config=abc\ntime,kind,server\n0.5,arrival,3\n{},{},4\n"
+
+
+def test_numbers_that_moved_are_measured_per_column(tmp_path):
+    parent = output_tree(tmp_path / "parent", REPORT.format("0.25"),
+                         EVENTS.format("1.0", "departure"))
+    change = output_tree(tmp_path / "change", REPORT.format("0.2500000000000001"),
+                         EVENTS.format("1.0000000000000002", "departure"))
+    assert compare_outputs.numeric_moves(parent["report.csv"], change["report.csv"]) == \
+        [("L_star", pytest.approx(1e-16 / 0.25, rel=0.2))]
+    found = compare_outputs.differences(result() | {"files": parent}, result() | {"files": change})
+    assert found == ["report.csv numbers only: L_star 4.4e-16",
+                     os.path.join("sub", "events.csv") + " numbers only: time 2.2e-16"]
+
+
+def test_a_text_cell_or_a_shape_that_differs_is_only_named(tmp_path):
+    parent = output_tree(tmp_path / "parent", REPORT.format("0.25"),
+                         EVENTS.format("1.0", "departure"))
+    change = output_tree(tmp_path / "change", REPORT.format("0.26") + "0.3,0.2,,False\n",
+                         EVENTS.format("1.5", "abandonment"))
+    events = os.path.join("sub", "events.csv")
+    assert compare_outputs.numeric_moves(parent[events], change[events]) is None
+    assert compare_outputs.numeric_moves(parent["report.csv"], change["report.csv"]) is None
+    found = compare_outputs.differences(result() | {"files": parent}, result() | {"files": change})
+    assert found == ["report.csv", events]

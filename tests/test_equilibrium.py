@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rategame import equilibrium as equilibrium_module
+from rategame import fairness as fairness_module
 from rategame._numerics import bisect, itp
 from rategame import rates as rates_module
 from rategame.equilibrium import (_CELLS, _TIE_GRID, _TIE_ROUNDING, ResponseDistribution,
@@ -637,11 +639,75 @@ class TestScanMatchesPerPointLaws:
             assert G.first_order_monotone == F.first_order_monotone and G.L == F.L
             assert G.kinks == F.kinks
             assert np.array_equal(G._grid_cdf, F._grid_cdf)
+            assert G.mean == F.mean and G.idle_mean == F.idle_mean
             assert equilibrium_residual(L, dists, funcs, cfg.beta, F=G) == ref_phi[-1]
         assert np.array_equal(sol.scan_phi, np.array(ref_phi))
         flags = verify_first_order_monotone(funcs, sol.scan_L, support)
         assert flags.tolist() == [verify_first_order_monotone(funcs, L, support)
                                   for L in sol.scan_L.tolist()]
+
+
+def _reference_phi(F, funcs, beta: float, L: float) -> float:
+    """Phi(L) as one integral by parts of mu (1 - beta L htilde) / (1 + L htilde)."""
+    ht, htp = funcs.htilde, funcs.htilde_prime
+
+    def phi(m):
+        h = ht(m)
+        return m * (1.0 - beta * L * h) / (1.0 + L * h)
+
+    def phi_prime(m):
+        h = ht(m)
+        z = 1.0 + L * h
+        return (1.0 - beta * L * h) / z - m * L * htp(m) * (1.0 + beta) / (z * z)
+
+    return F.integrate(phi, phi_prime)
+
+
+def _solve_L_G(F, funcs, beta: float, monkeypatch):
+    """The G that ``solve_L`` refines on F, as a function of L."""
+    seen = []
+
+    def capturing(f, *args):
+        seen.append(f)
+        return itp(f, *args)
+
+    monkeypatch.setattr(fairness_module, "itp", capturing)
+    solve_L(F, funcs, beta)
+    monkeypatch.undo()
+    return lambda L: seen[0](math.log(L))
+
+
+class TestPhiFromTwoMoments:
+    """Phi(L) = (1 + beta) I(L) - beta mu_bar(L), from the two moments each
+    law reads with its node set as it is built."""
+
+    @pytest.mark.parametrize("overrides", [{}, {"r": -0.5}, {"r": -2.0}])
+    def test_phi_is_the_one_integral_and_mu_bar_G(self, monkeypatch, base_config, overrides):
+        cfg = base_config.with_overrides(**overrides)
+        dists, funcs = cfg.population(), cfg.functions()
+        for L in _scan_Ls(cfg)[::7].tolist():
+            F = response_distribution(L, dists, funcs)
+            phi = equilibrium_residual(L, dists, funcs, cfg.beta, F=F)
+            tol = 1e-14 * F.mean
+            assert abs(phi - _reference_phi(F, funcs, cfg.beta, L)) <= tol
+            assert abs(phi - F.mean * _solve_L_G(F, funcs, cfg.beta, monkeypatch)(L)) <= tol
+
+    @pytest.mark.parametrize("overrides", [{}, {"r": -1.5}])
+    def test_the_moments_are_the_laws_integrals_by_parts(self, base_config, overrides):
+        # bit for bit: mu_max - sum w F and g(mu_max) - sum w g' F are
+        # integrate's own formula, and each row sum is np.sum of that row
+        cfg = base_config.with_overrides(**overrides)
+        dists, funcs = cfg.population(), cfg.functions()
+        for L, F in zip(_scan_Ls(cfg).tolist(), _response_laws(_scan_Ls(cfg), dists, funcs)):
+            assert F.mean == F.integrate(lambda m: m, np.ones_like)
+            assert F.idle_mean == F.integrate(*fairness_module._idle_weighted(funcs, L))
+
+    def test_a_law_at_another_L_integrates_I_there(self, base_config, base_dists, base_funcs):
+        F = response_distribution(0.2, base_dists, base_funcs)
+        L, beta = 0.3, 0.3
+        I = F.integrate(*fairness_module._idle_weighted(base_funcs, L))
+        assert equilibrium_residual(L, base_dists, base_funcs, beta, F=F) == \
+            (1.0 + beta) * I - beta * F.mean
 
 
 class TestOneRatioReadPerGridPoint:
@@ -889,13 +955,22 @@ class TestOneCdfReadPerNodeSet:
         ref, ref_reads = self._assemble(*args)
         assert sum(np.array_equal(mu, nodes) for mu in ref_reads) > 1
         mus = np.linspace(F.mu_min, F.mu_max, 101)
-        for field in dataclasses.fields(got):
-            a, b = getattr(got, field.name), getattr(ref, field.name)
-            if field.name == "response":
-                a, b = a.cdf(mus), b.cdf(mus)
-            elif callable(a):
-                a, b = a(mus), b(mus)
-            assert np.array_equal(a, b), field.name
+        _assert_same_fields(got, ref, mus)
+
+
+def _assert_same_fields(got, ref, mus, prefix=""):
+    """Every field of two solutions is equal, bit for bit: a law by its CDF
+    and a function by its values at ``mus``, a nested solution field by field."""
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(ref, field.name)
+        if dataclasses.is_dataclass(a):
+            _assert_same_fields(a, b, mus, f"{prefix}{field.name}.")
+            continue
+        if isinstance(a, RateDistribution):
+            a, b = a.cdf(mus), b.cdf(mus)
+        elif callable(a):
+            a, b = a(mus), b(mus)
+        assert np.array_equal(a, b), prefix + field.name
 
 
 class TestOneCdfReadPerScan:

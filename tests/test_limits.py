@@ -381,10 +381,10 @@ class TestAllocationFluid:
                                 F_masses=cont.F_masses)
         traj = allocation_fluid_integrate(start, params, base_equilibrium.mu_bar, h,
                                           np.linspace(0.0, 160.0, 81))
-        pins = {40: ([0.0013120000248200297, 0.3866381540959727, 0.07058621401472664],
-                     1.3309041918772397e-06),
-                80: ([0.0013120000248135664, 0.3866381540942139, 0.07058621401451205],
-                     1.3309042927039938e-06)}
+        pins = {40: ([0.0013120000248200293, 0.3866381540959568, 0.07058621401472663],
+                     1.330904191701454e-06),
+                80: ([0.0013120000248135666, 0.38663815409419805, 0.07058621401451205],
+                     1.3309042925837196e-06)}
         for i, (masses, step_error) in pins.items():
             assert traj[i].masses[[0, 199, 399]].tolist() == masses
             assert traj[i].step_error == step_error
