@@ -31,7 +31,7 @@ import sys
 import tempfile
 
 CONFIGS = ([], ["--r", "-0.5"], ["--r", "-1.5"], ["--r", "-2"], ["--p", "5", "--r", "-3"],
-           ["--p", "6", "--r", "-4"])
+           ["--p", "6", "--r", "-4"], ["--alpha", "0.7"])
 COMMANDS = (["equilibrium"], ["fairness", "--policy", "hrandom"], ["limits"],
             ["sweep", "--axis", "beta"], ["sweep", "--axis", "r"],
             ["--n", "200", "simulate", "--horizon", "1", "--warmup", "0.25"])
@@ -39,13 +39,14 @@ _SPECIAL_POLICIES = ("lisf", "fsf", "ssf", "uniform")
 # a cold start builds a queue, so the simulator's patience deadlines, its
 # FIFO line and its event log are compared too, under every routing policy;
 # at gamma 200 some of the queued customers abandon within the horizon. The
-# special policies' fairness laws and validate's replications run here too
+# special policies' fairness laws and validate's replications, on two
+# workers, run here too
 BASE_COMMANDS = (tuple(["--n", "200", "--gamma", "200", "simulate", "--policy", policy,
                         "--cold-start", "--event-log", "--horizon", "1", "--warmup", "0.25"]
                        for policy in ("hrandom", *_SPECIAL_POLICIES))
                  + tuple(["fairness", "--policy", policy] for policy in _SPECIAL_POLICIES)
                  + (["validate", "--n-list", "20,40", "--replications", "2", "--horizon", "1",
-                     "--warmup", "0.25", "--bins", "4"],))
+                     "--warmup", "0.25", "--bins", "4", "--workers", "2"],))
 _RATE = re.compile(r" ?events_per_s=\S*")
 
 

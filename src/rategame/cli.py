@@ -22,20 +22,22 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
 
 from . import __version__
 from .config import CONFIG_KEYS, ConfigError, ExperimentConfig, resolve_config
-from .equilibrium import EquilibriumSolution, response_distribution, solve_equilibrium
+from .equilibrium import (EquilibriumSolution, ResponseDistribution, response_distribution,
+                          solve_equilibrium)
 from .fairness import SolverFailure, conditional_idleness_alpha1, special_policy_fairness
 from .limits import (AllocationState, DiffusionSpec, FluidSpec,
                      allocation_fixed_point, allocation_fluid_integrate,
                      diffusion_simulate, diffusion_stationary, fluid_closed_form,
                      fluid_integrate, stationary_scaled_idleness)
 from .model import ModelParams, ServerPopulation, staffing_level
-from .rates import FairnessMeasure, RateDistribution, bin_index
+from .rates import FairnessMeasure, bin_index
 from .sim import POLICIES, RoutingPolicy, run_simulation, stream_seed
 
 __all__ = [
@@ -94,6 +96,13 @@ def _solve(config: ExperimentConfig) -> EquilibriumSolution:
                              config.lambda_bar, config.n)
 
 
+def _staffing(params: ModelParams, mu_bar: float) -> int:
+    """Servers staffed for mean rate ``mu_bar`` at the scale, beta and alpha
+    of ``params``: the one staffing rule of every command. The equilibrium
+    itself (L, F, mu_bar) does not depend on alpha."""
+    return staffing_level(params.lambda_n, mu_bar, params.beta, params.alpha)
+
+
 def _require_window(horizon: float, warmup: float) -> None:
     if not (math.isfinite(horizon) and math.isfinite(warmup) and 0.0 <= warmup < horizon):
         raise ConfigError("need finite 0 <= warmup < horizon; "
@@ -104,11 +113,12 @@ def _require_window(horizon: float, warmup: float) -> None:
 
 def cmd_equilibrium(config: ExperimentConfig, outdir: str) -> EquilibriumSolution:
     sol = _solve(config)
+    N = _staffing(config.params(), sol.mu_bar)
     refinement = [getattr(sol, name) for name in _REFINEMENT]
     _write_csv(os.path.join(outdir, "equilibrium_report.csv"),
                [*_REFINEMENT, "L_star", "mu_bar", "sigma2", "N", "residual", "bracket_lo",
                 "bracket_hi", "first_order_monotone", "sign_changes", "iterations"], config,
-               rows=[[*refinement, sol.L_star, sol.mu_bar, sol.sigma2, sol.N, sol.residual,
+               rows=[[*refinement, sol.L_star, sol.mu_bar, sol.sigma2, N, sol.residual,
                       sol.bracket_lo, sol.bracket_hi, sol.first_order_monotone,
                       sol.sign_changes, sol.iterations]])
     grid = np.linspace(config.mu_min, config.mu_max, _DISTRIBUTION_POINTS)
@@ -116,7 +126,7 @@ def cmd_equilibrium(config: ExperimentConfig, outdir: str) -> EquilibriumSolutio
                columns=[grid, sol.response.cdf(grid), sol.response.density(grid)])
     _write_csv(os.path.join(outdir, "equilibrium_scan.csv"), ["L", "phi"], config,
                columns=[sol.scan_L, sol.scan_phi])
-    print(f"equilibrium: L_star={sol.L_star!r} mu_bar={sol.mu_bar!r} N={sol.N} "
+    print(f"equilibrium: L_star={sol.L_star!r} mu_bar={sol.mu_bar!r} N={N} "
           f"residual={sol.residual!r} sign_changes={sol.sign_changes} "
           f"bracket=[{sol.bracket_lo!r},{sol.bracket_hi!r}] iterations={sol.iterations} "
           f"first_order_monotone={sol.first_order_monotone} "
@@ -138,12 +148,8 @@ def cmd_sweep(config: ExperimentConfig, axis: str, grid: list[float],
     for value, cfg_i in zip(grid, configs):
         try:
             sol = _solve(cfg_i)
-            # staffing reported at the configured regime exponent; the
-            # equilibrium itself (L, F, mu_bar) does not depend on alpha
-            N = staffing_level(cfg_i.params().lambda_n, sol.mu_bar,
-                               cfg_i.beta, cfg_i.alpha)
-            rows.append({"value": float(value), "L_star": sol.L_star,
-                         "mu_bar": sol.mu_bar, "N": N, "residual": sol.residual,
+            rows.append({"value": float(value), "L_star": sol.L_star, "mu_bar": sol.mu_bar,
+                         "N": _staffing(cfg_i.params(), sol.mu_bar), "residual": sol.residual,
                          "first_order_monotone": sol.first_order_monotone,
                          **{name: getattr(sol, name) for name in _REFINEMENT},
                          "flag": ""})
@@ -253,26 +259,25 @@ def cmd_limits(config: ExperimentConfig, outdir: str) -> dict:
 
 # -------------------------------------------------------------------- simulate
 
-def _sampled_system(config: ExperimentConfig, F: RateDistribution, mu_bar: float,
+def _sampled_system(config: ExperimentConfig, F: ResponseDistribution,
                     n: int, rep: int) -> tuple[ModelParams, ServerPopulation]:
-    """The n-th system of replication ``rep``: staffed for mean rate
-    ``mu_bar``, each server's rate drawn from ``F``."""
+    """The n-th system of replication ``rep``: staffed for the mean rate of
+    ``F``, each server's rate drawn from ``F``."""
     params = config.with_overrides(n=n).params()
-    N = staffing_level(params.lambda_n, mu_bar, config.beta, config.alpha)
     rng = np.random.default_rng(stream_seed(config.seed, rep, "population"))
-    pop = ServerPopulation.from_rates(F.sample(rng, N), config.mu_min, config.mu_max)
-    return params, pop
+    rates = F.sample(rng, _staffing(params, F.mean))
+    return params, ServerPopulation.from_rates(rates, config.mu_min, config.mu_max)
 
 
-def _run_replication(config: ExperimentConfig, F: RateDistribution, L_star: float,
-                     mu_bar: float, n: int, rep: int, policy: str, horizon: float,
-                     warmup: float, stationary_init: bool = True, event_log: bool = False):
+def _run_replication(config: ExperimentConfig, F: ResponseDistribution, n: int, rep: int,
+                     policy: str, horizon: float, warmup: float,
+                     stationary_init: bool = True, event_log: bool = False):
     """Replication ``rep`` of the n-th system under ``policy``, started from
-    the stationary idle profile at ``L_star`` (all busy without it): the
+    the stationary idle profile at the L of ``F`` (all busy without it): the
     roster, the profile, the result and ``run_simulation``'s wall time."""
-    params, pop = _sampled_system(config, F, mu_bar, n, rep)
+    params, pop = _sampled_system(config, F, n, rep)
     funcs = config.functions()
-    init = conditional_idleness_alpha1(pop.rate, L_star, funcs) if stationary_init else None
+    init = conditional_idleness_alpha1(pop.rate, F.L, funcs) if stationary_init else None
     routing = RoutingPolicy.hrandom(funcs.h) if policy == "hrandom" else RoutingPolicy(policy)
     start = time.perf_counter()
     res = run_simulation(params, pop, routing, horizon, warmup, seed=config.seed,
@@ -293,9 +298,8 @@ def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
     sol = _solve(config)
     results = []
     for rep in range(replications):
-        pop, _, res, seconds = _run_replication(config, sol.response, sol.L_star, sol.mu_bar,
-                                                config.n, rep, policy, horizon, warmup,
-                                                stationary_init, event_log)
+        pop, _, res, seconds = _run_replication(config, sol.response, config.n, rep, policy,
+                                                horizon, warmup, stationary_init, event_log)
         # the rate goes to stdout only: the CSVs are identical on reruns
         print(f"simulate: policy={policy} replication={rep} "
               + " ".join(f"{name}={getattr(res, name)}" for name in _COUNTERS)
@@ -320,10 +324,9 @@ def simulate_pipeline(config: ExperimentConfig, policy: str, outdir: str,
 # -------------------------------------------------------------------- validate
 
 def _validate_worker(task: tuple) -> tuple:
-    config, L_star, mu_bar, n, rep, horizon, warmup, edges = task
+    config, L_star, n, rep, horizon, warmup, edges = task
     F = response_distribution(L_star, config.population(), config.functions())
-    pop, init, res, _ = _run_replication(config, F, L_star, mu_bar, n, rep, "hrandom",
-                                         horizon, warmup)
+    pop, init, res, _ = _run_replication(config, F, n, rep, "hrandom", horizon, warmup)
     # per rate bin: simulated and theoretical idle fractions, servers, idle time
     idx = bin_index(edges, pop.rate)
     sums = [np.bincount(idx, weights=w, minlength=edges.size - 1)
@@ -354,26 +357,19 @@ def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications:
     edges = np.linspace(config.mu_min, config.mu_max, bins + 1)
     theory_fair = FairnessMeasure.from_density(sol.response, sol.g, sol.g_prime)
     theory_fair_mass = theory_fair.bin_masses(edges)
-    tasks = [(config, sol.L_star, sol.mu_bar, n, rep, horizon, warmup, edges)
+    # the theory's scaled idleness does not depend on n
+    ihat_theory = stationary_scaled_idleness(config.params(), sol.mu_bar, sol.moment)
+    tasks = [(config, sol.L_star, n, rep, horizon, warmup, edges)
              for n in n_list for rep in range(replications)]
 
-    def progress(done: int, outcome: tuple) -> None:
-        print(f"validate: n={outcome[0]} replication={outcome[1]} done "
-              f"({done}/{len(tasks)})", file=sys.stderr, flush=True)
-
-    # outcomes stay in task order: the per-n sums below must not depend on
-    # which worker finishes first
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_validate_worker, t) for t in tasks]
-            for done, future in enumerate(as_completed(futures), 1):
-                progress(done, future.result())
-            outcomes = [future.result() for future in futures]
-    else:
-        outcomes = []
-        for t in tasks:
-            outcomes.append(_validate_worker(t))
-            progress(len(outcomes), outcomes[-1])
+    # outcomes, and so the progress lines and the per-n sums below, come in
+    # task order whichever worker finishes first
+    outcomes = []
+    with ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for outcome in (pool.map if pool else map)(_validate_worker, tasks):
+            outcomes.append(outcome)
+            print(f"validate: n={outcome[0]} replication={outcome[1]} done "
+                  f"({len(outcomes)}/{len(tasks)})", file=sys.stderr, flush=True)
 
     rows = []
     for n in n_list:
@@ -382,8 +378,6 @@ def validate_pipeline(config: ExperimentConfig, n_list: list[int], replications:
         ihat = np.array([o[6] for o in per_n])
         occupied = cnt > 0
         sup_gap = float(np.max(np.abs(emp[occupied] - thr[occupied]) / cnt[occupied]))
-        ihat_theory = stationary_scaled_idleness(config.with_overrides(n=n).params(),
-                                                 sol.mu_bar, sol.moment)
         ihat_mean = float(ihat.mean())
         ihat_se = float(ihat.std(ddof=1) / math.sqrt(ihat.size)) if ihat.size > 1 else float("nan")
         fair_emp = fair / fair.sum()
@@ -510,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SolverFailure, ValueError) as exc:
         print("solver failure: " + " ".join(str(exc).split()), file=sys.stderr)
         return 3
-    except (RuntimeError, ZeroDivisionError) as exc:
+    except (RuntimeError, ZeroDivisionError, MemoryError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return 4
 

@@ -524,7 +524,7 @@ class EquilibriumSolution:
     response: ResponseDistribution
     mu_bar: float
     sigma2: float
-    N: int
+    N: int   # staffing_level at alpha = 1; the CLI staffs at the configured alpha
     g: object
     g_prime: object
     moment: float

@@ -170,24 +170,19 @@ class DiffusionStats:
     paths: np.ndarray  # terminal-window time averages per path
     t_grid: np.ndarray
     ensemble_mean: np.ndarray  # mean trajectory across paths
-    frac_above: float          # fraction of stationary-window time above `level`
-    level: float
 
 
 def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
-                       paths: int, seed: int, level: float = 0.1) -> DiffusionStats:
+                       paths: int, seed: int) -> DiffusionStats:
     """Euler-Maruyama ensemble; stationary stats over the final half horizon.
 
-    Returns per-path time averages over [T/2, T], their mean/variance, the
-    standard error of the mean across paths, and the fraction of stationary
-    time spent above ``level`` (gauges how hard abandonment pins the
-    positive part).
+    Returns per-path time averages over [T/2, T], their mean/variance and
+    the standard error of the mean across paths.
 
     The steps run in blocks of ``_DIFFUSION_BLOCK``, each a rows x paths
     array of states. A block's normals are drawn into its rows in one call,
     in the stream order of one draw per step, and each step adds its Euler
-    increment to its row; the ensemble means and the count above ``level``
-    are read once per block. The drift -d - k x, k = m below zero and gamma
+    increment to its row; the ensemble means are read once per block. The drift -d - k x, k = m below zero and gamma
     above, is -d + m (x)^- - gamma (x)^+ float for float.
     """
     if dt <= 0 or T <= dt:
@@ -202,7 +197,6 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
     x = np.full(paths, spec.xi0, dtype=float)
     half = steps // 2
     acc = np.zeros(paths)
-    above = 0
     ensemble_mean = np.empty(steps + 1)
     ensemble_mean[0] = x.mean()
     block = np.empty((min(_DIFFUSION_BLOCK, steps), paths))
@@ -224,17 +218,13 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
             if i >= half:
                 acc += row
         ensemble_mean[first + 1:first + 1 + rows.shape[0]] = rows.mean(axis=1)
-        tail = rows[max(half - first, 0):]
-        above += int(np.count_nonzero(tail > level))
         x = x.copy()  # the next block's draws overwrite its rows
-    window = steps - half
-    per_path = acc / window
+    per_path = acc / (steps - half)
     mean = float(per_path.mean())
     var = float(per_path.var(ddof=1)) if paths > 1 else 0.0
     stderr = float(np.sqrt(var / paths)) if paths > 1 else float("nan")
     return DiffusionStats(mean=mean, variance=var, stderr=stderr,
-                          paths=per_path, t_grid=t_grid, ensemble_mean=ensemble_mean,
-                          frac_above=above / (window * paths), level=level)
+                          paths=per_path, t_grid=t_grid, ensemble_mean=ensemble_mean)
 
 
 def _hazard_excess(a: float) -> float:

@@ -214,10 +214,8 @@ class ServerPopulation:
 
 
 def staffing_load(lambda_n: float, mu_bar: float, beta: float, alpha: float) -> float:
-    """Real-valued staffing expression R + beta * R^alpha, R = lambda_n/mu_bar.
-
-    Exposed separately because the limit formulas use the unrounded value.
-    """
+    """Real-valued staffing expression R + beta * R^alpha, R = lambda_n/mu_bar:
+    the load ``staffing_level`` rounds up, checked here."""
     if lambda_n <= 0:
         raise ValueError("lambda_n must be positive")
     if mu_bar <= 0:
@@ -234,8 +232,9 @@ def staffing_load(lambda_n: float, mu_bar: float, beta: float, alpha: float) -> 
 
 
 def staffing_level(lambda_n: float, mu_bar: float, beta: float, alpha: float) -> int:
-    """Integer staffing: ceil of the offered load plus safety staffing."""
-    return int(math.ceil(staffing_load(lambda_n, mu_bar, beta, alpha) - 1e-12))
+    """Integer staffing: ceil of the offered load plus safety staffing, and
+    at least one server, since the load is positive."""
+    return max(1, int(math.ceil(staffing_load(lambda_n, mu_bar, beta, alpha) - 1e-12)))
 
 
 def sample_population(dists: PopulationDistributions, count: int, seed: int) -> ServerPopulation:

@@ -12,6 +12,7 @@ import pytest
 from rategame import ConfigError, ExperimentConfig, cli, resolve_config
 from rategame.cli import cmd_equilibrium, cmd_fairness, cmd_sweep, main, simulate_pipeline
 from rategame.config import parse_config_file
+from rategame.rates import RateDistribution
 
 
 class TestConfig:
@@ -125,6 +126,24 @@ class TestEquilibriumCommand:
             a = open(os.path.join(out, name), "rb").read()
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b
+
+    def test_every_command_staffs_at_the_configured_alpha(self, tmp_path, capsys):
+        """The report, its stdout line, a sweep row and a simulated roster all
+        give the alpha = 0.7 staffing; the library's solution keeps its
+        alpha = 1 figure."""
+        def table(name):
+            lines = (tmp_path / name).read_text().splitlines()
+            return [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+
+        flags = ["--out", str(tmp_path), "--alpha", "0.7"]
+        assert main([*flags, "equilibrium"]) == 0
+        assert " N=551 " in capsys.readouterr().out
+        assert table("equilibrium_report.csv")[0]["N"] == "551"
+        assert main([*flags, "sweep", "--axis", "beta", "--grid=0.3"]) == 0
+        assert table("sweep_beta.csv")[0]["N"] == "551"
+        assert main([*flags, "simulate", "--horizon", "1", "--warmup", "0.25"]) == 0
+        assert len(table("run_hrandom_rep0.csv")) == 551 + 1   # and the summary row
+        assert cli._solve(ExperimentConfig(alpha=0.7)).N == 684
 
     def test_rising_htilde_is_clean_config_error(self, tmp_path):
         # r >= 1 makes htilde nondecreasing; r = 0.5 still has htilde =
@@ -433,8 +452,8 @@ class TestValidatePipeline:
         assert lines[1].endswith(",replications,event_count,thinned_completions,"
                                  "routing_rejections,peak_queue")
         for row, line in zip(rows, lines[2:]):
-            counters = [_validate_worker((cfg, sol.L_star, sol.mu_bar, row["n"], rep,
-                                          6.0, 1.0, edges))[-1] for rep in (0, 1)]
+            counters = [_validate_worker((cfg, sol.L_star, row["n"], rep, 6.0, 1.0, edges))[-1]
+                        for rep in (0, 1)]
             expected = [sum(c[name] for c in counters) for name in
                         ("event_count", "thinned_completions", "routing_rejections")]
             expected.append(max(c["peak_queue"] for c in counters))
@@ -444,17 +463,15 @@ class TestValidatePipeline:
             assert row["event_count"] > 0
 
     def test_one_progress_line_per_task(self, tmp_path, capsys):
+        """One line per task, in task order, whichever worker finishes first."""
         from rategame.cli import validate_pipeline
         cfg = ExperimentConfig(lambda_bar=2.0, seed=11)
+        expected = [f"validate: n={n} replication={rep} done ({k}/4)"
+                    for k, (n, rep) in enumerate([(4, 0), (4, 1), (6, 0), (6, 1)], 1)]
         for workers in (1, 2):
             validate_pipeline(cfg, [4, 6], replications=2, outdir=str(tmp_path),
                               horizon=6.0, warmup=1.0, bins=5, workers=workers)
-            err = capsys.readouterr().err.splitlines()
-            assert len(err) == 4
-            assert [line.split(" done ")[1] for line in err] == \
-                ["(1/4)", "(2/4)", "(3/4)", "(4/4)"]
-            assert sorted(line.split(" done ")[0] for line in err) == \
-                [f"validate: n={n} replication={rep}" for n in (4, 6) for rep in (0, 1)]
+            assert capsys.readouterr().err.splitlines() == expected
 
 
 class TestMainEntry:
@@ -583,6 +600,25 @@ class TestMainEntry:
         assert rc == 2
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not any(tmp_path.iterdir())
+
+    def test_a_roster_too_large_to_allocate_is_a_simulation_error(self, tmp_path,
+                                                                  monkeypatch, capsys):
+        def refuse(self, rng, size):
+            raise MemoryError(f"Unable to allocate an array with shape ({size},)")
+
+        monkeypatch.setattr(RateDistribution, "sample", refuse)
+        rc = main(["--out", str(tmp_path), "simulate"])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 4
+        assert err == ["simulation error: Unable to allocate an array with shape (684,)"]
+
+    def test_the_smallest_load_staffs_one_server(self, tmp_path, capsys):
+        flags = ["--out", str(tmp_path), "--lambda-bar", "1e-13"]
+        assert main([*flags, "equilibrium"]) == 0
+        assert " N=1 " in capsys.readouterr().out
+        assert main([*flags, "simulate", "--horizon", "1", "--warmup", "0.25"]) == 0
+        # provenance, header, one server and the summary row
+        assert (tmp_path / "run_hrandom_rep0.csv").read_text().count("\n") == 4
 
     def test_help_is_printed_and_exits_0(self, capsys):
         with pytest.raises(SystemExit) as done:

@@ -37,10 +37,12 @@ def result(exit=0, stdout="", stderr="", **files):
 
 def test_every_command_runs_at_every_configuration():
     runs = compare_outputs.runs()
-    assert len(runs) == 46 and len({tuple(r) for r in runs}) == 46
+    assert len(runs) == 52 and len({tuple(r) for r in runs}) == 52
     assert ["--p", "5", "--r", "-3", "fairness", "--policy", "hrandom"] in runs
     assert ["--r", "-2", "--n", "200", "simulate", "--horizon", "1", "--warmup", "0.25"] in runs
     assert ["sweep", "--axis", "beta"] in runs and ["--p", "6", "--r", "-4", "limits"] in runs
+    # README's staffing example: every command staffs at the configured alpha
+    assert ["--alpha", "0.7", "equilibrium"] in runs
     # the cold-start simulations run under every policy, at the base configuration
     # only, with a patience rate at which queued customers abandon in the horizon
     for policy in ("hrandom", "lisf", "fsf", "ssf", "uniform"):
@@ -50,9 +52,10 @@ def test_every_command_runs_at_every_configuration():
     # the special policies' fairness laws and validate's replications, at the base configuration
     for policy in ("lisf", "fsf", "ssf", "uniform"):
         assert ["fairness", "--policy", policy] in runs
+    # at two workers, so that its progress lines are compared in task order too
     assert [r for r in runs if "validate" in r] == [
         ["validate", "--n-list", "20,40", "--replications", "2", "--horizon", "1",
-         "--warmup", "0.25", "--bins", "4"]]
+         "--warmup", "0.25", "--bins", "4", "--workers", "2"]]
 
 
 def test_strips_only_the_event_rate():
@@ -82,7 +85,7 @@ def test_two_equal_checkouts_show_no_difference(tmp_path, capsys):
     parent = fake_checkout(tmp_path / "parent")
     change = fake_checkout(tmp_path / "change")
     assert compare_outputs.main([str(parent), str(change)]) == 0
-    assert capsys.readouterr().out == "compare_outputs: 0 of 46 runs differ\n"
+    assert capsys.readouterr().out == "compare_outputs: 0 of 52 runs differ\n"
 
 
 def test_a_different_exit_code_is_reported(tmp_path, capsys):
@@ -91,7 +94,7 @@ def test_a_different_exit_code_is_reported(tmp_path, capsys):
     assert compare_outputs.main([str(parent), str(change)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == ["compare_outputs: [--p 6 --r -4 --n 200 simulate --horizon 1 --warmup 0.25] "
-                   "exit code 0 -> 3", "compare_outputs: 1 of 46 runs differ"]
+                   "exit code 0 -> 3", "compare_outputs: 1 of 52 runs differ"]
 
 
 def test_needs_two_checkouts(capsys):

@@ -13,6 +13,8 @@ from rategame import (ModelParams, PolicyFunctions, PopulationDistributions,
 def test_staffing_examples():
     assert staffing_level(100, 1.0, 0.3, 1.0) == 130
     assert staffing_level(100, 1.0, 0.3, 0.5) == 103
+    # a load below the rounding guard of 1e-12 still staffs one server
+    assert staffing_level(1e-13, 0.19, 0.3, 1.0) == 1
 
 
 def test_staffing_is_ceil():
