@@ -30,8 +30,11 @@ import subprocess
 import sys
 import tempfile
 
+# the last scales the rates' box to 1e-10 .. 5e-9, with a load that keeps
+# N small (387): the solver's stop rule must not depend on the unit of rate
 CONFIGS = ([], ["--r", "-0.5"], ["--r", "-1.5"], ["--r", "-2"], ["--p", "5", "--r", "-3"],
-           ["--p", "6", "--r", "-4"], ["--alpha", "0.7"])
+           ["--p", "6", "--r", "-4"], ["--alpha", "0.7"],
+           ["--mu-min", "1e-10", "--mu-max", "5e-9", "--lambda-bar", "1e-6"])
 COMMANDS = (["equilibrium"], ["fairness", "--policy", "hrandom"], ["limits"],
             ["sweep", "--axis", "beta"], ["sweep", "--axis", "r"],
             ["--n", "200", "simulate", "--horizon", "1", "--warmup", "0.25"])

@@ -3,8 +3,8 @@
 
 The r sweep runs at the configured staffing exponent (alpha = 1). The beta
 sweep is emitted twice: once at alpha = 1 (staffing rises monotonically; the
-direct safety term dominates) and once at alpha = 0.7, where the interior
-staffing optimum near beta = 0.45 appears.
+direct safety term dominates) and once at alpha = 0.7, where an interior
+staffing optimum appears, at a beta in [0.3, 0.55].
 
 Outputs land in out/sweeps and out/sweeps_alpha07, or in those
 subdirectories of RATEGAME_OUTDIR when that is set.

@@ -1,9 +1,9 @@
 """The numerical kernels the solvers share: bracketed bisection and the
 ITP method, each elementwise over scalars or arrays, and one classical
 Runge-Kutta step. ITP finds the roots where a tolerance on |f| ends the
-search (Phi, G, and the unimodal law's tie rates); bisection serves the
-callers that need its exact-halving convention, in which a zero of f
-moves the upper end."""
+search (G, on one law or as Phi / mu_bar, and the unimodal law's tie
+rates); bisection serves the callers that need its exact-halving
+convention, in which a zero of f moves the upper end."""
 
 from __future__ import annotations
 

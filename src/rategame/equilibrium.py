@@ -17,7 +17,8 @@ moment depends on beta: each law reads both at its own L as it is built,
 by parts from its support node set. Phi is solved on the bracket
 [1/(beta htilde(mu_min)), 1/(beta htilde(mu_max))] after a sign-change
 scan (the root is provably inside; uniqueness is an empirical observation
-the scan verifies per run).
+the scan verifies per run). It refines Phi / mu_bar, G on F(. | L), until
+|G| < G_TOLERANCE, ``solve_L``'s stop, which no unit of rate enters.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from ._numerics import bisect, itp
 from .model import (_MONOTONE_GRID, PolicyFunctions, PopulationDistributions,
                     ServerPopulation, _monotone_check, _ratio_array, staffing_level,
                     verify_first_order_monotone)
-from .fairness import FairnessSolution, SolverFailure, _idle_weighted, fairness_density, solve_L
+from .fairness import (G_TOLERANCE, MAX_ITERATIONS, FairnessSolution, SolverFailure, _assemble,
+                       _idle_weighted, solve_L)
 from .rates import RateDistribution, _check_cdf_values, _interior, _panel_rule
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
     "solve_equilibrium",
 ]
 
-PHI_TOLERANCE = 1e-10
 SCAN_POINTS = 64
 
 
@@ -525,19 +526,16 @@ class EquilibriumSolution:
     mu_bar: float
     sigma2: float
     N: int   # staffing_level at alpha = 1; the CLI staffs at the configured alpha
-    g: object
-    g_prime: object
-    moment: float
-    residual: float
+    moment: float   # the first moment of the fairness law at L*
+    residual: float   # Phi(L*), a rate; residual / mu_bar is G(L*)
     bracket_lo: float
     bracket_hi: float
     scan_L: np.ndarray
     scan_phi: np.ndarray
     sign_changes: int
     iterations: int
-    L_selfcheck: float
-    # solve_L on the response law: the self-check, and the hrandom fairness law
-    fairness: FairnessSolution
+    L_selfcheck: float   # solve_L's root on the response law: a fixed point gives L* back
+    fairness: FairnessSolution   # the hrandom fairness law at L*
     first_order_monotone: bool = True
     # a unimodal table's measured error, None if monotone (see _assemble_equilibrium)
     refinement_phi: float | None = None
@@ -548,7 +546,7 @@ class EquilibriumSolution:
 def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
                       beta: float, lambda_bar: float, n: int = 1) -> EquilibriumSolution:
     """Scan Phi for sign changes on the existence bracket, refine the first
-    by ITP from the two scan values that bracket it.
+    by ITP on Phi / mu_bar from the two scan points that bracket it.
 
     Multiple sign changes are reported (``sign_changes``), the smallest root
     is returned. Fails loudly with the scan attached when no sign change is
@@ -588,11 +586,13 @@ def solve_equilibrium(dists: PopulationDistributions, funcs: PolicyFunctions,
                             {"bracket": (blo, bhi),
                              "phi_ends": (float(scan_phi[0]), float(scan_phi[-1]))})
     i = change_idx[0]
-    L, phi_L, iterations = itp(phi_at, scan_L[i], scan_L[i + 1], scan_phi[i], scan_phi[i + 1],
-                               200, PHI_TOLERANCE)
-    if abs(phi_L) >= PHI_TOLERANCE:
+    lo, hi = scan_L[i], scan_L[i + 1]
+    L, g_L, iterations = itp(lambda L: phi_at(L) / laws[L].mean, lo, hi,
+                             scan_phi[i] / laws[lo].mean, scan_phi[i + 1] / laws[hi].mean,
+                             MAX_ITERATIONS, G_TOLERANCE)
+    if not abs(g_L) < G_TOLERANCE:
         raise SolverFailure("Phi root search stalled above tolerance",
-                            {"L": L, "phi": phi_L, "iterations": iterations})
+                            {"L": L, "G(L)": g_L, "iterations": iterations})
     return _assemble_equilibrium(laws[L], dists, funcs, beta, lambda_bar, n,
                                  blo, bhi, scan_L, scan_phi, change_idx.size, iterations)
 
@@ -601,12 +601,11 @@ def _assemble_equilibrium(F, dists, funcs, beta, lambda_bar, n,
                           blo, bhi, scan_L, scan_phi, sign_changes, iterations):
     """The solution at the law ``F`` Phi read at L*, tabulated here as
     ``response_distribution`` tabulates it. Its residual is integrated
-    again, as one more Phi evaluation."""
+    again, as one more Phi evaluation, and gives G(L*) to the fairness law."""
     L = F.L
     F._tabulate()
-    g, gp, moment = fairness_density(F, funcs, L)
-    fairness = solve_L(F, funcs, beta)
     residual = equilibrium_residual(L, dists, funcs, beta, F=F)
+    fairness = _assemble(F, funcs, L, residual / F.mean, blo, bhi, iterations)
     N = staffing_level(n * lambda_bar, F.mean, beta, 1.0)
     refinement = {}
     if not F.first_order_monotone:
@@ -621,9 +620,9 @@ def _assemble_equilibrium(F, dists, funcs, beta, lambda_bar, n,
                       "refinement_mu_bar": fine.mean - F.mean}
     return EquilibriumSolution(
         L_star=L, response=F, mu_bar=F.mean, sigma2=F.variance, N=N,
-        g=g, g_prime=gp, moment=moment, residual=residual,
+        moment=fairness.moment, residual=residual,
         bracket_lo=blo, bracket_hi=bhi, scan_L=scan_L, scan_phi=scan_phi,
-        sign_changes=sign_changes, iterations=iterations, L_selfcheck=fairness.L,
-        fairness=fairness,
+        sign_changes=sign_changes, iterations=iterations,
+        L_selfcheck=solve_L(F, funcs, beta).L, fairness=fairness,
         first_order_monotone=F.first_order_monotone, **refinement)
 

@@ -152,7 +152,7 @@ def solve_L(F: RateDistribution, funcs, beta: float) -> FairnessSolution:
                               MAX_ITERATIONS, G_TOLERANCE)
     # an end returned without a step keeps the L its G value was taken at
     L = lo if u == u_lo else hi if u == u_hi else math.exp(u)
-    if abs(gval) >= G_TOLERANCE:
+    if not abs(gval) < G_TOLERANCE:   # NaN stalls too
         raise SolverFailure("fairness root search stalled above tolerance",
                             {"L": L, "G(L)": gval, "iterations": iterations})
     return _assemble(F, funcs, L, gval, lo, hi, iterations)

@@ -221,7 +221,8 @@ def diffusion_simulate(spec: DiffusionSpec, dt: float, T: float,
         x = x.copy()  # the next block's draws overwrite its rows
     per_path = acc / (steps - half)
     mean = float(per_path.mean())
-    var = float(per_path.var(ddof=1)) if paths > 1 else 0.0
+    with np.errstate(over="ignore"):   # a diverged ensemble's variance reads inf
+        var = float(per_path.var(ddof=1)) if paths > 1 else 0.0
     stderr = float(np.sqrt(var / paths)) if paths > 1 else float("nan")
     return DiffusionStats(mean=mean, variance=var, stderr=stderr,
                           paths=per_path, t_grid=t_grid, ensemble_mean=ensemble_mean)

@@ -216,7 +216,7 @@ def test_criterion_8_attainability_round_trip(base_config, base_equilibrium):
                      lambda m: np.zeros_like(np.asarray(m, dtype=float))),
         "proportional": (lambda m: np.asarray(m, dtype=float) / mean,
                          lambda m: np.full_like(np.asarray(m, dtype=float), 1.0 / mean)),
-        "equilibrium": (base_equilibrium.g, base_equilibrium.g_prime),
+        "equilibrium": (base_equilibrium.fairness.g, base_equilibrium.fairness.g_prime),
     }
     edges = np.linspace(base_config.mu_min, base_config.mu_max, 65)
     details = []

@@ -4,7 +4,6 @@ import os
 import runpy
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -506,15 +505,18 @@ class TestMainEntry:
         assert err.count("\n") == 1
         assert err.startswith("solver failure: cdf is decreasing somewhere")
 
-    @pytest.mark.parametrize("residual", [2e-9, float("nan")])
-    def test_residual_above_tolerance_fails_in_one_line(self, tmp_path, monkeypatch, capsys,
-                                                        residual):
-        monkeypatch.setattr("rategame.cli.cmd_equilibrium",
-                            lambda config, outdir: SimpleNamespace(residual=residual))
+    @pytest.mark.parametrize("excess", [2.0, float("nan")])
+    def test_a_stalled_phi_search_fails_in_one_line_and_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, excess):
+        # the root search ends with |Phi / mu_bar| above the tolerance, or NaN
+        monkeypatch.setattr("rategame.equilibrium.itp",
+                            lambda f, lo, hi, flo, fhi, iters, tol: (lo, excess * tol, iters))
         rc = main(["--out", str(tmp_path), "equilibrium"])
         assert rc == 3
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("solver failure: residual not below 1e-9")
+        assert len(err) == 1
+        assert err[0].startswith("solver failure: Phi root search stalled above tolerance")
+        assert not any(tmp_path.iterdir())
 
     def test_steep_unimodal_config_solves(self, tmp_path, monkeypatch):
         solutions = []
@@ -638,6 +640,24 @@ class TestMainEntry:
         assert rc == 0 and captured.err == ""
         residual = float(captured.out.split(" residual=")[1].split()[0])
         assert abs(residual) < 1e-9
+
+    def test_a_box_far_above_unit_rates_solves(self, tmp_path, capsys):
+        # Phi is of the order of mu_bar ~ 3e149 here: its root search stops
+        # on Phi / mu_bar, as solve_L stops on G
+        rc = main(["--out", str(tmp_path), "--mu-max", "1e150", "--r", "0.9", "equilibrium"])
+        assert rc == 0 and capsys.readouterr().err == ""
+
+    def test_limits_reports_no_z_against_an_infinite_stderr(self, tmp_path, capsys):
+        # the Euler step overshoots at these rates, and the variance of the
+        # path means squares past the floats: diffusion_z is NaN, not 0
+        rc = main(["--out", str(tmp_path), "--mu-max", "1e150", "--r", "0.9", "limits"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert " diffusion_stderr=inf " in captured.out
+        assert " diffusion_z=nan " in captured.out
+        rows = (tmp_path / "limits_summary.csv").read_text().splitlines()[2:]
+        assert [row for row in rows if row.startswith("diffusion_z,")] == [
+            "diffusion_z,nan,alpha=0.5 (not the configured alpha=1.0)"]
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"

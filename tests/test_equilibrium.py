@@ -1069,6 +1069,17 @@ class TestEquilibrium:
         assert base_equilibrium.L_selfcheck == pytest.approx(
             base_equilibrium.L_star, rel=1e-6)
 
+    @pytest.mark.parametrize("s", [1.0, 1e-5, 1e-8])
+    def test_the_stop_rule_does_not_depend_on_the_unit_of_rate(self, base_config, s):
+        # the base box scaled by s: the root search stops on Phi / mu_bar,
+        # not on Phi, so the scan bracket is refined at every scale
+        cfg = base_config.with_overrides(mu_min=s * base_config.mu_min,
+                                         mu_max=s * base_config.mu_max)
+        sol = solve_equilibrium(cfg.population(), cfg.functions(), cfg.beta,
+                                cfg.lambda_bar, cfg.n)
+        assert abs(sol.residual) / sol.mu_bar < 1e-9
+        assert abs(sol.L_selfcheck - sol.L_star) <= 1e-6 * sol.L_star
+
     def test_residual_equivalence_with_solve_L(self, base_dists, base_funcs):
         # |Phi(L)| small iff solve_L on F(.|L) returns nearly L
         for L in (0.1, 0.2455, 0.5):

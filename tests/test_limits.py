@@ -370,10 +370,10 @@ class TestAllocationFluid:
                                 F_masses=cont.F_masses)
         traj = allocation_fluid_integrate(start, params, base_equilibrium.mu_bar, h,
                                           np.linspace(0.0, 160.0, 81))
-        pins = {40: ([0.0013120000248200293, 0.3866381540959568, 0.07058621401472663],
-                     1.330904191701454e-06),
-                80: ([0.0013120000248135666, 0.38663815409419805, 0.07058621401451205],
-                     1.3309042925837196e-06)}
+        pins = {40: ([0.0013120000240125305, 0.386638154109002, 0.0705862140022994],
+                     1.3309042677609854e-06),
+                80: ([0.001312000024006067, 0.38663815410724306, 0.07058621400208483],
+                     1.330904368606244e-06)}
         for i, (masses, step_error) in pins.items():
             assert traj[i].masses[[0, 199, 399]].tolist() == masses
             assert traj[i].step_error == step_error

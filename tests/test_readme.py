@@ -22,8 +22,8 @@ def test_library_example_prints_the_golden_equilibrium():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     L_star, mu_bar, N = out.getvalue().splitlines()[0].split()
-    assert f"{float(L_star):.11f}" == "0.24552331629"
-    assert f"{float(mu_bar):.11f}" == "0.19007201640"
+    assert f"{float(L_star):.11f}" == "0.24552331577"
+    assert f"{float(mu_bar):.11f}" == "0.19007201643"
     assert N == "684"
 
 
