@@ -43,13 +43,14 @@ _SPECIAL_POLICIES = ("lisf", "fsf", "ssf", "uniform")
 # FIFO line and its event log are compared too, under every routing policy;
 # at gamma 200 some of the queued customers abandon within the horizon. The
 # special policies' fairness laws and validate's replications, on two
-# workers, run here too
+# workers, run here too, and `limits` with its Euler step past its bound
 BASE_COMMANDS = (tuple(["--n", "200", "--gamma", "200", "simulate", "--policy", policy,
                         "--cold-start", "--event-log", "--horizon", "1", "--warmup", "0.25"]
                        for policy in ("hrandom", *_SPECIAL_POLICIES))
                  + tuple(["fairness", "--policy", policy] for policy in _SPECIAL_POLICIES)
                  + (["validate", "--n-list", "20,40", "--replications", "2", "--horizon", "1",
-                     "--warmup", "0.25", "--bins", "4", "--workers", "2"],))
+                     "--warmup", "0.25", "--bins", "4", "--workers", "2"],
+                    ["--gamma", "1000", "limits"]))
 _RATE = re.compile(r" ?events_per_s=\S*")
 
 

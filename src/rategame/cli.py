@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _DISTRIBUTION_POINTS = 2001   # rows of distribution.csv
+_FAIRNESS_POINTS = 401        # rows of a fairness density's fairness_<policy>.csv
 _REFINEMENT = ("refinement_phi", "refinement_L", "refinement_mu_bar")
 _COUNTERS = ("event_count", "thinned_completions", "routing_rejections", "peak_queue")
 # the horizons of `limits`: the fluid ODE, the Euler-Maruyama ensemble (its
@@ -53,6 +54,9 @@ _COUNTERS = ("event_count", "thinned_completions", "routing_rejections", "peak_q
 _FLUID_T = 10.0
 _DIFFUSION_T = 60.0
 _DIFFUSION_DT = 0.05
+# past this max(m, gamma) dt the Euler step overshoots the origin, so the
+# ensemble checks its own discretization, not the law: no diffusion_z
+_DIFFUSION_STEP_BOUND = 0.5
 _DIFFUSION_PATHS = 256
 _ALLOCATION_T = 160.0
 
@@ -174,12 +178,9 @@ def cmd_sweep(config: ExperimentConfig, axis: str, grid: list[float],
 
 # -------------------------------------------------------------------- fairness
 
-def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str,
-                 grid_points: int = 401) -> FairnessMeasure:
+def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str) -> FairnessMeasure:
     if policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}")
-    if grid_points < 2:
-        raise ConfigError(f"grid_points must be at least 2; got {grid_points}")
     sol = _solve(config)
     if policy == "hrandom":
         fsol = sol.fairness
@@ -192,7 +193,7 @@ def cmd_fairness(config: ExperimentConfig, policy: str, outdir: str,
     if measure.support is not None:
         _write_csv(path, ["mu", "weight"], config, columns=[measure.support, measure.weights])
     else:
-        grid = np.linspace(config.mu_min, config.mu_max, grid_points)
+        grid = np.linspace(config.mu_min, config.mu_max, _FAIRNESS_POINTS)
         _write_csv(path, ["mu", "g"], config, columns=[grid, measure.g(grid)])
     return measure
 
@@ -216,20 +217,21 @@ def cmd_limits(config: ExperimentConfig, outdir: str) -> dict:
     dstats = diffusion_simulate(dspec, _DIFFUSION_DT, _DIFFUSION_T, _DIFFUSION_PATHS,
                                 seed=config.seed)
     exact_mean, _ = diffusion_stationary(dspec)
+    euler_step = max(sol.moment, config.gamma) * _DIFFUSION_DT
+    euler_ok = euler_step <= _DIFFUSION_STEP_BOUND
     _write_csv(os.path.join(outdir, "diffusion_mean.csv"), ["t", "value"], config,
                columns=[dstats.t_grid[::25], dstats.ensemble_mean[::25]])
 
     h = config.functions().h
-    times = np.linspace(0.0, _ALLOCATION_T, 81)
+    times = np.linspace(0.0, _ALLOCATION_T, 3)
     fixed = allocation_fixed_point(sol.response, params, sol.mu_bar, h, L=sol.L_star)
     start = AllocationState(edges=fixed.edges, F_masses=fixed.F_masses,
                             masses=np.full_like(fixed.masses, fixed.total / fixed.masses.size))
     traj = allocation_fluid_integrate(start, params, sol.mu_bar, h, times)
-    shown = (0, len(traj) // 2, len(traj) - 1)
     _write_csv(os.path.join(outdir, "allocation_trace.csv"), ["t", "cell_mid", "mass"], config,
-               columns=[np.repeat(times[list(shown)], fixed.masses.size),
-                        np.concatenate([traj[i].mids for i in shown]),
-                        np.concatenate([traj[i].masses for i in shown])])
+               columns=[np.repeat(times, fixed.masses.size),
+                        np.concatenate([state.mids for state in traj]),
+                        np.concatenate([state.masses for state in traj])])
     terminal_tv = traj[-1].tv_against(fixed.masses)
 
     summary = {
@@ -237,9 +239,10 @@ def cmd_limits(config: ExperimentConfig, outdir: str) -> dict:
         "diffusion_mean": dstats.mean,
         "diffusion_stderr": dstats.stderr,
         "diffusion_exact_mean": exact_mean,
-        # no z against a stderr that is not finite: inf would read 0, a pass
+        # no z against a stderr that is not finite (inf would read 0, a
+        # pass) or from a step past its bound
         "diffusion_z": ((dstats.mean - exact_mean) / dstats.stderr
-                        if math.isfinite(dstats.stderr) else math.nan),
+                        if euler_ok and math.isfinite(dstats.stderr) else math.nan),
         "allocation_terminal_tv": terminal_tv,
         "allocation_step_error": traj[-1].step_error,
         "stationary_scaled_idleness": stationary_scaled_idleness(params, sol.mu_bar, sol.moment),
@@ -249,6 +252,9 @@ def cmd_limits(config: ExperimentConfig, outdir: str) -> dict:
     fluid = f"alpha={config.alpha!r}"
     diffusion = "alpha=0.5" + ("" if config.alpha == 0.5 else
                                f" (not the configured alpha={config.alpha!r})")
+    if not euler_ok:
+        diffusion += (f"; Euler step past its bound: max rate x dt = {euler_step!r}"
+                      f" > {_DIFFUSION_STEP_BOUND!r}")
     _write_csv(os.path.join(outdir, "limits_summary.csv"), ["metric", "value", "regime"], config,
                rows=[[k, float(v), diffusion if k.startswith("diffusion") else fluid]
                      for k, v in summary.items()])
@@ -444,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fairness", help="stationary fairness for a policy")
     sp.add_argument("--policy", choices=POLICIES, default="hrandom")
-    sp.add_argument("--grid-points", type=int, default=401)
 
     sub.add_parser("limits", help="fluid/diffusion/allocation trajectories")
     return ap
@@ -488,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
                               bins=args.bins, workers=args.workers)
             return 0
         if args.command == "fairness":
-            cmd_fairness(config, args.policy, outdir, grid_points=args.grid_points)
+            cmd_fairness(config, args.policy, outdir)
             return 0
         if args.command == "limits":
             cmd_limits(config, outdir)

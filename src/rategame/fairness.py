@@ -75,9 +75,7 @@ class FairnessSolution:
     """Root L of the fairness equation plus everything derived from it."""
 
     L: float
-    g: Callable
-    g_prime: Callable
-    moment: float
+    moment: float   # measure.moment(), the idleness-weighted mean rate
     residual: float
     bracket_lo: float
     bracket_hi: float
@@ -177,18 +175,16 @@ def _idle_weighted(funcs, L):
 
 
 def _assemble(F, funcs, L, residual, lo, hi, iterations) -> FairnessSolution:
-    g, gp, moment = fairness_density(F, funcs, L)
-    return FairnessSolution(L=L, g=g, g_prime=gp, moment=moment, residual=residual,
+    measure = fairness_density(F, funcs, L)
+    return FairnessSolution(L=L, moment=measure.moment(), residual=residual,
                             bracket_lo=lo, bracket_hi=hi, iterations=iterations,
-                            measure=FairnessMeasure.from_density(F, g, gp))
+                            measure=measure)
 
 
-def fairness_density(F: RateDistribution, funcs, L: float):
-    """Density of the stationary fairness measure at a given L, plus moment.
-
-    Returns (g, g_prime, moment); g integrates to 1 against dF by
-    construction.
-    """
+def fairness_density(F: RateDistribution, funcs, L: float) -> FairnessMeasure:
+    """The stationary fairness law at a given L: the density
+    g = (1 + L htilde)^-1 / D against F, with D its integral, so g
+    integrates to 1 against dF by construction."""
     if L <= 0:
         raise ValueError("L must be positive")
     ht, htp = funcs.htilde, funcs.htilde_prime
@@ -201,21 +197,7 @@ def fairness_density(F: RateDistribution, funcs, L: float):
         return -L * htp(m) / (z * z)
 
     D = F.integrate(raw, raw_prime)
-
-    def g(m):
-        return raw(m) / D
-
-    def gp(m):
-        return raw_prime(m) / D
-
-    def mg(m):
-        return np.asarray(m, dtype=float) * raw(m) / D
-
-    def mgp(m):
-        return raw(m) / D + np.asarray(m, dtype=float) * raw_prime(m) / D
-
-    moment = F.integrate(mg, mgp)
-    return g, gp, moment
+    return FairnessMeasure.from_density(F, lambda m: raw(m) / D, lambda m: raw_prime(m) / D)
 
 
 @dataclass(frozen=True)
@@ -226,42 +208,45 @@ class AttainabilityCheck:
     moment: float
 
 
-def check_attainable(g: Callable, F: RateDistribution, beta: float,
-                     g_prime: Callable) -> AttainabilityCheck:
-    """Strict feasibility of a target fairness density:
+def check_attainable(target: FairnessMeasure, beta: float) -> AttainabilityCheck:
+    """Strict feasibility of a target fairness law, a density g with
+    respect to its base F:
 
         0 < g(mu) < (1+beta) <iota,eta> / (beta mu_bar_F)  on the support,
 
-    checked on ``_ATTAINABLE_GRID`` points. The moment <iota,eta> is
-    integrated by parts, so g must be differentiable with derivative
-    ``g_prime``. Returns the minimum slack against both bounds (negative
-    when infeasible).
+    checked on ``_ATTAINABLE_GRID`` points, with <iota,eta> the target's
+    moment. Returns the minimum slack against both bounds (negative when
+    infeasible). A discrete target raises ValueError: the bounds read a
+    density.
     """
-    moment = F.integrate(lambda m: np.asarray(m, dtype=float) * g(m),
-                         lambda m: g(m) + np.asarray(m, dtype=float) * g_prime(m))
+    F = target.base
+    if F is None:
+        raise ValueError("the target must be a density against a rate law, not a discrete measure")
+    moment = target.moment()
     ceiling = (1.0 + beta) * moment / (beta * F.mean)
     mus = np.linspace(F.mu_min, F.mu_max, _ATTAINABLE_GRID)
-    gv = np.asarray(g(mus), dtype=float)
+    gv = np.asarray(target.g(mus), dtype=float)
     slack = float(min(gv.min(), (ceiling - gv).min()))
     return AttainabilityCheck(ok=bool(slack > 0.0), slack=slack,
                               ceiling=ceiling, moment=moment)
 
 
-def h_for_target_density(g: Callable, F: RateDistribution, beta: float,
-                         lambda_bar: float, g_prime: Callable) -> RoutingWeight:
-    """Routing weight whose stationary fairness density is exactly ``g``,
-    a differentiable density with derivative ``g_prime``:
+def h_for_target_density(target: FairnessMeasure, beta: float,
+                         lambda_bar: float) -> RoutingWeight:
+    """Routing weight whose stationary fairness law is exactly ``target``,
+    a density g with respect to its base F:
 
         h(mu) = ((1+beta)/mu_bar - beta g(mu)/<iota,eta>) mu
                 / (beta lambda_bar g(mu)/<iota,eta>)
 
-    and htilde' is read from ``g_prime`` in closed form.
+    and htilde' is read from the target's g' in closed form.
     Round trip: solve_L(F, returned weight, beta) recovers g and L = lambda_bar.
     """
-    chk = check_attainable(g, F, beta, g_prime=g_prime)
+    chk = check_attainable(target, beta)
     if not chk.ok:
         raise ValueError(
             f"target density infeasible: needs 0 < g < {chk.ceiling!r} strictly, slack {chk.slack!r}")
+    F, g, g_prime = target.base, target.g, target.g_prime
     mu_bar = F.mean
     m1 = chk.moment
     c0 = (1.0 + beta) / mu_bar

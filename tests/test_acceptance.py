@@ -212,20 +212,21 @@ def test_criterion_8_attainability_round_trip(base_config, base_equilibrium):
     lam, beta = base_config.lambda_bar, base_config.beta
     mean = F.mean
     targets = {
-        "constant": (lambda m: np.ones_like(np.asarray(m, dtype=float)),
-                     lambda m: np.zeros_like(np.asarray(m, dtype=float))),
-        "proportional": (lambda m: np.asarray(m, dtype=float) / mean,
-                         lambda m: np.full_like(np.asarray(m, dtype=float), 1.0 / mean)),
-        "equilibrium": (base_equilibrium.fairness.g, base_equilibrium.fairness.g_prime),
+        "constant": FairnessMeasure.from_density(
+            F, lambda m: np.ones_like(np.asarray(m, dtype=float)),
+            lambda m: np.zeros_like(np.asarray(m, dtype=float))),
+        "proportional": FairnessMeasure.from_density(
+            F, lambda m: np.asarray(m, dtype=float) / mean,
+            lambda m: np.full_like(np.asarray(m, dtype=float), 1.0 / mean)),
+        "equilibrium": base_equilibrium.fairness.measure,
     }
     edges = np.linspace(base_config.mu_min, base_config.mu_max, 65)
     details = []
     ok = True
-    for name, (g, gp) in targets.items():
-        weight = h_for_target_density(g, F, beta, lam, g_prime=gp)
+    for name, target in targets.items():
+        weight = h_for_target_density(target, beta, lam)
         sol = solve_L(F, weight, beta)
-        tv = FairnessMeasure.from_density(F, g, gp).tv_binned(
-            FairnessMeasure.from_density(F, sol.g, sol.g_prime), edges)
+        tv = target.tv_binned(sol.measure, edges)
         l_rel = abs(sol.L - lam) / lam
         details.append(f"{name}: TV={tv:.2e} |L-lam|/lam={l_rel:.2e}")
         ok = ok and tv < 1e-8 and l_rel < 1e-6

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import multiprocessing
 import os
 import runpy
@@ -304,9 +305,9 @@ class TestSimulateAndFairness:
 
     def test_fairness_hrandom_grid(self, tmp_path):
         cfg = ExperimentConfig(lambda_bar=2.0)
-        measure = cmd_fairness(cfg, "hrandom", str(tmp_path), grid_points=51)
+        measure = cmd_fairness(cfg, "hrandom", str(tmp_path))
         text = open(os.path.join(str(tmp_path), "fairness_hrandom.csv")).read()
-        assert text.count("\n") == 2 + 51
+        assert text.count("\n") == 2 + 401
         assert measure.base is not None
 
     def test_limits_command_files_and_summary(self, tmp_path):
@@ -405,22 +406,29 @@ class TestLimitsSerialOrder:
 
 class TestLimitsDiffusionCheck:
     """``diffusion_z`` is the Euler-Maruyama ensemble's distance from the exact
-    stationary mean, in standard errors, at the default ensemble size."""
+    stationary mean, in standard errors, at the default ensemble size; NaN
+    where max(m, gamma) dt is past 0.5, which the diffusion rows' regime
+    names."""
 
     @pytest.mark.parametrize("overrides, inside", [
         ({}, True),
         ({"alpha": 0.5}, True),
         ({"gamma": 0.2, "beta": 0.6}, True),
         ({"gamma": 1000.0}, False),  # gamma dt = 50: the Euler step overshoots
-    ], ids=["base", "alpha0.5", "gamma0.2-beta0.6", "gamma1000"])
+        # every rate x100: m dt = 1.4, and the parent's z read 21.4
+        ({"mu_min": 1.0, "mu_max": 50.0, "lambda_bar": 10000.0}, False),
+    ], ids=["base", "alpha0.5", "gamma0.2-beta0.6", "gamma1000", "rates-x100"])
     def test_z_flags_only_the_euler_failure(self, tmp_path, overrides, inside):
         from rategame.cli import cmd_limits
         summary = cmd_limits(ExperimentConfig(**overrides), str(tmp_path))
-        assert (abs(summary["diffusion_z"]) < 3.0) is inside
+        assert abs(summary["diffusion_z"]) < 3.0 if inside else math.isnan(summary["diffusion_z"])
         rows = (tmp_path / "limits_summary.csv").read_text().splitlines()[2:]
         values = {row.split(",")[0]: float(row.split(",")[1]) for row in rows}
         assert values["diffusion_exact_mean"] == summary["diffusion_exact_mean"]
-        assert values["diffusion_z"] == summary["diffusion_z"]
+        assert repr(values["diffusion_z"]) == repr(summary["diffusion_z"])
+        regimes = {row.split(",")[2] for row in rows if row.startswith("diffusion")}
+        assert len(regimes) == 1
+        assert ("; Euler step past its bound: max rate x dt = " in regimes.pop()) is not inside
         assert (tmp_path / "diffusion_mean.csv").read_text().count("\n") == 2 + 1 + 1200 // 25
 
 
@@ -541,8 +549,6 @@ class TestMainEntry:
         ["validate", "--bins", "0"],
         ["validate", "--bins", "-1"],
         ["--r", "1.5", "sweep", "--axis", "beta"],
-        ["fairness", "--grid-points", "-3"],
-        ["fairness", "--grid-points", "0"],
         ["validate", "--n-list", "2,x"],
         ["sweep", "--axis", "beta", "--grid=a,b"],
         ["--seed", "-1", "simulate"],
@@ -656,8 +662,10 @@ class TestMainEntry:
         assert " diffusion_stderr=inf " in captured.out
         assert " diffusion_z=nan " in captured.out
         rows = (tmp_path / "limits_summary.csv").read_text().splitlines()[2:]
-        assert [row for row in rows if row.startswith("diffusion_z,")] == [
-            "diffusion_z,nan,alpha=0.5 (not the configured alpha=1.0)"]
+        z_row, = [row for row in rows if row.startswith("diffusion_z,")]
+        assert z_row.startswith("diffusion_z,nan,alpha=0.5 (not the configured alpha=1.0); "
+                                "Euler step past its bound: max rate x dt = ")
+        assert z_row.endswith(" > 0.5")
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"

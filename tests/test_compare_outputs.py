@@ -37,7 +37,7 @@ def result(exit=0, stdout="", stderr="", **files):
 
 def test_every_command_runs_at_every_configuration():
     runs = compare_outputs.runs()
-    assert len(runs) == 58 and len({tuple(r) for r in runs}) == 58
+    assert len(runs) == 59 and len({tuple(r) for r in runs}) == 59
     assert ["--p", "5", "--r", "-3", "fairness", "--policy", "hrandom"] in runs
     assert ["--r", "-2", "--n", "200", "simulate", "--horizon", "1", "--warmup", "0.25"] in runs
     assert ["sweep", "--axis", "beta"] in runs and ["--p", "6", "--r", "-4", "limits"] in runs
@@ -56,6 +56,8 @@ def test_every_command_runs_at_every_configuration():
     assert [r for r in runs if "validate" in r] == [
         ["validate", "--n-list", "20,40", "--replications", "2", "--horizon", "1",
          "--warmup", "0.25", "--bins", "4", "--workers", "2"]]
+    # limits with gamma dt = 50, past the Euler step's bound
+    assert ["--gamma", "1000", "limits"] in runs
 
 
 def test_strips_only_the_event_rate():
@@ -85,7 +87,7 @@ def test_two_equal_checkouts_show_no_difference(tmp_path, capsys):
     parent = fake_checkout(tmp_path / "parent")
     change = fake_checkout(tmp_path / "change")
     assert compare_outputs.main([str(parent), str(change)]) == 0
-    assert capsys.readouterr().out == "compare_outputs: 0 of 58 runs differ\n"
+    assert capsys.readouterr().out == "compare_outputs: 0 of 59 runs differ\n"
 
 
 def test_a_different_exit_code_is_reported(tmp_path, capsys):
@@ -94,7 +96,7 @@ def test_a_different_exit_code_is_reported(tmp_path, capsys):
     assert compare_outputs.main([str(parent), str(change)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == ["compare_outputs: [--p 6 --r -4 --n 200 simulate --horizon 1 --warmup 0.25] "
-                   "exit code 0 -> 3", "compare_outputs: 1 of 58 runs differ"]
+                   "exit code 0 -> 3", "compare_outputs: 1 of 59 runs differ"]
 
 
 def test_needs_two_checkouts(capsys):

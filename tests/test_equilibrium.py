@@ -1049,6 +1049,14 @@ class TestEquilibrium:
             assert 0.5 * error <= abs(sol.refinement_L) <= 2.0 * error
         assert sol.L_star == pytest.approx(L_bisected, rel=1e-8)
 
+    def test_the_moment_is_the_fairness_laws_own(self, base_config):
+        # one integral of mu g dF: the solution's moment is its fairness
+        # law's, bit for bit (the parent's differed by 2.2e-16 here)
+        cfg = base_config.with_overrides(r=-1.5)
+        sol = solve_equilibrium(cfg.population(), cfg.functions(), cfg.beta,
+                                cfg.lambda_bar, cfg.n)
+        assert sol.moment == sol.fairness.moment == sol.fairness.measure.moment()
+
     def test_unique_sign_change_on_scan(self, base_equilibrium):
         assert base_equilibrium.sign_changes == 1
 

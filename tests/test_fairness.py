@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rategame import (check_attainable, conditional_idleness_alpha1,
+from rategame import (FairnessMeasure, check_attainable, conditional_idleness_alpha1,
                       fairness_density, h_for_target_density, power_family,
                       solve_L, special_policy_fairness,
                       uniform_rate_distribution)
@@ -32,7 +32,7 @@ class TestSolveL:
         assert sol.L == 1.0 / 0.3
         assert sol.bracket_lo == sol.bracket_hi == sol.L
         assert sol.iterations == 0 and sol.residual == 0.0
-        assert np.allclose(sol.g(np.linspace(0.2, 0.5, 5)), 1.0, atol=1e-12)
+        assert np.allclose(sol.measure.g(np.linspace(0.2, 0.5, 5)), 1.0, atol=1e-12)
 
     @given(beta=st.floats(0.05, 1.5), lo=st.floats(0.1, 0.3), width=st.floats(0.05, 0.6))
     @settings(max_examples=25, deadline=None)
@@ -52,7 +52,7 @@ class TestSolveL:
         F = uniform_rate_distribution(0.7 - 1e-5, 0.7 + 1e-5)
         sol = solve_L(F, unit_weight, beta=0.3)
         assert sol.L == pytest.approx(0.7 / 0.3, rel=1e-8)
-        assert np.allclose(sol.g(np.linspace(0.7 - 1e-5, 0.7 + 1e-5, 5)), 1.0, atol=1e-4)
+        assert np.allclose(sol.measure.g(np.linspace(0.7 - 1e-5, 0.7 + 1e-5, 5)), 1.0, atol=1e-4)
 
     def test_unit_weight_moment_is_beta_L(self, unit_weight):
         F = uniform_rate_distribution(0.2, 0.5)
@@ -70,7 +70,7 @@ class TestSolveL:
     def test_density_normalizes(self, inverse_weight):
         F = uniform_rate_distribution(0.2, 0.5)
         sol = solve_L(F, inverse_weight, beta=0.3)
-        total = F.integrate(sol.g, sol.g_prime)
+        total = F.integrate(sol.measure.g, sol.measure.g_prime)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_bracket_endpoint_signs(self, inverse_weight):
@@ -95,7 +95,7 @@ class TestSolveL:
         sol = solve_L(F, scaled, beta=0.3)
         assert sol.L == pytest.approx(base.L / kappa, rel=1e-7)
         mus = np.linspace(0.2, 0.5, 7)
-        assert np.allclose(sol.g(mus), base.g(mus), rtol=1e-7)
+        assert np.allclose(sol.measure.g(mus), base.measure.g(mus), rtol=1e-7)
 
     def test_increasing_htilde_rejected(self):
         F = uniform_rate_distribution(0.2, 0.5)
@@ -157,34 +157,35 @@ class TestSpecialPolicies:
 class TestFairnessDensity:
     def test_L_to_zero_recovers_F(self, inverse_weight):
         F = uniform_rate_distribution(0.2, 0.5)
-        g, gp, moment = fairness_density(F, inverse_weight, 1e-12)
+        eta = fairness_density(F, inverse_weight, 1e-12)
         mus = np.linspace(0.2, 0.5, 9)
-        assert np.allclose(g(mus), 1.0, atol=1e-9)
-        assert moment == pytest.approx(F.mean, rel=1e-8)
+        assert eta.base is F
+        assert np.allclose(eta.g(mus), 1.0, atol=1e-9)
+        assert eta.moment() == pytest.approx(F.mean, rel=1e-8)
 
     def test_unit_weight_shape(self, unit_weight):
         # h = 1: g proportional to mu/(mu + L)
         F = uniform_rate_distribution(0.2, 0.5)
         L = 0.8
-        g, gp, _ = fairness_density(F, unit_weight, L)
+        eta = fairness_density(F, unit_weight, L)
         mus = np.linspace(0.2, 0.5, 9)
-        ratio = g(mus) / (mus / (mus + L))
+        ratio = eta.g(mus) / (mus / (mus + L))
         assert np.allclose(ratio, ratio[0], rtol=1e-10)
 
     @given(L=st.floats(1e-3, 50.0), beta=st.floats(0.05, 1.0))
     @settings(max_examples=25, deadline=None)
     def test_normalization_random_draws(self, unit_weight, L, beta):
         F = uniform_rate_distribution(0.2, 0.5)
-        g, gp, _ = fairness_density(F, unit_weight, L)
-        assert F.integrate(g, gp) == pytest.approx(1.0, abs=1e-8)
+        eta = fairness_density(F, unit_weight, L)
+        assert F.integrate(eta.g, eta.g_prime) == pytest.approx(1.0, abs=1e-8)
 
     def test_idle_rate_balance(self, inverse_weight):
         # gbar = beta lambda g / moment must satisfy int mu gbar dF = lambda beta
         F = uniform_rate_distribution(0.2, 0.5)
         beta, lam = 0.3, 100.0
         sol = solve_L(F, inverse_weight, beta=beta)
-        gbar = lambda m: beta * lam * sol.g(m) / sol.moment
-        gbar_p = lambda m: beta * lam * sol.g_prime(m) / sol.moment
+        gbar = lambda m: beta * lam * sol.measure.g(m) / sol.moment
+        gbar_p = lambda m: beta * lam * sol.measure.g_prime(m) / sol.moment
         val = F.integrate(lambda m: np.asarray(m) * gbar(m),
                           lambda m: gbar(m) + np.asarray(m) * gbar_p(m))
         assert val == pytest.approx(lam * beta, abs=1e-8 * lam * beta + 1e-8)
@@ -193,8 +194,9 @@ class TestFairnessDensity:
 class TestAttainability:
     def test_constant_density_feasible(self):
         F = uniform_rate_distribution(0.2, 0.5)
-        chk = check_attainable(lambda m: np.ones_like(np.asarray(m)), F, beta=0.3,
-                               g_prime=lambda m: np.zeros_like(np.asarray(m)))
+        target = FairnessMeasure.from_density(F, lambda m: np.ones_like(np.asarray(m)),
+                                              lambda m: np.zeros_like(np.asarray(m)))
+        chk = check_attainable(target, beta=0.3)
         assert chk.ok
         # ceiling = (1+beta)/beta at moment == mu_bar, slack = min(1, ceiling-1)
         assert chk.ceiling == pytest.approx((1 + 0.3) / 0.3, rel=1e-9)
@@ -207,7 +209,7 @@ class TestAttainability:
         beta = 0.3
         g = lambda m: np.exp(100.0 * (np.asarray(m, dtype=float) - 0.5))
         gp = lambda m: 100.0 * g(m)
-        chk = check_attainable(g, F, beta=beta, g_prime=gp)
+        chk = check_attainable(FairnessMeasure.from_density(F, g, gp), beta=beta)
         assert not chk.ok
         assert g(0.5) > chk.ceiling > g(0.48)
 
@@ -216,11 +218,11 @@ class TestAttainability:
         lam, beta = 100.0, 0.3
         ones = lambda m: np.ones_like(np.asarray(m, dtype=float))
         zeros = lambda m: np.zeros_like(np.asarray(m, dtype=float))
-        w = h_for_target_density(ones, F, beta, lam, g_prime=zeros)
+        w = h_for_target_density(FairnessMeasure.from_density(F, ones, zeros), beta, lam)
         sol = solve_L(F, w, beta)
         assert sol.L == pytest.approx(lam, rel=1e-6)
         mus = np.linspace(0.2, 0.5, 33)
-        assert np.max(np.abs(sol.g(mus) - 1.0)) < 1e-8
+        assert np.max(np.abs(sol.measure.g(mus) - 1.0)) < 1e-8
 
     def test_round_trip_linear(self):
         F = uniform_rate_distribution(0.2, 0.5)
@@ -228,11 +230,11 @@ class TestAttainability:
         mean = F.mean
         g = lambda m: np.asarray(m, dtype=float) / mean
         gp = lambda m: np.full_like(np.asarray(m, dtype=float), 1.0 / mean)
-        w = h_for_target_density(g, F, beta, lam, g_prime=gp)
+        w = h_for_target_density(FairnessMeasure.from_density(F, g, gp), beta, lam)
         sol = solve_L(F, w, beta)
         assert sol.L == pytest.approx(lam, rel=1e-6)
         mus = np.linspace(0.2, 0.5, 33)
-        assert np.max(np.abs(sol.g(mus) - g(mus))) < 1e-8
+        assert np.max(np.abs(sol.measure.g(mus) - g(mus))) < 1e-8
 
     def test_forward_inverse_proportionality(self, inverse_weight):
         # h built from the forward fairness density is routing-equivalent to
@@ -240,7 +242,7 @@ class TestAttainability:
         F = uniform_rate_distribution(0.2, 0.5)
         beta, lam = 0.3, 100.0
         sol = solve_L(F, inverse_weight, beta)
-        w = h_for_target_density(sol.g, F, beta, lam, g_prime=sol.g_prime)
+        w = h_for_target_density(sol.measure, beta, lam)
         mus = np.linspace(0.2, 0.5, 17)
         ratio = w.htilde(mus) / inverse_weight.htilde(mus)
         assert np.allclose(ratio, ratio[0], rtol=1e-7)
@@ -252,11 +254,21 @@ class TestAttainability:
         F = uniform_rate_distribution(0.2, 0.5)
         g = lambda m: 6.0 * ((np.asarray(m, dtype=float) - 0.2) / 0.3) ** 5
         gp = lambda m: 100.0 * ((np.asarray(m, dtype=float) - 0.2) / 0.3) ** 4
-        chk = check_attainable(g, F, beta=0.3, g_prime=gp)
+        target = FairnessMeasure.from_density(F, g, gp)
+        chk = check_attainable(target, beta=0.3)
         assert chk.ceiling == pytest.approx(1.3 * (0.2 + 0.3 * 6.0 / 7.0) / 0.105, rel=1e-12)
         assert not chk.ok and chk.slack < 0
         with pytest.raises(ValueError):
-            h_for_target_density(g, F, 0.3, 100.0, g_prime=gp)
+            h_for_target_density(target, 0.3, 100.0)
+
+    @pytest.mark.parametrize("kind", ["fsf", "ssf"])
+    def test_a_point_mass_target_is_refused(self, kind):
+        # the bounds and the inverse read a density against F
+        target = special_policy_fairness(kind, uniform_rate_distribution(0.2, 0.5))
+        with pytest.raises(ValueError, match="not a discrete measure"):
+            check_attainable(target, beta=0.3)
+        with pytest.raises(ValueError, match="not a discrete measure"):
+            h_for_target_density(target, 0.3, 100.0)
 
 
 class TestConditionalIdleness:
@@ -281,5 +293,5 @@ class TestConditionalIdleness:
         mus = np.linspace(0.2, 0.5, 9)
         idle = np.array([conditional_idleness_alpha1(float(m), sol.L, inverse_weight)
                          for m in mus])
-        ratio = sol.g(mus) / idle
+        ratio = sol.measure.g(mus) / idle
         assert np.allclose(ratio, ratio[0], rtol=1e-10)

@@ -362,18 +362,19 @@ class TestAllocationFluid:
         assert all(d <= s.step_error for s, d in zip(traj[1:], dist[1:]))
 
     def test_base_case_trajectory_is_pinned(self, base_alloc, base_equilibrium):
-        # the run of the limits command: a uniform start, 81 points to t = 160;
-        # three cells' masses and the summed estimates at t = 80 and t = 160
+        # the run of the limits command: a uniform start, stepped to the
+        # times it writes, t = 0, 80 and 160; three cells' masses and the
+        # summed estimates at t = 80 and t = 160
         params, h, cont, _grid = base_alloc
         start = AllocationState(edges=cont.edges,
                                 masses=np.full_like(cont.masses, cont.total / cont.masses.size),
                                 F_masses=cont.F_masses)
         traj = allocation_fluid_integrate(start, params, base_equilibrium.mu_bar, h,
-                                          np.linspace(0.0, 160.0, 81))
-        pins = {40: ([0.0013120000240125305, 0.386638154109002, 0.0705862140022994],
-                     1.3309042677609854e-06),
-                80: ([0.001312000024006067, 0.38663815410724306, 0.07058621400208483],
-                     1.330904368606244e-06)}
+                                          np.linspace(0.0, 160.0, 3))
+        pins = {1: ([0.001312000025339974, 0.3866381544184912, 0.07058621403771012],
+                    1.4443230050611086e-06),
+                2: ([0.0013120000241399396, 0.3866381541384795, 0.07058621400565952],
+                    1.4443555708815193e-06)}
         for i, (masses, step_error) in pins.items():
             assert traj[i].masses[[0, 199, 399]].tolist() == masses
             assert traj[i].step_error == step_error
