@@ -32,7 +32,7 @@ from .config import CONFIG_KEYS, ConfigError, ExperimentConfig, resolve_config
 from .equilibrium import (EquilibriumSolution, ResponseDistribution, response_distribution,
                           solve_equilibrium)
 from .fairness import SolverFailure, conditional_idleness_alpha1, special_policy_fairness
-from .limits import (AllocationState, DiffusionSpec, FluidSpec,
+from .limits import (FLUID_STEPS, AllocationState, DiffusionSpec, FluidSpec,
                      allocation_fixed_point, allocation_fluid_integrate,
                      diffusion_simulate, diffusion_stationary, fluid_closed_form,
                      fluid_integrate, stationary_scaled_idleness)
@@ -52,6 +52,10 @@ _COUNTERS = ("event_count", "thinned_completions", "routing_rejections", "peak_q
 # the horizons of `limits`: the fluid ODE, the Euler-Maruyama ensemble (its
 # step and paths too) and the allocation fluid
 _FLUID_T = 10.0
+_FLUID_POINTS = 401
+# RK4's stability interval on the real axis ends at -2.78: past this moment x
+# step the fluid's RK4 steps grow, so fluid_max_dev measures their divergence
+_RK4_STEP_BOUND = 2.78
 _DIFFUSION_T = 60.0
 _DIFFUSION_DT = 0.05
 # past this max(m, gamma) dt the Euler step overshoots the origin, so the
@@ -204,7 +208,8 @@ def cmd_limits(config: ExperimentConfig, outdir: str) -> dict:
     sol = _solve(config)
     params = config.params()
     spec = FluidSpec.from_params(params, sol.mu_bar, sol.moment, xi0=0.0)
-    t_grid = np.linspace(0.0, _FLUID_T, 401)
+    t_grid = np.linspace(0.0, _FLUID_T, _FLUID_POINTS)
+    rk4_step = sol.moment * _FLUID_T / (_FLUID_POINTS - 1) / FLUID_STEPS
     closed = fluid_closed_form(spec, t_grid)
     rk4 = fluid_integrate(spec, t_grid)
     fluid_dev = float(np.max(np.abs(closed - rk4)))
@@ -255,9 +260,12 @@ def cmd_limits(config: ExperimentConfig, outdir: str) -> dict:
     if not euler_ok:
         diffusion += (f"; Euler step past its bound: max rate x dt = {euler_step!r}"
                       f" > {_DIFFUSION_STEP_BOUND!r}")
+    regime = {k: diffusion if k.startswith("diffusion") else fluid for k in summary}
+    if rk4_step > _RK4_STEP_BOUND:
+        regime["fluid_max_dev"] += (f"; RK4 step past its bound: moment x step = {rk4_step!r}"
+                                    f" > {_RK4_STEP_BOUND!r}")
     _write_csv(os.path.join(outdir, "limits_summary.csv"), ["metric", "value", "regime"], config,
-               rows=[[k, float(v), diffusion if k.startswith("diffusion") else fluid]
-                     for k, v in summary.items()])
+               rows=[[k, float(v), regime[k]] for k, v in summary.items()])
     print("limits:", " ".join(f"{k}={v!r}" for k, v in summary.items()))
     return summary
 

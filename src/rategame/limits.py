@@ -44,10 +44,15 @@ __all__ = [
     "allocation_fixed_point",
 ]
 
-_FLUID_STEPS = 16  # RK4 steps per interval of the fluid's time grid
+FLUID_STEPS = 16  # RK4 steps per interval of the fluid's time grid
 ALLOCATION_CELLS = 400
-ALLOCATION_TOLERANCE = 1e-8  # allocation fluid: local error per step / largest cell mass
+ALLOCATION_TOLERANCE = 1e-7  # allocation fluid: local error per step / largest cell mass
 _ALLOCATION_FIRST_STEP = 1e-3
+# the allocation fluid's extrapolation: substeps per chain, and per tableau
+# level l = 1..4 the weights n_(j-l) / (n_j - n_(j-l)) of rows j >= l
+_EXTRAPOLATION_CHAINS = np.arange(1.0, 7.0)
+_NEVILLE = [(level, ((_EXTRAPOLATION_CHAINS[level:] - level) / level)[:, None])
+            for level in range(1, 5)]
 _DIFFUSION_BLOCK = 64  # Euler steps per block of the diffusion ensemble's states
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
@@ -95,7 +100,7 @@ def fluid_closed_form(spec: FluidSpec, t: float | np.ndarray) -> np.ndarray | fl
 
 def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray) -> np.ndarray:
     """Classical RK4 trajectory of the fluid equation on ``t_grid``, in
-    ``_FLUID_STEPS`` equal steps per grid interval.
+    ``FLUID_STEPS`` equal steps per grid interval.
 
     The grid should include any discontinuity of a time-varying moment.
     Its evaluations are clamped into the interior of the current grid
@@ -130,9 +135,9 @@ def fluid_integrate(spec: FluidSpec, t_grid: np.ndarray) -> np.ndarray:
                 tm = min(max(t, lo + theta), hi - theta)
                 return -drift + moment(tm) * max(-y, 0.0)
 
-        h = (hi - lo) / _FLUID_STEPS
+        h = (hi - lo) / FLUID_STEPS
         t = lo
-        for _ in range(_FLUID_STEPS):
+        for _ in range(FLUID_STEPS):
             x = rk4_step(rhs, t, x, h)
             t += h
         out[i + 1] = x
@@ -383,6 +388,39 @@ def allocation_fixed_point(F: RateDistribution, params: ModelParams, mu_bar: flo
     return AllocationState(edges=edges, masses=gbar * Fm, F_masses=Fm)
 
 
+def _euler_solver(masses: np.ndarray, S: float, hv: np.ndarray, mids: np.ndarray,
+                  lam: float, taus: np.ndarray) -> Callable:
+    """The linearly implicit Euler solve at ``masses``: ``solve(b, first)``
+    returns the rows x_j of (I - taus[j] J) x_j = b_j, j = first, first+1, ...
+
+    The allocation fluid's Jacobian at ``masses`` (S = sum(h m) > 0) is
+
+        J = -diag(k) + (lam / S^2)(h m) h^T,  k = mu + lam h / S,
+
+    a diagonal matrix plus a rank-one term, so with D = diag(1 + tau k) and
+    a = tau lam / S^2 each solve is Sherman-Morrison's
+
+        x = D^-1 b + D^-1 (h m) a (h . D^-1 b) / (1 - a h . D^-1 (h m)),
+
+    O(cells) per row. The denominator is 1 - sum_c (h_c m_c / S) z_c with
+    z_c = (tau lam h_c / S) / (1 + tau k_c) < 1, so it is positive and the
+    solve cannot break down.
+    """
+    k = lam * hv / S
+    k += mids
+    inv = 1.0 / (1.0 + np.outer(taus, k))
+    w = inv * (hv * masses)
+    a = taus * (lam / (S * S))
+    coef = a / (1.0 - a * (w @ hv))
+
+    def solve(b, first):
+        x = inv[first:] * b
+        x += (coef[first:] * (x @ hv))[:, None] * w[first:]
+        return x
+
+    return solve
+
+
 def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
                                mu_bar: float, h: Callable,
                                t_grid: np.ndarray) -> list[AllocationState]:
@@ -392,26 +430,21 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
         dm_c/dt = A_c - k_c m_c,  A_c = (lam/mu_bar)(1+beta) mu_c F_c,
         k_c = mu_c + lam h_c / S,  S = sum(h m).
 
-    Given S each cell is linear, so a step of tau with S frozen is exact:
-    m_c <- q_c + (m_c - q_c) exp(-k_c tau), q_c = A_c / k_c. That is a
-    convex combination of m_c and q_c, so it keeps every mass nonnegative
-    and the grid's fixed point fixed, and no drain rate bounds tau (an
-    exponential integrator; Hochbruck & Ostermann, Acta Numerica 2010). S
-    is frozen at its value half way through the step, which a half step
-    with S frozen at the start predicts (exponential midpoint, second
-    order). Each step is taken whole and as two halves, and a third of
-    their largest cell difference estimates the halves' local error
-    (Richardson). The step is kept, extrapolated to third order, when the
-    estimate is within ``ALLOCATION_TOLERANCE`` times the largest cell
-    mass, and the estimate sizes the next step. The steps land on every
-    point of ``t_grid``, and each state's ``step_error`` sums the estimates
-    of the steps that reached it, in mass units.
-
-    The whole step and the first half start from the same state, so they
-    share its k, q and m - q; each step's exponential, product and sum run
-    in place on one array. The work is numpy-call-bound on
-    ``ALLOCATION_CELLS`` cells, and every float is the one the textbook
-    form q + (m - q) exp(-k tau) gives.
+    Each step of ``span`` is linearly implicit Euler extrapolation (Deuflhard
+    1985; Hairer & Wanner, Solving ODEs II, IV.9): chains of n = 1, ..., 6
+    substeps of span / n, each substep solving (I - (span/n) J) d =
+    (span/n) f(y) with the Jacobian J frozen at the step's start, which
+    :func:`_euler_solver` does by a rank-one update in O(cells). The six
+    chains advance together as the rows of one array, and the Aitken-Neville
+    tableau over them keeps T(6,5), of fifth order; |T(6,6) - T(6,5)| is its
+    local error estimate. The step is kept when the estimate is within
+    ``ALLOCATION_TOLERANCE`` times the largest cell mass, the estimate sizes
+    the next step, and no drain rate lam h_max / S bounds it (the solve is
+    stable for stiff decay). A kept state is clipped at 0. At a fixed point
+    f = 0, so every increment is 0 and the state stays put. The steps land
+    on every point of ``t_grid``, and each state's ``step_error`` sums the
+    estimates of the steps that reached it, in mass units: the local errors
+    of the states that were kept.
 
     Raises on a vanishing weighted idle mass (the routing fraction is then
     undefined); the time is reported in the error.
@@ -425,65 +458,45 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
     inflow = (lam / mu_bar) * (1.0 + beta) * mids * initial.F_masses
     lam_hv = lam * hv
 
-    def frozen(masses, t):
-        """k and q with S frozen at (t, masses)."""
-        S = float(hv @ masses)
-        if S <= 0.0:
-            raise ZeroDivisionError(f"weighted idle mass vanished at t={t!r}: "
-                                    "routing fraction undefined")
-        k = lam_hv / S
-        k += mids
-        return k, inflow / k
-
-    def begin(masses, t):
-        """frozen(masses, t) and masses - q: what every step from there reads."""
-        k, q = frozen(masses, t)
-        return k, q, masses - q
-
-    def relax(m, start, t, tau):
-        """One exponential-midpoint step of tau from (t, m); ``start`` is
-        begin(m, t)."""
-        k, q, gap = start
-        half = k * (-0.5 * tau)
-        np.exp(half, out=half)
-        half *= gap
-        half += q
-        k, q = frozen(half, t + 0.5 * tau)
-        step = k * -tau
-        np.exp(step, out=step)
-        step *= m - q
-        step += q
-        return step
-
     out = [initial]
     m = initial.masses.copy()
     t, tau, error = float(t_grid[0]), _ALLOCATION_FIRST_STEP, 0.0
-    start = None
     for end in t_grid[1:].tolist():
         while t < end:
-            # the start's k, q and m - q serve every attempt from it
-            start = begin(m, t) if start is None else start
+            S = float(hv @ m)
+            if S <= 0.0:
+                raise ZeroDivisionError(f"weighted idle mass vanished at t={t!r}: "
+                                        "routing fraction undefined")
             # spread what is left of the interval over equal steps of at most tau
             span = (end - t) / math.ceil((end - t) / tau)
-            whole = relax(m, start, t, span)
-            first = relax(m, start, t, 0.5 * span)
-            halves = relax(first, begin(first, t + 0.5 * span), t + 0.5 * span, 0.5 * span)
-            # Richardson: the two halves' local error is a third of their distance
-            diff = halves - whole
-            estimate = float(np.abs(diff).max()) / 3.0
-            allowed = ALLOCATION_TOLERANCE * float(halves.max())
+            taus = span / _EXTRAPOLATION_CHAINS
+            solve = _euler_solver(m, S, hv, mids, lam, taus)
+            # row j is the chain of j + 1 substeps: its substep i moves it
+            # when i <= j
+            chains = np.tile(m, (taus.size, 1))
+            for first in range(taus.size):
+                rows = chains[first:]
+                step = lam_hv / (rows @ hv)[:, None]
+                step += mids
+                step *= rows
+                np.subtract(inflow, step, out=step)
+                step *= taus[first:, None]
+                rows += solve(step, first)
+            # Aitken-Neville: row j becomes T(j+1, level+1)
+            for level, weights in _NEVILLE:
+                chains[level:] += (chains[level:] - chains[level - 1:-1]) * weights
+            kept = chains[-1]
+            # T(6,6) - T(6,5) = (T(6,5) - T(5,5)) / (6/1 - 1)
+            estimate = float(np.abs(kept - chains[-2]).max()) / 5.0
+            allowed = ALLOCATION_TOLERANCE * float(kept.max())
             if estimate <= allowed:
-                # the extrapolation to third order can dip below zero by at most
-                # the estimate, in a cell whose mass is about that small
-                diff /= 3.0
-                diff += halves
-                m = np.maximum(diff, 0.0, out=diff)
+                m = np.maximum(kept, 0.0)
                 error += estimate
                 t = end if span >= end - t else t + span
-                start = None
-            # the local error of a second-order step grows as tau^3
-            grow = 5.0 if estimate == 0.0 else min(5.0, 0.9 * (allowed / estimate) ** (1.0 / 3.0))
-            tau = span * max(0.2, grow)
+            # the local error of the kept fifth-order state grows as span^6; a
+            # nan estimate shrinks the step too (max(0.2, nan) is 0.2)
+            grow = 5.0 if estimate == 0.0 else 0.9 * (allowed / estimate) ** (1.0 / 6.0)
+            tau = span * min(5.0, max(0.2, grow))
         out.append(AllocationState(edges=initial.edges, masses=m.copy(),
                                    F_masses=initial.F_masses, step_error=error))
     return out

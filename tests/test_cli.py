@@ -666,6 +666,13 @@ class TestMainEntry:
         assert z_row.startswith("diffusion_z,nan,alpha=0.5 (not the configured alpha=1.0); "
                                 "Euler step past its bound: max rate x dt = ")
         assert z_row.endswith(" > 0.5")
+        # moment x the fluid's RK4 step is about 5.5e146, past RK4's
+        # real-axis bound 2.78: fluid_max_dev reads the RK4 state's divergence
+        fluid_row, = [row for row in rows if row.startswith("fluid_max_dev,")]
+        assert fluid_row.split(",")[2].startswith(
+            "alpha=1.0; RK4 step past its bound: moment x step = ")
+        assert fluid_row.endswith(" > 2.78")
+        assert sum(" > 2.78" in row for row in rows) == 1
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"

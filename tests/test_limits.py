@@ -7,11 +7,11 @@ from scipy import integrate, special
 
 from rategame._numerics import rk4_step
 from rategame.fairness import SolverFailure
-from rategame.limits import _DIFFUSION_BLOCK
-from rategame import (AllocationState, DiffusionSpec, FluidSpec, ModelParams,
+from rategame.limits import _DIFFUSION_BLOCK, _euler_solver
+from rategame import (AllocationState, DiffusionSpec, ExperimentConfig, FluidSpec, ModelParams,
                       allocation_fixed_point, allocation_fluid_integrate,
                       diffusion_simulate, diffusion_stationary, fluid_closed_form,
-                      fluid_integrate, stationary_scaled_idleness)
+                      fluid_integrate, solve_equilibrium, stationary_scaled_idleness)
 
 
 class TestFluidClosedForm:
@@ -320,6 +320,23 @@ def base_alloc(base_equilibrium, base_config):
     return params, h, fixed_cont, fixed_grid
 
 
+def _uniform_start(fixed):
+    return AllocationState(edges=fixed.edges, F_masses=fixed.F_masses,
+                           masses=np.full_like(fixed.masses, fixed.total / fixed.masses.size))
+
+
+@pytest.fixture(scope="module")
+def unimodal_alloc():
+    """The r = -2 equilibrium's params, mu_bar, h and the uniform start of
+    the limits command, where the drain rate lam h_max / sum(h m) reaches
+    about 735."""
+    config = ExperimentConfig(r=-2.0)
+    funcs, params = config.functions(), config.params()
+    sol = solve_equilibrium(config.population(), funcs, config.beta, config.lambda_bar, config.n)
+    fixed = allocation_fixed_point(sol.response, params, sol.mu_bar, funcs.h, L=sol.L_star)
+    return params, sol.mu_bar, funcs.h, _uniform_start(fixed)
+
+
 def _reference_allocation(initial, params, mu_bar, h, t_grid):
     """The allocation fluid by classical RK4 with its right-hand side written
     out as the formula reads, on steps of at most 0.05 / stiffness, the
@@ -347,15 +364,23 @@ def _reference_allocation(initial, params, mu_bar, h, t_grid):
 
 
 class TestAllocationFluid:
-    @pytest.mark.parametrize("scale, r", [(0.3, -1.0), (1.7, 0.0), (1.0, 0.5)])
-    def test_matches_a_fine_rk4_reference(self, base_alloc, base_equilibrium, scale, r):
-        params, _h, cont, _grid = base_alloc
-        h = lambda m: np.asarray(m, dtype=float) ** (1.0 + r)
-        start = AllocationState(edges=cont.edges, masses=scale * cont.masses[::-1].copy(),
-                                F_masses=cont.F_masses)
+    @pytest.mark.parametrize("scale, r", [(0.3, -1.0), (1.7, 0.0), (1.0, 0.5), (None, -2.0)],
+                             ids=["0.3--1.0", "1.7-0.0", "1.0-0.5", "r-2-equilibrium"])
+    def test_matches_a_fine_rk4_reference(self, base_alloc, base_equilibrium, unimodal_alloc,
+                                          scale, r):
+        # at the base equilibrium: the fixed point reversed and scaled, with
+        # h = mu^(1 + r); without a scale: the r = -2 run of the limits command
+        if scale is None:
+            params, mu_bar, h, start = unimodal_alloc
+        else:
+            params, _h, cont, _grid = base_alloc
+            mu_bar = base_equilibrium.mu_bar
+            h = lambda m: np.asarray(m, dtype=float) ** (1.0 + r)
+            start = AllocationState(edges=cont.edges, masses=scale * cont.masses[::-1].copy(),
+                                    F_masses=cont.F_masses)
         ts = np.linspace(0.0, 3.0, 7)
-        traj = allocation_fluid_integrate(start, params, base_equilibrium.mu_bar, h, ts)
-        ref = _reference_allocation(start, params, base_equilibrium.mu_bar, h, ts)
+        traj = allocation_fluid_integrate(start, params, mu_bar, h, ts)
+        ref = _reference_allocation(start, params, mu_bar, h, ts)
         dist = [float(np.max(np.abs(s.masses - m))) for s, m in zip(traj, ref)]
         assert max(dist) < 1e-7 * max(float(m.max()) for m in ref)
         # each state's summed local error estimates bound its measured error
@@ -366,18 +391,41 @@ class TestAllocationFluid:
         # times it writes, t = 0, 80 and 160; three cells' masses and the
         # summed estimates at t = 80 and t = 160
         params, h, cont, _grid = base_alloc
-        start = AllocationState(edges=cont.edges,
-                                masses=np.full_like(cont.masses, cont.total / cont.masses.size),
-                                F_masses=cont.F_masses)
-        traj = allocation_fluid_integrate(start, params, base_equilibrium.mu_bar, h,
-                                          np.linspace(0.0, 160.0, 3))
-        pins = {1: ([0.001312000025339974, 0.3866381544184912, 0.07058621403771012],
-                    1.4443230050611086e-06),
-                2: ([0.0013120000241399396, 0.3866381541384795, 0.07058621400565952],
-                    1.4443555708815193e-06)}
+        traj = allocation_fluid_integrate(_uniform_start(cont), params, base_equilibrium.mu_bar,
+                                          h, np.linspace(0.0, 160.0, 3))
+        pins = {1: ([0.001312000024018311, 0.3866381541109066, 0.0705862140025369],
+                    2.589861621729584e-07),
+                2: ([0.0013120000240058143, 0.38663815410718094, 0.07058621400207789],
+                    2.589861840998631e-07)}
         for i, (masses, step_error) in pins.items():
             assert traj[i].masses[[0, 199, 399]].tolist() == masses
             assert traj[i].step_error == step_error
+        # allocation_terminal_tv, converged: exponential-midpoint steps at a
+        # local tolerance of 1e-13 read 5.074517e-7 too
+        assert traj[-1].tv_against(cont.masses) == pytest.approx(5.074517e-7, rel=1e-6)
+
+    @pytest.mark.parametrize("case", ["base", "r-2"])
+    def test_rank_one_solve_equals_the_dense_solve(self, base_alloc, unimodal_alloc, case):
+        # (I - (span/n) J) x = b at the limits command's uniform starts, J the
+        # Jacobian -diag(mu + lam h / S) + (lam / S^2)(h m) h^T, for n = 1..6
+        if case == "base":
+            params, h, cont, _grid = base_alloc
+            start = _uniform_start(cont)
+        else:
+            params, _mu_bar, h, start = unimodal_alloc
+        m, mids = start.masses, start.mids
+        hv, lam = np.asarray(h(mids), dtype=float), params.lambda_bar
+        S = float(hv @ m)
+        jac = -np.diag(mids + lam * hv / S) + (lam / S**2) * np.outer(hv * m, hv)
+        span = 1.0
+        taus = span / np.arange(1.0, 7.0)
+        b = np.random.default_rng(5).standard_normal((taus.size, m.size))
+        solve = _euler_solver(m, S, hv, mids, lam, taus)
+        for first, tau in enumerate(taus):
+            # rows first, first+1, ...: the chains a substep moves
+            x = solve(b[first:], first)[0]
+            dense = np.linalg.solve(np.eye(m.size) - tau * jac, b[first])
+            assert np.max(np.abs(x - dense)) <= 1e-12 * np.max(np.abs(dense))
 
     def test_fixed_point_is_stationary(self, base_alloc, base_equilibrium):
         params, h, _cont, grid = base_alloc
