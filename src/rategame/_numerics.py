@@ -1,44 +1,14 @@
-"""The numerical kernels the solvers share: bracketed bisection and the
-ITP method, each elementwise over scalars or arrays, and one classical
-Runge-Kutta step. ITP finds the roots where a tolerance on |f| ends the
-search (G, on one law or as Phi / mu_bar, and the unimodal law's tie
-rates); bisection serves the callers that need its exact-halving
-convention, in which a zero of f moves the upper end."""
+"""The numerical kernels the solvers share: the ITP method, elementwise
+over scalars or arrays, and one classical Runge-Kutta step. ITP finds
+every root in the package: where a tolerance on |f| ends the search (G,
+on one law or as Phi / mu_bar, and the unimodal law's tie rates), and,
+with a tolerance of 0, where only adjacent floats or an exact zero do
+(best responses, a monotone law's kinks and the allocation fixed
+point)."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def bisect(f, lo, hi, iters: int):
-    """Bisect ``f`` on [lo, hi], elementwise over scalars or arrays.
-
-    ``f(x) > 0`` means the root lies above ``x``; ``f(x) = 0`` moves ``hi``,
-    so the result is the edge of {f > 0}, also where f is 0 on a whole
-    interval. Runs at most ``iters`` halvings and stops once every midpoint
-    equals an end of its bracket: every later halving would give back the
-    same midpoint, so the result is the one the full count returns. The
-    stop is relative at every scale: a bracket near 1e-9 is refined to
-    adjacent floats, as one near 1 is.
-
-    Returns ``(x, f(x), evaluations)`` for the last midpoint evaluated;
-    scalar brackets give Python floats back.
-    """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    x = fx = None
-    evals = 0
-    while evals < iters:
-        x = 0.5 * (lo + hi)
-        fx = f(x)
-        evals += 1
-        if np.all((x == lo) | (x == hi)):
-            break
-        above = fx > 0.0
-        lo = np.where(above, x, lo)
-        hi = np.where(above, hi, x)
-    if scalar:
-        return float(x), float(fx), evals
-    return x, fx, evals
 
 
 def itp(f, lo, hi, flo, fhi, iters: int, tol):

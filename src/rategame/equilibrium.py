@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import bisect, itp
+from ._numerics import itp
 from .model import (_MONOTONE_GRID, PolicyFunctions, PopulationDistributions,
                     ServerPopulation, _monotone_check, _ratio_array, staffing_level,
                     verify_first_order_monotone)
@@ -72,14 +72,15 @@ def _best_rates(a: np.ndarray, lo: np.ndarray, hi: np.ndarray, L: float,
     them. Returns the rates and the two end masks."""
     if not verify_first_order_monotone(funcs, L, support):
         raise ValueError("C(mu, L) is not strictly decreasing: configuration unsupported")
-    at_min = a >= _ratio_array(funcs, lo, L)
-    at_max = a <= _ratio_array(funcs, hi, L)
+    c_lo, c_hi = _ratio_array(funcs, lo, L), _ratio_array(funcs, hi, L)
+    at_min, at_max = a >= c_lo, a <= c_hi
     interior = ~(at_min | at_max)
     rates = np.where(at_min, lo, hi)
     if np.any(interior):
         target = a[interior]
-        rates[interior], _, _ = bisect(lambda mu: _ratio_array(funcs, mu, L) - target,
-                                       lo[interior], hi[interior], 200)
+        rates[interior], _, _ = itp(lambda mu, k: _ratio_array(funcs, mu, L) - target[k],
+                                    lo[interior], hi[interior], c_lo[interior] - target,
+                                    c_hi[interior] - target, 200, 0.0)
     return rates, at_min, at_max
 
 
@@ -88,9 +89,9 @@ def best_response(attrs: tuple[float, float, float], L: float,
     """Utility-maximizing rate for a server with attributes (a, mu_lo, mu_hi).
 
     Requires C(., L) strictly decreasing on the global support (checked via
-    verify_first_order_monotone). Interior roots are found by bisection;
-    ties resolve to the smaller rate, which the leftmost root of a
-    decreasing C delivers automatically.
+    verify_first_order_monotone). Interior roots of C(., L) = a are found
+    by ITP to adjacent floats; ties resolve to the smaller rate, which the
+    leftmost root of a decreasing C delivers automatically.
     """
     a, mu_lo, mu_hi = attrs
     if not (support[0] - 1e-12 <= mu_lo <= mu_hi <= support[1] + 1e-12):
@@ -114,19 +115,21 @@ def _monotone_kinks(L: np.ndarray, grid: np.ndarray, vals: np.ndarray,
                     funcs: PolicyFunctions) -> list[tuple[float, ...]]:
     """Kinks of the monotone-regime response CDF at each L of ``L``, as
     ``_interior`` gives them: every mu where C(mu, L) crosses a_max or
-    a_min. They are located on the scan ``grid``, where ``vals`` holds C,
-    one row per L: the cells where C - level changes sign, over both
-    levels, every law and every cell at once, in that order. One bisection
-    over all those brackets refines them; each bracket halves on its own,
-    so each root is the one a bisection of that bracket alone gives."""
+    a_min. They are bracketed on ``grid``, where ``vals`` holds C, one row
+    per L: the cells where C - level changes sign, over both levels, every
+    law and every cell at once, in that order. One ITP call over all those
+    brackets refines them to adjacent floats, from the values of C - level
+    at each cell's ends; each bracket is refined on its own, so each root
+    is the one an ITP of that bracket alone gives."""
     levels = np.array([dists.a_max, dists.a_min])[:, None, None]
     signs = (vals > levels).astype(np.int8) - (vals < levels)   # of C - level
     j, k, i = np.nonzero(signs[..., :-1] * signs[..., 1:] < 0)
     out: list[list[float]] = [[] for _ in range(L.size)]
     if k.size:
-        level, sign = levels[j, 0, 0], signs[j, k, i]
-        roots, _, _ = bisect(lambda mu: sign * (_ratio_array(funcs, mu, L[k]) - level),
-                             grid[i], grid[i + 1], 80)
+        level, Lk = levels[j, 0, 0], L[k]
+        roots, _, _ = itp(lambda mu, e: _ratio_array(funcs, mu, Lk[e]) - level[e],
+                          grid[i], grid[i + 1], vals[k, i] - level, vals[k, i + 1] - level,
+                          80, 0.0)
         for law, root in zip(k.tolist(), roots.tolist()):
             out[law].append(root)
     return [_interior(kinks, dists.mu_min, dists.mu_max) for kinks in out]
@@ -353,21 +356,15 @@ def _response_laws(L: np.ndarray, dists: PopulationDistributions, funcs: PolicyF
     whole array. A monotone law builds no sampling table; its CDF is
     checked at those nodes, which every integral over the support reads.
 
-    C(mu, L) is read once per grid point. The check reads it on
-    ``_MONOTONE_GRID`` points, as ``verify_first_order_monotone`` does; the
-    kink search's grid of 2 ``_MONOTONE_GRID`` - 1 points holds those as its
-    even points (halving a linspace step is exact), so only its odd points
-    are read, and only at the monotone L."""
+    C(mu, L) is read once per grid point: the kink search brackets the
+    kinks on the ``_MONOTONE_GRID`` points of the monotone check, as
+    ``verify_first_order_monotone`` reads them, and reads C afresh only in
+    its refinement."""
     vals, monotone = _monotone_check(funcs, L, (dists.mu_min, dists.mu_max))
     kinks = []
     if monotone.any():
-        Lm = L[monotone]
-        grid = np.linspace(dists.mu_min, dists.mu_max, 2 * _MONOTONE_GRID - 1)
-        fine = np.empty((Lm.size, grid.size))
-        fine[:, ::2] = vals[monotone]
-        fine[:, 1::2] = _ratio_array(funcs, np.broadcast_to(grid[1::2], (Lm.size, grid.size // 2)),
-                                     Lm[:, None])
-        kinks = _monotone_kinks(Lm, grid, fine, dists, funcs)
+        grid = np.linspace(dists.mu_min, dists.mu_max, _MONOTONE_GRID)
+        kinks = _monotone_kinks(L[monotone], grid, vals[monotone], dists, funcs)
     laws = zip(kinks, *_monotone_node_sets(L[monotone], kinks, dists, funcs)) if kinks else None
     for Lk, ok in zip(L.tolist(), monotone.tolist()):
         yield (MonotoneResponse(Lk, dists, funcs, *next(laws)) if ok

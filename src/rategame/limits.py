@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._numerics import bisect, rk4_step
+from ._numerics import itp, rk4_step
 from .fairness import SolverFailure
 from .model import ModelParams
 from .rates import RateDistribution
@@ -47,7 +47,6 @@ __all__ = [
 FLUID_STEPS = 16  # RK4 steps per interval of the fluid's time grid
 ALLOCATION_CELLS = 400
 ALLOCATION_TOLERANCE = 1e-7  # allocation fluid: local error per step / largest cell mass
-_ALLOCATION_FIRST_STEP = 1e-3
 # the allocation fluid's extrapolation: substeps per chain, and per tableau
 # level l = 1..4 the weights n_(j-l) / (n_j - n_(j-l)) of rows j >= l
 _EXTRAPOLATION_CHAINS = np.arange(1.0, 7.0)
@@ -357,9 +356,10 @@ def allocation_fixed_point(F: RateDistribution, params: ModelParams, mu_bar: flo
     lambda = L (lam/mu_bar)(1+beta) sum F_c h_c/(1+L h_c/mu_c), whose root
     makes the cellwise drift vanish identically (the exact fixed point of
     :func:`allocation_fluid_integrate`). It is bracketed on
-    [1e-14, 2^k], k the first with a nonnegative excess, and raises
-    :class:`SolverFailure` when either end does not hold (an inconsistent
-    ``mu_bar``), or when no 2^k up to 1e18 does.
+    [1e-14, 2^k], k the first with a nonnegative excess, and refined by ITP
+    in log L to adjacent floats; it raises :class:`SolverFailure` when
+    either end does not hold (an inconsistent ``mu_bar``), or when no 2^k
+    up to 1e18 does.
     """
     edges = np.linspace(F.mu_min, F.mu_max, ALLOCATION_CELLS + 1)
     Fm = np.diff(np.concatenate([[0.0], F.cdf(edges)[1:-1], [1.0]]))
@@ -374,15 +374,18 @@ def allocation_fixed_point(F: RateDistribution, params: ModelParams, mu_bar: flo
             return scale * float(np.sum(Fm * Lv * hv / (1.0 + Lv * hv / mids))) - lam
 
         lo, hi = 1e-14, 1.0
-        if not excess(lo) < 0.0:
+        e_lo, e_hi = excess(lo), excess(hi)
+        if not e_lo < 0.0:
             raise SolverFailure("allocation self-consistency has no root above L = 1e-14",
-                                {"mu_bar": mu_bar, "excess": excess(lo)})
-        while not excess(hi) >= 0.0:
+                                {"mu_bar": mu_bar, "excess": e_lo})
+        while not e_hi >= 0.0:
             hi *= 2.0
+            e_hi = excess(hi)
             if hi > 1e18:
                 raise SolverFailure("allocation self-consistency has no root below L = 1e18",
-                                    {"mu_bar": mu_bar, "excess": excess(hi)})
-        log_L, _, _ = bisect(lambda u: -excess(math.exp(u)), math.log(lo), math.log(hi), 200)
+                                    {"mu_bar": mu_bar, "excess": e_hi})
+        log_L, _, _ = itp(lambda u: excess(math.exp(u)), math.log(lo), math.log(hi),
+                          e_lo, e_hi, 200, 0.0)
         L = math.exp(log_L)
     gbar = (lam / mu_bar) * (1.0 + beta) / (1.0 + L * hv / mids)
     return AllocationState(edges=edges, masses=gbar * Fm, F_masses=Fm)
@@ -440,8 +443,11 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
     local error estimate. The step is kept when the estimate is within
     ``ALLOCATION_TOLERANCE`` times the largest cell mass, the estimate sizes
     the next step, and no drain rate lam h_max / S bounds it (the solve is
-    stable for stiff decay). A kept state is clipped at 0. At a fixed point
-    f = 0, so every increment is 0 and the state stays put. The steps land
+    stable for stiff decay). The first step is a tenth of the start's
+    fastest relaxation time 1 / max k_c, at every scale of rate; over a
+    whole relaxation time the estimate can fall short of the step's error.
+    A kept state is clipped at 0. At a fixed point f = 0, so every increment
+    is 0 and the state stays put. The steps land
     on every point of ``t_grid``, and each state's ``step_error`` sums the
     estimates of the steps that reached it, in mass units: the local errors
     of the states that were kept.
@@ -460,7 +466,10 @@ def allocation_fluid_integrate(initial: AllocationState, params: ModelParams,
 
     out = [initial]
     m = initial.masses.copy()
-    t, tau, error = float(t_grid[0]), _ALLOCATION_FIRST_STEP, 0.0
+    S = float(hv @ m)
+    # a vanishing S is raised in the loop, with its time
+    tau = 0.1 / float(np.max(mids + lam_hv / S)) if S > 0.0 else 0.0
+    t, error = float(t_grid[0]), 0.0
     for end in t_grid[1:].tolist():
         while t < end:
             S = float(hv @ m)

@@ -2,8 +2,8 @@
 
 Everything here is deliberately brute force and shares no code with the
 package solvers: dense CTMC stationary solves for small systems, a
-birth-death solver for homogeneous pools, and dense-grid maximization for
-best responses.
+birth-death solver for homogeneous pools, dense-grid maximization for
+best responses, and plain bisection for roots.
 """
 
 from __future__ import annotations
@@ -117,3 +117,22 @@ def grid_best_utility(funcs, a: float, mu_lo: float, mu_hi: float, L: float,
     mus = np.linspace(mu_lo, mu_hi, points)
     vals = funcs.f(1.0 / (1.0 + L * funcs.htilde(mus))) - a * funcs.c(mus)
     return float(vals.max())
+
+
+def bisect(f, lo, hi, iters: int):
+    """Bisect ``f`` on [lo, hi], elementwise over scalars or arrays:
+    ``f(x) > 0`` means the root lies above ``x``, and ``f(x) = 0`` moves
+    ``hi``. Halves at most ``iters`` times and stops once every midpoint
+    equals an end of its bracket (adjacent floats). Returns ``(x, f(x),
+    evaluations)`` for the last midpoint evaluated."""
+    x = fx = None
+    evals = 0
+    while evals < iters:
+        x = 0.5 * (lo + hi)
+        fx = f(x)
+        evals += 1
+        if np.all((x == lo) | (x == hi)):
+            break
+        above = fx > 0.0
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+    return x, fx, evals

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from rategame import ConfigError, ExperimentConfig, cli, resolve_config
+from rategame import ConfigError, ExperimentConfig, cli, limits, resolve_config
 from rategame.cli import cmd_equilibrium, cmd_fairness, cmd_sweep, main, simulate_pipeline
 from rategame.config import parse_config_file
 from rategame.rates import RateDistribution
@@ -673,6 +673,21 @@ class TestMainEntry:
             "alpha=1.0; RK4 step past its bound: moment x step = ")
         assert fluid_row.endswith(" > 2.78")
         assert sum(" > 2.78" in row for row in rows) == 1
+
+    def test_limits_at_huge_rates_sizes_the_first_allocation_step(self, tmp_path, monkeypatch):
+        # relaxation times near 1e-150: a first step of an absolute 1e-3 was
+        # rejected 214 times on the way down, 476 attempts in all; sized from
+        # the start's fastest rate, no attempt is rejected (263)
+        attempts = []
+        solver = limits._euler_solver
+
+        def counted(*args):
+            attempts.append(1)
+            return solver(*args)
+
+        monkeypatch.setattr(limits, "_euler_solver", counted)
+        assert main(["--out", str(tmp_path), "--mu-max", "1e150", "--r", "0.9", "limits"]) == 0
+        assert len(attempts) < 300
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"

@@ -393,10 +393,10 @@ class TestAllocationFluid:
         params, h, cont, _grid = base_alloc
         traj = allocation_fluid_integrate(_uniform_start(cont), params, base_equilibrium.mu_bar,
                                           h, np.linspace(0.0, 160.0, 3))
-        pins = {1: ([0.001312000024018311, 0.3866381541109066, 0.0705862140025369],
-                    2.589861621729584e-07),
-                2: ([0.0013120000240058143, 0.38663815410718094, 0.07058621400207789],
-                    2.589861840998631e-07)}
+        pins = {1: ([0.0013120000240085606, 0.3866381541079717, 0.0705862140021744],
+                    2.5829864395664195e-07),
+                2: ([0.0013120000240059127, 0.38663815410721136, 0.07058621400208048],
+                    2.582986535378667e-07)}
         for i, (masses, step_error) in pins.items():
             assert traj[i].masses[[0, 199, 399]].tolist() == masses
             assert traj[i].step_error == step_error

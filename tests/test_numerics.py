@@ -4,89 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from rategame._numerics import bisect, itp, rk4_step
-
-
-class TestBisect:
-    def test_scalar_increasing_root_returns_floats(self):
-        # f(x) > 0 means the root is above x: f = 2 - x^2 on [0, 2]
-        x, fx, evals = bisect(lambda x: 2.0 - x * x, 0.0, 2.0, 80)
-        assert type(x) is float and type(fx) is float
-        assert x == pytest.approx(math.sqrt(2.0), abs=1e-15)
-        assert fx == pytest.approx(2.0 - x * x, abs=0.0)
-        assert evals == 54  # the bracket stops moving at adjacent floats
-
-    def test_scalar_other_orientation(self):
-        # the caller flips the sign when f rises through its root
-        x, fx, _ = bisect(lambda x: -(x - 0.3), 0.0, 1.0, 60)
-        assert x == pytest.approx(0.3, abs=1e-15)
-        assert fx == pytest.approx(0.0, abs=1e-15)
-
-    def test_array_elementwise_both_orientations(self):
-        # the middle function rises through its root; multiplying by the
-        # sign at the lower end orients every element the same way
-        roots = np.array([0.1, 0.25, 0.7])
-        slope = np.array([-1.0, 2.0, -3.0])
-        lo, hi = np.zeros(3), np.ones(3)
-        sign = np.sign(slope * (lo - roots))
-        x, fx, evals = bisect(lambda x: sign * slope * (x - roots), lo, hi, 60)
-        assert x.shape == (3,) and fx.shape == (3,)
-        np.testing.assert_allclose(x, roots, atol=1e-15)
-        assert evals == 57  # every bracket has stopped moving
-
-    def test_array_bracket_bounds_are_per_element(self):
-        lo = np.array([1.0, 4.0])
-        hi = np.array([2.0, 9.0])
-        target = np.array([2.0, 30.0])
-        x, _, _ = bisect(lambda x: target - x * x, lo, hi, 70)
-        np.testing.assert_allclose(x, np.sqrt(target), rtol=1e-15)
-
-    def test_fixed_count_runs_every_iteration(self):
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return 0.5 - x
-
-        x, _, evals = bisect(f, 0.0, 1.0, 7)
-        assert evals == len(calls) == 7
-        # 0.5 is the first midpoint; f = 0 there sends the bracket down
-        assert calls[0] == 0.5 and x < 0.5
-
-    @pytest.mark.parametrize("lo, hi, target", [
-        (0.0, 2.0, 2.0),
-        (np.array([1.0, 4.0, 0.0]), np.array([2.0, 9.0, 1e-3]), np.array([2.0, 30.0, 1e-7])),
-    ])
-    def test_fixed_count_stops_when_the_bracket_stops_moving(self, lo, hi, target):
-        def f(x):
-            return target - x * x
-
-        def unstopped(lo, hi, iters):
-            for _ in range(iters):
-                x = 0.5 * (lo + hi)
-                fx = f(x)
-                lo, hi = np.where(fx > 0.0, x, lo), np.where(fx > 0.0, hi, x)
-            return x, fx
-
-        x, fx, evals = bisect(f, lo, hi, 200)
-        x_ref, fx_ref = unstopped(lo, hi, 200)
-        np.testing.assert_array_equal(x, x_ref)
-        np.testing.assert_array_equal(fx, fx_ref)
-        assert evals < 70
-
-    def test_a_zero_moves_hi_even_on_a_whole_interval(self):
-        # f > 0 below the edge, f = 0 from the edge to 0.6, f < 0 above: the
-        # result is the edge of {f > 0}, not a point inside the zeros; the
-        # second element is zero from its lower end on, so it gives that end
-        edge = np.array([0.3, 0.1])
-
-        def f(x):
-            return np.where(x < edge, 1.0, np.where(x <= 0.6, 0.0, -1.0))
-
-        x, fx, evals = bisect(f, np.array([0.0, 0.1]), np.ones(2), 200)
-        assert np.all(np.abs(x - edge) <= np.spacing(edge))
-        assert fx[1] == 0.0
-        assert evals < 60
+from rategame._numerics import itp, rk4_step
+from _oracles import bisect
 
 
 class TestItp:
